@@ -40,11 +40,7 @@ from .errors import (
     WarpsplitError,
 )
 from .fejer import (
-    HalfSpaceCut,
-    HaugazeauTriple,
     haugazeau_Q,
-    haugazeau_step,
-    multipoint_step,
     relaxed_projection_step,
 )
 from .kernels import (
@@ -91,7 +87,6 @@ from .space import (
     BlockLayout,
     LinearMap,
     ProductVector,
-    adjoint_apply,
     inner,
     norm,
     normalize_or_zero,

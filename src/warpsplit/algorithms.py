@@ -1,23 +1,28 @@
 """Solver families built from kernels and half-space geometry.
 
-Four drivers share one pattern: produce a graph point of the target
-operator through a warped resolvent, cut with its half-space, project.
+Every solver runs one iteration engine: evaluate a warped resolvent at the
+policy point, certify a graph point (y, y*), then update through its cut
+{z : <z - y, y*> <= 0}, either by a relaxed projection or by the
+Haugazeau two-cut projector.  The solvers only configure that engine.
 
 * ``solve_weak``      -- relaxed single-cut projections (weak convergence).
 * ``solve_strong``    -- Haugazeau two-cut projections (strong convergence
                          to the projection of the starting point).
-* ``solve_fbf_memory``-- perturbed forward-backward-forward with memory.
-* ``solve_tseng``     -- Tseng's forward-backward-forward method.
+* ``solve_fbf_memory``-- perturbed forward-backward-forward with memory:
+                         forward-backward kernels plus a policy.
+* ``solve_tseng``     -- Tseng's forward-backward-forward method: the
+                         forward-backward kernel with W = Id and the
+                         relaxation ``tseng_relaxation``.
 * ``solve_coupled``   -- primal-dual solver for coupled inclusion systems,
                          delegated to ``solve_weak`` over the stacked
-                         Kuhn-Tucker space (a literal per-block
-                         transcription is kept for equivalence checks).
+                         Kuhn-Tucker space.
 """
 
 from __future__ import annotations
 
+import inspect
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,11 +33,15 @@ from .errors import (
     SolverCorruptionError,
     StallError,
 )
-from .fejer import haugazeau_Q
-from .kernels import (
+from .fejer import haugazeau_Q, relaxed_cut
+# solve_base_inclusion is unused here; bench/spans.py rebinds it at this module.
+from .kernels import (  # noqa: F401
     Kernel,
     MDecomposition,
+    _warped_pair,
     coupled_kernel,
+    fbf_kernel,
+    fbf_step,
     solve_base_inclusion,
 )
 from .operators import (
@@ -105,20 +114,33 @@ class IterationContext:
     sigma: float
 
 
-def _relaxation_value(relaxation, n, ctx, epsilon):
-    if callable(relaxation):
-        try:
-            lam = relaxation(n, ctx)
-        except TypeError:
-            lam = relaxation(n)
+def _relaxation_schedule(relaxation, epsilon):
+    """The lambda schedule as a callable (n, ctx) -> lambda_n, range-checked.
+
+    Whether a callable schedule takes ``(n)`` or ``(n, ctx)`` is decided
+    here, once per run, so a TypeError raised inside the schedule surfaces
+    unchanged.
+    """
+    if not callable(relaxation):
+        value = float(relaxation)
+        fn = lambda n, ctx: value
     else:
-        lam = float(relaxation)
+        try:
+            inspect.signature(relaxation).bind(0, None)
+            fn = relaxation
+        except TypeError:
+            fn = lambda n, ctx: relaxation(n)
     slack = 1e-9 * max(1.0, 2.0 - epsilon)
-    if not (epsilon - slack <= lam <= 2.0 - epsilon + slack):
-        raise ConfigurationError(
-            f"relaxation lambda_{n} = {lam} outside [epsilon, 2 - epsilon] "
-            f"= [{epsilon}, {2.0 - epsilon}]")
-    return float(lam)
+
+    def lam_of(n, ctx):
+        lam = fn(n, ctx)
+        if not (epsilon - slack <= lam <= 2.0 - epsilon + slack):
+            raise ConfigurationError(
+                f"relaxation lambda_{n} = {lam} outside [epsilon, 2 - epsilon] "
+                f"= [{epsilon}, {2.0 - epsilon}]")
+        return float(lam)
+
+    return lam_of
 
 
 def tseng_relaxation(n, ctx: IterationContext) -> float:
@@ -319,20 +341,23 @@ def _default_gamma_schedule(cfg, kernel_fn):
     return gamma_of
 
 
-def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
-               x0, zeros=()) -> SolveResult:
-    """Relaxed warped proximal iteration, weakly convergent to a zero of M.
+def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
+             x0, zeros, anchored=False) -> SolveResult:
+    """The iteration engine shared by every solver.
 
-    Each step evaluates the warped resolvent at the policy point x~_n,
-    certifies the graph point (y_n, y_n*), and applies the relaxed
-    projection onto its half-space.  Stops when |y*| <= tol_residual and
-    |x~ - y| <= tol_step; reaching max_iter returns a warning status.
+    Each step: gamma_n and K_n from their schedules, the policy point x~_n,
+    the graph point (y_n, y_n*) of the warped resolvent at x~_n, then the
+    update through its cut.  The update is the relaxed projection, or, when
+    ``anchored``, the projection of x0 onto the two bookkeeping half-spaces
+    (Haugazeau).  Stops when |y*| <= tol_residual and |x~ - y| <= tol_step:
+    the relaxed update still applies its last step, the anchored one
+    certifies before projecting and records a zero step.
     """
     policy = policy if policy is not None else PerturbationPolicy.none()
-    kernel_fn = _as_kernel_schedule(kernel_schedule)
-    gamma_fn = _default_gamma_schedule(cfg, kernel_fn)
-    x = vector(x0)
-    check_dim(x, m.dim, "starting point")
+    x0 = vector(x0)
+    check_dim(x0, m.dim, "starting point")
+    x = x0
+    lam_of = _relaxation_schedule(cfg.relaxation, cfg.epsilon)
     history = _history_for(policy)
     history.append(x)
     trace = []
@@ -342,26 +367,32 @@ def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
         gamma = _validate_gamma(gamma_fn(n), cfg.epsilon, n)
         kern = kernel_fn(n)
         x_tilde = apply_policy(policy, history, n)
-        w = kern.eval(x_tilde)
-        y = kern.backward_solve(gamma, _paired_set_part(m, kern, gamma), w)
-        y_star = (w - kern.eval(y)) / gamma
+        y, y_star = _warped_pair(m, kern, gamma, x_tilde)
         theta = inner(y - x, y_star)
         sigma = inner(y_star, y_star)
         residual = float(np.sqrt(sigma))
-        ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star, theta, sigma)
-        lam = _relaxation_value(cfg.relaxation, n, ctx, cfg.epsilon)
-        if theta < 0:
-            rho = lam * theta / sigma
-            x_next = x + rho * y_star
+        done = residual <= cfg.tol_residual and norm(x_tilde - y) <= cfg.tol_step
+        if not anchored:
+            ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star, theta, sigma)
+            lam = lam_of(n, ctx)
+            rho, x_next = relaxed_cut(x, theta, sigma, y_star, lam)
+        elif done:
+            # Certified before the two-cut projection: a noise-scale
+            # candidate would make the cut geometry meaningless.
+            lam, rho, x_next = 1.0, 0.0, x
         else:
-            rho = 0.0
-            x_next = x
+            lam = 1.0
+            rho, x_half = relaxed_cut(x, theta, sigma, y_star, lam)
+            try:
+                x_next = haugazeau_Q(x0, x, x_half)
+            except InfeasibleCutsError as exc:
+                raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
         trace.append(IterationRecord(
             n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
             step_norm=float(np.linalg.norm(x_next - x)), residual=residual,
             theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma,
             fejer_gaps=_gaps(x, zeros)))
-        if residual <= cfg.tol_residual and norm(x_tilde - y) <= cfg.tol_step:
+        if done:
             x = x_next
             status, reason = "converged", f"residual and step tolerances met at n = {n}"
             break
@@ -379,11 +410,18 @@ def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
                        iterations=len(trace))
 
 
-def _paired_set_part(m: MDecomposition, kern: Kernel, gamma):
-    # Reuse the kernels-module pairing check, then hand back the set part.
-    from .kernels import _check_pairing
-    _check_pairing(m, kern, gamma)
-    return m.set_part
+def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
+               x0, zeros=()) -> SolveResult:
+    """Relaxed warped proximal iteration, weakly convergent to a zero of M.
+
+    Each step evaluates the warped resolvent at the policy point x~_n,
+    certifies the graph point (y_n, y_n*), and applies the relaxed
+    projection onto its half-space.  Stops when |y*| <= tol_residual and
+    |x~ - y| <= tol_step; reaching max_iter returns a warning status.
+    """
+    kernel_fn = _as_kernel_schedule(kernel_schedule)
+    return _iterate(m, kernel_fn, _default_gamma_schedule(cfg, kernel_fn), policy, cfg,
+                    x0, zeros)
 
 
 def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
@@ -395,209 +433,61 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     the two bookkeeping half-spaces.  An infeasible intersection aborts
     with the typed error (it cannot occur when zeros exist).
     """
-    policy = policy if policy is not None else PerturbationPolicy.none()
     kernel_fn = _as_kernel_schedule(kernel_schedule)
-    gamma_fn = _default_gamma_schedule(cfg, kernel_fn)
-    x0 = vector(x0)
-    check_dim(x0, m.dim, "starting point")
-    x = x0
-    history = _history_for(policy)
-    history.append(x)
-    trace = []
-    stall = 0
-    status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
-    for n in range(cfg.max_iter):
-        gamma = _validate_gamma(gamma_fn(n), cfg.epsilon, n)
-        kern = kernel_fn(n)
-        x_tilde = apply_policy(policy, history, n)
-        w = kern.eval(x_tilde)
-        y = kern.backward_solve(gamma, _paired_set_part(m, kern, gamma), w)
-        y_star = (w - kern.eval(y)) / gamma
-        theta = inner(y - x, y_star)
-        sigma = inner(y_star, y_star)
-        residual = float(np.sqrt(sigma))
-        if residual <= cfg.tol_residual and norm(x_tilde - y) <= cfg.tol_step:
-            # Certified before the two-cut projection: a noise-scale
-            # candidate would make the cut geometry meaningless.
-            trace.append(IterationRecord(
-                n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
-                step_norm=0.0, residual=residual, theta=theta, sigma=sigma,
-                rho=0.0, lam=1.0, gamma=gamma, fejer_gaps=_gaps(x, zeros)))
-            status, reason = "converged", f"residual and step tolerances met at n = {n}"
-            break
-        if theta < 0:
-            rho = theta / sigma
-            x_half = x + rho * y_star
-        else:
-            rho = 0.0
-            x_half = x
-        try:
-            x_next = haugazeau_Q(x0, x, x_half)
-        except InfeasibleCutsError as exc:
-            raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
-        trace.append(IterationRecord(
-            n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
-            step_norm=float(np.linalg.norm(x_next - x)), residual=residual,
-            theta=theta, sigma=sigma, rho=rho, lam=1.0, gamma=gamma,
-            fejer_gaps=_gaps(x, zeros)))
-        if theta >= 0 and residual > _stall_floor(cfg, x_tilde):
-            stall += 1
-            if stall >= cfg.stall_limit:
-                raise StallError(
-                    f"{stall} consecutive idle cuts with residual {residual:.3e} at "
-                    f"n = {n}; check kernel constants and schedules")
-        else:
-            stall = 0
-        x = x_next
-        history.append(x)
-    return SolveResult(x=x, trace=trace, status=status, stop_reason=reason,
-                       iterations=len(trace))
+    return _iterate(m, kernel_fn, _default_gamma_schedule(cfg, kernel_fn), policy, cfg,
+                    x0, zeros, anchored=True)
 
 
 # ---------------------------------------------------------------------------
 # Forward-backward-forward solvers
 # ---------------------------------------------------------------------------
 
-def _fbf_regime(alpha, beta, epsilon):
-    bound = alpha / (beta + 1.0)
-    if not 0 < epsilon < bound:
-        raise ConfigurationError(
-            f"epsilon = {epsilon} outside ]0, alpha/(beta + 1)[ = ]0, {bound}[")
+def _fbf(A, B, W_fn, gamma_schedule, policy, cfg, x0, zeros):
+    # K_n = W_n - gamma_n B, paired with M = A + B; fbf_kernel checks each
+    # stage's step range, fbf_step the epsilon regime and the default step.
+    W0 = W_fn(0)
+    if W0.strong_monotonicity is None:
+        raise ConfigurationError("solve_fbf_memory needs W with declared strong monotonicity")
+    gamma = fbf_step(W0.strong_monotonicity, B.lipschitz if B is not None else 0.0,
+                     cfg.epsilon)
+    step = gamma_schedule if gamma_schedule is not None else cfg.step_size
+    gamma_fn = as_schedule(gamma if step is None else step, "gamma schedule")
 
+    def kernel_fn(n):
+        return fbf_kernel(W_fn(n), B, gamma_fn(n), cfg.epsilon)
 
-def _fbf_gamma(gamma, alpha, beta, epsilon, n):
-    hi = (alpha - epsilon) / beta if beta > 0 else np.inf
-    if not (epsilon - 1e-12 <= gamma <= hi + 1e-12 * max(1.0, hi if np.isfinite(hi) else 1.0)):
-        raise ConfigurationError(
-            f"gamma_{n} = {gamma} outside [epsilon, (alpha - epsilon)/beta] = "
-            f"[{epsilon}, {hi}]")
-    return float(gamma)
+    return _iterate(MDecomposition(A, B), kernel_fn, gamma_fn, policy, cfg, x0, zeros)
 
 
 def solve_fbf_memory(A: SetValuedOperator, B, W_schedule, gamma_schedule,
                      policy, cfg: SolverConfig, x0, zeros=()) -> SolveResult:
     """Perturbed forward-backward-forward iteration with memory.
 
-    Literal transcription: x~ from the policy, one forward evaluation at
-    x~, one backward solve through (W_n + gamma_n A)^{-1}, one forward
-    correction at y, then the relaxed cut projection.  Equals the weak
-    solver run with the matching forward-backward kernels.
+    x~ from the policy, one forward evaluation at x~, one backward solve
+    through (W_n + gamma_n A)^{-1}, one forward correction at y, then the
+    relaxed cut projection: the engine run with the forward-backward
+    kernels ``W_n - gamma_n B``.
     """
-    policy = policy if policy is not None else PerturbationPolicy.none()
     if W_schedule is None or isinstance(W_schedule, SingleValuedOperator):
-        W_const = W_schedule if W_schedule is not None else identity_map(A.dim)
-        W_fn = lambda n: W_const
+        W = W_schedule if W_schedule is not None else identity_map(A.dim)
+        W_fn = lambda n: W
     else:
         W_fn = W_schedule
-    W0 = W_fn(0)
-    alpha = W0.strong_monotonicity
-    if alpha is None:
-        raise ConfigurationError("solve_fbf_memory needs W with declared strong monotonicity")
-    beta = B.lipschitz if B is not None else 0.0
-    _fbf_regime(alpha, beta, cfg.epsilon)
-    if cfg.step_size is not None or gamma_schedule is not None:
-        gamma_fn = as_schedule(gamma_schedule if gamma_schedule is not None else cfg.step_size,
-                               "gamma schedule")
-    else:
-        g = max(cfg.epsilon, 0.9 * (alpha - cfg.epsilon) / beta) if beta > 0 else 1.0
-        gamma_fn = lambda n: g
-    x = vector(x0)
-    check_dim(x, A.dim, "starting point")
-    history = _history_for(policy)
-    history.append(x)
-    trace = []
-    stall = 0
-    status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
-    for n in range(cfg.max_iter):
-        W = W_fn(n)
-        if W.strong_monotonicity is None:
-            raise ConfigurationError(f"W_{n} lacks a declared strong monotonicity")
-        gamma = _fbf_gamma(gamma_fn(n), W.strong_monotonicity, beta, cfg.epsilon, n)
-        x_tilde = apply_policy(policy, history, n)
-        v_star = W(x_tilde) - gamma * B(x_tilde) if B is not None else W(x_tilde)
-        y = solve_base_inclusion(W, gamma, A, v_star)
-        y_star = (v_star - W(y)) / gamma
-        if B is not None:
-            y_star = y_star + B(y)
-        theta = inner(y - x, y_star)
-        sigma = inner(y_star, y_star)
-        residual = float(np.sqrt(sigma))
-        ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star, theta, sigma)
-        lam = _relaxation_value(cfg.relaxation, n, ctx, cfg.epsilon)
-        if theta < 0:
-            rho = lam * theta / sigma
-            x_next = x + rho * y_star
-        else:
-            rho = 0.0
-            x_next = x
-        trace.append(IterationRecord(
-            n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
-            step_norm=float(np.linalg.norm(x_next - x)), residual=residual,
-            theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma,
-            fejer_gaps=_gaps(x, zeros)))
-        if residual <= cfg.tol_residual and norm(x_tilde - y) <= cfg.tol_step:
-            x = x_next
-            status, reason = "converged", f"residual and step tolerances met at n = {n}"
-            break
-        if theta >= 0 and residual > _stall_floor(cfg, x_tilde):
-            stall += 1
-            if stall >= cfg.stall_limit:
-                raise StallError(
-                    f"{stall} consecutive idle cuts with residual {residual:.3e} at n = {n}")
-        else:
-            stall = 0
-        x = x_next
-        history.append(x)
-    return SolveResult(x=x, trace=trace, status=status, stop_reason=reason,
-                       iterations=len(trace))
+    return _fbf(A, B, W_fn, gamma_schedule, policy, cfg, x0, zeros)
 
 
 def solve_tseng(A: SetValuedOperator, B: SingleValuedOperator, gamma_schedule,
                 cfg: SolverConfig, x0, zeros=()) -> SolveResult:
-    """Tseng's forward-backward-forward iteration, transcribed literally.
+    """Tseng's forward-backward-forward iteration.
 
-    v* = gamma B x; y = J_{gamma A}(x - v*); x+ = y - gamma B y + v*.  The
-    trace also exposes the implied relaxation gamma |y*|^2 / <x - y, y*>.
+    v* = gamma B x; y = J_{gamma A}(x - v*); x+ = y - gamma B y + v*.  This
+    is the relaxed cut step of the kernel Id - gamma B with the relaxation
+    gamma |y*|^2 / <x - y, y*> (``tseng_relaxation``), which the trace
+    exposes; ``cfg.relaxation`` is not used.
     """
-    beta = B.lipschitz
-    bound = 1.0 / (beta + 1.0)
-    if not 0 < cfg.epsilon < bound:
-        raise ConfigurationError(
-            f"epsilon = {cfg.epsilon} outside ]0, 1/(beta + 1)[ = ]0, {bound}[")
-    if gamma_schedule is not None or cfg.step_size is not None:
-        gamma_fn = as_schedule(gamma_schedule if gamma_schedule is not None else cfg.step_size,
-                               "gamma schedule")
-    else:
-        g = max(cfg.epsilon, 0.9 * (1.0 - cfg.epsilon) / beta)
-        gamma_fn = lambda n: g
-    x = vector(x0)
-    check_dim(x, A.dim, "starting point")
-    trace = []
-    status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
-    for n in range(cfg.max_iter):
-        gamma = _fbf_gamma(gamma_fn(n), 1.0, beta, cfg.epsilon, n)
-        v_star = gamma * B(x)
-        y = A.resolvent(gamma, x - v_star)
-        x_next = y - gamma * B(y) + v_star
-        y_star = (x - v_star - y) / gamma + B(y)
-        theta = inner(y - x, y_star)
-        sigma = inner(y_star, y_star)
-        residual = float(np.sqrt(sigma))
-        ctx = IterationContext(n, gamma, cfg.epsilon, x, x, y, y_star, theta, sigma)
-        lam = tseng_relaxation(n, ctx)
-        trace.append(IterationRecord(
-            n=n, x=x, x_tilde=x, y=y, y_star=y_star,
-            step_norm=float(np.linalg.norm(x_next - x)), residual=residual,
-            theta=theta, sigma=sigma,
-            rho=(lam * theta / sigma) if sigma > 0 else 0.0,
-            lam=lam, gamma=gamma, fejer_gaps=_gaps(x, zeros)))
-        if residual <= cfg.tol_residual and norm(x - y) <= cfg.tol_step:
-            x = x_next
-            status, reason = "converged", f"residual and step tolerances met at n = {n}"
-            break
-        x = x_next
-    return SolveResult(x=x, trace=trace, status=status, stop_reason=reason,
-                       iterations=len(trace))
+    W = identity_map(A.dim)
+    return _fbf(A, B, lambda n: W, gamma_schedule, None,
+                replace(cfg, relaxation=tseng_relaxation), x0, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +534,11 @@ class PrimalBlock:
     def dim(self):
         return self.A.dim
 
+    @property
+    def default_step(self):
+        """Default stage constant gamma_i, inside [epsilon, (alpha - epsilon)/mu]."""
+        return max(self.epsilon, 0.9 * (self.alpha - self.epsilon) / self.mu)
+
 
 @dataclass
 class DualBlock:
@@ -679,6 +574,11 @@ class DualBlock:
     @property
     def dim(self):
         return self.B.dim
+
+    @property
+    def default_step(self):
+        """Default stage constant tau_j, inside [delta, (beta - delta)/nu]."""
+        return max(self.delta, 0.9 * (self.beta - self.delta) / self.nu)
 
 
 class CoupledProblem:
@@ -901,14 +801,7 @@ def _coupled_schedules(problem, F_schedule, W_schedule, gamma_schedules, tau_sch
 
     def norm_stage(schedules, blocks, kind):
         if schedules is None:
-            vals = []
-            for blk in blocks:
-                if kind == "gamma":
-                    hi = (blk.alpha - blk.epsilon) / blk.mu
-                    vals.append(max(blk.epsilon, 0.9 * hi))
-                else:
-                    hi = (blk.beta - blk.delta) / blk.nu
-                    vals.append(max(blk.delta, 0.9 * hi))
+            vals = [blk.default_step for blk in blocks]
             return lambda n: vals
         if callable(schedules):
             return schedules
@@ -926,130 +819,25 @@ def _coupled_schedules(problem, F_schedule, W_schedule, gamma_schedules, tau_sch
 
 def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
                   policy=None, F_schedule=None, W_schedule=None,
-                  gamma_schedules=None, tau_schedules=None,
-                  mode="delegated", zeros=()) -> SolveResult:
+                  gamma_schedules=None, tau_schedules=None, zeros=()) -> SolveResult:
     """Primal-dual solver for a coupled inclusion system.
 
-    The shipping path ("delegated") runs the generic weak solver over the
-    stacked Kuhn-Tucker space with the coupled kernels; "literal" is the
-    per-block transcription kept for the equivalence check.  The result
-    carries blockwise Kuhn-Tucker residual certificates of the final point.
+    Runs the generic weak solver over the stacked Kuhn-Tucker space with
+    the coupled kernels.  The result carries blockwise Kuhn-Tucker residual
+    certificates of the final point.
     """
     F_fn, W_fn, gamma_fn, tau_fn = _coupled_schedules(
         problem, F_schedule, W_schedule, gamma_schedules, tau_schedules)
     start = KuhnTuckerPoint.zero(problem) if start is None else start
-    p0 = start.flatten()
     flat_zeros = [z.flatten() if isinstance(z, KuhnTuckerPoint) else np.asarray(z, dtype=float)
                   for z in zeros]
-    if mode == "delegated":
-        m = problem.decomposition()
 
-        def kernel_fn(n):
-            return coupled_kernel(problem, F_fn(n), W_fn(n), gamma_fn(n), tau_fn(n))
+    def kernel_fn(n):
+        return coupled_kernel(problem, F_fn(n), W_fn(n), gamma_fn(n), tau_fn(n))
 
-        inner_cfg = SolverConfig(
-            epsilon=cfg.epsilon, relaxation=cfg.relaxation, step_size=1.0,
-            max_iter=cfg.max_iter, tol_residual=cfg.tol_residual,
-            tol_step=cfg.tol_step, stall_limit=cfg.stall_limit)
-        res = solve_weak(m, kernel_fn, policy, inner_cfg, p0, zeros=flat_zeros)
-        point = KuhnTuckerPoint.from_flat(res.x, problem)
-        return SolveResult(
-            x=point, trace=res.trace, status=res.status, stop_reason=res.stop_reason,
-            iterations=res.iterations, kt_residuals=kt_residuals(problem, point))
-    if mode != "literal":
-        raise ConfigurationError(f"unknown solve_coupled mode {mode!r}")
-    return _solve_coupled_literal(problem, cfg, p0, policy, F_fn, W_fn, gamma_fn,
-                                  tau_fn, flat_zeros)
-
-
-def _solve_coupled_literal(problem, cfg, p0, policy, F_fn, W_fn, gamma_fn,
-                           tau_fn, zeros):
-    policy = policy if policy is not None else PerturbationPolicy.none()
-    p = vector(p0)
-    check_dim(p, problem.layout.total, "starting point")
-    history = _history_for(policy)
-    history.append(p)
-    trace = []
-    stall = 0
-    status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
-    for n in range(cfg.max_iter):
-        F_ops, W_ops = F_fn(n), W_fn(n)
-        gammas = [float(g) for g in gamma_fn(n)]
-        taus = [float(t) for t in tau_fn(n)]
-        for i, (blk, g) in enumerate(zip(problem.primal, gammas)):
-            hi = (blk.alpha - blk.epsilon) / blk.mu
-            if not (blk.epsilon - 1e-12 <= g <= hi + 1e-12):
-                raise ConfigurationError(
-                    f"primal block {i}: gamma_{n} = {g} outside [{blk.epsilon}, {hi}]")
-        for j, (blk, t) in enumerate(zip(problem.dual, taus)):
-            hi = (blk.beta - blk.delta) / blk.nu
-            if not (blk.delta - 1e-12 <= t <= hi + 1e-12):
-                raise ConfigurationError(
-                    f"dual block {j}: tau_{n} = {t} outside [{blk.delta}, {hi}]")
-        p_tilde = apply_policy(policy, history, n)
-        xs, ys, vs = problem.split(p)
-        txs, tys, tvs = problem.split(p_tilde)
-        lt_tilde = problem.apply_L_adjoint(tvs)
-        a_blocks, o_star = [], []
-        for blk, F, g, tx, lt_i in zip(problem.primal, F_ops, gammas, txs, lt_tilde):
-            l_star = F(tx) - g * blk.C(tx) - g * lt_i
-            a = solve_base_inclusion(F, g, blk.A, l_star + g * blk.s_star)
-            o_star.append((l_star - F(a)) / g + blk.C(a))
-            a_blocks.append(a)
-        b_blocks, f_star, c_blocks = [], [], []
-        lx_tilde = problem.apply_L(txs)
-        for blk, W, t, ty, tv, lx_j in zip(problem.dual, W_ops, taus, tys, tvs, lx_tilde):
-            t_star = W(ty) - t * blk.D(ty) + t * tv
-            b = solve_base_inclusion(W, t, blk.B, t_star)
-            f_star.append((t_star - W(b)) / t + blk.D(b))
-            b_blocks.append(b)
-            c_blocks.append(lx_j - ty + tv - blk.r)
-        lt_c = problem.apply_L_adjoint(c_blocks)
-        a_star = [o + lt for o, lt in zip(o_star, lt_c)]
-        la = problem.apply_L(a_blocks)
-        b_star = [f - c for f, c in zip(f_star, c_blocks)]
-        c_star = [blk.r + b - la_j for blk, b, la_j in zip(problem.dual, b_blocks, la)]
-        sigma = sum(inner(a, a) for a in a_star)
-        sigma += sum(inner(b, b) for b in b_star)
-        sigma += sum(inner(c, c) for c in c_star)
-        theta = sum(inner(a - x, a_s) for a, x, a_s in zip(a_blocks, xs, a_star))
-        theta += sum(inner(b - y, b_s) for b, y, b_s in zip(b_blocks, ys, b_star))
-        theta += sum(inner(c - v, c_s) for c, v, c_s in zip(c_blocks, vs, c_star))
-        q = problem.layout.join(a_blocks + b_blocks + c_blocks)
-        q_star = problem.layout.join(a_star + b_star + c_star)
-        residual = float(np.sqrt(sigma))
-        ctx = IterationContext(n, 1.0, cfg.epsilon, p, p_tilde, q, q_star, theta, sigma)
-        lam = _relaxation_value(cfg.relaxation, n, ctx, cfg.epsilon)
-        if theta < 0:
-            if sigma == 0.0:
-                raise SolverCorruptionError(
-                    f"sigma = 0 with theta = {theta} < 0 at n = {n}; impossible by construction")
-            rho = lam * theta / sigma
-            p_next = problem.layout.join(
-                [x + rho * a_s for x, a_s in zip(xs, a_star)]
-                + [y + rho * b_s for y, b_s in zip(ys, b_star)]
-                + [v + rho * c_s for v, c_s in zip(vs, c_star)])
-        else:
-            rho = 0.0
-            p_next = p
-        trace.append(IterationRecord(
-            n=n, x=p, x_tilde=p_tilde, y=q, y_star=q_star,
-            step_norm=float(np.linalg.norm(p_next - p)), residual=residual,
-            theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=1.0,
-            fejer_gaps=_gaps(p, zeros)))
-        if residual <= cfg.tol_residual and norm(p_tilde - q) <= cfg.tol_step:
-            p = p_next
-            status, reason = "converged", f"residual and step tolerances met at n = {n}"
-            break
-        if theta >= 0 and residual > _stall_floor(cfg, p_tilde):
-            stall += 1
-            if stall >= cfg.stall_limit:
-                raise StallError(
-                    f"{stall} consecutive idle cuts with residual {residual:.3e} at n = {n}")
-        else:
-            stall = 0
-        p = p_next
-        history.append(p)
-    point = KuhnTuckerPoint.from_flat(p, problem)
-    return SolveResult(x=point, trace=trace, status=status, stop_reason=reason,
-                       iterations=len(trace), kt_residuals=kt_residuals(problem, point))
+    res = solve_weak(problem.decomposition(), kernel_fn, policy, replace(cfg, step_size=1.0),
+                     start.flatten(), zeros=flat_zeros)
+    point = KuhnTuckerPoint.from_flat(res.x, problem)
+    return SolveResult(
+        x=point, trace=res.trace, status=res.status, stop_reason=res.stop_reason,
+        iterations=res.iterations, kt_residuals=kt_residuals(problem, point))

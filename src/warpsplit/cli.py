@@ -330,14 +330,13 @@ class ProblemFile:
     def _inclusion_gamma(self, cfg):
         if cfg.step_size is not None:
             return alg.as_schedule(cfg.step_size, "gamma schedule")
+        g = 1.0
         if self.B is not None and self.kernel_name == "fbf" or self.variant in ("fbf", "tseng"):
-            beta = self.B.lipschitz if self.B is not None else 0.0
-            if beta > 0:
-                g = max(cfg.epsilon, 0.9 * (1.0 - cfg.epsilon) / beta)
-            else:
-                g = 1.0
-            return lambda n: g
-        return lambda n: 1.0
+            g = kern.fbf_step(1.0, self._beta(), cfg.epsilon)
+        return lambda n: g
+
+    def _beta(self):
+        return self.B.lipschitz if self.B is not None else 0.0
 
     def _kernel_schedule(self, cfg):
         if self.kernel_name == "identity":
@@ -357,37 +356,18 @@ class ProblemFile:
         return schedule
 
     def _validate_inclusion(self, cfg):
-        gamma_fn = self._inclusion_gamma(cfg)
-        g0 = float(gamma_fn(0))
+        if self.variant == "tseng" and self.B is None:
+            raise ConfigurationError("variant tseng needs a forward operator B")
+        g0 = float(self._inclusion_gamma(cfg)(0))
+        # Each construction below checks its regime and raises on a violation.
         if self.variant in ("weak", "strong"):
-            schedule = self._kernel_schedule(cfg)
-            schedule(0)  # constructs the kernel; regime violations raise here
-            if g0 < cfg.epsilon:
-                raise ConfigurationError(
-                    f"gamma = {g0} below the floor epsilon = {cfg.epsilon}")
-        elif self.variant == "tseng":
-            if self.B is None:
-                raise ConfigurationError("variant tseng needs a forward operator B")
-            beta = self.B.lipschitz
-            if not 0 < cfg.epsilon < 1.0 / (beta + 1.0):
-                raise ConfigurationError(
-                    f"epsilon = {cfg.epsilon} outside ]0, 1/(beta + 1)[ = "
-                    f"]0, {1.0 / (beta + 1.0)}[")
-            hi = (1.0 - cfg.epsilon) / beta
-            if not (cfg.epsilon - 1e-12 <= g0 <= hi + 1e-12):
-                raise ConfigurationError(
-                    f"gamma = {g0} exceeds (1 - epsilon)/beta = {hi}")
-        elif self.variant == "fbf":
-            beta = self.B.lipschitz if self.B is not None else 0.0
-            if not 0 < cfg.epsilon < 1.0 / (beta + 1.0):
-                raise ConfigurationError(
-                    f"epsilon = {cfg.epsilon} outside ]0, alpha/(beta + 1)[ = "
-                    f"]0, {1.0 / (beta + 1.0)}[ (W = Id so alpha = 1)")
-            if beta > 0:
-                hi = (1.0 - cfg.epsilon) / beta
-                if not (cfg.epsilon - 1e-12 <= g0 <= hi + 1e-12):
-                    raise ConfigurationError(
-                        f"gamma = {g0} exceeds (alpha - epsilon)/beta = {hi}")
+            self._kernel_schedule(cfg)(0)
+        else:
+            kern.fbf_step(1.0, self._beta(), cfg.epsilon)
+            kern.fbf_kernel(ops.identity_map(self.dim), self.B, g0, cfg.epsilon)
+        if g0 < cfg.epsilon:
+            raise ConfigurationError(
+                f"gamma = {g0} below the floor epsilon = {cfg.epsilon}")
 
     def _run_inclusion(self, overrides):
         solver = self._solver_section()
@@ -456,10 +436,8 @@ class ProblemFile:
             j = int(sec.require("dual")) - 1
             couplings[(j, i)] = LinearMap(_matrix(sec.require("matrix")))
         self.problem = alg.CoupledProblem(primal, dual, couplings)
-        self.gamma_stage = [
-            _float_or_none(sec.get("gamma")) for sec in root.all_children("primal")]
-        self.tau_stage = [
-            _float_or_none(sec.get("tau")) for sec in root.all_children("dual")]
+        self.gamma_stage = _stage_constants(primal, root.all_children("primal"), "gamma")
+        self.tau_stage = _stage_constants(dual, root.all_children("dual"), "tau")
         self.dim = self.problem.layout.total
         start = root.child("start")
         if start is None:
@@ -488,21 +466,7 @@ class ProblemFile:
             self.problem,
             [ops.identity_map(b.dim) for b in self.problem.primal],
             [ops.identity_map(b.dim) for b in self.problem.dual],
-            self._stage_gammas(), self._stage_taus())
-
-    def _stage_gammas(self):
-        out = []
-        for blk, g in zip(self.problem.primal, self.gamma_stage):
-            hi = (blk.alpha - blk.epsilon) / blk.mu
-            out.append(float(g) if g is not None else max(blk.epsilon, 0.9 * hi))
-        return out
-
-    def _stage_taus(self):
-        out = []
-        for blk, t in zip(self.problem.dual, self.tau_stage):
-            hi = (blk.beta - blk.delta) / blk.nu
-            out.append(float(t) if t is not None else max(blk.delta, 0.9 * hi))
-        return out
+            self.gamma_stage, self.tau_stage)
 
     def _run_coupled(self, overrides):
         algo = overrides.get("algo")
@@ -511,7 +475,7 @@ class ProblemFile:
         cfg = self._config(self._solver_section(), overrides)
         return alg.solve_coupled(
             self.problem, cfg, start=self.start, policy=self._policy(),
-            gamma_schedules=self._stage_gammas(), tau_schedules=self._stage_taus(),
+            gamma_schedules=self.gamma_stage, tau_schedules=self.tau_stage,
             zeros=self.zeros)
 
     # -- public API -----------------------------------------------------------
@@ -565,6 +529,12 @@ def _vec_or_none(v):
 
 def _float_or_none(v):
     return None if v is None else float(v)
+
+
+def _stage_constants(blocks, sections, key):
+    # A stage constant the file leaves out takes its block's default.
+    return [blk.default_step if sec.get(key) is None else float(sec.get(key))
+            for blk, sec in zip(blocks, sections)]
 
 
 def _stacked(flat, layout):

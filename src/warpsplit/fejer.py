@@ -8,80 +8,42 @@ two-half-space projector Q, whose closed form is implemented here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, InfeasibleCutsError
 from .operators import GraphPoint
-from .space import check_dim, inner, vector
+# check_dim is unused here; bench/spans.py rebinds it at this module.
+from .space import check_dim, inner  # noqa: F401
 
 RHO_ZERO_REL = 1e-14
 
 
-@dataclass(frozen=True)
-class HalfSpaceCut:
-    """H = {z : <z - anchor, normal> <= 0}; the whole space when normal = 0."""
+def relaxed_cut(x, theta, sigma, y_star, lam):
+    """Relaxed projection of x onto the cut {z : <z - y, y*> <= 0}.
 
-    anchor: np.ndarray
-    normal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "anchor", vector(self.anchor))
-        object.__setattr__(self, "normal", vector(self.normal))
-        check_dim(self.normal, self.anchor.shape[0], "cut normal")
-
-    @classmethod
-    def from_graph_point(cls, gp: GraphPoint) -> "HalfSpaceCut":
-        return cls(anchor=gp.y, normal=gp.y_star)
-
-    def gap(self, z) -> float:
-        """<z - anchor, normal>; nonpositive means membership."""
-        return inner(np.asarray(z, dtype=float) - self.anchor, self.normal)
-
-    def contains(self, z, tol=0.0) -> bool:
-        return self.gap(z) <= tol
-
-    def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = self.gap(x)
-        if g <= 0:
-            return x.copy()
-        return x - (g / inner(self.normal, self.normal)) * self.normal
-
-
-@dataclass(frozen=True)
-class HaugazeauTriple:
-    """Arguments (anchor, current, candidate) of the projector Q."""
-
-    x0: np.ndarray
-    x: np.ndarray
-    x_half: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", vector(self.x0))
-        object.__setattr__(self, "x", vector(self.x))
-        object.__setattr__(self, "x_half", vector(self.x_half))
-        d = self.x0.shape[0]
-        check_dim(self.x, d, "current iterate")
-        check_dim(self.x_half, d, "candidate iterate")
+    ``theta = <y - x, y*>`` and ``sigma = |y*|^2`` are passed in, since the
+    solvers already hold them.  Returns ``(rho, x + rho * y*)`` with
+    ``rho = lam * theta / sigma`` when the strict inequality ``theta < 0``
+    holds, and ``(0.0, x)`` otherwise.  The strict branch guarantees
+    y* != 0 before the division, so no epsilon is used.
+    """
+    if theta < 0:
+        rho = lam * theta / sigma
+        return rho, x + rho * y_star
+    return 0.0, x
 
 
 def relaxed_projection_step(x, gp: GraphPoint, lam) -> np.ndarray:
     """One relaxed projection of x onto the cut of a graph point.
 
     Returns ``x + lam * (proj_H x - x)`` when the strict inequality
-    ``<y - x, y*> < 0`` holds and x unchanged otherwise.  The strict branch
-    guarantees y* != 0 before the division, so no epsilon is used.
+    ``<y - x, y*> < 0`` holds and a copy of x otherwise.
     """
     if not 0 < lam < 2:
         raise ConfigurationError(f"relaxation must lie in ]0, 2[, got {lam}")
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     theta = inner(gp.y - x, gp.y_star)
-    if theta < 0:
-        sigma = inner(gp.y_star, gp.y_star)
-        return x + (lam * theta / sigma) * gp.y_star
-    return x.copy()
+    return relaxed_cut(x, theta, inner(gp.y_star, gp.y_star), gp.y_star, lam)[1]
 
 
 def haugazeau_Q(x0, x, x_half) -> np.ndarray:
@@ -118,41 +80,3 @@ def haugazeau_Q(x0, x, x_half) -> np.ndarray:
         return np.asarray(out, dtype=float)
     out = x.astype(np.longdouble) + (nu / rho) * (chi * d0 + mu * (-d1))
     return np.asarray(out, dtype=float)
-
-
-def haugazeau_step(triple: HaugazeauTriple) -> np.ndarray:
-    return haugazeau_Q(triple.x0, triple.x, triple.x_half)
-
-
-def multipoint_step(x, points) -> np.ndarray:
-    """Project x onto the averaged half-space of several graph points.
-
-    ``points`` is a sequence of (GraphPoint, weight) with strictly positive
-    weights summing to 1.  The averaged cut {z : <z, sum w_i y_i*> <= sum
-    w_i <y_i, y_i*>} contains every zero; when the averaged normal vanishes
-    while the averaged gap is strictly positive the cut is empty, which
-    certifies an empty zero set and raises.
-    """
-    points = list(points)
-    if not points:
-        raise ConfigurationError("multipoint_step needs at least one graph point")
-    weights = np.array([w for _, w in points], dtype=float)
-    if np.any(weights <= 0):
-        raise ConfigurationError("multipoint weights must be strictly positive")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ConfigurationError(
-            f"multipoint weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-    x = np.asarray(x, dtype=float)
-    normal = np.zeros_like(x)
-    gap = 0.0
-    for (gp, w) in points:
-        normal = normal + w * gp.y_star
-        gap += w * inner(x - gp.y, gp.y_star)
-    if gap <= 0:
-        return x.copy()
-    sigma = inner(normal, normal)
-    if sigma == 0.0:
-        raise InfeasibleCutsError(
-            "averaged cut has zero normal but strictly positive gap; "
-            "the zero set is empty")
-    return x - (gap / sigma) * normal

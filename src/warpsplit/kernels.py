@@ -277,6 +277,22 @@ def map_kernel(W: SingleValuedOperator) -> Kernel:
                   name=f"map({W.name})")
 
 
+def fbf_step(alpha, beta, epsilon) -> float:
+    """Check the FBF regime and return the default step.
+
+    The regime is ``epsilon in ]0, alpha/(beta + 1)[`` for a base W that is
+    alpha-strongly monotone and a beta-Lipschitz forward part (beta = 0
+    when there is none).  The default step ``max(epsilon, 0.9 * (alpha -
+    epsilon)/beta)`` (1 when beta = 0) lies inside the range that
+    ``fbf_kernel`` checks.
+    """
+    bound = alpha / (beta + 1.0)
+    if not 0 < epsilon < bound:
+        raise ConfigurationError(
+            f"epsilon = {epsilon} outside ]0, alpha/(beta + 1)[ = ]0, {bound}[")
+    return max(epsilon, 0.9 * (alpha - epsilon) / beta) if beta > 0 else 1.0
+
+
 def fbf_kernel(W: SingleValuedOperator, B, gamma, epsilon) -> Kernel:
     """Forward-backward-forward kernel K = W - gamma * B.
 

@@ -248,21 +248,12 @@ def affine_set_normal_cone(A, b) -> SetValuedOperator:
         A.shape[1], lambda g, x: proj_affine_set(x, A, b, pinv), name="affine_set")
 
 
-def l1_subdifferential(weight=1.0) -> "callable":
-    """Constructor for the subdifferential of weight * l1 norm (any dim)."""
+def l1_operator(dim, weight=1.0) -> SetValuedOperator:
+    """Subdifferential of weight * l1 norm; resolvent is soft-thresholding."""
     if not weight > 0:
         raise ConfigurationError(f"l1 weight must be > 0, got {weight}")
     weight = float(weight)
-
-    def build(dim):
-        return SetValuedOperator(
-            dim, lambda g, x: soft_threshold(x, g * weight), name="l1")
-
-    return build
-
-
-def l1_operator(dim, weight=1.0) -> SetValuedOperator:
-    return l1_subdifferential(weight)(dim)
+    return SetValuedOperator(dim, lambda g, x: soft_threshold(x, g * weight), name="l1")
 
 
 def zero_operator(dim) -> SetValuedOperator:

@@ -183,8 +183,3 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap(shape={self.matrix.shape})"
-
-
-def adjoint_apply(L: LinearMap, v) -> np.ndarray:
-    """Apply the adjoint of ``L`` (matrix transpose) to a codomain vector."""
-    return L.adjoint_apply(v)

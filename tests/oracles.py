@@ -1,7 +1,10 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent oracles used to pin expected values.
 
 Everything here is deliberately independent of the library's computation
-paths: enumeration, grid search, bisection and dense linear algebra only.
+paths: enumeration, grid search, bisection and dense linear algebra, plus
+two literal loop transcriptions, Tseng's method and the per-block coupled
+primal-dual step, that the library's one iteration engine must reproduce.
+The transcriptions call only the operators they are given.
 """
 
 import numpy as np
@@ -209,3 +212,77 @@ def dense_kt_solution(P_blocks, s_blocks, R_blocks, r_blocks, L_map, dims_primal
     ys = [sol[ny + yoff[j]:ny + yoff[j + 1]] for j in range(nJ)]
     vs = [sol[ny + nz + yoff[j]:ny + nz + yoff[j + 1]] for j in range(nJ)]
     return xs, ys, vs
+
+
+def tseng_iterates(A, B, gamma, x0, iterations):
+    """Tseng's forward-backward-forward method, transcribed literally.
+
+    v* = gamma B x; y = J_{gamma A}(x - v*); x+ = y - gamma B y + v*.
+    Returns one (x, y, y*, theta, sigma, lam) per iteration, with
+    y* = (x - v* - y)/gamma + B y the certified graph point,
+    theta = <y - x, y*>, sigma = |y*|^2 and lam = gamma sigma / -theta the
+    relaxation the update implies (NaN when theta >= 0).
+    """
+    x = np.asarray(x0, dtype=float)
+    out = []
+    for _ in range(iterations):
+        v_star = gamma * B(x)
+        y = A.resolvent(gamma, x - v_star)
+        y_star = (x - v_star - y) / gamma + B(y)
+        theta = float(np.dot(y - x, y_star))
+        sigma = float(np.dot(y_star, y_star))
+        lam = gamma * sigma / -theta if theta < 0 else float("nan")
+        out.append((x, y, y_star, theta, sigma, lam))
+        x = y - gamma * B(y) + v_star
+    return out
+
+
+def coupled_iterates(problem, gammas, taus, p0, iterations, lam=1.0):
+    """The coupled primal-dual solver, transcribed block by block.
+
+    Identity stage operators, constant stage constants ``gammas``/``taus``
+    and a constant relaxation ``lam``, no perturbation.  Points live on the
+    stacked space (x_1..x_I, y_1..y_J, v*_1..v*_J).  Returns one
+    (p, q, q*, theta, sigma, lam) per iteration, with (q, q*) the certified
+    graph point of the Kuhn-Tucker operator.
+    """
+    primal, dual = problem.primal, problem.dual
+    nI, nJ = len(primal), len(dual)
+    cuts = np.cumsum([0] + [b.dim for b in primal] + [b.dim for b in dual] * 2)
+
+    def L(j, i):
+        op = problem.L(j, i)
+        return np.zeros((dual[j].dim, primal[i].dim)) if op is None else op.matrix
+
+    def Lx(xs):
+        return [sum(L(j, i) @ xs[i] for i in range(nI)) for j in range(nJ)]
+
+    def Lt(vs):
+        return [sum(L(j, i).T @ vs[j] for j in range(nJ)) for i in range(nI)]
+
+    p = np.asarray(p0, dtype=float)
+    out = []
+    for _ in range(iterations):
+        blocks = [p[cuts[k]:cuts[k + 1]] for k in range(len(cuts) - 1)]
+        xs, ys, vs = blocks[:nI], blocks[nI:nI + nJ], blocks[nI + nJ:]
+        a, a_star = [], []
+        for blk, g, x, lt in zip(primal, gammas, xs, Lt(vs)):
+            l_star = x - g * blk.C(x) - g * lt
+            a.append(blk.A.resolvent(g, l_star + g * blk.s_star))
+            a_star.append((l_star - a[-1]) / g + blk.C(a[-1]))
+        b, b_star, c = [], [], []
+        for blk, t, y, v, lx in zip(dual, taus, ys, vs, Lx(xs)):
+            t_star = y - t * blk.D(y) + t * v
+            b.append(blk.B.resolvent(t, t_star))
+            c.append(lx - y + v - blk.r)
+            b_star.append((t_star - b[-1]) / t + blk.D(b[-1]) - c[-1])
+        a_star = [s + lt for s, lt in zip(a_star, Lt(c))]
+        c_star = [blk.r + bj - la for blk, bj, la in zip(dual, b, Lx(a))]
+        q = np.concatenate(a + b + c)
+        q_star = np.concatenate(a_star + b_star + c_star)
+        theta = float(np.dot(q - p, q_star))
+        sigma = float(np.dot(q_star, q_star))
+        out.append((p, q, q_star, theta, sigma, lam))
+        if theta < 0:
+            p = p + (lam * theta / sigma) * q_star
+    return out

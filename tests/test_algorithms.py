@@ -33,7 +33,7 @@ from warpsplit import (
 )
 from warpsplit.operators import GraphPoint
 
-from oracles import box_vi_solution, dense_kt_solution
+from oracles import box_vi_solution, coupled_iterates, dense_kt_solution, tseng_iterates
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -88,6 +88,18 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ConfigurationError):
         SolverConfig(tol_residual=0.0)
+
+
+def test_relaxation_schedule_type_error_surfaces():
+    # A two-argument schedule is called as (n, ctx) only; a TypeError from
+    # its body is not retried with one argument.
+    def schedule(n, ctx):
+        return 1.0 + None
+
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    cfg = SolverConfig(relaxation=schedule, step_size=1.0, max_iter=5)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        solve_weak(m, identity_kernel(1), None, cfg, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +314,7 @@ def test_tseng_triple_equivalence_single_seed():
     eps = min(0.05, 0.9 / (B.lipschitz + 1.0))
     gamma = 0.9 * (1.0 - eps) / B.lipschitz
     cfg = SolverConfig(epsilon=eps, max_iter=200, tol_residual=1e-300, tol_step=1e-300)
+    ref = tseng_iterates(A, B, gamma, x0, 200)
     res_t = solve_tseng(A, B, gamma, cfg, x0)
     m = MDecomposition(A, B)
     k = fbf_kernel(identity_map(A.dim), B, gamma, eps)
@@ -311,13 +324,13 @@ def test_tseng_triple_equivalence_single_seed():
     res_f = solve_fbf_memory(A, B, identity_map(A.dim), gamma,
                              PerturbationPolicy.memory([1.0]), cfg_w, x0)
     assert len(res_t.trace) == len(res_w.trace) == len(res_f.trace) == 200
-    for rt, rw, rf in zip(res_t.trace, res_w.trace, res_f.trace):
-        assert np.linalg.norm(rt.x - rw.x) <= 1e-10
-        assert np.linalg.norm(rt.x - rf.x) <= 1e-10
+    for (x, _, _, _, sigma, lam), rt, rw, rf in zip(ref, res_t.trace, res_w.trace, res_f.trace):
+        for rec in (rt, rw, rf):
+            assert np.linalg.norm(rec.x - x) <= 1e-10
         # The implied relaxation is a ratio of near-zero quantities once the
         # residual bottoms out; compare it only where it is well conditioned.
-        if rt.residual > 1e-8:
-            assert abs(rt.lam - rw.lam) <= 1e-6 * max(1.0, rt.lam)
+        if np.sqrt(sigma) > 1e-8:
+            assert abs(rt.lam - lam) <= 1e-6 * max(1.0, lam)
 
 
 def test_fbf_memory_zero_forward_projects_box():
@@ -419,28 +432,31 @@ def test_coupled_start_at_zero_is_stationary():
     np.testing.assert_allclose(res.x.x.flatten(), [1.0], atol=1e-12)
 
 
+def scalar_coupled_oracle(prob, iterations):
+    return coupled_iterates(prob, [b.default_step for b in prob.primal],
+                            [b.default_step for b in prob.dual],
+                            np.zeros(prob.layout.total), iterations)
+
+
 def test_coupled_delegated_and_literal_agree_per_iterate():
     prob = scalar_coupled_problem()
     cfg = SolverConfig(max_iter=300, tol_residual=1e-300, tol_step=1e-300)
     res_d = solve_coupled(prob, cfg)
-    res_l = solve_coupled(prob, cfg, mode="literal")
-    assert len(res_d.trace) == len(res_l.trace) == 300
-    for rd, rl in zip(res_d.trace, res_l.trace):
-        assert np.linalg.norm(rd.x - rl.x) <= 1e-12
-        assert abs(rd.theta - rl.theta) <= 1e-12 * max(1.0, abs(rd.theta))
-        assert abs(rd.sigma - rl.sigma) <= 1e-12 * max(1.0, rd.sigma)
+    ref = scalar_coupled_oracle(prob, 300)
+    assert len(res_d.trace) == len(ref) == 300
+    for rd, (p, _, _, theta, sigma, _) in zip(res_d.trace, ref):
+        assert np.linalg.norm(rd.x - p) <= 1e-12
+        assert abs(rd.theta - theta) <= 1e-12 * max(1.0, abs(rd.theta))
+        assert abs(rd.sigma - sigma) <= 1e-12 * max(1.0, rd.sigma)
 
 
 def test_coupled_update_equals_relaxed_projection_step():
-    # Structural refactoring check: the blockwise update is exactly the
-    # relaxed projection onto the stacked graph-point cut.
-    prob = scalar_coupled_problem()
-    cfg = SolverConfig(max_iter=40, tol_residual=1e-300, tol_step=1e-300)
-    res = solve_coupled(prob, cfg, mode="literal")
-    for rec, nxt in zip(res.trace, res.trace[1:]):
-        gp = GraphPoint(y=rec.y, y_star=rec.y_star)
-        manual = relaxed_projection_step(rec.x, gp, rec.lam)
-        assert np.linalg.norm(manual - nxt.x) <= 1e-12
+    # The blockwise update is exactly the relaxed projection onto the
+    # stacked graph-point cut.
+    ref = scalar_coupled_oracle(scalar_coupled_problem(), 40)
+    for (p, q, q_star, _, _, lam), nxt in zip(ref, ref[1:]):
+        manual = relaxed_projection_step(p, GraphPoint(y=q, y_star=q_star), lam)
+        assert np.linalg.norm(manual - nxt[0]) <= 1e-12
 
 
 def two_primal_one_dual_quadratic(rng):

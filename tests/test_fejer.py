@@ -4,12 +4,8 @@ import pytest
 from warpsplit import (
     ConfigurationError,
     GraphPoint,
-    HalfSpaceCut,
-    HaugazeauTriple,
     InfeasibleCutsError,
     haugazeau_Q,
-    haugazeau_step,
-    multipoint_step,
     relaxed_projection_step,
 )
 
@@ -92,11 +88,6 @@ def test_haugazeau_disjoint_cuts_raise():
         haugazeau_Q(np.zeros(2), np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
 
-def test_haugazeau_triple_wrapper():
-    t = HaugazeauTriple(x0=np.zeros(2), x=np.array([1.0, 0.0]), x_half=np.array([1.0, 1.0]))
-    np.testing.assert_allclose(haugazeau_step(t), [1.0, 1.0])
-
-
 def test_haugazeau_matches_qp_oracle_sampled():
     rng = np.random.default_rng(13)
     checked = 0
@@ -130,76 +121,3 @@ def test_haugazeau_output_lies_in_both_cuts():
             continue
         assert np.dot(q - x, x0 - x) <= 1e-10
         assert np.dot(q - xh, x - xh) <= 1e-10
-
-
-def test_multipoint_single_point_reduces_to_relaxed_step():
-    rng = np.random.default_rng(15)
-    for _ in range(200):
-        x = rng.normal(size=3)
-        point = gp(rng.normal(size=3), rng.normal(size=3))
-        np.testing.assert_allclose(
-            multipoint_step(x, [(point, 1.0)]),
-            relaxed_projection_step(x, point, 1.0), atol=1e-12)
-
-
-def test_multipoint_duplicate_points_match_single():
-    x = np.array([0.3, -0.2])
-    point = gp([1.0, 0.0], [-1.0, 0.5])
-    np.testing.assert_allclose(
-        multipoint_step(x, [(point, 0.5), (point, 0.5)]),
-        multipoint_step(x, [(point, 1.0)]), atol=1e-12)
-
-
-def test_multipoint_averaged_cut_projection():
-    cuts = [(gp([1.0, 0.0], [-1.0, 0.0]), 0.5), (gp([0.0, 1.0], [0.0, -1.0]), 0.5)]
-    out = multipoint_step(np.zeros(2), cuts)
-    # Averaged cut is {z1 + z2 >= 2}; projecting the origin gives (1, 1).
-    np.testing.assert_allclose(out, [1.0, 1.0])
-    oracle = project_halfspace(np.zeros(2), np.array([1.0, 1.0]), np.array([-0.5, -0.5]))
-    np.testing.assert_allclose(out, oracle)
-
-
-def test_multipoint_averaged_cut_contains_common_zero():
-    rng = np.random.default_rng(16)
-    for _ in range(300):
-        d = int(rng.integers(2, 5))
-        z = rng.normal(size=d)
-        points, weights = [], rng.uniform(0.2, 1.0, size=3)
-        weights = weights / weights.sum()
-        for w in weights:
-            ys = rng.normal(size=d)
-            y = z + float(rng.uniform(0, 2)) * ys  # <z - y, ys> <= 0 by construction
-            points.append((gp(y, ys), float(w)))
-        x = rng.normal(size=d) * 2
-        out = multipoint_step(x, points)
-        normal = sum(w * p.y_star for p, w in points)
-        eta = sum(w * np.dot(p.y, p.y_star) for p, w in points)
-        assert np.dot(z, normal) <= eta + 1e-10
-        assert np.dot(out, normal) <= eta + 1e-8 * (1 + abs(eta))
-
-
-def test_multipoint_weight_validation():
-    point = gp([1.0], [1.0])
-    with pytest.raises(ConfigurationError):
-        multipoint_step(np.zeros(1), [])
-    with pytest.raises(ConfigurationError):
-        multipoint_step(np.zeros(1), [(point, 0.7)])
-    with pytest.raises(ConfigurationError):
-        multipoint_step(np.zeros(1), [(point, 1.5), (point, -0.5)])
-
-
-def test_multipoint_zero_normal_positive_gap_is_infeasible():
-    # Cuts {z1 >= 1} and {z1 <= -1}: averaged normal vanishes while the
-    # averaged inequality reads 0 <= -1, certifying an empty zero set.
-    cuts = [(gp([1.0, 0.0], [-1.0, 0.0]), 0.5), (gp([-1.0, 0.0], [1.0, 0.0]), 0.5)]
-    with pytest.raises(InfeasibleCutsError):
-        multipoint_step(np.zeros(2), cuts)
-
-
-def test_halfspace_cut_membership_and_projection():
-    cut = HalfSpaceCut(anchor=np.array([1.0, 0.0]), normal=np.array([-1.0, 0.0]))
-    assert cut.contains(np.array([2.0, 5.0]))
-    assert not cut.contains(np.array([0.0, 0.0]))
-    np.testing.assert_allclose(cut.project(np.zeros(2)), [1.0, 0.0])
-    whole = HalfSpaceCut(anchor=np.zeros(2), normal=np.zeros(2))
-    assert whole.contains(np.array([100.0, -3.0]))

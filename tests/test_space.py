@@ -7,7 +7,6 @@ from warpsplit import (
     LinearMap,
     NonFiniteEntryError,
     ProductVector,
-    adjoint_apply,
     inner,
     normalize_or_zero,
     vector,
@@ -66,17 +65,17 @@ def test_vector_is_frozen():
 
 def test_adjoint_identity_map():
     L = LinearMap.identity(2)
-    np.testing.assert_array_equal(adjoint_apply(L, np.array([1.0, 2.0])), [1.0, 2.0])
+    np.testing.assert_array_equal(L.adjoint_apply(np.array([1.0, 2.0])), [1.0, 2.0])
 
 
 def test_adjoint_transpose_by_hand():
     L = LinearMap([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(adjoint_apply(L, np.array([1.0, 0.0])), [0.0, 1.0])
+    np.testing.assert_array_equal(L.adjoint_apply(np.array([1.0, 0.0])), [0.0, 1.0])
 
 
 def test_adjoint_column_map():
     L = LinearMap([[1.0], [2.0]])  # maps R -> R^2
-    np.testing.assert_array_equal(adjoint_apply(L, np.array([1.0, 1.0])), [3.0])
+    np.testing.assert_array_equal(L.adjoint_apply(np.array([1.0, 1.0])), [3.0])
 
 
 def test_adjoint_involution():
