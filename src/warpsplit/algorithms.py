@@ -442,9 +442,15 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
 # Forward-backward-forward solvers
 # ---------------------------------------------------------------------------
 
-def _fbf(A, B, W_fn, gamma_schedule, policy, cfg, x0, zeros):
+def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0, zeros):
     # K_n = W_n - gamma_n B, paired with M = A + B; fbf_kernel checks each
     # stage's step range, fbf_step the epsilon regime and the default step.
+    # With W and the step constant, the one kernel is built once.
+    if W_schedule is None or isinstance(W_schedule, SingleValuedOperator):
+        W = W_schedule if W_schedule is not None else identity_map(A.dim)
+        W_fn = lambda n: W
+    else:
+        W_fn = W_schedule
     W0 = W_fn(0)
     if W0.strong_monotonicity is None:
         raise ConfigurationError("solve_fbf_memory needs W with declared strong monotonicity")
@@ -452,10 +458,10 @@ def _fbf(A, B, W_fn, gamma_schedule, policy, cfg, x0, zeros):
                      cfg.epsilon)
     step = gamma_schedule if gamma_schedule is not None else cfg.step_size
     gamma_fn = as_schedule(gamma if step is None else step, "gamma schedule")
-
-    def kernel_fn(n):
-        return fbf_kernel(W_fn(n), B, gamma_fn(n), cfg.epsilon)
-
+    if W_fn is W_schedule or callable(step):
+        kernel_fn = lambda n: fbf_kernel(W_fn(n), B, gamma_fn(n), cfg.epsilon)
+    else:
+        kernel_fn = _as_kernel_schedule(fbf_kernel(W0, B, gamma_fn(0), cfg.epsilon))
     return _iterate(MDecomposition(A, B), kernel_fn, gamma_fn, policy, cfg, x0, zeros)
 
 
@@ -468,12 +474,7 @@ def solve_fbf_memory(A: SetValuedOperator, B, W_schedule, gamma_schedule,
     relaxed cut projection: the engine run with the forward-backward
     kernels ``W_n - gamma_n B``.
     """
-    if W_schedule is None or isinstance(W_schedule, SingleValuedOperator):
-        W = W_schedule if W_schedule is not None else identity_map(A.dim)
-        W_fn = lambda n: W
-    else:
-        W_fn = W_schedule
-    return _fbf(A, B, W_fn, gamma_schedule, policy, cfg, x0, zeros)
+    return _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0, zeros)
 
 
 def solve_tseng(A: SetValuedOperator, B: SingleValuedOperator, gamma_schedule,
@@ -485,8 +486,7 @@ def solve_tseng(A: SetValuedOperator, B: SingleValuedOperator, gamma_schedule,
     gamma |y*|^2 / <x - y, y*> (``tseng_relaxation``), which the trace
     exposes; ``cfg.relaxation`` is not used.
     """
-    W = identity_map(A.dim)
-    return _fbf(A, B, lambda n: W, gamma_schedule, None,
+    return _fbf(A, B, None, gamma_schedule, None,
                 replace(cfg, relaxation=tseng_relaxation), x0, zeros)
 
 
@@ -513,6 +513,7 @@ class PrimalBlock:
 
     def __post_init__(self):
         dim = self.A.dim
+        self._C_given = self.C is not None
         if self.C is None:
             self.C = zero_map(dim)
         if self.C.dim != dim:
@@ -554,6 +555,7 @@ class DualBlock:
 
     def __post_init__(self):
         dim = self.B.dim
+        self._D_given = self.D is not None
         if self.D is None:
             self.D = zero_map(dim)
         if self.D.dim != dim:
@@ -612,6 +614,7 @@ class CoupledProblem:
             self.primal_layout.dims + self.dual_layout.dims + self.dual_layout.dims)
         self._forward = None
         self._set_part = None
+        self._skew = None
         self._skew_norm = None
 
     def L(self, j, i):
@@ -647,9 +650,9 @@ class CoupledProblem:
         nI, nJ = len(self.primal), len(self.dual)
         return parts[:nI], parts[nI:nI + nJ], parts[nI + nJ:]
 
-    def skew_norm(self) -> float:
-        """Operator norm of the skew coupling (x,y,v*) -> (L*v*, -v*, -Lx+y)."""
-        if self._skew_norm is None:
+    def _skew_matrix(self) -> np.ndarray:
+        """The skew coupling (x,y,v*) -> (L*v*, -v*, -Lx+y) as one stacked matrix (cached)."""
+        if self._skew is None:
             ny, nz = self.primal_layout.total, self.dual_layout.total
             S = np.zeros((ny + 2 * nz, ny + 2 * nz))
             yoff = self.primal_layout.offsets
@@ -665,25 +668,35 @@ class CoupledProblem:
                 b = ny + nz + zoff[j]
                 S[a:a + d, b:b + d] = -np.eye(d)
                 S[b:b + d, a:a + d] = np.eye(d)
-            self._skew_norm = float(np.linalg.norm(S, 2)) if S.size else 0.0
+            S.flags.writeable = False
+            self._skew = S
+        return self._skew
+
+    def skew_norm(self) -> float:
+        """Operator norm of the skew coupling (cached), from the eigenvalues of S^T S."""
+        if self._skew_norm is None:
+            S = self._skew_matrix()
+            self._skew_norm = float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1]))
         return self._skew_norm
 
     def kt_forward(self) -> SingleValuedOperator:
         """Forward part of the stacked Kuhn-Tucker operator (cached instance).
 
-        (x, y, v*) -> ((C_i x_i)_i + L* v*, (D_j y_j)_j - v*, -L x + y).
+        (x, y, v*) -> ((C_i x_i)_i + L* v*, (D_j y_j)_j - v*, -L x + y): the
+        skew matrix times u, plus each C_i / D_j given on its slice.
         """
         if self._forward is None:
-            problem = self
+            S = self._skew_matrix()
+            offs = self.layout.offsets
+            given = [(blk.C, blk._C_given) for blk in self.primal]
+            given += [(blk.D, blk._D_given) for blk in self.dual]
+            parts = [(slice(offs[k], offs[k + 1]), op) for k, (op, on) in enumerate(given) if on]
 
             def fn(u):
-                xs, ys, vs = problem.split(u)
-                lt = problem.apply_L_adjoint(vs)
-                lx = problem.apply_L(xs)
-                out = [blk.C(x) + lt_i for blk, x, lt_i in zip(problem.primal, xs, lt)]
-                out += [blk.D(y) - v for blk, y, v in zip(problem.dual, ys, vs)]
-                out += [-lx_j + y for lx_j, y in zip(lx, ys)]
-                return problem.layout.join(out)
+                out = S @ u
+                for sl, op in parts:
+                    out[sl] += op(u[sl])
+                return out
 
             diag = max(
                 max(blk.mu for blk in self.primal),
@@ -823,7 +836,8 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
     """Primal-dual solver for a coupled inclusion system.
 
     Runs the generic weak solver over the stacked Kuhn-Tucker space with
-    the coupled kernels.  The result carries blockwise Kuhn-Tucker residual
+    the coupled kernels: one kernel when no schedule is a callable, else one
+    per iteration.  The result carries blockwise Kuhn-Tucker residual
     certificates of the final point.
     """
     F_fn, W_fn, gamma_fn, tau_fn = _coupled_schedules(
@@ -831,11 +845,13 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
     start = KuhnTuckerPoint.zero(problem) if start is None else start
     flat_zeros = [z.flatten() if isinstance(z, KuhnTuckerPoint) else np.asarray(z, dtype=float)
                   for z in zeros]
+    if any(map(callable, (F_schedule, W_schedule, gamma_schedules, tau_schedules))):
+        def kernels(n):
+            return coupled_kernel(problem, F_fn(n), W_fn(n), gamma_fn(n), tau_fn(n))
+    else:
+        kernels = coupled_kernel(problem, F_fn(0), W_fn(0), gamma_fn(0), tau_fn(0))
 
-    def kernel_fn(n):
-        return coupled_kernel(problem, F_fn(n), W_fn(n), gamma_fn(n), tau_fn(n))
-
-    res = solve_weak(problem.decomposition(), kernel_fn, policy, replace(cfg, step_size=1.0),
+    res = solve_weak(problem.decomposition(), kernels, policy, replace(cfg, step_size=1.0),
                      start.flatten(), zeros=flat_zeros)
     point = KuhnTuckerPoint.from_flat(res.x, problem)
     return SolveResult(

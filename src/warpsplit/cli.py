@@ -328,12 +328,12 @@ class ProblemFile:
         self._validate_inclusion(self._config(solver, {}))
 
     def _inclusion_gamma(self, cfg):
+        # A constant step stays a float, so its kernel is built once.
         if cfg.step_size is not None:
-            return alg.as_schedule(cfg.step_size, "gamma schedule")
-        g = 1.0
+            return cfg.step_size if callable(cfg.step_size) else float(cfg.step_size)
         if self.B is not None and self.kernel_name == "fbf" or self.variant in ("fbf", "tseng"):
-            g = kern.fbf_step(1.0, self._beta(), cfg.epsilon)
-        return lambda n: g
+            return kern.fbf_step(1.0, self._beta(), cfg.epsilon)
+        return 1.0
 
     def _beta(self):
         return self.B.lipschitz if self.B is not None else 0.0
@@ -344,24 +344,24 @@ class ProblemFile:
                 raise ConfigurationError(
                     "an identity kernel cannot absorb the forward part B; "
                     "use 'kernel fbf' so that K = Id - gamma B stays backward-solvable")
-            k = kern.identity_kernel(self.dim)
-            return lambda n: k
+            return kern.identity_kernel(self.dim)
         eps = self.kernel_epsilon if self.kernel_epsilon > 0 else cfg.epsilon
-        gamma_fn = self._inclusion_gamma(cfg)
+        gamma = self._inclusion_gamma(cfg)
         W = ops.identity_map(self.dim)
-
-        def schedule(n):
-            return kern.fbf_kernel(W, self.B, gamma_fn(n), eps)
-
-        return schedule
+        if not callable(gamma):
+            return kern.fbf_kernel(W, self.B, gamma, eps)
+        return lambda n: kern.fbf_kernel(W, self.B, gamma(n), eps)
 
     def _validate_inclusion(self, cfg):
         if self.variant == "tseng" and self.B is None:
             raise ConfigurationError("variant tseng needs a forward operator B")
-        g0 = float(self._inclusion_gamma(cfg)(0))
+        gamma = self._inclusion_gamma(cfg)
+        g0 = float(gamma(0) if callable(gamma) else gamma)
         # Each construction below checks its regime and raises on a violation.
         if self.variant in ("weak", "strong"):
-            self._kernel_schedule(cfg)(0)
+            schedule = self._kernel_schedule(cfg)
+            if callable(schedule):
+                schedule(0)
         else:
             kern.fbf_step(1.0, self._beta(), cfg.epsilon)
             kern.fbf_kernel(ops.identity_map(self.dim), self.B, g0, cfg.epsilon)
@@ -374,19 +374,19 @@ class ProblemFile:
         cfg = self._config(solver, overrides)
         variant = overrides.get("algo") or self.variant
         policy = self._policy()
-        gamma_fn = self._inclusion_gamma(cfg)
+        gamma = self._inclusion_gamma(cfg)
         zeros = self.zeros
         if variant in ("weak", "strong"):
             m = kern.MDecomposition(self.A, self.B if self.kernel_name == "fbf" else None)
             schedule = self._kernel_schedule(cfg)
-            run_cfg = _cfg_with(cfg, step_size=gamma_fn)
+            run_cfg = _cfg_with(cfg, step_size=gamma)
             fn = alg.solve_weak if variant == "weak" else alg.solve_strong
             return fn(m, schedule, policy, run_cfg, self.x0, zeros=zeros)
         if variant == "tseng":
-            return alg.solve_tseng(self.A, self.B, gamma_fn, cfg, self.x0, zeros=zeros)
+            return alg.solve_tseng(self.A, self.B, gamma, cfg, self.x0, zeros=zeros)
         if variant == "fbf":
             return alg.solve_fbf_memory(
-                self.A, self.B, None, gamma_fn, policy, cfg, self.x0, zeros=zeros)
+                self.A, self.B, None, gamma, policy, cfg, self.x0, zeros=zeros)
         raise ConfigurationError(f"unknown algorithm {variant!r}")
 
     # -- coupled problems ------------------------------------------------------

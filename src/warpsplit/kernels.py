@@ -137,6 +137,16 @@ class Kernel:
         self.beta = float(beta)
         self.name = name
         self._eval_override = eval_override
+        if layout is not None and base is not None:
+            # Block slices, and the coefficient vector of the identity and
+            # scaled-identity blocks; only the general blocks call their W.
+            offs = layout.offsets
+            self._slices = [slice(a, b) for a, b in zip(offs, offs[1:])]
+            scales = [1.0 if W is None else W.scale_of_identity for W, _ in self.base]
+            self._coef = np.repeat([0.0 if s is None else c * s
+                                    for s, (_, c) in zip(scales, self.base)], layout.dims)
+            self._general = [(sl, W, c) for sl, s, (W, c)
+                             in zip(self._slices, scales, self.base) if s is None]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -146,10 +156,10 @@ class Kernel:
         if self.layout is None:
             W, c = self.base[0]
             return c * x if W is None else c * W(x)
-        parts = self.layout.split(x)
-        out = [c * p if W is None else c * W(p)
-               for (W, c), p in zip(self.base, parts)]
-        return self.layout.join(out)
+        y = self._coef * x
+        for sl, W, c in self._general:
+            y[sl] = c * W(x[sl])
+        return y
 
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -187,11 +197,10 @@ class Kernel:
             raise ConfigurationError(
                 f"kernel {self.name!r} needs a block-diagonal set part matching "
                 f"its layout {self.layout.dims}")
-        vparts = self.layout.split(v)
-        out = []
-        for (W, c), A_b, v_b in zip(self.base, set_part.blocks, vparts):
-            out.append(solve_base_inclusion(W, gamma / c, A_b, v_b / c))
-        return self.layout.join(out)
+        out = np.empty(self.dim)
+        for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
+            out[sl] = solve_base_inclusion(W, gamma / c, A_b, v[sl] / c)
+        return out
 
     def __repr__(self):
         return f"Kernel({self.name}, dim={self.dim}, alpha={self.alpha}, beta={self.beta})"

@@ -280,7 +280,9 @@ def constant_operator(value) -> SetValuedOperator:
 def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     """Set-valued view of x -> {M x + b}; resolvent solves (I + gamma M) p = v - gamma b.
 
-    M must be monotone (positive semidefinite symmetric part, any skew part).
+    M must be monotone (positive semidefinite symmetric part, any skew part);
+    otherwise ConfigurationError.  The inverse of I + gamma M is kept for the
+    last gamma; for monotone M its norm is at most 1.
     """
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -288,10 +290,21 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     dim = M.shape[0]
     b = np.zeros(dim) if b is None else vector(b)
     check_dim(b, dim, "affine offset")
+    check_finite(M, "affine operator matrix")
+    # Ascending eigenvalues of M + M^T, twice the symmetric part; the
+    # roundoff slack is relative to their scale.
+    eig = np.linalg.eigvalsh(M + M.T) if dim else np.zeros(1)
+    if eig[0] < -1e-12 * max(2.0, -eig[0], eig[-1]):
+        raise ConfigurationError(
+            f"affine operator matrix is not monotone: its symmetric part has "
+            f"eigenvalue {eig[0] / 2}")
     eye = np.eye(dim)
+    last = [None, None]  # gamma, inverse of I + gamma M
 
     def res(g, x):
-        return np.linalg.solve(eye + g * M, x - g * b)
+        if g != last[0]:
+            last[:] = g, np.linalg.inv(eye + g * M)
+        return last[1] @ (x - g * b)
 
     return SetValuedOperator(dim, res, name="affine")
 

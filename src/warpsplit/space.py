@@ -21,7 +21,7 @@ def vector(coords) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntryError("vector entries must be finite (no NaN/Inf)")
     arr.flags.writeable = False
     return arr
@@ -29,7 +29,7 @@ def vector(coords) -> np.ndarray:
 
 def check_finite(arr, what="value"):
     """Reject NaN/Inf before it enters solver state."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntryError(f"{what} contains NaN or Inf")
     return arr
 

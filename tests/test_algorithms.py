@@ -31,6 +31,7 @@ from warpsplit import (
     tseng_relaxation,
     zero_map,
 )
+from warpsplit import algorithms
 from warpsplit.operators import GraphPoint
 
 from oracles import box_vi_solution, coupled_iterates, dense_kt_solution, tseng_iterates
@@ -285,6 +286,24 @@ def test_tseng_zero_forward_is_single_proximal_step():
     assert res.iterations == 2  # first step projects, second certifies
 
 
+def test_fbf_kernel_built_once_for_constant_step(monkeypatch):
+    calls = []
+    build = algorithms.fbf_kernel
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(algorithms, "fbf_kernel", counting)
+    A, B = box_normal_cone([1.0], [2.0]), affine_map([[1.0]], [-3.0])
+    cfg = SolverConfig(epsilon=0.1, max_iter=40, tol_residual=1e-300, tol_step=1e-300)
+    const = solve_tseng(A, B, 0.5, cfg, [0.0])
+    assert len(calls) == 1 and const.iterations == 40
+    calls.clear()
+    sched = solve_tseng(A, B, lambda n: 0.5, cfg, [0.0])
+    assert len(calls) == 40
+    np.testing.assert_array_equal(sched.x, const.x)
+
 def test_tseng_regime_validation():
     A = box_normal_cone([0.0], [1.0])
     B = affine_map([[1.0]])
@@ -497,3 +516,23 @@ def test_coupled_problem_validation():
     prob = scalar_coupled_problem()
     with pytest.raises(ConfigurationError):
         solve_coupled(prob, SolverConfig(max_iter=10), gamma_schedules=[9.0])
+
+
+def test_coupled_kernel_built_once_for_constant_stage_constants(monkeypatch):
+    calls = []
+    build = algorithms.coupled_kernel
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(algorithms, "coupled_kernel", counting)
+    prob, _, _ = two_primal_one_dual_quadratic(np.random.default_rng(43))
+    cfg = SolverConfig(max_iter=20_000, tol_residual=1e-9, tol_step=1e-9)
+    const = solve_coupled(prob, cfg)
+    assert const.converged and len(calls) == 1
+    calls.clear()
+    gammas = [b.default_step for b in prob.primal]
+    sched = solve_coupled(prob, cfg, gamma_schedules=lambda n: gammas)
+    assert sched.converged and len(calls) == sched.iterations == const.iterations
+    np.testing.assert_array_equal(sched.x.flatten(), const.x.flatten())

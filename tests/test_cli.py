@@ -89,16 +89,25 @@ begin solution
 end
 """
 
+# The catalog affine_map does not check the monotonicity it declares; this
+# non-monotone forward part makes the two Haugazeau cuts disjoint at n = 2.
 INFEASIBLE_TRIGGER = """\
 kind = inclusion
-x0 = [1.0]
+x0 = [-1.5, -2.0]
 begin A
-  name = affine
-  matrix = [[-2.0]]
+  name = box
+  lo = [-1.0, -1.0]
+  hi = [1.0, 1.0]
+end
+begin B
+  name = affine_map
+  matrix = [[2.0, 0.0], [1.5, 0.0]]
+end
+begin kernel
+  name = fbf
 end
 begin solver
   variant = strong
-  gamma = 1.0
   max_iter = 50
 end
 """
@@ -114,6 +123,26 @@ begin solver
   variant = weak
   gamma = 1.0
   max_iter = 5000
+end
+"""
+
+# Valid constants, but the first forward evaluation B(x0) overflows to Inf.
+OVERFLOWING = """\
+kind = inclusion
+x0 = [1.0e200]
+begin A
+  name = zero
+end
+begin B
+  name = affine_map
+  matrix = [[1.0e200]]
+end
+begin kernel
+  name = fbf
+end
+begin solver
+  variant = weak
+  epsilon = 1.0e-201
 end
 """
 
@@ -229,11 +258,23 @@ def test_exit_code_infeasible(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
-def test_exit_code_numerical_failure(tmp_path):
+def test_exit_code_numerical_failure(tmp_path, capsys):
+    prob = write(tmp_path, "o.txt", OVERFLOWING)
+    parse_problem(prob)  # the file itself is valid
+    with np.errstate(over="ignore"):  # the overflow is the point of the fixture
+        code = main(["run", "--problem", prob, "--trace", str(tmp_path / "t.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+    assert code == EXIT_NUMERICAL
+    assert "output of affine_map contains NaN or Inf" in capsys.readouterr().err
+
+
+def test_non_monotone_affine_rejected_before_any_iteration(tmp_path, capsys):
     prob = write(tmp_path, "d.txt", DIVERGING)
     code = main(["run", "--problem", prob, "--trace", str(tmp_path / "t.csv"),
                  "--summary", str(tmp_path / "s.json")])
-    assert code == EXIT_NUMERICAL
+    assert code == EXIT_USAGE
+    assert "not monotone" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_exit_code_parse_error(tmp_path):

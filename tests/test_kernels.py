@@ -28,6 +28,7 @@ from warpsplit import (
     warped_resolvent,
     zero_operator,
 )
+from warpsplit.kernels import solve_base_inclusion
 
 from oracles import disk_warped_projection
 
@@ -480,3 +481,85 @@ def test_cubic_kernel_warped_disk_projection_oracle():
     t = float(np.dot(d, p))
     assert t >= 0
     assert np.linalg.norm(d - t * p) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The compiled coupled space: stacked skew matrix and layout kernels
+# ---------------------------------------------------------------------------
+
+def monotone_matrix(rng, d, shift=0.3):
+    g, s = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    return g @ g.T / d + shift * np.eye(d) + 0.5 * (s - s.T)
+
+
+def two_by_two_coupled_problem(rng, alpha0=1.0, chi0=1.0):
+    """2 primal (dims 2, 3) and 2 dual (dims 1, 2) blocks, non-zero C/D on all but one.
+
+    (alpha0, chi0) are the declared constants of the first primal stage
+    operator.  Returns the problem and the matrices of the primal set parts.
+    """
+    pd, dd = (2, 3), (1, 2)
+    mats = [monotone_matrix(rng, d) for d in pd]
+    primal = [PrimalBlock(A=affine_resolvent_operator(m),
+                          C=affine_map(monotone_matrix(rng, d), rng.normal(size=d)),
+                          s_star=rng.normal(size=d), alpha=al, chi=ch)
+              for m, d, al, ch in zip(mats, pd, (alpha0, 1.0), (chi0, 1.0))]
+    dual = [DualBlock(B=affine_resolvent_operator(monotone_matrix(rng, dd[0])),
+                      D=affine_map(monotone_matrix(rng, dd[0]))),
+            DualBlock(B=affine_resolvent_operator(monotone_matrix(rng, dd[1])),
+                      r=rng.normal(size=dd[1]))]  # D defaults to the zero map
+    couplings = {(j, i): rng.normal(size=(dd[j], pd[i])) for j in range(2) for i in range(2)
+                 if (j, i) != (1, 0)}
+    return CoupledProblem(primal, dual, couplings), mats
+
+
+def blockwise_kt_forward(prob, u):
+    xs, ys, vs = prob.split(u)
+    lt, lx = prob.apply_L_adjoint(vs), prob.apply_L(xs)
+    out = [blk.C(x) + lt_i for blk, x, lt_i in zip(prob.primal, xs, lt)]
+    out += [blk.D(y) - v for blk, y, v in zip(prob.dual, ys, vs)]
+    out += [-lx_j + y for lx_j, y in zip(lx, ys)]
+    return np.concatenate(out)
+
+
+def test_kt_forward_matches_blockwise_formula():
+    rng = np.random.default_rng(60)
+    prob, _ = two_by_two_coupled_problem(rng)
+    fwd = prob.kt_forward()
+    for _ in range(200):
+        u = rng.normal(size=prob.layout.total) * 3
+        ref = blockwise_kt_forward(prob, u)
+        assert np.linalg.norm(fwd(u) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_coupled_kernel_general_block_matches_blockwise_formula():
+    rng = np.random.default_rng(61)
+    F0 = affine_map(monotone_matrix(rng, 2, shift=1.0))  # a general (non-identity) block
+    assert F0.scale_of_identity is None
+    prob, mats = two_by_two_coupled_problem(rng, F0.strong_monotonicity, F0.lipschitz)
+    F = [F0, identity_map(3)]
+    W = [identity_map(1), identity_map(2)]
+    gammas = [b.default_step for b in prob.primal]
+    taus = [b.default_step for b in prob.dual]
+    k = coupled_kernel(prob, F, W, gammas, taus)
+    set_part = prob.kt_set_part()
+    ops_ = F + W + [None, None]
+    coefs = [1.0 / g for g in gammas] + [1.0 / t for t in taus] + [1.0, 1.0]
+    offs = prob.layout.offsets
+    slices = [slice(a, b) for a, b in zip(offs, offs[1:])]
+    for _ in range(20):
+        u = rng.normal(size=prob.layout.total)
+        base = np.concatenate([c * (u[sl] if op is None else op(u[sl]))
+                               for op, c, sl in zip(ops_, coefs, slices)])
+        ref = base - blockwise_kt_forward(prob, u)
+        np.testing.assert_allclose(k.eval(u), ref, rtol=1e-13, atol=1e-13)
+        v = rng.normal(size=prob.layout.total) * 2
+        ref = np.concatenate([
+            solve_base_inclusion(op, 1.0 / c, A_b, v[sl] / c)
+            for op, c, A_b, sl in zip(ops_, coefs, set_part.blocks, slices)])
+        p = k.backward_solve(1.0, set_part, v)
+        np.testing.assert_allclose(p, ref, rtol=1e-14, atol=1e-14)
+        # The general block solves c F0(p) + (P p - s*) = v to the inner tolerance.
+        p0, v0 = p[slices[0]], v[slices[0]]
+        lhs = coefs[0] * F0(p0) + mats[0] @ p0 - prob.primal[0].s_star
+        assert np.linalg.norm(lhs - v0) <= 1e-10 * (1 + np.linalg.norm(v0))

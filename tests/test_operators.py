@@ -166,3 +166,30 @@ def test_catalog_builds_and_unknown_name():
 def test_graph_point_dimension_check():
     with pytest.raises(DimensionMismatchError):
         GraphPoint(y=np.array([1.0, 2.0]), y_star=np.array([1.0]))
+
+
+def test_affine_resolvent_cache_follows_gamma():
+    rng = np.random.default_rng(70)
+    dim = 4
+    G, S = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim))
+    M = G @ G.T / dim + 0.5 * (S - S.T)
+    b = rng.normal(size=dim)
+    op = affine_resolvent_operator(M, b)
+    for g in (0.5, 2.0, 0.5, 0.5, 3.0, 2.0, 0.5):
+        x = rng.normal(size=dim)
+        ref = np.linalg.solve(np.eye(dim) + g * M, x - g * b)
+        assert np.linalg.norm(op.resolvent(g, x) - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+
+
+def test_affine_resolvent_rejects_non_monotone_matrix():
+    with pytest.raises(ConfigurationError, match="not monotone"):
+        affine_resolvent_operator([[-0.5]])
+    with pytest.raises(ConfigurationError, match="not monotone"):
+        affine_resolvent_operator([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
+    with pytest.raises(ConfigurationError):
+        make_set_valued("affine", {"matrix": [[-2.0]]}, 1)
+    # Monotone edge cases stay accepted: pure skew, and rank-deficient PSD
+    # whose smallest computed eigenvalue is roundoff below zero.
+    affine_resolvent_operator([[0.0, 3.0], [-3.0, 0.0]])
+    g = np.random.default_rng(71).normal(size=(5, 2)) * 1e3
+    affine_resolvent_operator(g @ g.T)
