@@ -5,8 +5,13 @@ Problem file grammar (line oriented; ``#`` starts a comment):
     file       := line*
     line       := 'begin' NAME | 'end' | KEY '=' VALUE | blank
     VALUE      := integer | float | word | vector | matrix
-    vector     := '[' number (',' number)* ']'
-    matrix     := '[' vector (',' vector)* ']'
+    vector     := '[' [number (',' number)* [',']] ']'
+    matrix     := '[' [vector (',' vector)* [',']] ']'
+
+A list may end with a trailing comma and ``[]`` is the empty list.  An
+integer literal (``3``, ``-2``, ``1_000``) stays an ``int``; any other
+number is a ``float``.  A ragged or mis-nested matrix, such as
+``[[1, 0], [0]]`` or ``[1, [0]]``, is a ``ProblemFormatError`` (exit 1).
 
 Blocks nest; repeated block names are allowed (``primal``, ``dual``,
 ``coupling``, ``solution``).  See the README for the full key reference.
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 
 import numpy as np
@@ -115,43 +122,65 @@ def _parse_value(text, lineno, col0):
     raise ProblemFormatError(f"cannot parse value {s!r}", lineno, offset)
 
 
+_BRACKET = re.compile(r"[\[\]]")
+_TOKEN_END = re.compile(r"[,\]]")
+_LIST_SEPARATOR = re.compile(r"(?:[ \t]*,)?")
+
+
 def _parse_bracket(s, i, lineno, col0):
-    """Parse a [...] list starting at index i; returns (value, index past ']')."""
-    assert s[i] == "["
+    """Parse a [...] list starting at index i; returns (value, index past ']').
+
+    Works one run of numbers at a time: the text up to the next bracket is
+    split on commas and converted in one pass.
+    """
     items = []
     i += 1
     while True:
-        while i < len(s) and s[i] in " \t":
-            i += 1
-        if i >= len(s):
-            raise ProblemFormatError("unterminated '['", lineno, col0 + i)
-        if s[i] == "]":
-            return items, i + 1
-        if s[i] == "[":
-            sub, i = _parse_bracket(s, i, lineno, col0)
-        else:
-            j = i
-            while j < len(s) and s[j] not in ",]":
-                j += 1
-            tok = s[i:j].strip()
-            try:
-                sub = int(tok)
-            except ValueError:
-                try:
-                    sub = float(tok)
-                except ValueError:
-                    raise ProblemFormatError(
-                        f"expected a number, got {tok!r}", lineno, col0 + i) from None
-            i = j
+        m = _BRACKET.search(s, i)
+        end = m.start() if m else len(s)
+        pieces = s[i:end].split(",")
+        if not pieces[-1].strip(" \t"):
+            del pieces[-1]  # blank: the bracket or the end of the line is next
+        elif m and m.group() == "[":
+            # Only ',' and ']' end a number, so this token runs on and fails.
+            stop = _TOKEN_END.search(s, end)
+            pieces[-1] += s[end:stop.start() if stop else len(s)]
+        items += _numbers(pieces, i, lineno, col0)
+        if not m:
+            raise ProblemFormatError("unterminated '['", lineno, col0 + len(s))
+        if m.group() == "]":
+            return items, end + 1
+        sub, i = _parse_bracket(s, end, lineno, col0)
         items.append(sub)
-        while i < len(s) and s[i] in " \t":
-            i += 1
-        if i < len(s) and s[i] == ",":
-            i += 1
-        elif i < len(s) and s[i] == "]":
-            return items, i + 1
-        elif i >= len(s):
-            raise ProblemFormatError("unterminated '['", lineno, col0 + i)
+        i = _LIST_SEPARATOR.match(s, i).end()  # one comma may follow a nested list
+
+
+def _numbers(pieces, start, lineno, col0):
+    """Convert comma-separated pieces that begin at index ``start`` of the line.
+
+    Pieces are walked one by one only to name a bad token or to keep integer
+    literals as ``int`` (their floats are integral, or inf past float range).
+    """
+    try:
+        vals = list(map(float, pieces))
+        if not any(map(float.is_integer, vals)) and all(map(math.isfinite, vals)):
+            return vals
+    except ValueError:
+        pass
+    out = []
+    for piece in pieces:
+        tok = piece.strip()
+        try:
+            out.append(int(tok))
+        except ValueError:
+            try:
+                out.append(float(tok))
+            except ValueError:
+                col = start + len(piece) - len(piece.lstrip(" \t"))
+                raise ProblemFormatError(
+                    f"expected a number, got {tok!r}", lineno, col0 + col) from None
+        start += len(piece) + 1
+    return out
 
 
 def parse_text(text) -> Section:
@@ -270,8 +299,7 @@ class ProblemFile:
         if kind == "inertial":
             return alg.PerturbationPolicy.inertial(float(sec.require("alpha")))
         if kind == "memory":
-            weights = [float(w) for w in sec.require("weights")]
-            return alg.PerturbationPolicy.memory(weights)
+            return alg.PerturbationPolicy.memory(_floats(sec, "weights", 1))
         if kind == "additive":
             scale = float(sec.require("scale"))
             rate = float(sec.require("rate"))
@@ -295,9 +323,8 @@ class ProblemFile:
         dim = root.get("dim")
         if x0 is None and dim is None:
             raise ProblemFormatError("inclusion problem needs 'x0' or 'dim'")
-        self.dim = int(dim) if dim is not None else len(x0)
-        self.x0 = np.zeros(self.dim) if x0 is None else np.asarray(
-            [float(v) for v in x0], dtype=float)
+        self.x0 = np.zeros(int(dim)) if x0 is None else _floats(root, "x0", 1)
+        self.dim = int(dim) if dim is not None else len(self.x0)
         if self.x0.shape != (self.dim,):
             raise ProblemFormatError(
                 f"x0 has length {self.x0.shape[0]}, dim says {self.dim}")
@@ -322,8 +349,7 @@ class ProblemFile:
                 f"unknown solver variant {self.variant!r}; known: weak, strong, fbf, tseng")
         self.zeros = []
         for sol in root.all_children("solution"):
-            z = sol.require("x")
-            self.zeros.append(np.asarray([float(v) for v in z], dtype=float))
+            self.zeros.append(_floats(sol, "x", 1))
         # Validate constants and regimes now, before any iteration runs.
         self._validate_inclusion(self._config(solver, {}))
 
@@ -406,7 +432,7 @@ class ProblemFile:
                 C = ops.make_single_valued(c_sec.require("name"), _op_params(c_sec), dim)
             primal.append(alg.PrimalBlock(
                 A=A, C=C,
-                s_star=_vec_or_none(sec.get("s_star")),
+                s_star=_vec_or_none(sec, "s_star"),
                 alpha=float(sec.get("alpha", 1.0)),
                 chi=float(sec.get("chi", 1.0)),
                 epsilon=_float_or_none(sec.get("epsilon")),
@@ -423,7 +449,7 @@ class ProblemFile:
                 D = ops.make_single_valued(d_sec.require("name"), _op_params(d_sec), dim)
             dual.append(alg.DualBlock(
                 B=B, D=D,
-                r=_vec_or_none(sec.get("r")),
+                r=_vec_or_none(sec, "r"),
                 beta=float(sec.get("beta", 1.0)),
                 kappa=float(sec.get("kappa", 1.0)),
                 delta=_float_or_none(sec.get("delta")),
@@ -434,7 +460,7 @@ class ProblemFile:
         for sec in root.all_children("coupling"):
             i = int(sec.require("primal")) - 1
             j = int(sec.require("dual")) - 1
-            couplings[(j, i)] = LinearMap(_matrix(sec.require("matrix")))
+            couplings[(j, i)] = LinearMap(_floats(sec, "matrix", 2))
         self.problem = alg.CoupledProblem(primal, dual, couplings)
         self.gamma_stage = _stage_constants(primal, root.all_children("primal"), "gamma")
         self.tau_stage = _stage_constants(dual, root.all_children("dual"), "tau")
@@ -443,10 +469,10 @@ class ProblemFile:
         if start is None:
             self.start = alg.KuhnTuckerPoint.zero(self.problem)
         else:
-            sx = _stacked(start.require("x"), self.problem.primal_layout)
-            sv = _stacked(start.require("v_star"), self.problem.dual_layout)
+            sx = _stacked(start, "x", self.problem.primal_layout)
+            sv = _stacked(start, "v_star", self.problem.dual_layout)
             if start.get("y") is not None:
-                sy = _stacked(start.require("y"), self.problem.dual_layout)
+                sy = _stacked(start, "y", self.problem.dual_layout)
                 self.start = alg.KuhnTuckerPoint.from_flat(
                     np.concatenate([np.concatenate(sx), np.concatenate(sy),
                                     np.concatenate(sv)]), self.problem)
@@ -454,8 +480,8 @@ class ProblemFile:
                 self.start = alg.KuhnTuckerPoint.lift(self.problem, sx, sv)
         self.zeros = []
         for sol in root.all_children("solution"):
-            zx = _stacked(sol.require("x"), self.problem.primal_layout)
-            zv = _stacked(sol.require("v_star"), self.problem.dual_layout)
+            zx = _stacked(sol, "x", self.problem.primal_layout)
+            zv = _stacked(sol, "v_star", self.problem.dual_layout)
             self.zeros.append(alg.KuhnTuckerPoint.lift(self.problem, zx, zv))
         solver = self._solver_section()
         self.variant = solver.get("variant", "coupled")
@@ -510,21 +536,29 @@ def _op_params(section: Section):
         if k == "name":
             continue
         if isinstance(v, list):
-            if v and isinstance(v[0], list):
-                out[k] = _matrix(v)
-            else:
-                out[k] = np.asarray([float(f) for f in v], dtype=float)
+            out[k] = _floats(section, k, 2 if v and isinstance(v[0], list) else 1)
         else:
             out[k] = v
     return out
 
 
-def _matrix(rows):
-    return np.asarray([[float(v) for v in row] for row in rows], dtype=float)
+def _floats(section: Section, key, ndim):
+    """The value of ``key`` as a float vector (ndim 1) or matrix (ndim 2)."""
+    value = section.require(key)
+    try:
+        arr = np.array(value, dtype=float)
+        reason = f"it has {arr.ndim} dimensions"
+    except (ValueError, TypeError, OverflowError) as exc:
+        arr, reason = None, exc
+    if arr is None or arr.ndim != ndim:
+        shape = "vector" if ndim == 1 else "matrix"
+        raise ProblemFormatError(
+            f"{key!r} in block {section.name!r} is not a {shape} of numbers: {reason}")
+    return arr
 
 
-def _vec_or_none(v):
-    return None if v is None else np.asarray([float(x) for x in v], dtype=float)
+def _vec_or_none(section, key):
+    return None if section.get(key) is None else _floats(section, key, 1)
 
 
 def _float_or_none(v):
@@ -537,8 +571,8 @@ def _stage_constants(blocks, sections, key):
             for blk, sec in zip(blocks, sections)]
 
 
-def _stacked(flat, layout):
-    v = np.asarray([float(x) for x in flat], dtype=float)
+def _stacked(section, key, layout):
+    v = _floats(section, key, 1)
     if v.shape != (layout.total,):
         raise ProblemFormatError(
             f"expected a stacked vector of length {layout.total}, got {v.shape[0]}")
@@ -667,16 +701,16 @@ def generate_problem(kind, dim, seed) -> str:
         x0 = np.round(z + rng.uniform(1.0, 2.0, dim), 6)
         root = Section("root")
         root.entries["kind"] = "inclusion"
-        root.entries["x0"] = [float(v) for v in x0]
+        root.entries["x0"] = x0.tolist()
         a_sec = Section("A")
         a_sec.entries["name"] = "box"
-        a_sec.entries["lo"] = [float(v) for v in lo]
-        a_sec.entries["hi"] = [float(v) for v in hi]
+        a_sec.entries["lo"] = lo.tolist()
+        a_sec.entries["hi"] = hi.tolist()
         root.children.append(("A", a_sec))
         b_sec = Section("B")
         b_sec.entries["name"] = "affine_map"
-        b_sec.entries["matrix"] = [[float(v) for v in row] for row in M]
-        b_sec.entries["offset"] = [float(v) for v in b]
+        b_sec.entries["matrix"] = M.tolist()
+        b_sec.entries["offset"] = b.tolist()
         root.children.append(("B", b_sec))
         k_sec = Section("kernel")
         k_sec.entries["name"] = "fbf"
@@ -691,7 +725,7 @@ def generate_problem(kind, dim, seed) -> str:
         s_sec.entries["tol_step"] = 1e-08
         root.children.append(("solver", s_sec))
         sol = Section("solution")
-        sol.entries["x"] = [float(v) for v in z]
+        sol.entries["x"] = z.tolist()
         root.children.append(("solution", sol))
         return serialize_section(root) + "\n"
     if kind == "coupled":
@@ -712,25 +746,25 @@ def generate_problem(kind, dim, seed) -> str:
         for i, (P_i, s_i, d) in enumerate(zip(P, (s1, s2), (d1, d2))):
             sec = Section("primal")
             sec.entries["dim"] = d
-            sec.entries["s_star"] = [float(v) for v in s_i]
+            sec.entries["s_star"] = s_i.tolist()
             a_sec = Section("A")
             a_sec.entries["name"] = "affine"
-            a_sec.entries["matrix"] = [[float(v) for v in row] for row in P_i]
+            a_sec.entries["matrix"] = P_i.tolist()
             sec.children.append(("A", a_sec))
             root.children.append(("primal", sec))
         sec = Section("dual")
         sec.entries["dim"] = dz
-        sec.entries["r"] = [float(v) for v in r]
+        sec.entries["r"] = r.tolist()
         b_sec = Section("B")
         b_sec.entries["name"] = "affine"
-        b_sec.entries["matrix"] = [[float(v) for v in row] for row in R]
+        b_sec.entries["matrix"] = R.tolist()
         sec.children.append(("B", b_sec))
         root.children.append(("dual", sec))
         for i, L in enumerate((L1, L2)):
             c_sec = Section("coupling")
             c_sec.entries["primal"] = i + 1
             c_sec.entries["dual"] = 1
-            c_sec.entries["matrix"] = [[float(v) for v in row] for row in L]
+            c_sec.entries["matrix"] = L.tolist()
             root.children.append(("coupling", c_sec))
         s_sec = Section("solver")
         s_sec.entries["variant"] = "coupled"
@@ -758,8 +792,8 @@ def generate_problem(kind, dim, seed) -> str:
         rhs[xo[3]:] = -r
         sol_vec = np.linalg.solve(A, rhs)
         sol = Section("solution")
-        sol.entries["x"] = [float(v) for v in sol_vec[:d1 + d2]]
-        sol.entries["v_star"] = [float(v) for v in sol_vec[d1 + d2 + dz:]]
+        sol.entries["x"] = sol_vec[:d1 + d2].tolist()
+        sol.entries["v_star"] = sol_vec[d1 + d2 + dz:].tolist()
         root.children.append(("solution", sol))
         return serialize_section(root) + "\n"
     raise ConfigurationError(f"unknown problem kind {kind!r}")

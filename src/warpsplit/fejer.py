@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, InfeasibleCutsError
+from .errors import ConfigurationError, DimensionMismatchError, InfeasibleCutsError, SolverCorruptionError
 from .operators import GraphPoint
 # check_dim is unused here; bench/spans.py rebinds it at this module.
 from .space import check_dim, inner  # noqa: F401
@@ -24,10 +24,12 @@ def relaxed_cut(x, theta, sigma, y_star, lam):
     ``theta = <y - x, y*>`` and ``sigma = |y*|^2`` are passed in, since the
     solvers already hold them.  Returns ``(rho, x + rho * y*)`` with
     ``rho = lam * theta / sigma`` when the strict inequality ``theta < 0``
-    holds, and ``(0.0, x)`` otherwise.  The strict branch guarantees
-    y* != 0 before the division, so no epsilon is used.
+    holds, and ``(0.0, x)`` otherwise.  The strict branch implies y* != 0,
+    so no epsilon is used; a sigma that underflowed to 0 raises instead.
     """
     if theta < 0:
+        if sigma == 0:
+            raise SolverCorruptionError(f"theta = {theta!r} < 0 but sigma = |y*|^2 underflowed to 0")
         rho = lam * theta / sigma
         return rho, x + rho * y_star
     return 0.0, x

@@ -320,9 +320,10 @@ def affine_map(M, b=None, monotone=True) -> SingleValuedOperator:
     lip = float(np.linalg.norm(M, 2)) if M.size else 0.0
     sym = 0.5 * (M + M.T)
     mu = float(np.min(np.linalg.eigvalsh(sym))) if dim else 0.0
+    # A zero matrix is declared 1-Lipschitz like zero_map: a finite default step.
     return SingleValuedOperator(
         dim, lambda x: M @ x + b,
-        lipschitz=max(lip, np.finfo(float).tiny),
+        lipschitz=lip if lip > 0 else 1.0,
         monotone=monotone,
         strong_monotonicity=mu if mu > 0 else None,
         name="affine_map")

@@ -4,10 +4,14 @@ Everything here is deliberately independent of the library's computation
 paths: enumeration, grid search, bisection and dense linear algebra, plus
 two literal loop transcriptions, Tseng's method and the per-block coupled
 primal-dual step, that the library's one iteration engine must reproduce.
-The transcriptions call only the operators they are given.
+The transcriptions call only the operators they are given.  The
+character-by-character bracket parser pins the problem-file value grammar
+that the CLI's run-at-a-time parser must reproduce, errors included.
 """
 
 import numpy as np
+
+from warpsplit.errors import ProblemFormatError
 
 
 def project_halfspace(x, anchor, normal):
@@ -286,3 +290,42 @@ def coupled_iterates(problem, gammas, taus, p0, iterations, lam=1.0):
         if theta < 0:
             p = p + (lam * theta / sigma) * q_star
     return out
+
+
+def bracket_oracle(s, i, lineno, col0):
+    """Parse a [...] list starting at index i; returns (value, index past ']')."""
+    assert s[i] == "["
+    items = []
+    i += 1
+    while True:
+        while i < len(s) and s[i] in " \t":
+            i += 1
+        if i >= len(s):
+            raise ProblemFormatError("unterminated '['", lineno, col0 + i)
+        if s[i] == "]":
+            return items, i + 1
+        if s[i] == "[":
+            sub, i = bracket_oracle(s, i, lineno, col0)
+        else:
+            j = i
+            while j < len(s) and s[j] not in ",]":
+                j += 1
+            tok = s[i:j].strip()
+            try:
+                sub = int(tok)
+            except ValueError:
+                try:
+                    sub = float(tok)
+                except ValueError:
+                    raise ProblemFormatError(
+                        f"expected a number, got {tok!r}", lineno, col0 + i) from None
+            i = j
+        items.append(sub)
+        while i < len(s) and s[i] in " \t":
+            i += 1
+        if i < len(s) and s[i] == ",":
+            i += 1
+        elif i < len(s) and s[i] == "]":
+            return items, i + 1
+        elif i >= len(s):
+            raise ProblemFormatError("unterminated '['", lineno, col0 + i)

@@ -1,8 +1,11 @@
 import json
+import random
 
 import numpy as np
 import pytest
+from oracles import bracket_oracle
 
+from warpsplit import cli
 from warpsplit.cli import (
     EXIT_INFEASIBLE,
     EXIT_MAX_ITER,
@@ -146,6 +149,27 @@ begin solver
 end
 """
 
+# The forward part is zero, so K = Id and the run projects x0 onto the box.
+ZERO_FORWARD = """\
+kind = inclusion
+x0 = [-2.2]
+begin A
+  name = box
+  lo = [-1.0]
+  hi = [1.0]
+end
+begin B
+  name = affine_map
+  matrix = [[0.0]]
+end
+begin kernel
+  name = fbf
+end
+begin solver
+  variant = strong
+end
+"""
+
 HALVING = """\
 kind = inclusion
 x0 = [1.0, 1.0]
@@ -211,6 +235,39 @@ def test_roundtrip_parse_serialize_parse(tmp_path):
         assert pf2.serialize() == text2
 
 
+# Characters of the value grammar, number tokens, a non-tab whitespace and
+# an integer literal past float range.
+FUZZ_PIECES = list("[],  \t01.5e-+_x") + [
+    "1", "-2", "3.5", "1e5", "1_000", "nan", "-inf", "\x0c", "1" * 400]
+
+
+def _bracket_outcome(parse, s):
+    try:
+        value, end = parse(s, 0, 3, 7)
+    except ProblemFormatError as exc:
+        return "error", str(exc)
+    return "value", repr(value), end
+
+
+def test_bracket_parser_matches_oracle_on_fuzzed_strings():
+    rng = random.Random(2019)
+    kinds = set()
+    for _ in range(20000):
+        body = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 12)))
+        s = "[" + body + "]" * rng.randint(0, 2)
+        got = _bracket_outcome(cli._parse_bracket, s)
+        assert got == _bracket_outcome(bracket_oracle, s), s
+        kinds.add(got[1].split(": ")[1][:10] if got[0] == "error" else "value")
+    assert kinds == {"value", "expected a", "unterminat"}
+
+
+def test_parse_text_matches_oracle_on_generated_d200(monkeypatch):
+    text = generate_problem("inclusion", 200, 3)
+    fast = parse_text(text).canonical()
+    monkeypatch.setattr(cli, "_parse_bracket", bracket_oracle)
+    assert fast == parse_text(text).canonical()
+
+
 def test_coupled_scalar_file_solves(tmp_path):
     pf = parse_problem(write(tmp_path, "c.txt", COUPLED_SCALAR))
     res = pf.run({})
@@ -221,27 +278,26 @@ def test_coupled_scalar_file_solves(tmp_path):
 
 def test_halving_trace_rows_halve(tmp_path):
     prob = write(tmp_path, "h.txt", HALVING)
-    trace = str(tmp_path / "h.csv")
-    summary = str(tmp_path / "h.json")
-    code = main(["run", "--problem", prob, "--trace", trace, "--summary", summary])
+    trace, summary = tmp_path / "h.csv", tmp_path / "h.json"
+    code = main(["run", "--problem", prob, "--trace", str(trace), "--summary", str(summary)])
     assert code == EXIT_MAX_ITER  # 20 iterations never reach 1e-12
-    rows = open(trace).read().strip().splitlines()
+    rows = trace.read_text().strip().splitlines()
     assert rows[0].split(",")[:6] == ["n", "residual", "step_norm", "theta", "sigma", "rho"]
     assert len(rows) == 21
     residuals = [float(r.split(",")[1]) for r in rows[1:]]
     for a, b in zip(residuals, residuals[1:]):
         assert abs(b - 0.5 * a) <= 1e-15
-    rec = json.load(open(summary))
+    rec = json.loads(summary.read_text())
     assert rec["status"] == "max_iter" and rec["exit_code"] == EXIT_MAX_ITER
 
 
 def test_rerun_is_byte_identical(tmp_path):
     prob = write(tmp_path, "h.txt", HALVING)
-    t1, t2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    main(["run", "--problem", prob, "--trace", t1, "--summary", str(tmp_path / "a.json")])
-    main(["run", "--problem", prob, "--trace", t2, "--summary", str(tmp_path / "b.json")])
-    assert open(t1, "rb").read() == open(t2, "rb").read()
-    assert open(tmp_path / "a.json", "rb").read() == open(tmp_path / "b.json", "rb").read()
+    for name in ("a", "b"):
+        main(["run", "--problem", prob, "--trace", str(tmp_path / f"{name}.csv"),
+              "--summary", str(tmp_path / f"{name}.json")])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_exit_code_converged(tmp_path):
@@ -277,6 +333,38 @@ def test_non_monotone_affine_rejected_before_any_iteration(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("matrix", [
+    "[[1.0, 0.0], [0.0]]",  # ragged
+    "[[1.0, 0.0], 2]",
+    "[1.0, [0.0]]",
+])
+def test_malformed_matrix_is_usage_error(tmp_path, capsys, matrix):
+    text = INFEASIBLE_TRIGGER.replace("[[2.0, 0.0], [1.5, 0.0]]", matrix)
+    code = main(["run", "--problem", write(tmp_path, "m.txt", text)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'matrix' in block 'B' is not a" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["strong", "weak"])
+def test_zero_forward_matrix_projects_onto_box(tmp_path, variant):
+    prob = write(tmp_path, "z.txt", ZERO_FORWARD.replace("strong", variant))
+    summary = tmp_path / "s.json"
+    code = main(["run", "--problem", prob, "--trace", str(tmp_path / "t.csv"),
+                 "--summary", str(summary)])
+    assert code == EXIT_OK
+    assert json.loads(summary.read_text())["final_point"] == [-1.0]
+
+
+@pytest.mark.parametrize("variant", ["strong", "weak"])
+def test_underflowing_forward_matrix_is_numerical_failure(tmp_path, capsys, variant):
+    text = ZERO_FORWARD.replace("[[0.0]]", "[[1e-300]]").replace("strong", variant)
+    code = main(["run", "--problem", write(tmp_path, "u.txt", text),
+                 "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
+    assert code == EXIT_NUMERICAL
+    assert "underflowed to 0" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(tmp_path):
     prob = write(tmp_path, "p.txt", "kind = inclusion\nbegin A\n")
     code = main(["run", "--problem", prob])
@@ -294,7 +382,7 @@ def test_cli_overrides(tmp_path):
     code = main(["run", "--problem", prob, "--max-iter", "1",
                  "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
     assert code == EXIT_MAX_ITER
-    rec = json.load(open(tmp_path / "s.json"))
+    rec = json.loads((tmp_path / "s.json").read_text())
     assert rec["iterations"] == 1
 
 
@@ -386,6 +474,6 @@ def test_summary_final_point_shape_coupled(tmp_path):
     code = main(["run", "--problem", prob, "--trace", str(tmp_path / "t.csv"),
                  "--summary", str(tmp_path / "s.json")])
     assert code == EXIT_OK
-    rec = json.load(open(tmp_path / "s.json"))
+    rec = json.loads((tmp_path / "s.json").read_text())
     assert "kt_residuals" in rec
     np.testing.assert_allclose(rec["final_point"]["x"][0], [1.0], atol=1e-6)
