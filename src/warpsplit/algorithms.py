@@ -21,6 +21,7 @@ Haugazeau two-cut projector.  The solvers only configure that engine.
 from __future__ import annotations
 
 import inspect
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -38,6 +39,7 @@ from .fejer import haugazeau_Q, relaxed_cut
 from .kernels import (  # noqa: F401
     Kernel,
     MDecomposition,
+    _check_pairing,
     _warped_pair,
     coupled_kernel,
     fbf_kernel,
@@ -52,7 +54,7 @@ from .operators import (
     identity_map,
     zero_map,
 )
-from .space import BlockLayout, LinearMap, ProductVector, check_dim, inner, norm, vector
+from .space import BlockLayout, LinearMap, ProductVector, check_dim, vector
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +117,22 @@ class IterationContext:
 
 
 def _relaxation_schedule(relaxation, epsilon):
-    """The lambda schedule as a callable (n, ctx) -> lambda_n, range-checked.
+    """The lambda schedule as ``(lam_of, takes_ctx)``, lam_of range-checked.
 
-    Whether a callable schedule takes ``(n)`` or ``(n, ctx)`` is decided
-    here, once per run, so a TypeError raised inside the schedule surfaces
-    unchanged.
+    ``lam_of(n, ctx)`` returns lambda_n; ``takes_ctx`` says whether the
+    schedule reads ctx, so the engine builds an ``IterationContext`` only
+    then.  Whether a callable schedule takes ``(n)`` or ``(n, ctx)`` is
+    decided here, once per run, so a TypeError raised inside the schedule
+    surfaces unchanged.
     """
+    takes_ctx = False
     if not callable(relaxation):
         value = float(relaxation)
         fn = lambda n, ctx: value
     else:
         try:
             inspect.signature(relaxation).bind(0, None)
-            fn = relaxation
+            fn, takes_ctx = relaxation, True
         except TypeError:
             fn = lambda n, ctx: relaxation(n)
     slack = 1e-9 * max(1.0, 2.0 - epsilon)
@@ -140,7 +145,7 @@ def _relaxation_schedule(relaxation, epsilon):
                 f"= [{epsilon}, {2.0 - epsilon}]")
         return float(lam)
 
-    return lam_of
+    return lam_of, takes_ctx
 
 
 def tseng_relaxation(n, ctx: IterationContext) -> float:
@@ -271,9 +276,9 @@ class IterationRecord:
     fejer_gaps: tuple = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.step_norm) and self.step_norm >= 0):
+        if not (math.isfinite(self.step_norm) and self.step_norm >= 0):
             raise SolverCorruptionError(f"step norm {self.step_norm} is not finite nonnegative")
-        if not (np.isfinite(self.residual) and self.residual >= 0):
+        if not (math.isfinite(self.residual) and self.residual >= 0):
             raise SolverCorruptionError(f"residual {self.residual} is not finite nonnegative")
 
 
@@ -309,6 +314,10 @@ def _validate_gamma(gamma, epsilon, n):
         raise ConfigurationError(
             f"gamma_{n} = {gamma} below the floor epsilon = {epsilon}")
     return float(gamma)
+
+
+def _length(d):
+    return math.sqrt(d.dot(d))
 
 
 def _stall_floor(cfg, x):
@@ -357,23 +366,30 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
     x0 = vector(x0)
     check_dim(x0, m.dim, "starting point")
     x = x0
-    lam_of = _relaxation_schedule(cfg.relaxation, cfg.epsilon)
+    lam_of, takes_ctx = _relaxation_schedule(cfg.relaxation, cfg.epsilon)
     history = _history_for(policy)
     history.append(x)
     trace = []
     stall = 0
+    paired = None, None  # the (kernel, gamma) pairing last checked
+    y = None  # the previous y warm-starts the next backward solve
     status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
     for n in range(cfg.max_iter):
         gamma = _validate_gamma(gamma_fn(n), cfg.epsilon, n)
         kern = kernel_fn(n)
+        if kern is not paired[0] or gamma != paired[1]:
+            _check_pairing(m, kern, gamma)
+            paired = kern, gamma
         x_tilde = apply_policy(policy, history, n)
-        y, y_star = _warped_pair(m, kern, gamma, x_tilde)
-        theta = inner(y - x, y_star)
-        sigma = inner(y_star, y_star)
-        residual = float(np.sqrt(sigma))
-        done = residual <= cfg.tol_residual and norm(x_tilde - y) <= cfg.tol_step
+        y, y_star = _warped_pair(m, kern, gamma, x_tilde, y)
+        # np.dot and sqrt(d.dot(d)) are what inner() and np.linalg.norm compute.
+        theta = float(np.dot(y - x, y_star))
+        sigma = float(np.dot(y_star, y_star))
+        residual = math.sqrt(sigma)
+        done = residual <= cfg.tol_residual and _length(x_tilde - y) <= cfg.tol_step
         if not anchored:
-            ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star, theta, sigma)
+            ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star,
+                                   theta, sigma) if takes_ctx else None
             lam = lam_of(n, ctx)
             rho, x_next = relaxed_cut(x, theta, sigma, y_star, lam)
         elif done:
@@ -389,7 +405,7 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
                 raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
         trace.append(IterationRecord(
             n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
-            step_norm=float(np.linalg.norm(x_next - x)), residual=residual,
+            step_norm=_length(x_next - x), residual=residual,
             theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma,
             fejer_gaps=_gaps(x, zeros)))
         if done:

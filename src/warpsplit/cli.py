@@ -264,28 +264,25 @@ class ProblemFile:
         return self.root.child("solver") or Section("solver")
 
     def _config(self, solver, overrides):
-        def pick(key, default):
+        def pick(key, default, kind=float):
             ov = overrides.get(key)
-            if ov is not None:
-                return ov
-            v = solver.get(key)
-            return default if v is None else v
+            return ov if ov is not None else _number(solver, key, default, kind)
 
-        lam = pick("relax", solver.get("lambda", 1.0))
+        lam = pick("relax", _number(solver, "lambda", 1.0))
         lam_block = solver.child("lambda")
         if lam_block is not None and overrides.get("relax") is None:
             lam = _schedule_from_block(lam_block)
-        gamma = overrides.get("gamma", solver.get("gamma"))
+        gamma = pick("gamma", None)
         gamma_block = solver.child("gamma")
         if gamma_block is not None and overrides.get("gamma") is None:
             gamma = _schedule_from_block(gamma_block)
         cfg = alg.SolverConfig(
-            epsilon=float(solver.get("epsilon", 0.05)),
+            epsilon=_number(solver, "epsilon", 0.05),
             relaxation=lam,
             step_size=gamma,
-            max_iter=int(pick("max_iter", 1000)),
-            tol_residual=float(pick("tol_residual", 1e-8)),
-            tol_step=float(pick("tol_step", 1e-8)),
+            max_iter=pick("max_iter", 1000, int),
+            tol_residual=pick("tol_residual", 1e-8),
+            tol_step=pick("tol_step", 1e-8),
         )
         return cfg
 
@@ -297,12 +294,12 @@ class ProblemFile:
         if kind == "none":
             return alg.PerturbationPolicy.none()
         if kind == "inertial":
-            return alg.PerturbationPolicy.inertial(float(sec.require("alpha")))
+            return alg.PerturbationPolicy.inertial(_number(sec, "alpha"))
         if kind == "memory":
             return alg.PerturbationPolicy.memory(_floats(sec, "weights", 1))
         if kind == "additive":
-            scale = float(sec.require("scale"))
-            rate = float(sec.require("rate"))
+            scale = _number(sec, "scale")
+            rate = _number(sec, "rate")
             if not 0 <= rate < 1:
                 raise ConfigurationError(
                     f"additive policy rate must lie in [0, 1[ so that |e_n| -> 0, got {rate}")
@@ -320,28 +317,28 @@ class ProblemFile:
     def _assemble_inclusion(self):
         root = self.root
         x0 = root.get("x0")
-        dim = root.get("dim")
+        dim = _dim(root, None)
         if x0 is None and dim is None:
             raise ProblemFormatError("inclusion problem needs 'x0' or 'dim'")
-        self.x0 = np.zeros(int(dim)) if x0 is None else _floats(root, "x0", 1)
-        self.dim = int(dim) if dim is not None else len(self.x0)
+        self.x0 = np.zeros(dim) if x0 is None else _floats(root, "x0", 1)
+        self.dim = dim if dim is not None else len(self.x0)
         if self.x0.shape != (self.dim,):
             raise ProblemFormatError(
                 f"x0 has length {self.x0.shape[0]}, dim says {self.dim}")
         a_sec = root.child("A")
         if a_sec is None:
             raise ProblemFormatError("inclusion problem needs a 'begin A' block")
-        self.A = ops.make_set_valued(a_sec.require("name"), _op_params(a_sec), self.dim)
+        self.A = _operator(a_sec, ops.make_set_valued, self.dim)
         b_sec = root.child("B")
         self.B = None
         if b_sec is not None:
-            self.B = ops.make_single_valued(b_sec.require("name"), _op_params(b_sec), self.dim)
+            self.B = _operator(b_sec, ops.make_single_valued, self.dim)
         k_sec = root.child("kernel")
         self.kernel_name = k_sec.get("name", "identity") if k_sec is not None else "identity"
         if self.kernel_name not in ("identity", "fbf"):
             raise ConfigurationError(
                 f"unknown kernel {self.kernel_name!r}; known: identity, fbf")
-        self.kernel_epsilon = float(k_sec.get("epsilon", 0.0)) if k_sec is not None else 0.0
+        self.kernel_epsilon = _number(k_sec, "epsilon", 0.0) if k_sec is not None else 0.0
         solver = self._solver_section()
         self.variant = solver.get("variant", "weak")
         if self.variant not in ("weak", "strong", "fbf", "tseng"):
@@ -421,45 +418,45 @@ class ProblemFile:
         root = self.root
         primal, dual = [], []
         for sec in root.all_children("primal"):
-            dim = int(sec.require("dim"))
+            dim = _dim(sec)
             a_sec = sec.child("A")
             if a_sec is None:
                 raise ProblemFormatError("primal block needs a 'begin A' block")
-            A = ops.make_set_valued(a_sec.require("name"), _op_params(a_sec), dim)
+            A = _operator(a_sec, ops.make_set_valued, dim)
             C = None
             c_sec = sec.child("C")
             if c_sec is not None:
-                C = ops.make_single_valued(c_sec.require("name"), _op_params(c_sec), dim)
+                C = _operator(c_sec, ops.make_single_valued, dim)
             primal.append(alg.PrimalBlock(
                 A=A, C=C,
                 s_star=_vec_or_none(sec, "s_star"),
-                alpha=float(sec.get("alpha", 1.0)),
-                chi=float(sec.get("chi", 1.0)),
-                epsilon=_float_or_none(sec.get("epsilon")),
-                mu=_float_or_none(sec.get("mu"))))
+                alpha=_number(sec, "alpha", 1.0),
+                chi=_number(sec, "chi", 1.0),
+                epsilon=_number(sec, "epsilon", None),
+                mu=_number(sec, "mu", None)))
         for sec in root.all_children("dual"):
-            dim = int(sec.require("dim"))
+            dim = _dim(sec)
             b_sec = sec.child("B")
             if b_sec is None:
                 raise ProblemFormatError("dual block needs a 'begin B' block")
-            B = ops.make_set_valued(b_sec.require("name"), _op_params(b_sec), dim)
+            B = _operator(b_sec, ops.make_set_valued, dim)
             D = None
             d_sec = sec.child("D")
             if d_sec is not None:
-                D = ops.make_single_valued(d_sec.require("name"), _op_params(d_sec), dim)
+                D = _operator(d_sec, ops.make_single_valued, dim)
             dual.append(alg.DualBlock(
                 B=B, D=D,
                 r=_vec_or_none(sec, "r"),
-                beta=float(sec.get("beta", 1.0)),
-                kappa=float(sec.get("kappa", 1.0)),
-                delta=_float_or_none(sec.get("delta")),
-                nu=_float_or_none(sec.get("nu"))))
+                beta=_number(sec, "beta", 1.0),
+                kappa=_number(sec, "kappa", 1.0),
+                delta=_number(sec, "delta", None),
+                nu=_number(sec, "nu", None)))
         if not primal or not dual:
             raise ProblemFormatError("coupled problem needs 'primal' and 'dual' blocks")
         couplings = {}
         for sec in root.all_children("coupling"):
-            i = int(sec.require("primal")) - 1
-            j = int(sec.require("dual")) - 1
+            i = _number(sec, "primal", kind=int) - 1
+            j = _number(sec, "dual", kind=int) - 1
             couplings[(j, i)] = LinearMap(_floats(sec, "matrix", 2))
         self.problem = alg.CoupledProblem(primal, dual, couplings)
         self.gamma_stage = _stage_constants(primal, root.all_children("primal"), "gamma")
@@ -530,6 +527,14 @@ def _cfg_with(cfg, **kw):
         stall_limit=kw.get("stall_limit", cfg.stall_limit))
 
 
+def _operator(section: Section, make, dim):
+    """The catalog operator a block names; a configuration error names the block."""
+    try:
+        return make(section.require("name"), _op_params(section), dim)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"block {section.name!r}: {exc}") from None
+
+
 def _op_params(section: Section):
     out = {}
     for k, v in section.entries.items():
@@ -561,14 +566,31 @@ def _vec_or_none(section, key):
     return None if section.get(key) is None else _floats(section, key, 1)
 
 
-def _float_or_none(v):
-    return None if v is None else float(v)
+_REQUIRED = object()
+
+
+def _number(section: Section, key, default=_REQUIRED, kind=float):
+    """The value of ``key`` as a float (or int), ``default`` when absent.
+
+    A value that is not a number raises a ConfigurationError naming the key
+    and the block.
+    """
+    value = section.require(key) if default is _REQUIRED else section.get(key)
+    if value is None:
+        return default
+    return ops.number(value, key, f"block {section.name!r}", kind)
+
+
+def _dim(section: Section, default=_REQUIRED):
+    dim = _number(section, "dim", default, int)
+    if dim is not None and dim < 1:
+        raise ProblemFormatError(f"'dim' in block {section.name!r} must be positive, got {dim}")
+    return dim
 
 
 def _stage_constants(blocks, sections, key):
     # A stage constant the file leaves out takes its block's default.
-    return [blk.default_step if sec.get(key) is None else float(sec.get(key))
-            for blk, sec in zip(blocks, sections)]
+    return [_number(sec, key, blk.default_step) for blk, sec in zip(blocks, sections)]
 
 
 def _stacked(section, key, layout):
@@ -582,11 +604,11 @@ def _stacked(section, key, layout):
 def _schedule_from_block(block: Section):
     rule = block.get("rule", "constant")
     if rule == "constant":
-        return float(block.require("value"))
+        return _number(block, "value")
     if rule == "geometric":
-        start = float(block.require("start"))
-        factor = float(block.require("factor"))
-        floor = float(block.require("floor"))
+        start = _number(block, "start")
+        factor = _number(block, "factor")
+        floor = _number(block, "floor")
         if not 0 < factor <= 1:
             raise ConfigurationError(f"geometric factor must lie in ]0, 1], got {factor}")
         return lambda n: max(floor, start * factor ** n)

@@ -16,9 +16,16 @@ evaluations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import BackwardSolveError, ConfigurationError, DimensionMismatchError
+from .errors import (
+    BackwardSolveError,
+    ConfigurationError,
+    DimensionMismatchError,
+    NonFiniteEntryError,
+)
 from .operators import (
     BlockDiagonalOperator,
     GraphPoint,
@@ -62,13 +69,15 @@ def _forward_matches(fold_op, forward_part):
     return fold_op.tag is not None and fold_op.tag == forward_part.tag
 
 
-def solve_base_inclusion(W, gamma, A, v):
+def solve_base_inclusion(W, gamma, A, v, start=None):
     """Solve v in W(p) + gamma * A(p) for the unique p.
 
     W is a strongly monotone Lipschitz map (None means the identity).  The
     scaled-identity case is closed form; otherwise a contraction inner loop
     with ratio sqrt(1 - (alpha/beta)^2) runs to residual
-    ``1e-12 * (1 + |v|)`` within 200 iterations, else raises.
+    ``1e-12 * (1 + |v|)`` within 200 iterations, else raises.  The loop
+    starts from ``start`` when given (any point converges), else from the
+    resolvent at v; a non-finite residual raises at once.
     """
     if W is None:
         return A.resolvent(gamma, v)
@@ -80,16 +89,23 @@ def solve_base_inclusion(W, gamma, A, v):
             f"backward solve with base {W.name!r} needs a declared strong-monotonicity constant")
     c = W.lipschitz ** 2 / W.strong_monotonicity
     tol = INNER_TOL_SCALE * (1.0 + float(np.linalg.norm(v)))
-    u = v / c
-    p = A.resolvent(gamma / c, u)
+    if not math.isfinite(tol):
+        raise NonFiniteEntryError(f"backward solve right-hand side has norm {tol / INNER_TOL_SCALE}")
+    g = gamma / c
+    p = A.resolvent(g, v / c) if start is None else start
+    Wp = W(p)
     residual = np.inf
     for _ in range(INNER_MAX_ITER):
-        u = (v - W(p) + c * p) / c
-        p = A.resolvent(gamma / c, u)
+        u = (v - Wp + c * p) / c
+        p = A.resolvent(g, u)
+        Wp = W(p)
         # u - p in (gamma/c) A p, so c*(u - p) is gamma * (a point of A p)
-        residual = float(np.linalg.norm(W(p) + c * (u - p) - v))
+        r = Wp + c * (u - p) - v
+        residual = math.sqrt(r.dot(r))  # np.linalg.norm(r), bit for bit
         if residual <= tol:
             return p
+        if not math.isfinite(residual):
+            raise NonFiniteEntryError(f"backward solve residual {residual} is not finite")
     raise BackwardSolveError(
         f"backward solve did not reach tolerance {tol:.3e} within "
         f"{INNER_MAX_ITER} iterations (residual {residual:.3e})",
@@ -155,29 +171,37 @@ class Kernel:
             raise ConfigurationError(f"kernel {self.name!r} has no structured base")
         if self.layout is None:
             W, c = self.base[0]
-            return c * x if W is None else c * W(x)
+            if W is None:
+                return c * x
+            s = W.scale_of_identity
+            return c * W(x) if s is None else c * (s * x)
         y = self._coef * x
         for sl, W, c in self._general:
             y[sl] = c * W(x[sl])
         return y
 
     def eval(self, x) -> np.ndarray:
+        """K x.
+
+        Only an ``eval_override`` output is scanned for NaN/Inf here: the
+        structured form's forward outputs are checked by their operators, and
+        an overflow in it is caught by the graph point's y* scan.
+        """
         x = np.asarray(x, dtype=float)
         check_dim(x, self.dim, f"kernel {self.name} argument")
         if self._eval_override is not None:
             y = np.asarray(self._eval_override(x), dtype=float)
-        else:
-            y = self.base_eval(x)
-            if self.fold is not None:
-                g, B = self.fold
-                y = y - g * B(x)
-        check_finite(y, f"kernel {self.name} output")
+            return check_finite(y, f"kernel {self.name} output")
+        y = self.base_eval(x)
+        if self.fold is not None:
+            g, B = self.fold
+            y = y - g * B(x)
         return y
 
     # -- warped backward solve ----------------------------------------------
 
-    def backward_solve(self, gamma, set_part: SetValuedOperator, v) -> np.ndarray:
-        """Solve v in K_base(p) + gamma * A(p)."""
+    def backward_solve(self, gamma, set_part: SetValuedOperator, v, start=None) -> np.ndarray:
+        """Solve v in K_base(p) + gamma * A(p); ``start`` warm-starts inner loops."""
         if self.base is None:
             raise ConfigurationError(
                 f"kernel {self.name!r} has no backward solve; it is evaluation-only")
@@ -191,7 +215,7 @@ class Kernel:
         if self.layout is None:
             W, c = self.base[0]
             # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c
-            return solve_base_inclusion(W, gamma / c, set_part, v / c)
+            return solve_base_inclusion(W, gamma / c, set_part, v / c, start)
         if not isinstance(set_part, BlockDiagonalOperator) or \
                 set_part.layout.dims != self.layout.dims:
             raise ConfigurationError(
@@ -199,7 +223,8 @@ class Kernel:
                 f"its layout {self.layout.dims}")
         out = np.empty(self.dim)
         for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
-            out[sl] = solve_base_inclusion(W, gamma / c, A_b, v[sl] / c)
+            out[sl] = solve_base_inclusion(W, gamma / c, A_b, v[sl] / c,
+                                           None if start is None else start[sl])
         return out
 
     def __repr__(self):
@@ -230,11 +255,15 @@ def _check_pairing(m: MDecomposition, kernel: Kernel, gamma):
             f"with gamma = {gamma}")
 
 
-def _warped_pair(m: MDecomposition, kernel: Kernel, gamma, x):
-    _check_pairing(m, kernel, gamma)
+def _warped_pair(m: MDecomposition, kernel: Kernel, gamma, x, start=None):
+    """(y, y*) at x for a pairing the caller has checked.
+
+    y* is the one finite scan of the graph point: it catches an overflow in
+    either kernel evaluation.  ``start`` warm-starts inner loops.
+    """
     w = kernel.eval(x)
-    y = kernel.backward_solve(gamma, m.set_part, w)
-    y_star = (w - kernel.eval(y)) / gamma
+    y = kernel.backward_solve(gamma, m.set_part, w, start)
+    y_star = check_finite((w - kernel.eval(y)) / gamma, "graph point y*")
     return y, y_star
 
 
@@ -262,6 +291,7 @@ def graph_point(m: MDecomposition, kernel: Kernel, gamma, x_tilde) -> GraphPoint
     if not gamma > 0:
         raise ConfigurationError(f"graph_point needs gamma > 0, got {gamma}")
     x_tilde = np.asarray(x_tilde, dtype=float)
+    _check_pairing(m, kernel, gamma)
     y, y_star = _warped_pair(m, kernel, gamma, x_tilde)
     return GraphPoint(y=y, y_star=y_star)
 

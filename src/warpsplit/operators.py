@@ -365,6 +365,25 @@ def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
 # Catalog (the vocabulary of the CLI problem-file format)
 # ---------------------------------------------------------------------------
 
+def number(value, key, where, kind=float):
+    """``value`` as a scalar of type ``kind``: float, or int for an integral value.
+
+    A word, a list or array, or a non-integral value for an int raises a
+    ConfigurationError naming ``key`` and ``where``.
+    """
+    if type(value) is kind:
+        return value
+    try:
+        out = None if getattr(value, "ndim", 0) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and out != value):
+        expected = "an integer" if kind is int else "a number"
+        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        raise ConfigurationError(f"{key!r} in {where} must be {expected}, got {shown!r}")
+    return out
+
+
 def _build_box(params, dim):
     return box_normal_cone(params["lo"], params["hi"])
 
@@ -373,11 +392,12 @@ def _build_ball(params, dim):
     center = params.get("center")
     if center is None:
         center = np.zeros(dim)
-    return ball_normal_cone(center, params["radius"])
+    return ball_normal_cone(center, number(params["radius"], "radius", "operator 'ball'"))
 
 
 def _build_halfspace(params, dim):
-    return halfspace_normal_cone(params["normal"], params["offset"])
+    return halfspace_normal_cone(
+        params["normal"], number(params["offset"], "offset", "operator 'halfspace'"))
 
 
 def _build_affine_set(params, dim):
@@ -385,7 +405,7 @@ def _build_affine_set(params, dim):
 
 
 def _build_l1(params, dim):
-    return l1_operator(dim, params.get("weight", 1.0))
+    return l1_operator(dim, number(params.get("weight", 1.0), "weight", "operator 'l1'"))
 
 
 def _build_zero(params, dim):
@@ -393,7 +413,8 @@ def _build_zero(params, dim):
 
 
 def _build_scaled_identity(params, dim):
-    return scaled_identity_operator(dim, params.get("scale", 1.0))
+    return scaled_identity_operator(
+        dim, number(params.get("scale", 1.0), "scale", "operator 'scaled_identity'"))
 
 
 def _build_affine(params, dim):
@@ -426,7 +447,7 @@ def _build_zero_map(params, dim):
 
 
 def _build_identity_map(params, dim):
-    return identity_map(dim, params.get("scale", 1.0))
+    return identity_map(dim, number(params.get("scale", 1.0), "scale", "operator 'identity_map'"))
 
 
 SINGLE_VALUED_CATALOG = {

@@ -346,6 +346,34 @@ def test_malformed_matrix_is_usage_error(tmp_path, capsys, matrix):
     assert "'matrix' in block 'B' is not a" in err and "Traceback" not in err
 
 
+SCALARS = """\
+kind = inclusion
+dim = 2
+begin A
+  name = ball
+  radius = 1.0
+end
+begin solver
+  max_iter = 100
+end
+"""
+
+
+@pytest.mark.parametrize("good, bad, named", [
+    ("dim = 2", "dim = foo", "'dim' in block 'root'"),
+    ("dim = 2", "dim = -1", "'dim' in block 'root'"),
+    ("max_iter = 100", "max_iter = lots", "'max_iter' in block 'solver'"),
+    ("radius = 1.0", "radius = [1.0]", "block 'A': 'radius'"),
+])
+def test_malformed_scalar_is_usage_error(tmp_path, capsys, good, bad, named):
+    args = ["--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+    assert main(["run", "--problem", write(tmp_path, "ok.txt", SCALARS), *args]) == EXIT_OK
+    code = main(["run", "--problem", write(tmp_path, "m.txt", SCALARS.replace(good, bad)), *args])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("variant", ["strong", "weak"])
 def test_zero_forward_matrix_projects_onto_box(tmp_path, variant):
     prob = write(tmp_path, "z.txt", ZERO_FORWARD.replace("strong", variant))

@@ -1,0 +1,318 @@
+"""What the iteration engine's hot path promises.
+
+Finiteness and shape are checked where values enter: forward outputs,
+resolvent outputs, general-base outputs, y* once per graph point and the
+inner-loop residual.  A bad value from a user oracle raises a typed error
+at the iteration it appears in and never reaches a trace record.  The inner
+loop of a general base is warm-started from the previous y within one run
+only, and identity bases and the pairing check cost nothing per iteration.
+"""
+
+import numpy as np
+import pytest
+
+from warpsplit import (
+    ConfigurationError,
+    CoupledProblem,
+    DimensionMismatchError,
+    DualBlock,
+    MDecomposition,
+    NonFiniteEntryError,
+    PrimalBlock,
+    SetValuedOperator,
+    SingleValuedOperator,
+    SolverConfig,
+    affine_map,
+    box_normal_cone,
+    fbf_kernel,
+    identity_map,
+    map_kernel,
+    scaled_identity_operator,
+    solve_coupled,
+    solve_strong,
+    solve_weak,
+)
+from warpsplit import algorithms, kernels
+from warpsplit.kernels import solve_base_inclusion
+
+FAULT_AT = 6  # the oracle call that goes bad
+BASE_FAULT_SOLVE = 3  # the backward solve whose inner loop sees a bad base value
+
+
+def tight(max_iter):
+    return SolverConfig(max_iter=max_iter, tol_residual=1e-300, tol_step=1e-300)
+
+
+def skew_unit(rng, d):
+    R = rng.normal(size=(d, d))
+    R = R - R.T
+    return R / np.linalg.norm(R, 2)
+
+
+def faulty(fn, bad):
+    """fn, except that call FAULT_AT returns ``bad(out)``."""
+    calls = [0]
+
+    def wrapped(*args):
+        out = fn(*args)
+        calls[0] += 1
+        return bad(out) if calls[0] == FAULT_AT else out
+
+    return wrapped
+
+
+def faulty_in_inner_loop(fn, solve):
+    """fn, except that its second call in backward solve BASE_FAULT_SOLVE
+    (``solve[0]`` numbers the running solve, 0 outside one) returns NaN."""
+    calls = [0]
+
+    def wrapped(x):
+        out = fn(x)
+        if solve[0] == BASE_FAULT_SOLVE:
+            calls[0] += 1
+            if calls[0] == 2:
+                return nan_out(out)
+        return out
+
+    return wrapped
+
+
+def nan_out(out):
+    return np.full_like(out, np.nan)
+
+
+def inf_out(out):
+    return np.full_like(out, np.inf)
+
+
+def short_out(out):
+    return out[:-1]
+
+
+def user_ops(d, rng):
+    """A box resolvent, a monotone affine forward map and a general base
+    W = I + 0.5 R, each as a user oracle."""
+    lo, hi = -np.ones(d), np.ones(d)
+    G = rng.normal(size=(d, d))
+    M = G @ G.T / d + 0.3 * np.eye(d) + 0.5 * skew_unit(rng, d)
+    b = rng.normal(size=d)
+    Wm = np.eye(d) + 0.5 * skew_unit(rng, d)
+    A = lambda g, x: np.clip(x, lo, hi)
+    B = lambda x: M @ x + b
+    W = lambda x: Wm @ x
+    return A, B, W, float(np.linalg.norm(M, 2)), float(np.linalg.norm(Wm, 2))
+
+
+def weak_or_strong(solver, fault, solve):
+    d = 3
+    A_fn, B_fn, W_fn, b_lip, w_lip = user_ops(d, np.random.default_rng(71))
+    if fault == "resolvent_nan":
+        A_fn = faulty(A_fn, nan_out)
+    elif fault == "resolvent_shape":
+        A_fn = faulty(A_fn, short_out)
+    elif fault == "forward_inf":
+        B_fn = faulty(B_fn, inf_out)
+    else:
+        W_fn = faulty_in_inner_loop(W_fn, solve)
+    A = SetValuedOperator(d, A_fn, name="user_box")
+    B = SingleValuedOperator(d, B_fn, lipschitz=b_lip, name="user_forward")
+    if fault == "base_nan":
+        W = SingleValuedOperator(d, W_fn, lipschitz=w_lip, strong_monotonicity=1.0,
+                                 name="user_base")
+    else:
+        W = identity_map(d)
+    eps = 0.05
+    k = fbf_kernel(W, B, 0.9 * (1.0 - eps) / b_lip, eps)
+    run = solve_weak if solver == "weak" else solve_strong
+    return lambda: run(MDecomposition(A, B), k, None, tight(200), np.full(d, 3.0))
+
+
+def coupled(fault, solve):
+    d = 2
+    A_fn, C_fn, F_fn, c_lip, f_lip = user_ops(d, np.random.default_rng(72))
+    if fault == "resolvent_nan":
+        A_fn = faulty(A_fn, nan_out)
+    elif fault == "resolvent_shape":
+        A_fn = faulty(A_fn, short_out)
+    elif fault == "forward_inf":
+        C_fn = faulty(C_fn, inf_out)
+    else:
+        F_fn = faulty_in_inner_loop(F_fn, solve)
+    A = SetValuedOperator(d, A_fn, name="user_box")
+    C = SingleValuedOperator(d, C_fn, lipschitz=c_lip, name="user_forward")
+    F = SingleValuedOperator(d, F_fn, lipschitz=f_lip, strong_monotonicity=1.0, name="user_base")
+    general = fault == "base_nan"
+    prob = CoupledProblem(
+        [PrimalBlock(A=A, C=C, s_star=[1.0, -1.0], alpha=1.0, chi=f_lip if general else 1.0)],
+        [DualBlock(B=scaled_identity_operator(d, 1.0), r=[0.5, 0.5])],
+        {(0, 0): np.array([[1.0, 0.5], [0.0, 1.0]])})
+    return lambda: solve_coupled(prob, tight(200), F_schedule=[F] if general else None)
+
+
+@pytest.mark.parametrize("solver", ["weak", "strong", "coupled"])
+@pytest.mark.parametrize("fault, error", [
+    ("resolvent_nan", NonFiniteEntryError),
+    ("forward_inf", NonFiniteEntryError),
+    ("resolvent_shape", DimensionMismatchError),
+    ("base_nan", NonFiniteEntryError),
+])
+def test_bad_oracle_value_raises_typed_error_before_any_record(monkeypatch, solver, fault, error):
+    records = []
+    record = algorithms.IterationRecord
+
+    def recording(**fields):
+        records.append(record(**fields))
+        return records[-1]
+
+    monkeypatch.setattr(algorithms, "IterationRecord", recording)
+    # Number the backward solves through the user base, so that it goes bad inside one.
+    solve, count = [0], [0]
+    inner = kernels.solve_base_inclusion
+
+    def numbered(W, *args):
+        if getattr(W, "name", None) != "user_base":
+            return inner(W, *args)
+        count[0] += 1
+        solve[0] = count[0]
+        try:
+            return inner(W, *args)
+        finally:
+            solve[0] = 0
+
+    monkeypatch.setattr(kernels, "solve_base_inclusion", numbered)
+    run = coupled(fault, solve) if solver == "coupled" else weak_or_strong(solver, fault, solve)
+    with pytest.raises(error):
+        run()
+    assert records, "the fault should hit after some iterations"
+    for rec in records:
+        for v in (rec.x, rec.x_tilde, rec.y, rec.y_star):
+            assert np.isfinite(v).all()
+        assert np.isfinite([rec.theta, rec.sigma, rec.rho, rec.residual, rec.step_norm]).all()
+
+
+@pytest.mark.parametrize("solver", [solve_weak, solve_strong])
+def test_kernel_overflow_is_caught_at_y_star(solver):
+    # K x = 10 x overflows for a finite x; the backward solve clamps it back
+    # into the box, so only the y* scan sees the Inf.
+    m = MDecomposition(box_normal_cone([-1.0, -1.0], [1.0, 1.0]))
+    k = map_kernel(identity_map(2, scale=10.0))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteEntryError):
+        solver(m, k, None, SolverConfig(step_size=1.0), [1e308, 1e308])
+
+
+def test_non_finite_inner_residual_raises_at_once():
+    # c = |W|^2 / alpha = 1e300, so c * start overflows although every oracle
+    # output is finite: the loop stops at its first step instead of failing
+    # with BackwardSolveError after 200.
+    W = affine_map(np.array([[1.0, 1e150], [-1e150, 1.0]]))
+    A = box_normal_cone([-1e10] * 2, [1e10] * 2)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteEntryError, match="residual"):
+        solve_base_inclusion(W, 1.0, A, np.ones(2), start=np.full(2, 1e10))
+
+
+# ---------------------------------------------------------------------------
+# Warm start and per-run work
+# ---------------------------------------------------------------------------
+
+def general_base_problem(d=4, seed=73):
+    """The regression recipe with the general kernel base W = I + 0.5 R."""
+    rng = np.random.default_rng(seed)
+    lo, hi = -rng.uniform(0.5, 1.5, d), rng.uniform(0.5, 1.5, d)
+    z = lo + (hi - lo) * rng.uniform(0.3, 0.7, d)
+    G, S = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    M = G @ G.T / d + 0.3 * np.eye(d) + 0.5 * (S - S.T)
+    B = affine_map(M, -M @ z)
+    eps = min(0.05, 0.9 / (B.lipschitz + 1.0))
+    gamma = 0.9 * (1.0 - eps) / B.lipschitz
+    W = affine_map(np.eye(d) + 0.5 * skew_unit(rng, d))
+    cfg = SolverConfig(epsilon=eps, step_size=gamma, max_iter=2000,
+                       tol_residual=1e-9, tol_step=1e-9)
+    x0 = z + rng.uniform(0.5, 1.0, d)
+    return box_normal_cone(lo, hi), B, W, gamma, eps, cfg, x0, z
+
+
+def record_bytes(res):
+    return b"".join(
+        r.x.tobytes() + r.y.tobytes() + r.y_star.tobytes()
+        + np.array([r.residual, r.step_norm, r.theta, r.sigma, r.rho]).tobytes()
+        for r in res.trace) + res.x.tobytes()
+
+
+def test_same_general_kernel_object_reruns_byte_identical():
+    A, B, W, gamma, eps, cfg, x0, z = general_base_problem()
+    m, k = MDecomposition(A, B), fbf_kernel(W, B, gamma, eps)
+    first = solve_weak(m, k, None, cfg, x0)
+    second = solve_weak(m, k, None, cfg, x0)
+    assert first.converged and np.linalg.norm(first.x - z) <= 1e-6
+    assert record_bytes(first) == record_bytes(second)
+
+
+def test_warm_start_cuts_inner_resolvents_and_meets_tolerance(monkeypatch):
+    A_box, B, W, gamma, eps, cfg, x0, z = general_base_problem()
+    last = []  # (input, output) of every resolvent call
+
+    def counted(g, x):
+        last.append((x.copy(), A_box.resolvent(g, x)))
+        return last[-1][1]
+
+    A = SetValuedOperator(A_box.dim, counted, name="counted_box")
+    solves = []  # (v, start, resolvent calls, last resolvent input, output)
+
+    def spy(W_, g, A_, v, start=None):
+        before = len(last)
+        p = solve_base_inclusion(W_, g, A_, v, start)
+        solves.append((v, start, len(last) - before, *last[-1]))
+        return p
+
+    monkeypatch.setattr(kernels, "solve_base_inclusion", spy)
+    res = solve_weak(MDecomposition(A, B), fbf_kernel(W, B, gamma, eps), None, cfg, x0)
+    assert res.converged and len(solves) == res.iterations
+    assert solves[0][1] is None and all(s[1] is not None for s in solves[1:])
+    c = W.lipschitz ** 2 / W.strong_monotonicity
+    for v, _, _, u, p in solves:
+        # u - p lies in (gamma/c) A p, so W p + c (u - p) - v is the residual of v in W p + gamma A p
+        assert np.linalg.norm(W(p) + c * (u - p) - v) <= 1e-12 * (1.0 + np.linalg.norm(v))
+    warm = sum(s[2] for s in solves)
+    cold = 0
+    for v, *_ in solves:
+        before = len(last)
+        solve_base_inclusion(W, gamma, A, v)
+        cold += len(last) - before
+    assert warm < cold
+
+
+def test_identity_base_is_never_called(monkeypatch):
+    A, B, _, gamma, eps, _, x0, _ = general_base_problem()
+    W = identity_map(A.dim)
+    calls = {W: 0, B: 0}
+    call = SingleValuedOperator.__call__
+
+    def counting(op, x):
+        calls[op] = calls.get(op, 0) + 1
+        return call(op, x)
+
+    monkeypatch.setattr(SingleValuedOperator, "__call__", counting)
+    res = solve_weak(MDecomposition(A, B), fbf_kernel(W, B, gamma, eps), None, tight(40), x0)
+    assert calls[W] == 0 and calls[B] == 2 * res.iterations == 80
+
+
+def test_pairing_checked_once_per_kernel_and_gamma(monkeypatch):
+    A, B, W, gamma, eps, _, x0, _ = general_base_problem()
+    checks = []
+    check = algorithms._check_pairing
+    monkeypatch.setattr(algorithms, "_check_pairing", lambda *a: checks.append(check(*a)))
+    m, k = MDecomposition(A, B), fbf_kernel(identity_map(A.dim), B, gamma, eps)
+    solve_weak(m, k, None, tight(30), x0)
+    assert len(checks) == 1
+    # A step that leaves the kernel's folded gamma is checked when it changes.
+    cfg = SolverConfig(epsilon=eps, step_size=lambda n: gamma if n < 5 else 0.5 * gamma,
+                       max_iter=30, tol_residual=1e-300, tol_step=1e-300)
+    with pytest.raises(ConfigurationError, match="folded with gamma"):
+        solve_weak(m, k, None, cfg, x0)
+    checks.clear()
+    # A kernel schedule hands out a new kernel, and a new gamma, every step.
+    steps = [gamma * (1.0 - 0.001 * n) for n in range(30)]
+    cfg = SolverConfig(epsilon=eps, step_size=lambda n: steps[n], max_iter=30,
+                       tol_residual=1e-300, tol_step=1e-300)
+    solve_weak(m, lambda n: fbf_kernel(identity_map(A.dim), B, steps[n], eps), None, cfg, x0)
+    assert len(checks) == 30
