@@ -86,10 +86,7 @@ from .operators import (
 from .space import (
     BlockLayout,
     LinearMap,
-    ProductVector,
     inner,
-    norm,
-    normalize_or_zero,
     vector,
 )
 

@@ -54,7 +54,7 @@ from .operators import (
     identity_map,
     zero_map,
 )
-from .space import BlockLayout, LinearMap, ProductVector, check_dim, vector
+from .space import BlockLayout, LinearMap, check_dim, vector
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +603,9 @@ class CoupledProblem:
     """A system of coupled monotone inclusions with linear couplings.
 
     ``couplings`` maps (dual index j, primal index i) to the matrix of
-    L_{ji}; missing pairs are zero.  The stacked Kuhn-Tucker operator, its
+    L_{ji}; missing pairs are zero.  ``coupling`` holds them all as one
+    read-only stacked matrix L (dual total x primal total), so that L x and
+    L* v* are one matvec each.  The stacked Kuhn-Tucker operator, its
     forward part and the skew norm are built once and cached, so kernels
     and decompositions assembled from the same problem instance share the
     same forward object.
@@ -614,6 +616,12 @@ class CoupledProblem:
         self.dual = list(dual)
         if not self.primal or not self.dual:
             raise ConfigurationError("a coupled problem needs at least one primal and one dual block")
+        self.primal_layout = BlockLayout(tuple(b.dim for b in self.primal))
+        self.dual_layout = BlockLayout(tuple(b.dim for b in self.dual))
+        self.layout = BlockLayout(
+            self.primal_layout.dims + self.dual_layout.dims + self.dual_layout.dims)
+        po, do = self.primal_layout.offsets, self.dual_layout.offsets
+        self.coupling = np.zeros((do[-1], po[-1]))
         self._L = {}
         for (j, i), mat in dict(couplings).items():
             if not (0 <= i < len(self.primal) and 0 <= j < len(self.dual)):
@@ -624,10 +632,8 @@ class CoupledProblem:
                     f"coupling ({j}, {i}) has shape {L.matrix.shape}, expected "
                     f"({self.dual[j].dim}, {self.primal[i].dim})")
             self._L[(j, i)] = L
-        self.primal_layout = BlockLayout(tuple(b.dim for b in self.primal))
-        self.dual_layout = BlockLayout(tuple(b.dim for b in self.dual))
-        self.layout = BlockLayout(
-            self.primal_layout.dims + self.dual_layout.dims + self.dual_layout.dims)
+            self.coupling[do[j]:do[j + 1], po[i]:po[i + 1]] = L.matrix
+        self.coupling.flags.writeable = False
         self._forward = None
         self._set_part = None
         self._skew = None
@@ -636,54 +642,16 @@ class CoupledProblem:
     def L(self, j, i):
         return self._L.get((j, i))
 
-    def apply_L(self, xs):
-        """Per-dual-block sums sum_i L_{ji} x_i."""
-        out = []
-        for j, blk in enumerate(self.dual):
-            acc = np.zeros(blk.dim)
-            for i in range(len(self.primal)):
-                L = self.L(j, i)
-                if L is not None:
-                    acc = acc + L(xs[i])
-            out.append(acc)
-        return out
-
-    def apply_L_adjoint(self, vs):
-        """Per-primal-block sums sum_j L_{ji}* v_j."""
-        out = []
-        for i, blk in enumerate(self.primal):
-            acc = np.zeros(blk.dim)
-            for j in range(len(self.dual)):
-                L = self.L(j, i)
-                if L is not None:
-                    acc = acc + L.adjoint_apply(vs[j])
-            out.append(acc)
-        return out
-
-    def split(self, p):
-        """Split a stacked point into (xs, ys, vs) block lists."""
-        parts = self.layout.split(p)
-        nI, nJ = len(self.primal), len(self.dual)
-        return parts[:nI], parts[nI:nI + nJ], parts[nI + nJ:]
-
     def _skew_matrix(self) -> np.ndarray:
         """The skew coupling (x,y,v*) -> (L*v*, -v*, -Lx+y) as one stacked matrix (cached)."""
         if self._skew is None:
             ny, nz = self.primal_layout.total, self.dual_layout.total
+            x, y, v = slice(0, ny), slice(ny, ny + nz), slice(ny + nz, ny + 2 * nz)
             S = np.zeros((ny + 2 * nz, ny + 2 * nz))
-            yoff = self.primal_layout.offsets
-            zoff = self.dual_layout.offsets
-            for (j, i), L in self._L.items():
-                r0, c0 = yoff[i], ny + nz + zoff[j]
-                S[r0:r0 + L.domain_dim, c0:c0 + L.codomain_dim] = L.matrix.T
-                r1, c1 = ny + nz + zoff[j], yoff[i]
-                S[r1:r1 + L.codomain_dim, c1:c1 + L.domain_dim] = -L.matrix
-            for j in range(len(self.dual)):
-                d = self.dual[j].dim
-                a = ny + zoff[j]
-                b = ny + nz + zoff[j]
-                S[a:a + d, b:b + d] = -np.eye(d)
-                S[b:b + d, a:a + d] = np.eye(d)
+            S[x, v] = self.coupling.T
+            S[v, x] = -self.coupling
+            S[y, v] = -np.eye(nz)
+            S[v, y] = np.eye(nz)
             S.flags.writeable = False
             self._skew = S
         return self._skew
@@ -739,34 +707,60 @@ class CoupledProblem:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KuhnTuckerPoint:
-    """A point of the stacked primal-dual space: (x blocks, y blocks, v* blocks)."""
+    """A point (x, y, v*) of the stacked primal-dual space of ``problem``.
 
-    x: ProductVector
-    y: ProductVector
-    v_star: ProductVector
+    ``flat`` is the frozen stacked vector; ``x``, ``y`` and ``v_star`` are
+    read-only views of its three parts, and ``blocks()`` cuts them into
+    per-block lists.
+    """
+
+    flat: np.ndarray
+    problem: CoupledProblem
+
+    def __post_init__(self):
+        flat = vector(self.flat)
+        check_dim(flat, self.problem.layout.total, "Kuhn-Tucker point")
+        object.__setattr__(self, "flat", flat)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.flat[:self.problem.primal_layout.total]
+
+    @property
+    def y(self) -> np.ndarray:
+        ny = self.problem.primal_layout.total
+        return self.flat[ny:ny + self.problem.dual_layout.total]
+
+    @property
+    def v_star(self) -> np.ndarray:
+        return self.flat[self.problem.primal_layout.total + self.problem.dual_layout.total:]
+
+    def blocks(self):
+        """The (x blocks, y blocks, v* blocks) lists, as read-only views."""
+        parts = self.problem.layout.split(self.flat)
+        nI, nJ = len(self.problem.primal), len(self.problem.dual)
+        return parts[:nI], parts[nI:nI + nJ], parts[nI + nJ:]
 
     @classmethod
     def from_flat(cls, p, problem: CoupledProblem) -> "KuhnTuckerPoint":
-        xs, ys, vs = problem.split(np.asarray(p, dtype=float))
-        return cls(x=ProductVector(xs), y=ProductVector(ys), v_star=ProductVector(vs))
+        return cls(p, problem)
 
     @classmethod
     def lift(cls, problem: CoupledProblem, x_blocks, v_blocks) -> "KuhnTuckerPoint":
         """Lift a primal-dual pair to (x, Lx - r, v*)."""
-        xs = [vector(x) for x in x_blocks]
-        vs = [vector(v) for v in v_blocks]
-        lx = problem.apply_L(xs)
-        ys = [lx_j - blk.r for lx_j, blk in zip(lx, problem.dual)]
-        return cls(x=ProductVector(xs), y=ProductVector(ys), v_star=ProductVector(vs))
+        x = problem.primal_layout.join([vector(b) for b in x_blocks])
+        v = problem.dual_layout.join([vector(b) for b in v_blocks])
+        y = problem.coupling @ x - np.concatenate([blk.r for blk in problem.dual])
+        return cls(np.concatenate([x, y, v]), problem)
 
     @classmethod
     def zero(cls, problem: CoupledProblem) -> "KuhnTuckerPoint":
-        return cls.from_flat(np.zeros(problem.layout.total), problem)
+        return cls(np.zeros(problem.layout.total), problem)
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([self.x.flatten(), self.y.flatten(), self.v_star.flatten()])
+        return self.flat
 
 
 def build_kt_operator(A: SetValuedOperator, B: SetValuedOperator, L,
@@ -793,10 +787,9 @@ def kt_residuals(problem: CoupledProblem, point: KuhnTuckerPoint):
     Dual j, at u_j = sum_i L_{ji} x_i - r_j:
     |u_j - J_{B_j}(u_j + v*_j - D_j u_j)|.
     """
-    xs = list(point.x.blocks)
-    vs = list(point.v_star.blocks)
-    lt = problem.apply_L_adjoint(vs)
-    lx = problem.apply_L(xs)
+    xs, _, vs = point.blocks()
+    lt = problem.primal_layout.split(problem.coupling.T @ point.v_star)
+    lx = problem.dual_layout.split(problem.coupling @ point.x)
     out = []
     for blk, x, lt_i in zip(problem.primal, xs, lt):
         w = x + (blk.s_star - lt_i - blk.C(x))

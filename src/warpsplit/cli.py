@@ -28,6 +28,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -388,9 +389,7 @@ class ProblemFile:
         else:
             kern.fbf_step(1.0, self._beta(), cfg.epsilon)
             kern.fbf_kernel(ops.identity_map(self.dim), self.B, g0, cfg.epsilon)
-        if g0 < cfg.epsilon:
-            raise ConfigurationError(
-                f"gamma = {g0} below the floor epsilon = {cfg.epsilon}")
+        alg._validate_gamma(g0, cfg.epsilon, 0)
 
     def _run_inclusion(self, overrides):
         solver = self._solver_section()
@@ -402,7 +401,7 @@ class ProblemFile:
         if variant in ("weak", "strong"):
             m = kern.MDecomposition(self.A, self.B if self.kernel_name == "fbf" else None)
             schedule = self._kernel_schedule(cfg)
-            run_cfg = _cfg_with(cfg, step_size=gamma)
+            run_cfg = replace(cfg, step_size=gamma)
             fn = alg.solve_weak if variant == "weak" else alg.solve_strong
             return fn(m, schedule, policy, run_cfg, self.x0, zeros=zeros)
         if variant == "tseng":
@@ -471,8 +470,7 @@ class ProblemFile:
             if start.get("y") is not None:
                 sy = _stacked(start, "y", self.problem.dual_layout)
                 self.start = alg.KuhnTuckerPoint.from_flat(
-                    np.concatenate([np.concatenate(sx), np.concatenate(sy),
-                                    np.concatenate(sv)]), self.problem)
+                    np.concatenate(sx + sy + sv), self.problem)
             else:
                 self.start = alg.KuhnTuckerPoint.lift(self.problem, sx, sv)
         self.zeros = []
@@ -514,17 +512,6 @@ class ProblemFile:
 
     def __eq__(self, other):
         return isinstance(other, ProblemFile) and self.root.canonical() == other.root.canonical()
-
-
-def _cfg_with(cfg, **kw):
-    return alg.SolverConfig(
-        epsilon=kw.get("epsilon", cfg.epsilon),
-        relaxation=kw.get("relaxation", cfg.relaxation),
-        step_size=kw.get("step_size", cfg.step_size),
-        max_iter=kw.get("max_iter", cfg.max_iter),
-        tol_residual=kw.get("tol_residual", cfg.tol_residual),
-        tol_step=kw.get("tol_step", cfg.tol_step),
-        stall_limit=kw.get("stall_limit", cfg.stall_limit))
 
 
 def _operator(section: Section, make, dim):
@@ -653,10 +640,11 @@ def write_trace(result: alg.SolveResult, path):
 def _final_point_list(result: alg.SolveResult):
     x = result.x
     if isinstance(x, alg.KuhnTuckerPoint):
+        xs, ys, vs = x.blocks()
         return {
-            "x": [b.tolist() for b in x.x.blocks],
-            "y": [b.tolist() for b in x.y.blocks],
-            "v_star": [b.tolist() for b in x.v_star.blocks],
+            "x": [b.tolist() for b in xs],
+            "y": [b.tolist() for b in ys],
+            "v_star": [b.tolist() for b in vs],
         }
     return list(np.asarray(x, dtype=float))
 

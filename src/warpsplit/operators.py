@@ -277,6 +277,19 @@ def constant_operator(value) -> SetValuedOperator:
         value.shape[0], lambda g, x: x - g * value, name="constant")
 
 
+def _monotone_spectrum(M, what):
+    """Ascending eigenvalues of the symmetric part of the square matrix M.
+
+    Raises ConfigurationError when M is not monotone: the smallest
+    eigenvalue is negative beyond a roundoff slack relative to the spectrum.
+    """
+    eig = np.linalg.eigvalsh(0.5 * (M + M.T)) if M.shape[0] else np.zeros(1)
+    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):
+        raise ConfigurationError(
+            f"{what} is not monotone: its symmetric part has eigenvalue {eig[0]}")
+    return eig
+
+
 def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     """Set-valued view of x -> {M x + b}; resolvent solves (I + gamma M) p = v - gamma b.
 
@@ -291,13 +304,7 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     b = np.zeros(dim) if b is None else vector(b)
     check_dim(b, dim, "affine offset")
     check_finite(M, "affine operator matrix")
-    # Ascending eigenvalues of M + M^T, twice the symmetric part; the
-    # roundoff slack is relative to their scale.
-    eig = np.linalg.eigvalsh(M + M.T) if dim else np.zeros(1)
-    if eig[0] < -1e-12 * max(2.0, -eig[0], eig[-1]):
-        raise ConfigurationError(
-            f"affine operator matrix is not monotone: its symmetric part has "
-            f"eigenvalue {eig[0] / 2}")
+    _monotone_spectrum(M, "affine operator matrix")
     eye = np.eye(dim)
     last = [None, None]  # gamma, inverse of I + gamma M
 
@@ -309,8 +316,12 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     return SetValuedOperator(dim, res, name="affine")
 
 
-def affine_map(M, b=None, monotone=True) -> SingleValuedOperator:
-    """Single-valued affine map x -> M x + b with computed Lipschitz constant."""
+def affine_map(M, b=None) -> SingleValuedOperator:
+    """Single-valued affine map x -> M x + b with computed Lipschitz constant.
+
+    M must be monotone (positive semidefinite symmetric part, any skew part);
+    otherwise ConfigurationError.
+    """
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"affine map matrix must be square, got {M.shape}")
@@ -318,13 +329,12 @@ def affine_map(M, b=None, monotone=True) -> SingleValuedOperator:
     b = np.zeros(dim) if b is None else vector(b)
     check_dim(b, dim, "affine offset")
     lip = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    sym = 0.5 * (M + M.T)
-    mu = float(np.min(np.linalg.eigvalsh(sym))) if dim else 0.0
+    mu = float(_monotone_spectrum(M, "affine map matrix")[0])
     # A zero matrix is declared 1-Lipschitz like zero_map: a finite default step.
     return SingleValuedOperator(
         dim, lambda x: M @ x + b,
         lipschitz=lip if lip > 0 else 1.0,
-        monotone=monotone,
+        monotone=True,
         strong_monotonicity=mu if mu > 0 else None,
         name="affine_map")
 
@@ -348,17 +358,12 @@ def identity_map(dim, scale=1.0) -> SingleValuedOperator:
 def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
     """The skew coupling (x, v*) -> (L* v*, -L x) on the stacked primal-dual space."""
     dy, dz = L.domain_dim, L.codomain_dim
-    layout = BlockLayout((dy, dz))
-
-    def fn(u):
-        x, v = layout.split(u)
-        return layout.join([L.adjoint_apply(v), -L(x)])
-
+    S = np.block([[np.zeros((dy, dy)), L.matrix.T], [-L.matrix, np.zeros((dz, dz))]])
+    S.flags.writeable = False
     beta = max(L.operator_norm(), np.finfo(float).tiny)
-    op = SingleValuedOperator(
-        dy + dz, fn, lipschitz=beta, monotone=True,
+    return SingleValuedOperator(
+        dy + dz, lambda u: S @ u, lipschitz=beta, monotone=True,
         name="saddle_skew", tag=("saddle_skew", L.matrix.tobytes(), L.matrix.shape))
-    return op
 
 
 # ---------------------------------------------------------------------------

@@ -49,19 +49,6 @@ def inner(x, y) -> float:
     return float(np.dot(x, y))
 
 
-def norm(x) -> float:
-    return float(np.linalg.norm(x))
-
-
-def normalize_or_zero(v) -> np.ndarray:
-    """Return v/|v| for nonzero v and the zero vector for v = 0."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return np.zeros_like(v)
-    return v / n
-
-
 @dataclass(frozen=True)
 class BlockLayout:
     """Dimensions of the blocks of a product space, in order."""
@@ -101,39 +88,6 @@ class BlockLayout:
         for b, d in zip(blocks, self.dims):
             check_dim(np.asarray(b, dtype=float), d, "block")
         return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
-
-
-class ProductVector:
-    """A point of a block product space: ordered blocks plus their layout."""
-
-    __slots__ = ("blocks", "layout")
-
-    def __init__(self, blocks, layout=None):
-        blocks = tuple(vector(b) for b in blocks)
-        if layout is None:
-            layout = BlockLayout(tuple(b.shape[0] for b in blocks))
-        for b, d in zip(blocks, layout.dims):
-            check_dim(b, d, "product block")
-        self.blocks = blocks
-        self.layout = layout
-
-    @classmethod
-    def from_flat(cls, v, layout: BlockLayout) -> "ProductVector":
-        return cls(layout.split(v), layout)
-
-    def flatten(self) -> np.ndarray:
-        return self.layout.join(self.blocks)
-
-    def inner(self, other: "ProductVector") -> float:
-        if self.layout.dims != other.layout.dims:
-            raise DimensionMismatchError("product vectors have different layouts")
-        return sum(inner(a, b) for a, b in zip(self.blocks, other.blocks))
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __repr__(self):
-        return f"ProductVector({[b.tolist() for b in self.blocks]})"
 
 
 class LinearMap:

@@ -4,6 +4,8 @@ Everything here is deliberately independent of the library's computation
 paths: enumeration, grid search, bisection and dense linear algebra, plus
 two literal loop transcriptions, Tseng's method and the per-block coupled
 primal-dual step, that the library's one iteration engine must reproduce.
+The coupled references apply each coupling L_{ji} block by block, where the
+library uses one stacked coupling matrix.
 The transcriptions call only the operators they are given.  The
 character-by-character bracket parser pins the problem-file value grammar
 that the CLI's run-at-a-time parser must reproduce, errors included.
@@ -241,6 +243,57 @@ def tseng_iterates(A, B, gamma, x0, iterations):
     return out
 
 
+def _coupling(problem, j, i):
+    op = problem.L(j, i)
+    return np.zeros((problem.dual[j].dim, problem.primal[i].dim)) if op is None else op.matrix
+
+
+def coupling_Lx(problem, xs):
+    """Per-dual-block sums sum_i L_{ji} x_i, one product per block pair."""
+    return [sum(_coupling(problem, j, i) @ x for i, x in enumerate(xs))
+            for j in range(len(problem.dual))]
+
+
+def coupling_Lt(problem, vs):
+    """Per-primal-block sums sum_j L_{ji}* v_j, one product per block pair."""
+    return [sum(_coupling(problem, j, i).T @ v for j, v in enumerate(vs))
+            for i in range(len(problem.primal))]
+
+
+def kt_blocks(problem, p):
+    """Cut a stacked point (x_1..x_I, y_1..y_J, v*_1..v*_J) into its three block lists."""
+    nI, nJ = len(problem.primal), len(problem.dual)
+    dims = [b.dim for b in problem.primal] + [b.dim for b in problem.dual] * 2
+    cuts = np.cumsum([0] + dims)
+    p = np.asarray(p, dtype=float)
+    blocks = [p[cuts[k]:cuts[k + 1]] for k in range(len(dims))]
+    return blocks[:nI], blocks[nI:nI + nJ], blocks[nI + nJ:]
+
+
+def blockwise_kt_forward(problem, u):
+    """The Kuhn-Tucker forward part (x, y, v*) -> (C x + L* v*, D y - v*, -L x + y), by blocks."""
+    xs, ys, vs = kt_blocks(problem, u)
+    out = [blk.C(x) + lt for blk, x, lt in zip(problem.primal, xs, coupling_Lt(problem, vs))]
+    out += [blk.D(y) - v for blk, y, v in zip(problem.dual, ys, vs)]
+    out += [-lx + y for lx, y in zip(coupling_Lx(problem, xs), ys)]
+    return np.concatenate(out)
+
+
+def blockwise_kt_residuals(problem, xs, vs):
+    """The Kuhn-Tucker resolvent certificates of (x, v*), one block at a time.
+
+    Primal i: |x_i - J_{A_i}(x_i + s*_i - sum_j L_{ji}* v_j - C_i x_i)|; dual
+    j, at u_j = sum_i L_{ji} x_i - r_j: |u_j - J_{B_j}(u_j + v*_j - D_j u_j)|.
+    """
+    out = []
+    for blk, x, lt in zip(problem.primal, xs, coupling_Lt(problem, vs)):
+        out.append(np.linalg.norm(x - blk.A.resolvent(1.0, x + blk.s_star - lt - blk.C(x))))
+    for blk, lx, v in zip(problem.dual, coupling_Lx(problem, xs), vs):
+        u = lx - blk.r
+        out.append(np.linalg.norm(u - blk.B.resolvent(1.0, u + v - blk.D(u))))
+    return np.array(out)
+
+
 def coupled_iterates(problem, gammas, taus, p0, iterations, lam=1.0):
     """The coupled primal-dual solver, transcribed block by block.
 
@@ -251,37 +304,23 @@ def coupled_iterates(problem, gammas, taus, p0, iterations, lam=1.0):
     graph point of the Kuhn-Tucker operator.
     """
     primal, dual = problem.primal, problem.dual
-    nI, nJ = len(primal), len(dual)
-    cuts = np.cumsum([0] + [b.dim for b in primal] + [b.dim for b in dual] * 2)
-
-    def L(j, i):
-        op = problem.L(j, i)
-        return np.zeros((dual[j].dim, primal[i].dim)) if op is None else op.matrix
-
-    def Lx(xs):
-        return [sum(L(j, i) @ xs[i] for i in range(nI)) for j in range(nJ)]
-
-    def Lt(vs):
-        return [sum(L(j, i).T @ vs[j] for j in range(nJ)) for i in range(nI)]
-
     p = np.asarray(p0, dtype=float)
     out = []
     for _ in range(iterations):
-        blocks = [p[cuts[k]:cuts[k + 1]] for k in range(len(cuts) - 1)]
-        xs, ys, vs = blocks[:nI], blocks[nI:nI + nJ], blocks[nI + nJ:]
+        xs, ys, vs = kt_blocks(problem, p)
         a, a_star = [], []
-        for blk, g, x, lt in zip(primal, gammas, xs, Lt(vs)):
+        for blk, g, x, lt in zip(primal, gammas, xs, coupling_Lt(problem, vs)):
             l_star = x - g * blk.C(x) - g * lt
             a.append(blk.A.resolvent(g, l_star + g * blk.s_star))
             a_star.append((l_star - a[-1]) / g + blk.C(a[-1]))
         b, b_star, c = [], [], []
-        for blk, t, y, v, lx in zip(dual, taus, ys, vs, Lx(xs)):
+        for blk, t, y, v, lx in zip(dual, taus, ys, vs, coupling_Lx(problem, xs)):
             t_star = y - t * blk.D(y) + t * v
             b.append(blk.B.resolvent(t, t_star))
             c.append(lx - y + v - blk.r)
             b_star.append((t_star - b[-1]) / t + blk.D(b[-1]) - c[-1])
-        a_star = [s + lt for s, lt in zip(a_star, Lt(c))]
-        c_star = [blk.r + bj - la for blk, bj, la in zip(dual, b, Lx(a))]
+        a_star = [s + lt for s, lt in zip(a_star, coupling_Lt(problem, c))]
+        c_star = [blk.r + bj - la for blk, bj, la in zip(dual, b, coupling_Lx(problem, a))]
         q = np.concatenate(a + b + c)
         q_star = np.concatenate(a_star + b_star + c_star)
         theta = float(np.dot(q - p, q_star))

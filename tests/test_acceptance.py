@@ -216,8 +216,8 @@ def test_criterion_6_coupled_solver():
     cfg = SolverConfig(max_iter=5000, tol_residual=1e-9, tol_step=1e-9)
     res = solve_coupled(prob, cfg)
     assert res.converged
-    assert abs(res.x.x.blocks[0][0] - 1.0) <= 1e-6
-    assert abs(res.x.v_star.blocks[0][0] + 1.0) <= 1e-6
+    assert abs(res.x.x[0] - 1.0) <= 1e-6
+    assert abs(res.x.v_star[0] + 1.0) <= 1e-6
     # Quadratic 2-primal / 1-dual instance matches the dense KKT solve.
     rng = np.random.default_rng(77)
     d1, d2, dz = 2, 2, 2

@@ -4,6 +4,7 @@ import pytest
 from warpsplit import (
     ConfigurationError,
     CoupledProblem,
+    DimensionMismatchError,
     DualBlock,
     KuhnTuckerPoint,
     MDecomposition,
@@ -405,6 +406,27 @@ def test_build_kt_operator_scalar_zero_by_hand():
     point = KuhnTuckerPoint.from_flat(np.array([x, y, v]), prob)
     res = kt_residuals(prob, point)
     assert max(res) <= 1e-12
+
+
+def test_kt_point_is_one_frozen_flat_vector():
+    prob = CoupledProblem(
+        [PrimalBlock(A=scaled_identity_operator(1, 1.0)),
+         PrimalBlock(A=scaled_identity_operator(2, 1.0))],
+        [DualBlock(B=scaled_identity_operator(2, 1.0))],
+        {(0, 1): np.eye(2)})
+    flat = np.arange(7.0)
+    point = KuhnTuckerPoint.from_flat(flat, prob)
+    flat[0] = 99.0  # the point keeps its own copy
+    np.testing.assert_array_equal(point.flatten(), np.arange(7.0))
+    np.testing.assert_array_equal(point.x, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(point.y, [3.0, 4.0])
+    np.testing.assert_array_equal(point.v_star, [5.0, 6.0])
+    xs, ys, vs = point.blocks()
+    assert [b.tolist() for b in xs + ys + vs] == [[0.0], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    for view in (point.x, point.y, point.v_star, *xs, *ys, *vs):
+        assert not view.flags.writeable
+    with pytest.raises(DimensionMismatchError):
+        KuhnTuckerPoint.from_flat(np.zeros(6), prob)
 
 
 def test_kt_zero_matches_dense_solve_on_random_saddle():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import bracket_oracle
 
-from warpsplit import cli
+from warpsplit import SingleValuedOperator, cli
 from warpsplit.cli import (
     EXIT_INFEASIBLE,
     EXIT_MAX_ITER,
@@ -92,9 +92,9 @@ begin solution
 end
 """
 
-# The catalog affine_map does not check the monotonicity it declares; this
-# non-monotone forward part makes the two Haugazeau cuts disjoint at n = 2.
-INFEASIBLE_TRIGGER = """\
+# A non-monotone forward part: the catalog affine_map rejects it.  Declared
+# monotone through a user oracle, it makes the Haugazeau cuts disjoint at n = 2.
+NON_MONOTONE_FORWARD = """\
 kind = inclusion
 x0 = [-1.5, -2.0]
 begin A
@@ -220,6 +220,15 @@ def test_regime_violation_is_parse_time_error(tmp_path):
     assert "(alpha - epsilon)/beta" in str(err.value)
 
 
+def test_gamma_within_roundoff_of_the_floor_runs(tmp_path):
+    # The file check uses the engine's gamma floor, roundoff slack included.
+    text = MINIMAL.replace("gamma = 1.0", "epsilon = 0.05\n  gamma = 0.0499999999999999")
+    summary = tmp_path / "s.json"
+    code = main(["run", "--problem", write(tmp_path, "g.txt", text), "--summary", str(summary)])
+    assert code == EXIT_OK
+    assert json.loads(summary.read_text())["iterations"] == 2
+
+
 def test_unknown_operator_name(tmp_path):
     text = MINIMAL.replace("name = ball", "name = warp_drive")
     code = main(["run", "--problem", write(tmp_path, "u.txt", text)])
@@ -307,11 +316,27 @@ def test_exit_code_converged(tmp_path):
     assert code == EXIT_OK
 
 
-def test_exit_code_infeasible(tmp_path):
-    prob = write(tmp_path, "i.txt", INFEASIBLE_TRIGGER)
+def test_non_monotone_affine_map_rejected_before_any_iteration(tmp_path, capsys):
+    prob = write(tmp_path, "i.txt", NON_MONOTONE_FORWARD)
     code = main(["run", "--problem", prob, "--trace", str(tmp_path / "t.csv"),
                  "--summary", str(tmp_path / "s.json")])
+    assert code == EXIT_USAGE
+    assert "not monotone" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_exit_code_infeasible(tmp_path, capsys):
+    # The catalog rejects this forward part, so a user oracle declares it
+    # monotone; the Haugazeau cuts then turn disjoint.
+    text = NON_MONOTONE_FORWARD.replace("[[2.0, 0.0], [1.5, 0.0]]", "[[1.0, 0.0], [0.0, 1.0]]")
+    pf = ProblemFile(parse_text(text))
+    M = np.array([[2.0, 0.0], [1.5, 0.0]])
+    pf.B = SingleValuedOperator(2, lambda x: M @ x, lipschitz=np.linalg.norm(M, 2),
+                                monotone=True, name="user")
+    code = cli.run_problem(pf, {}, str(tmp_path / "t.csv"), str(tmp_path / "s.json"))
     assert code == EXIT_INFEASIBLE
+    assert "iteration 2:" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -339,7 +364,7 @@ def test_non_monotone_affine_rejected_before_any_iteration(tmp_path, capsys):
     "[1.0, [0.0]]",
 ])
 def test_malformed_matrix_is_usage_error(tmp_path, capsys, matrix):
-    text = INFEASIBLE_TRIGGER.replace("[[2.0, 0.0], [1.5, 0.0]]", matrix)
+    text = NON_MONOTONE_FORWARD.replace("[[2.0, 0.0], [1.5, 0.0]]", matrix)
     code = main(["run", "--problem", write(tmp_path, "m.txt", text)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err

@@ -6,6 +6,7 @@ from warpsplit import (
     ConfigurationError,
     CoupledProblem,
     DualBlock,
+    KuhnTuckerPoint,
     LinearMap,
     MDecomposition,
     PrimalBlock,
@@ -19,6 +20,7 @@ from warpsplit import (
     graph_point,
     identity_kernel,
     identity_map,
+    kt_residuals,
     l1_operator,
     map_kernel,
     nongradient_cubic_kernel,
@@ -30,7 +32,12 @@ from warpsplit import (
 )
 from warpsplit.kernels import solve_base_inclusion
 
-from oracles import disk_warped_projection
+from oracles import (
+    blockwise_kt_forward,
+    blockwise_kt_residuals,
+    coupling_Lx,
+    disk_warped_projection,
+)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -513,15 +520,6 @@ def two_by_two_coupled_problem(rng, alpha0=1.0, chi0=1.0):
     return CoupledProblem(primal, dual, couplings), mats
 
 
-def blockwise_kt_forward(prob, u):
-    xs, ys, vs = prob.split(u)
-    lt, lx = prob.apply_L_adjoint(vs), prob.apply_L(xs)
-    out = [blk.C(x) + lt_i for blk, x, lt_i in zip(prob.primal, xs, lt)]
-    out += [blk.D(y) - v for blk, y, v in zip(prob.dual, ys, vs)]
-    out += [-lx_j + y for lx_j, y in zip(lx, ys)]
-    return np.concatenate(out)
-
-
 def test_kt_forward_matches_blockwise_formula():
     rng = np.random.default_rng(60)
     prob, _ = two_by_two_coupled_problem(rng)
@@ -530,6 +528,32 @@ def test_kt_forward_matches_blockwise_formula():
         u = rng.normal(size=prob.layout.total) * 3
         ref = blockwise_kt_forward(prob, u)
         assert np.linalg.norm(fwd(u) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_lift_matches_blockwise_couplings():
+    rng = np.random.default_rng(62)
+    prob, _ = two_by_two_coupled_problem(rng)
+    for _ in range(50):
+        xs = [rng.normal(size=b.dim) * 3 for b in prob.primal]
+        vs = [rng.normal(size=b.dim) for b in prob.dual]
+        point = KuhnTuckerPoint.lift(prob, xs, vs)
+        ref = np.concatenate(xs + [lx - blk.r for lx, blk in zip(coupling_Lx(prob, xs), prob.dual)]
+                             + vs)
+        assert np.linalg.norm(point.flatten() - ref) <= 1e-13 * np.linalg.norm(ref)
+        got_x, got_y, got_v = point.blocks()
+        for got, want in zip(got_x + got_v, xs + vs):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_kt_residuals_match_blockwise_formula():
+    rng = np.random.default_rng(63)
+    prob, _ = two_by_two_coupled_problem(rng)
+    for _ in range(50):
+        point = KuhnTuckerPoint.from_flat(rng.normal(size=prob.layout.total) * 3, prob)
+        xs, _, vs = point.blocks()
+        ref = blockwise_kt_residuals(prob, xs, vs)
+        got = np.array(kt_residuals(prob, point))
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_coupled_kernel_general_block_matches_blockwise_formula():

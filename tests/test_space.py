@@ -6,9 +6,7 @@ from warpsplit import (
     DimensionMismatchError,
     LinearMap,
     NonFiniteEntryError,
-    ProductVector,
     inner,
-    normalize_or_zero,
     vector,
 )
 
@@ -28,26 +26,6 @@ def test_inner_hand_sum():
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         inner(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
-
-
-def test_normalize_zero_branch():
-    assert np.array_equal(normalize_or_zero(np.zeros(2)), np.zeros(2))
-
-
-def test_normalize_345():
-    np.testing.assert_allclose(normalize_or_zero(np.array([3.0, 4.0])), [0.6, 0.8], rtol=0, atol=0)
-
-
-def test_normalize_unit():
-    np.testing.assert_array_equal(normalize_or_zero(np.array([1.0, 0.0])), [1.0, 0.0])
-
-
-def test_normalize_output_norm_is_one_or_zero():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        v = rng.normal(size=4)
-        n = np.linalg.norm(normalize_or_zero(v))
-        assert abs(n - 1.0) < 1e-12 or n == 0.0
 
 
 def test_vector_rejects_nan_and_inf():
@@ -102,16 +80,6 @@ def test_cauchy_schwarz_sampled():
         x = rng.normal(size=d)
         y = rng.normal(size=d)
         assert abs(inner(x, y)) <= np.linalg.norm(x) * np.linalg.norm(y) + 1e-12
-
-
-def test_product_vector_roundtrip_and_inner():
-    layout = BlockLayout((2, 3, 1))
-    rng = np.random.default_rng(4)
-    flat = rng.normal(size=6)
-    pv = ProductVector.from_flat(flat, layout)
-    np.testing.assert_array_equal(pv.flatten(), flat)
-    other = ProductVector.from_flat(rng.normal(size=6), layout)
-    assert pv.inner(other) == inner(pv.flatten(), other.flatten())
 
 
 def test_block_layout_split_join_identity():
