@@ -41,10 +41,13 @@ from .kernels import (  # noqa: F401
     MDecomposition,
     _check_pairing,
     _warped_pair,
+    check_step,
     coupled_kernel,
+    epsilon_bound,
     fbf_kernel,
     fbf_step,
     solve_base_inclusion,
+    step_floor,
 )
 from .operators import (
     BlockDiagonalOperator,
@@ -116,6 +119,16 @@ class IterationContext:
     sigma: float
 
 
+def check_relaxation(lam, epsilon, n=0) -> float:
+    """Check ``lambda_n in [epsilon, 2 - epsilon]`` up to a 1e-9 relative slack."""
+    slack = 1e-9 * max(1.0, 2.0 - epsilon)
+    if not (epsilon - slack <= lam <= 2.0 - epsilon + slack):
+        raise ConfigurationError(
+            f"relaxation lambda_{n} = {lam} outside [epsilon, 2 - epsilon] "
+            f"= [{epsilon}, {2.0 - epsilon}]")
+    return float(lam)
+
+
 def _relaxation_schedule(relaxation, epsilon):
     """The lambda schedule as ``(lam_of, takes_ctx)``, lam_of range-checked.
 
@@ -135,17 +148,7 @@ def _relaxation_schedule(relaxation, epsilon):
             fn, takes_ctx = relaxation, True
         except TypeError:
             fn = lambda n, ctx: relaxation(n)
-    slack = 1e-9 * max(1.0, 2.0 - epsilon)
-
-    def lam_of(n, ctx):
-        lam = fn(n, ctx)
-        if not (epsilon - slack <= lam <= 2.0 - epsilon + slack):
-            raise ConfigurationError(
-                f"relaxation lambda_{n} = {lam} outside [epsilon, 2 - epsilon] "
-                f"= [{epsilon}, {2.0 - epsilon}]")
-        return float(lam)
-
-    return lam_of, takes_ctx
+    return (lambda n, ctx: check_relaxation(fn(n, ctx), epsilon, n)), takes_ctx
 
 
 def tseng_relaxation(n, ctx: IterationContext) -> float:
@@ -309,13 +312,6 @@ def _history_for(policy):
     return deque(maxlen=max(depth, 1))
 
 
-def _validate_gamma(gamma, epsilon, n):
-    if gamma < epsilon - 1e-12 * max(1.0, epsilon):
-        raise ConfigurationError(
-            f"gamma_{n} = {gamma} below the floor epsilon = {epsilon}")
-    return float(gamma)
-
-
 def _length(d):
     return math.sqrt(d.dot(d))
 
@@ -373,9 +369,12 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
     stall = 0
     paired = None, None  # the (kernel, gamma) pairing last checked
     y = None  # the previous y warm-starts the next backward solve
+    floor = step_floor(cfg.epsilon)
     status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
     for n in range(cfg.max_iter):
-        gamma = _validate_gamma(gamma_fn(n), cfg.epsilon, n)
+        gamma = float(gamma_fn(n))
+        if not gamma >= floor:
+            check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
         kern = kernel_fn(n)
         if kern is not paired[0] or gamma != paired[1]:
             _check_pairing(m, kern, gamma)
@@ -540,21 +539,23 @@ class PrimalBlock:
             self.mu = self.C.lipschitz
         if not self.mu > 0:
             raise ConfigurationError("declared mu must be > 0")
-        bound = self.alpha / (self.mu + 1.0)
         if self.epsilon is None:
-            self.epsilon = 0.5 * bound
-        if not 0 < self.epsilon < bound:
-            raise ConfigurationError(
-                f"primal epsilon = {self.epsilon} outside ]0, alpha/(mu + 1)[ = ]0, {bound}[")
+            self.epsilon = 0.5 * epsilon_bound(self.alpha, self.mu)
+        self.default_step  # fbf_step checks the epsilon regime
 
     @property
     def dim(self):
         return self.A.dim
 
     @property
+    def stage(self):
+        """The stage regime's (alpha, beta, epsilon, chi): (alpha, mu, epsilon, chi)."""
+        return self.alpha, self.mu, self.epsilon, self.chi
+
+    @property
     def default_step(self):
         """Default stage constant gamma_i, inside [epsilon, (alpha - epsilon)/mu]."""
-        return max(self.epsilon, 0.9 * (self.alpha - self.epsilon) / self.mu)
+        return fbf_step(*self.stage[:3], "primal epsilon")
 
 
 @dataclass
@@ -582,21 +583,23 @@ class DualBlock:
             self.nu = self.D.lipschitz
         if not self.nu > 0:
             raise ConfigurationError("declared nu must be > 0")
-        bound = self.beta / (self.nu + 1.0)
         if self.delta is None:
-            self.delta = 0.5 * bound
-        if not 0 < self.delta < bound:
-            raise ConfigurationError(
-                f"dual delta = {self.delta} outside ]0, beta/(nu + 1)[ = ]0, {bound}[")
+            self.delta = 0.5 * epsilon_bound(self.beta, self.nu)
+        self.default_step  # fbf_step checks the epsilon regime
 
     @property
     def dim(self):
         return self.B.dim
 
     @property
+    def stage(self):
+        """The stage regime's (alpha, beta, epsilon, chi): (beta, nu, delta, kappa)."""
+        return self.beta, self.nu, self.delta, self.kappa
+
+    @property
     def default_step(self):
         """Default stage constant tau_j, inside [delta, (beta - delta)/nu]."""
-        return max(self.delta, 0.9 * (self.beta - self.delta) / self.nu)
+        return fbf_step(*self.stage[:3], "dual delta")
 
 
 class CoupledProblem:

@@ -287,6 +287,12 @@ class ProblemFile:
         )
         return cfg
 
+    def _check_relaxation(self, cfg):
+        # strong and tseng runs use no lambda of the file.
+        if self.variant not in ("strong", "tseng"):
+            for lam in _ends(cfg.relaxation):
+                alg.check_relaxation(lam, cfg.epsilon)
+
     def _policy(self):
         sec = self.root.child("policy")
         if sec is None:
@@ -326,14 +332,7 @@ class ProblemFile:
         if self.x0.shape != (self.dim,):
             raise ProblemFormatError(
                 f"x0 has length {self.x0.shape[0]}, dim says {self.dim}")
-        a_sec = root.child("A")
-        if a_sec is None:
-            raise ProblemFormatError("inclusion problem needs a 'begin A' block")
-        self.A = _operator(a_sec, ops.make_set_valued, self.dim)
-        b_sec = root.child("B")
-        self.B = None
-        if b_sec is not None:
-            self.B = _operator(b_sec, ops.make_single_valued, self.dim)
+        self.A, self.B = _operators(root, "A", "B", self.dim, "inclusion problem")
         k_sec = root.child("kernel")
         self.kernel_name = k_sec.get("name", "identity") if k_sec is not None else "identity"
         if self.kernel_name not in ("identity", "fbf"):
@@ -355,21 +354,29 @@ class ProblemFile:
         # A constant step stays a float, so its kernel is built once.
         if cfg.step_size is not None:
             return cfg.step_size if callable(cfg.step_size) else float(cfg.step_size)
-        if self.B is not None and self.kernel_name == "fbf" or self.variant in ("fbf", "tseng"):
+        if self.variant in ("fbf", "tseng"):
             return kern.fbf_step(1.0, self._beta(), cfg.epsilon)
+        if self.B is not None and self.kernel_name == "fbf":
+            # The run checks the floor with the solver's epsilon and the
+            # upper end with the kernel's: step from the larger of the two.
+            return kern.fbf_step(1.0, self._beta(), max(cfg.epsilon, self.kernel_epsilon))
         return 1.0
 
     def _beta(self):
         return self.B.lipschitz if self.B is not None else 0.0
 
+    def _kernel_epsilon(self, cfg):
+        """The epsilon of a weak or strong run's kernels."""
+        if self.kernel_name == "identity" and self.B is not None:
+            raise ConfigurationError(
+                "an identity kernel cannot absorb the forward part B; "
+                "use 'kernel fbf' so that K = Id - gamma B stays backward-solvable")
+        return self.kernel_epsilon if self.kernel_epsilon > 0 else cfg.epsilon
+
     def _kernel_schedule(self, cfg):
+        eps = self._kernel_epsilon(cfg)
         if self.kernel_name == "identity":
-            if self.B is not None and self.variant in ("weak", "strong"):
-                raise ConfigurationError(
-                    "an identity kernel cannot absorb the forward part B; "
-                    "use 'kernel fbf' so that K = Id - gamma B stays backward-solvable")
             return kern.identity_kernel(self.dim)
-        eps = self.kernel_epsilon if self.kernel_epsilon > 0 else cfg.epsilon
         gamma = self._inclusion_gamma(cfg)
         W = ops.identity_map(self.dim)
         if not callable(gamma):
@@ -377,19 +384,17 @@ class ProblemFile:
         return lambda n: kern.fbf_kernel(W, self.B, gamma(n), eps)
 
     def _validate_inclusion(self, cfg):
+        # The run's own regime checks, on the values it will run.
         if self.variant == "tseng" and self.B is None:
             raise ConfigurationError("variant tseng needs a forward operator B")
-        gamma = self._inclusion_gamma(cfg)
-        g0 = float(gamma(0) if callable(gamma) else gamma)
-        # Each construction below checks its regime and raises on a violation.
-        if self.variant in ("weak", "strong"):
-            schedule = self._kernel_schedule(cfg)
-            if callable(schedule):
-                schedule(0)
-        else:
-            kern.fbf_step(1.0, self._beta(), cfg.epsilon)
-            kern.fbf_kernel(ops.identity_map(self.dim), self.B, g0, cfg.epsilon)
-        alg._validate_gamma(g0, cfg.epsilon, 0)
+        fbf = self.variant in ("fbf", "tseng")
+        eps = cfg.epsilon if fbf else self._kernel_epsilon(cfg)
+        # fbf/tseng check the whole FBF regime; a weak or strong fbf_kernel
+        # only needs epsilon < alpha.
+        kern.fbf_step(1.0, self._beta() if fbf else 0.0, eps)
+        for gamma in _ends(self._inclusion_gamma(cfg)):
+            kern.check_step(gamma, 1.0, self._beta(), eps, floor=cfg.epsilon)
+        self._check_relaxation(cfg)
 
     def _run_inclusion(self, overrides):
         solver = self._solver_section()
@@ -417,15 +422,7 @@ class ProblemFile:
         root = self.root
         primal, dual = [], []
         for sec in root.all_children("primal"):
-            dim = _dim(sec)
-            a_sec = sec.child("A")
-            if a_sec is None:
-                raise ProblemFormatError("primal block needs a 'begin A' block")
-            A = _operator(a_sec, ops.make_set_valued, dim)
-            C = None
-            c_sec = sec.child("C")
-            if c_sec is not None:
-                C = _operator(c_sec, ops.make_single_valued, dim)
+            A, C = _operators(sec, "A", "C", _dim(sec), "primal block")
             primal.append(alg.PrimalBlock(
                 A=A, C=C,
                 s_star=_vec_or_none(sec, "s_star"),
@@ -434,15 +431,7 @@ class ProblemFile:
                 epsilon=_number(sec, "epsilon", None),
                 mu=_number(sec, "mu", None)))
         for sec in root.all_children("dual"):
-            dim = _dim(sec)
-            b_sec = sec.child("B")
-            if b_sec is None:
-                raise ProblemFormatError("dual block needs a 'begin B' block")
-            B = _operator(b_sec, ops.make_set_valued, dim)
-            D = None
-            d_sec = sec.child("D")
-            if d_sec is not None:
-                D = _operator(d_sec, ops.make_single_valued, dim)
+            B, D = _operators(sec, "B", "D", _dim(sec), "dual block")
             dual.append(alg.DualBlock(
                 B=B, D=D,
                 r=_vec_or_none(sec, "r"),
@@ -482,12 +471,7 @@ class ProblemFile:
         self.variant = solver.get("variant", "coupled")
         if self.variant != "coupled":
             raise ConfigurationError("a coupled problem runs with variant 'coupled'")
-        # Stage-constant regime checks happen now, via one kernel construction.
-        kern.coupled_kernel(
-            self.problem,
-            [ops.identity_map(b.dim) for b in self.problem.primal],
-            [ops.identity_map(b.dim) for b in self.problem.dual],
-            self.gamma_stage, self.tau_stage)
+        self._check_relaxation(self._config(solver, {}))
 
     def _run_coupled(self, overrides):
         algo = overrides.get("algo")
@@ -520,6 +504,17 @@ def _operator(section: Section, make, dim):
         return make(section.require("name"), _op_params(section), dim)
     except ConfigurationError as exc:
         raise ConfigurationError(f"block {section.name!r}: {exc}") from None
+
+
+def _operators(section: Section, set_key, forward_key, dim, what):
+    """The required set-valued and the optional single-valued child operators."""
+    set_sec, forward_sec = section.child(set_key), section.child(forward_key)
+    if set_sec is None:
+        raise ProblemFormatError(f"{what} needs a 'begin {set_key}' block")
+    set_part = _operator(set_sec, ops.make_set_valued, dim)
+    if forward_sec is None:
+        return set_part, None
+    return set_part, _operator(forward_sec, ops.make_single_valued, dim)
 
 
 def _op_params(section: Section):
@@ -576,8 +571,16 @@ def _dim(section: Section, default=_REQUIRED):
 
 
 def _stage_constants(blocks, sections, key):
-    # A stage constant the file leaves out takes its block's default.
-    return [_number(sec, key, blk.default_step) for blk, sec in zip(blocks, sections)]
+    # A stage constant the file leaves out takes its block's default; each
+    # is checked against its block's stage regime.
+    return [kern.check_step(_number(sec, key, blk.default_step), *blk.stage[:3],
+                            label=f"{sec.name} block {k}: {key}")
+            for k, (blk, sec) in enumerate(zip(blocks, sections))]
+
+
+def _ends(schedule):
+    """The first value and the limit of a constant or a schedule block's rule."""
+    return (schedule(0), schedule(math.inf)) if callable(schedule) else (schedule,)
 
 
 def _stacked(section, key, layout):
@@ -696,6 +699,8 @@ def run_problem(pf: ProblemFile, overrides, trace_path, summary_path):
 
 def generate_problem(kind, dim, seed) -> str:
     """Emit a random problem file with an analytically known solution."""
+    if dim < 1:
+        raise ConfigurationError(f"--dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     if kind == "inclusion":
         lo = -np.round(rng.uniform(0.8, 2.0, dim), 6)
@@ -707,7 +712,7 @@ def generate_problem(kind, dim, seed) -> str:
         M = np.round(M, 6)
         b = -M @ z
         beta = float(np.linalg.norm(M, 2))
-        eps = 0.45 / (beta + 1.0)
+        eps = kern.epsilon_bound(0.45, beta)  # 0.45/(beta + 1): inside the alpha = 1 regime
         x0 = np.round(z + rng.uniform(1.0, 2.0, dim), 6)
         root = Section("root")
         root.entries["kind"] = "inclusion"
@@ -739,23 +744,21 @@ def generate_problem(kind, dim, seed) -> str:
         root.children.append(("solution", sol))
         return serialize_section(root) + "\n"
     if kind == "coupled":
-        d1, d2, dz = 2, 2, 2
+        # Two primal blocks and one dual block, each of dimension dim.
         P = []
-        for d in (d1, d2):
-            g = rng.normal(size=(d, d))
-            P.append(np.round(g @ g.T / d + 0.5 * np.eye(d), 6))
-        gB = rng.normal(size=(dz, dz))
-        R = np.round(gB @ gB.T / dz + 0.5 * np.eye(dz), 6)
-        L1 = np.round(rng.normal(size=(dz, d1)), 6)
-        L2 = np.round(rng.normal(size=(dz, d2)), 6)
-        s1 = np.round(rng.normal(size=d1), 6)
-        s2 = np.round(rng.normal(size=d2), 6)
-        r = np.round(rng.normal(size=dz), 6)
+        for _ in range(2):
+            g = rng.normal(size=(dim, dim))
+            P.append(np.round(g @ g.T / dim + 0.5 * np.eye(dim), 6))
+        gB = rng.normal(size=(dim, dim))
+        R = np.round(gB @ gB.T / dim + 0.5 * np.eye(dim), 6)
+        Ls = [np.round(rng.normal(size=(dim, dim)), 6) for _ in range(2)]
+        ss = [np.round(rng.normal(size=dim), 6) for _ in range(2)]
+        r = np.round(rng.normal(size=dim), 6)
         root = Section("root")
         root.entries["kind"] = "coupled"
-        for i, (P_i, s_i, d) in enumerate(zip(P, (s1, s2), (d1, d2))):
+        for P_i, s_i in zip(P, ss):
             sec = Section("primal")
-            sec.entries["dim"] = d
+            sec.entries["dim"] = dim
             sec.entries["s_star"] = s_i.tolist()
             a_sec = Section("A")
             a_sec.entries["name"] = "affine"
@@ -763,14 +766,14 @@ def generate_problem(kind, dim, seed) -> str:
             sec.children.append(("A", a_sec))
             root.children.append(("primal", sec))
         sec = Section("dual")
-        sec.entries["dim"] = dz
+        sec.entries["dim"] = dim
         sec.entries["r"] = r.tolist()
         b_sec = Section("B")
         b_sec.entries["name"] = "affine"
         b_sec.entries["matrix"] = R.tolist()
         sec.children.append(("B", b_sec))
         root.children.append(("dual", sec))
-        for i, L in enumerate((L1, L2)):
+        for i, L in enumerate(Ls):
             c_sec = Section("coupling")
             c_sec.entries["primal"] = i + 1
             c_sec.entries["dual"] = 1
@@ -783,27 +786,14 @@ def generate_problem(kind, dim, seed) -> str:
         s_sec.entries["tol_residual"] = 1e-08
         s_sec.entries["tol_step"] = 1e-08
         root.children.append(("solver", s_sec))
-        # Analytic solution through the dense stacked linear system.
-        n = d1 + d2 + dz + dz
-        A = np.zeros((n, n))
-        rhs = np.zeros(n)
-        xo = [0, d1, d1 + d2, d1 + d2 + dz]
-        A[xo[0]:xo[1], xo[0]:xo[1]] = P[0]
-        A[xo[1]:xo[2], xo[1]:xo[2]] = P[1]
-        A[xo[0]:xo[1], xo[3]:] = L1.T
-        A[xo[1]:xo[2], xo[3]:] = L2.T
-        rhs[xo[0]:xo[1]] = s1
-        rhs[xo[1]:xo[2]] = s2
-        A[xo[2]:xo[3], xo[2]:xo[3]] = R
-        A[xo[2]:xo[3], xo[3]:] = -np.eye(dz)
-        A[xo[3]:, xo[0]:xo[1]] = -L1
-        A[xo[3]:, xo[1]:xo[2]] = -L2
-        A[xo[3]:, xo[2]:xo[3]] = np.eye(dz)
-        rhs[xo[3]:] = -r
-        sol_vec = np.linalg.solve(A, rhs)
+        # Analytic solution through the dense stacked linear system in (x1, x2, y, v*).
+        Z, I = np.zeros((dim, dim)), np.eye(dim)
+        A = np.block([[P[0], Z, Z, Ls[0].T], [Z, P[1], Z, Ls[1].T],
+                      [Z, Z, R, -I], [-Ls[0], -Ls[1], I, Z]])
+        sol_vec = np.linalg.solve(A, np.concatenate(ss + [np.zeros(dim), -r]))
         sol = Section("solution")
-        sol.entries["x"] = sol_vec[:d1 + d2].tolist()
-        sol.entries["v_star"] = sol_vec[d1 + d2 + dz:].tolist()
+        sol.entries["x"] = sol_vec[:2 * dim].tolist()
+        sol.entries["v_star"] = sol_vec[3 * dim:].tolist()
         root.children.append(("solution", sol))
         return serialize_section(root) + "\n"
     raise ConfigurationError(f"unknown problem kind {kind!r}")
@@ -839,7 +829,8 @@ def build_parser():
     run.add_argument("--summary", help="JSON summary output path (default: <problem>.summary.json)")
     gen = sub.add_parser("generate", help="emit a random test problem with known solution")
     gen.add_argument("--kind", choices=["inclusion", "coupled"], default="inclusion")
-    gen.add_argument("--dim", type=int, default=4)
+    gen.add_argument("--dim", type=int, default=4,
+                     help="dimension of x, or of each coupled block")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", help="output path (default: stdout)")
     return p

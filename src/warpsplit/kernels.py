@@ -316,20 +316,49 @@ def map_kernel(W: SingleValuedOperator) -> Kernel:
                   name=f"map({W.name})")
 
 
-def fbf_step(alpha, beta, epsilon) -> float:
+def epsilon_bound(alpha, beta) -> float:
+    """The FBF bound alpha/(beta + 1): the regime needs epsilon in ]0, bound[."""
+    return alpha / (beta + 1.0)
+
+
+def fbf_step(alpha, beta, epsilon, label="epsilon") -> float:
     """Check the FBF regime and return the default step.
 
     The regime is ``epsilon in ]0, alpha/(beta + 1)[`` for a base W that is
     alpha-strongly monotone and a beta-Lipschitz forward part (beta = 0
-    when there is none).  The default step ``max(epsilon, 0.9 * (alpha -
-    epsilon)/beta)`` (1 when beta = 0) lies inside the range that
-    ``fbf_kernel`` checks.
+    when there is none, which leaves ``epsilon in ]0, alpha[``).  The
+    default step ``max(epsilon, 0.9 * (alpha - epsilon)/beta)`` (1 when
+    beta = 0) passes ``check_step``.  ``label`` names epsilon in the error.
     """
-    bound = alpha / (beta + 1.0)
+    bound = epsilon_bound(alpha, beta)
     if not 0 < epsilon < bound:
         raise ConfigurationError(
-            f"epsilon = {epsilon} outside ]0, alpha/(beta + 1)[ = ]0, {bound}[")
+            f"{label} = {epsilon} outside ]0, alpha/(beta + 1)[ = ]0, {bound}[")
     return max(epsilon, 0.9 * (alpha - epsilon) / beta) if beta > 0 else 1.0
+
+
+def _slack(bound):
+    return 1e-12 * max(1.0, abs(bound))
+
+
+def step_floor(epsilon) -> float:
+    """The least step ``check_step`` accepts: epsilon less its roundoff slack."""
+    return epsilon - _slack(epsilon)
+
+
+def check_step(gamma, alpha, beta, epsilon, floor=None, label="gamma") -> float:
+    """Check ``gamma in [epsilon, (alpha - epsilon)/beta]``; return it as a float.
+
+    beta = 0 leaves the range open above; ``floor``, when given, replaces
+    epsilon as the lower end.  Each end is widened by the roundoff slack
+    ``1e-12 * max(1, |end|)``; the message is only formatted on failure.
+    """
+    floor = epsilon if floor is None else floor
+    hi = (alpha - epsilon) / beta if beta > 0 else math.inf
+    if not step_floor(floor) <= gamma <= hi + _slack(hi):
+        raise ConfigurationError(
+            f"{label} = {gamma} outside [epsilon, (alpha - epsilon)/beta] = [{floor}, {hi}]")
+    return float(gamma)
 
 
 def fbf_kernel(W: SingleValuedOperator, B, gamma, epsilon) -> Kernel:
@@ -338,15 +367,14 @@ def fbf_kernel(W: SingleValuedOperator, B, gamma, epsilon) -> Kernel:
     W must be alpha-strongly monotone, B monotone beta-Lipschitz, and the
     step must satisfy ``gamma * beta <= alpha - epsilon`` for the configured
     ``epsilon in ]0, alpha[``; the kernel is then epsilon-strongly monotone
-    and its backward solve realizes ``(W + gamma A)^{-1}``.
+    and its backward solve realizes ``(W + gamma A)^{-1}``.  The step floor
+    epsilon is the solver's to check, not the kernel's.
     """
     alpha = W.strong_monotonicity
     if alpha is None:
         raise ConfigurationError(
             f"fbf_kernel needs a declared strong-monotonicity constant on W = {W.name!r}")
-    if not 0 < epsilon < alpha:
-        raise ConfigurationError(
-            f"fbf_kernel needs epsilon in ]0, alpha[ = ]0, {alpha}[, got {epsilon}")
+    fbf_step(alpha, 0.0, epsilon)
     if not gamma > 0:
         raise ConfigurationError(f"fbf_kernel needs gamma > 0, got {gamma}")
     if B is None:
@@ -356,12 +384,7 @@ def fbf_kernel(W: SingleValuedOperator, B, gamma, epsilon) -> Kernel:
         raise DimensionMismatchError(f"W dim {W.dim} != B dim {B.dim}")
     if not B.monotone:
         raise ConfigurationError("fbf_kernel needs a monotone forward operator B")
-    slack = 1e-12 * max(1.0, alpha)
-    if gamma * B.lipschitz > alpha - epsilon + slack:
-        raise ConfigurationError(
-            f"gamma = {gamma} exceeds (alpha - epsilon)/beta = "
-            f"{(alpha - epsilon) / B.lipschitz}; the kernel would lose its "
-            f"{epsilon}-strong monotonicity")
+    check_step(gamma, alpha, B.lipschitz, epsilon, floor=0.0)
     return Kernel(W.dim, base=[(W, 1.0)], layout=None, fold=(float(gamma), B),
                   alpha=epsilon, beta=W.lipschitz + gamma * B.lipschitz,
                   name=f"fbf({W.name}-{gamma}*{B.name})")
@@ -420,45 +443,23 @@ def coupled_kernel(problem, F_ops, W_ops, gammas, taus) -> Kernel:
     primal, dual = problem.primal, problem.dual
     if len(F_ops) != len(primal) or len(W_ops) != len(dual):
         raise DimensionMismatchError("one stage operator per block is required")
-    gammas = [float(g) for g in gammas]
-    taus = [float(t) for t in taus]
     if len(gammas) != len(primal) or len(taus) != len(dual):
         raise DimensionMismatchError("one stage constant per block is required")
-    for i, (blk, g) in enumerate(zip(primal, gammas)):
-        hi = (blk.alpha - blk.epsilon) / blk.mu
-        if not (blk.epsilon - 1e-12 <= g <= hi + 1e-12):
-            raise ConfigurationError(
-                f"primal block {i}: gamma = {g} outside [epsilon_i, (alpha_i - epsilon_i)/mu_i] "
-                f"= [{blk.epsilon}, {hi}]")
-    for j, (blk, t) in enumerate(zip(dual, taus)):
-        hi = (blk.beta - blk.delta) / blk.nu
-        if not (blk.delta - 1e-12 <= t <= hi + 1e-12):
-            raise ConfigurationError(
-                f"dual block {j}: tau = {t} outside [delta_j, (beta_j - delta_j)/nu_j] "
-                f"= [{blk.delta}, {hi}]")
-    for i, (blk, F) in enumerate(zip(primal, F_ops)):
-        if F.dim != blk.dim:
-            raise DimensionMismatchError(f"stage operator F_{i} has wrong dimension")
-        if F.strong_monotonicity is None:
-            raise ConfigurationError(f"stage operator F_{i} needs a declared strong monotonicity")
-    for j, (blk, W) in enumerate(zip(dual, W_ops)):
-        if W.dim != blk.dim:
-            raise DimensionMismatchError(f"stage operator W_{j} has wrong dimension")
-        if W.strong_monotonicity is None:
-            raise ConfigurationError(f"stage operator W_{j} needs a declared strong monotonicity")
+    ops = list(F_ops) + list(W_ops)
+    steps = [float(g) for g in gammas] + [float(t) for t in taus]
+    stages = [blk.stage for blk in primal + dual]  # (alpha, beta, epsilon, chi) each
+    names = [("primal", i, "gamma", "F") for i in range(len(primal))]
+    names += [("dual", j, "tau", "W") for j in range(len(dual))]
+    for blk, op, s, stage, (side, i, step, sym) in zip(primal + dual, ops, steps, stages, names):
+        check_step(s, *stage[:3], label=f"{side} block {i}: {step}")
+        if op.dim != blk.dim:
+            raise DimensionMismatchError(f"stage operator {sym}_{i} has wrong dimension")
+        if op.strong_monotonicity is None:
+            raise ConfigurationError(f"stage operator {sym}_{i} needs a declared strong monotonicity")
 
-    base = [(F, 1.0 / g) for F, g in zip(F_ops, gammas)]
-    base += [(W, 1.0 / t) for W, t in zip(W_ops, taus)]
-    base += [(None, 1.0) for _ in dual]
-
-    theta_parts = [blk.epsilon * blk.mu / (blk.alpha - blk.epsilon) for blk in primal]
-    theta_parts += [blk.delta * blk.nu / (blk.beta - blk.delta) for blk in dual]
-    vartheta = min(min(theta_parts), 1.0)
-    eta = max(
-        max(blk.chi / blk.epsilon + blk.mu for blk in primal),
-        max(blk.kappa / blk.delta + blk.nu for blk in dual),
-        1.0,
-    )
+    base = [(op, 1.0 / s) for op, s in zip(ops, steps)] + [(None, 1.0) for _ in dual]
+    vartheta = min(min(e * b / (a - e) for a, b, e, _ in stages), 1.0)
+    eta = max(max(c / e + b for _, b, e, c in stages), 1.0)
     beta = eta + problem.skew_norm()
     return Kernel(problem.layout.total,
                   base=base,

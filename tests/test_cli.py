@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import bracket_oracle
 
-from warpsplit import SingleValuedOperator, cli
+from warpsplit import SingleValuedOperator, algorithms, cli, kernels
 from warpsplit.cli import (
     EXIT_INFEASIBLE,
     EXIT_MAX_ITER,
@@ -227,6 +228,73 @@ def test_gamma_within_roundoff_of_the_floor_runs(tmp_path):
     code = main(["run", "--problem", write(tmp_path, "g.txt", text), "--summary", str(summary)])
     assert code == EXIT_OK
     assert json.loads(summary.read_text())["iterations"] == 2
+    below = text.replace("0.0499999999999999", "0.0499")
+    assert main(["run", "--problem", write(tmp_path, "b.txt", below)]) == EXIT_USAGE
+
+
+# The kernel's epsilon (0.2) is larger than the solver's (0.05): the default
+# step must lie below (1 - 0.2)/1, the upper end the run checks.
+KERNEL_EPSILON_ABOVE_SOLVER = MINIMAL.replace("gamma = 1.0", "epsilon = 0.05").replace(
+    "begin solver",
+    "begin B\n  name = affine_map\n  matrix = [[0, 1], [-1, 0]]\nend\n"
+    "begin kernel\n  name = fbf\n  epsilon = 0.2\nend\nbegin solver")
+
+
+def test_default_step_lies_inside_the_kernel_epsilon_range(tmp_path):
+    prob = write(tmp_path, "k.txt", KERNEL_EPSILON_ABOVE_SOLVER)
+    summary = tmp_path / "s.json"
+    assert main(["run", "--problem", prob, "--summary", str(summary)]) == EXIT_OK
+    assert json.loads(summary.read_text())["iterations"] == 102
+    assert parse_problem(prob).run({}).trace[0].gamma == pytest.approx(0.72, rel=1e-15)
+
+
+def test_empty_kernel_step_range_is_parse_time_error(tmp_path):
+    # epsilon = 0.6 >= alpha/(beta + 1) = 0.5 leaves [0.6, 0.4] empty.
+    text = KERNEL_EPSILON_ABOVE_SOLVER.replace("epsilon = 0.2", "epsilon = 0.6")
+    with pytest.raises(ConfigurationError, match=r"alpha/\(beta \+ 1\)"):
+        parse_problem(write(tmp_path, "e.txt", text))
+
+
+def test_geometric_gamma_below_the_floor_is_parse_time_error(tmp_path):
+    # gamma_n = max(0.01, 0.9 * 0.5^n) drops below epsilon = 0.05 at n = 5.
+    text = MINIMAL.replace(
+        "gamma = 1.0",
+        "epsilon = 0.05\n  begin gamma\n    rule = geometric\n    start = 0.9\n"
+        "    factor = 0.5\n    floor = 0.01\n  end")
+    with pytest.raises(ConfigurationError, match="outside"):
+        parse_problem(write(tmp_path, "g.txt", text))
+
+
+@pytest.mark.parametrize("lam", [
+    "lambda = 2.5",
+    "begin lambda\n    rule = geometric\n    start = 1.5\n    factor = 0.5\n    floor = 0.01\n  end",
+])
+def test_relaxation_is_checked_at_parse(tmp_path, lam):
+    text = MINIMAL.replace("gamma = 1.0", f"gamma = 1.0\n  {lam}")
+    with pytest.raises(ConfigurationError, match="relaxation lambda"):
+        parse_problem(write(tmp_path, "l.txt", text))
+    parse_problem(write(tmp_path, "s.txt", text.replace("variant = weak", "variant = strong")))
+
+
+@pytest.mark.parametrize("setting", ["max_iter = 0", "epsilon = 2.0"])
+def test_coupled_solver_section_is_checked_at_parse(tmp_path, setting):
+    text = COUPLED_SCALAR.replace("max_iter = 5000", setting)
+    with pytest.raises(ConfigurationError):
+        parse_problem(write(tmp_path, "c.txt", text))
+
+
+def test_coupled_parse_and_run_build_one_kernel(tmp_path, monkeypatch):
+    builds = []
+    real = kernels.coupled_kernel
+
+    def counted(*args):
+        builds.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "coupled_kernel", counted)
+    monkeypatch.setattr(algorithms, "coupled_kernel", counted)
+    assert parse_problem(write(tmp_path, "c.txt", COUPLED_SCALAR)).run({}).converged
+    assert len(builds) == 1
 
 
 def test_unknown_operator_name(tmp_path):
@@ -466,6 +534,39 @@ def test_generate_coupled_matches_embedded_solution(tmp_path):
     assert diff <= 1e-5 and diffv <= 1e-5
 
 
+def test_generate_coupled_dim_2_is_unchanged():
+    # sha256 of the problem part, and the solution, as written before --dim
+    # applied to coupled problems; the solution is compared to roundoff since
+    # it comes from a dense solve.
+    text = generate_problem("coupled", 2, 5)
+    head, solution = text.split("begin solution")
+    assert hashlib.sha256(head.encode()).hexdigest() == \
+        "c9c9419a35b9d55e1dcaca7d713fa132ecd352f8775e7325fe35900a6a56b4e6"
+    sol = ProblemFile(parse_text(text)).zeros[0]
+    np.testing.assert_allclose(
+        sol.x, [-0.29091942995070846, -0.24039798003494722, -0.2760601256856857,
+                -0.5014211611899592], rtol=1e-12)
+    np.testing.assert_allclose(sol.v_star, [0.24130818514823027, -0.15248104894018583],
+                               rtol=1e-12)
+
+
+def test_generate_coupled_uses_dim(tmp_path):
+    pf = parse_problem(write(tmp_path, "c3.txt", generate_problem("coupled", 3, 1)))
+    assert pf.problem.layout.dims == (3, 3, 3, 3)
+    res = pf.run({})
+    assert res.converged
+    assert np.linalg.norm(res.x.flat - pf.zeros[0].flat) <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ["inclusion", "coupled"])
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_generate_rejects_nonpositive_dim(tmp_path, capsys, kind, dim):
+    out = tmp_path / "g.txt"
+    assert main(["generate", "--kind", kind, "--dim", dim, "--out", str(out)]) == EXIT_USAGE
+    assert "--dim must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_cli_subcommand(tmp_path):
     out = str(tmp_path / "gen.txt")
     code = main(["generate", "--kind", "inclusion", "--dim", "3", "--seed", "2",
@@ -482,6 +583,19 @@ def test_identity_kernel_with_forward_part_rejected(tmp_path):
         "begin B\n  name = affine_map\n  matrix = [[0.0, 1.0], [-1.0, 0.0]]\nend\nbegin solver")
     with pytest.raises(ConfigurationError):
         parse_problem(write(tmp_path, "k.txt", text))
+
+
+def test_algo_weak_override_cannot_drop_the_forward_part(tmp_path, capsys):
+    # The zero is (0.5, 0); an identity kernel would solve without B and
+    # report the projection (1, 0) of x0 as converged.
+    text = MINIMAL.replace("gamma = 1.0", "").replace("variant = weak", "variant = fbf").replace(
+        "begin solver",
+        "begin B\n  name = affine_map\n  matrix = [[1, 0], [0, 1]]\n  offset = [-0.5, 0]\n"
+        "end\nbegin solver")
+    prob = write(tmp_path, "f.txt", text)
+    assert main(["run", "--problem", prob, "--algo", "weak"]) == EXIT_USAGE
+    assert "identity kernel cannot absorb" in capsys.readouterr().err
+    np.testing.assert_allclose(parse_problem(prob).run({}).x, [0.5, 0.0], atol=1e-8)
 
 
 def test_policy_blocks_parse(tmp_path):

@@ -11,6 +11,7 @@ from warpsplit import (
     MDecomposition,
     PrimalBlock,
     SingleValuedOperator,
+    SolverConfig,
     affine_map,
     affine_resolvent_operator,
     ball_normal_cone,
@@ -27,10 +28,11 @@ from warpsplit import (
     primal_dual_kernel,
     saddle_decomposition,
     scaled_identity_operator,
+    solve_weak,
     warped_resolvent,
     zero_operator,
 )
-from warpsplit.kernels import solve_base_inclusion
+from warpsplit.kernels import fbf_step, solve_base_inclusion
 
 from oracles import (
     blockwise_kt_forward,
@@ -587,3 +589,63 @@ def test_coupled_kernel_general_block_matches_blockwise_formula():
         p0, v0 = p[slices[0]], v[slices[0]]
         lhs = coefs[0] * F0(p0) + mats[0] @ p0 - prob.primal[0].s_star
         assert np.linalg.norm(lhs - v0) <= 1e-10 * (1 + np.linalg.norm(v0))
+
+
+# One FBF stage regime: the default step and both ends of the step range are
+# the same at every call site.  (alpha, beta, epsilon) with epsilon < alpha/(beta + 1);
+# the last triple has (alpha - epsilon)/beta > 1, where the slack is relative.
+REGIMES = [(1.0, 1.0, 0.05), (3.0, 0.5, 0.4), (0.2, 4.0, 0.01), (50.0, 2.0, 0.9)]
+OUTSIDE = r"outside \[epsilon, \(alpha - epsilon\)/beta\]"
+
+
+def one_block_problem(alpha, beta, eps):
+    return CoupledProblem(
+        [PrimalBlock(A=zero_operator(1), alpha=alpha, chi=1.0, epsilon=eps, mu=beta)],
+        [DualBlock(B=zero_operator(1))],
+        {(0, 0): [[1.0]]})
+
+
+def stage_kernel(prob, gamma):
+    return coupled_kernel(prob, [identity_map(1)], [identity_map(1)], [gamma],
+                          [prob.dual[0].default_step])
+
+
+@pytest.mark.parametrize("alpha, beta, eps", REGIMES)
+def test_one_default_step_rule(alpha, beta, eps):
+    step = fbf_step(alpha, beta, eps)
+    primal = PrimalBlock(A=zero_operator(1), alpha=alpha, epsilon=eps, mu=beta)
+    dual = DualBlock(B=zero_operator(1), beta=alpha, delta=eps, nu=beta)
+    assert primal.default_step == step == dual.default_step
+
+
+@pytest.mark.parametrize("alpha, beta, eps", REGIMES)
+def test_one_step_range_at_the_upper_bound(alpha, beta, eps):
+    W = identity_map(1, alpha)
+    B = SingleValuedOperator(1, lambda x: beta * x, lipschitz=beta, monotone=True)
+    prob = one_block_problem(alpha, beta, eps)
+    hi = (alpha - eps) / beta
+    for gamma in (hi * (1 - 1e-13), hi * (1 + 1e-13)):
+        fbf_kernel(W, B, gamma, eps)
+        stage_kernel(prob, gamma)
+    with pytest.raises(ConfigurationError, match=OUTSIDE):
+        fbf_kernel(W, B, hi * (1 + 1e-9), eps)
+    with pytest.raises(ConfigurationError, match=OUTSIDE):
+        stage_kernel(prob, hi * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("alpha, beta, eps", REGIMES)
+def test_one_step_range_at_the_floor(alpha, beta, eps):
+    prob = one_block_problem(alpha, beta, eps)
+    m = MDecomposition(zero_operator(1))
+
+    def engine(gamma):
+        cfg = SolverConfig(epsilon=eps, step_size=gamma, max_iter=1)
+        return solve_weak(m, identity_kernel(1), None, cfg, [1.0])
+
+    for gamma in (eps * (1 - 1e-13), eps):
+        engine(gamma)
+        stage_kernel(prob, gamma)
+    with pytest.raises(ConfigurationError, match=OUTSIDE):
+        engine(eps * (1 - 1e-9))
+    with pytest.raises(ConfigurationError, match=OUTSIDE):
+        stage_kernel(prob, eps * (1 - 1e-9))
