@@ -31,6 +31,7 @@ from .errors import (
     ConfigurationError,
     DimensionMismatchError,
     InfeasibleCutsError,
+    NonFiniteEntryError,
     SolverCorruptionError,
     StallError,
 )
@@ -40,6 +41,7 @@ from .kernels import (  # noqa: F401
     Kernel,
     MDecomposition,
     _check_pairing,
+    _scan_pair,
     _warped_pair,
     check_step,
     coupled_kernel,
@@ -357,6 +359,16 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
     (Haugazeau).  Stops when |y*| <= tol_residual and |x~ - y| <= tol_step:
     the relaxed update still applies its last step, the anchored one
     certifies before projecting and records a zero step.
+
+    Finiteness is certified once per graph point, by the scalars the cut
+    needs: sigma = |y*|^2 finite means y* is, and theta = <y - x, y*>
+    finite, with x finite, means y is (an infinite y_i makes its term
+    infinite or NaN, also where y*_i = 0).  Only when theta or sigma is not
+    finite does ``_scan_pair`` scan the vectors; it raises
+    NonFiniteEntryError, or returns when a product merely overflowed.  A
+    NonFiniteEntryError or DimensionMismatchError of the graph point names
+    iteration n.  numpy's floating-point warnings are off in the loop: the
+    typed errors report what they would.
     """
     policy = policy if policy is not None else PerturbationPolicy.none()
     x0 = vector(x0)
@@ -371,56 +383,62 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
     y = None  # the previous y warm-starts the next backward solve
     floor = step_floor(cfg.epsilon)
     status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
-    for n in range(cfg.max_iter):
-        gamma = float(gamma_fn(n))
-        if not gamma >= floor:
-            check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
-        kern = kernel_fn(n)
-        if kern is not paired[0] or gamma != paired[1]:
-            _check_pairing(m, kern, gamma)
-            paired = kern, gamma
-        x_tilde = apply_policy(policy, history, n)
-        y, y_star = _warped_pair(m, kern, gamma, x_tilde, y)
-        # np.dot and sqrt(d.dot(d)) are what inner() and np.linalg.norm compute.
-        theta = float(np.dot(y - x, y_star))
-        sigma = float(np.dot(y_star, y_star))
-        residual = math.sqrt(sigma)
-        done = residual <= cfg.tol_residual and _length(x_tilde - y) <= cfg.tol_step
-        if not anchored:
-            ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star,
-                                   theta, sigma) if takes_ctx else None
-            lam = lam_of(n, ctx)
-            rho, x_next = relaxed_cut(x, theta, sigma, y_star, lam)
-        elif done:
-            # Certified before the two-cut projection: a noise-scale
-            # candidate would make the cut geometry meaningless.
-            lam, rho, x_next = 1.0, 0.0, x
-        else:
-            lam = 1.0
-            rho, x_half = relaxed_cut(x, theta, sigma, y_star, lam)
+    with np.errstate(all="ignore"):
+        for n in range(cfg.max_iter):
+            gamma = float(gamma_fn(n))
+            if not gamma >= floor:
+                check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
+            kern = kernel_fn(n)
+            if kern is not paired[0] or gamma != paired[1]:
+                _check_pairing(m, kern, gamma)
+                paired = kern, gamma
+            x_tilde = apply_policy(policy, history, n)
             try:
-                x_next = haugazeau_Q(x0, x, x_half)
-            except InfeasibleCutsError as exc:
-                raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
-        trace.append(IterationRecord(
-            n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
-            step_norm=_length(x_next - x), residual=residual,
-            theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma,
-            fejer_gaps=_gaps(x, zeros)))
-        if done:
+                y, y_star = _warped_pair(m, kern, gamma, x_tilde, y)
+                # np.dot and sqrt(d.dot(d)) are what inner() and np.linalg.norm compute.
+                theta = float(np.dot(y - x, y_star))
+                sigma = float(np.dot(y_star, y_star))
+                if not (math.isfinite(theta) and math.isfinite(sigma)):
+                    _scan_pair(kern, x_tilde, y, y_star)
+            except (NonFiniteEntryError, DimensionMismatchError) as exc:
+                raise type(exc)(f"iteration {n}: {exc}") from exc
+            residual = math.sqrt(sigma)
+            done = residual <= cfg.tol_residual and _length(x_tilde - y) <= cfg.tol_step
+            if not anchored:
+                ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star,
+                                       theta, sigma) if takes_ctx else None
+                lam = lam_of(n, ctx)
+                rho, x_next = relaxed_cut(x, theta, sigma, y_star, lam)
+            elif done:
+                # Certified before the two-cut projection: a noise-scale
+                # candidate would make the cut geometry meaningless.
+                lam, rho, x_next = 1.0, 0.0, x
+            else:
+                lam = 1.0
+                rho, x_half = relaxed_cut(x, theta, sigma, y_star, lam)
+                try:
+                    x_next = haugazeau_Q(x0, x, x_half)
+                except InfeasibleCutsError as exc:
+                    raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
+            trace.append(IterationRecord(
+                n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
+                step_norm=_length(x_next - x), residual=residual,
+                theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma,
+                fejer_gaps=_gaps(x, zeros)))
+            if done:
+                x = x_next
+                status, reason = "converged", f"residual and step tolerances met at n = {n}"
+                break
+            if theta >= 0 and residual > _stall_floor(cfg, x_tilde):
+                stall += 1
+                if stall >= cfg.stall_limit:
+                    raise StallError(
+                        f"{stall} consecutive idle cuts with residual {residual:.3e} at "
+                        f"n = {n}; check kernel constants and schedules")
+            else:
+                stall = 0
             x = x_next
-            status, reason = "converged", f"residual and step tolerances met at n = {n}"
-            break
-        if theta >= 0 and residual > _stall_floor(cfg, x_tilde):
-            stall += 1
-            if stall >= cfg.stall_limit:
-                raise StallError(
-                    f"{stall} consecutive idle cuts with residual {residual:.3e} at "
-                    f"n = {n}; check kernel constants and schedules")
-        else:
-            stall = 0
-        x = x_next
-        history.append(x)
+            history.append(x)
     return SolveResult(x=x, trace=trace, status=status, stop_reason=reason,
                        iterations=len(trace))
 
@@ -682,7 +700,7 @@ class CoupledProblem:
             def fn(u):
                 out = S @ u
                 for sl, op in parts:
-                    out[sl] += op(u[sl])
+                    out[sl] += op._apply(u[sl])
                 return out
 
             diag = max(

@@ -69,39 +69,59 @@ def _forward_matches(fold_op, forward_part):
     return fold_op.tag is not None and fold_op.tag == forward_part.tag
 
 
+def _norm(v) -> float:
+    """|v| as sqrt(v.v), which is np.linalg.norm(v) bit for bit.
+
+    When the squares of a finite v overflow, the norm is recomputed scaled
+    by max |v_i|; a NaN or Inf entry still gives a non-finite norm.
+    """
+    n = math.sqrt(v.dot(v))
+    if n == math.inf:
+        s = float(np.abs(v).max())
+        if s < math.inf:
+            u = v / s
+            n = s * math.sqrt(u.dot(u))
+    return n
+
+
 def solve_base_inclusion(W, gamma, A, v, start=None):
     """Solve v in W(p) + gamma * A(p) for the unique p.
 
-    W is a strongly monotone Lipschitz map (None means the identity).  The
-    scaled-identity case is closed form; otherwise a contraction inner loop
-    with ratio sqrt(1 - (alpha/beta)^2) runs to residual
-    ``1e-12 * (1 + |v|)`` within 200 iterations, else raises.  The loop
-    starts from ``start`` when given (any point converges), else from the
-    resolvent at v; a non-finite residual raises at once.
+    W is a strongly monotone Lipschitz map (None means the identity); v and
+    ``start`` are float vectors of A's dimension.  The scaled-identity case
+    is closed form; otherwise a contraction inner loop with ratio
+    sqrt(1 - (alpha/beta)^2) runs to residual ``1e-12 * (1 + |v|)`` within
+    200 iterations, else raises.  The loop starts from ``start`` when given
+    (any point converges), else from the resolvent at v.
+
+    The oracles are called through their unscanned entries
+    (``SetValuedOperator._resolve``, ``SingleValuedOperator._apply``).  The
+    loop certifies its own output: a residual within tolerance is finite,
+    and a non-finite residual raises NonFiniteEntryError at once.  The
+    closed form's output is certified by the graph point it feeds.
     """
     if W is None:
-        return A.resolvent(gamma, v)
+        return A._resolve(gamma, v)
     c = W.scale_of_identity
     if c is not None:
-        return A.resolvent(gamma / c, v / c)
+        return A._resolve(gamma / c, v / c)
     if W.strong_monotonicity is None:
         raise ConfigurationError(
             f"backward solve with base {W.name!r} needs a declared strong-monotonicity constant")
     c = W.lipschitz ** 2 / W.strong_monotonicity
-    tol = INNER_TOL_SCALE * (1.0 + float(np.linalg.norm(v)))
+    tol = INNER_TOL_SCALE * (1.0 + _norm(v))
     if not math.isfinite(tol):
         raise NonFiniteEntryError(f"backward solve right-hand side has norm {tol / INNER_TOL_SCALE}")
     g = gamma / c
-    p = A.resolvent(g, v / c) if start is None else start
-    Wp = W(p)
+    p = A._resolve(g, v / c) if start is None else start
+    Wp = W._apply(p)
     residual = np.inf
     for _ in range(INNER_MAX_ITER):
         u = (v - Wp + c * p) / c
-        p = A.resolvent(g, u)
-        Wp = W(p)
+        p = A._resolve(g, u)
+        Wp = W._apply(p)
         # u - p in (gamma/c) A p, so c*(u - p) is gamma * (a point of A p)
-        r = Wp + c * (u - p) - v
-        residual = math.sqrt(r.dot(r))  # np.linalg.norm(r), bit for bit
+        residual = _norm(Wp + c * (u - p) - v)
         if residual <= tol:
             return p
         if not math.isfinite(residual):
@@ -174,18 +194,22 @@ class Kernel:
             if W is None:
                 return c * x
             s = W.scale_of_identity
-            return c * W(x) if s is None else c * (s * x)
+            return c * W._apply(x) if s is None else c * (s * x)
         y = self._coef * x
         for sl, W, c in self._general:
-            y[sl] = c * W(x[sl])
+            y[sl] = c * W._apply(x[sl])
         return y
 
     def eval(self, x) -> np.ndarray:
-        """K x.
+        """K x, shape-checked but not scanned for NaN/Inf.
 
-        Only an ``eval_override`` output is scanned for NaN/Inf here: the
-        structured form's forward outputs are checked by their operators, and
-        an overflow in it is caught by the graph point's y* scan.
+        The structured form calls its base and forward maps through
+        ``SingleValuedOperator._apply``, which checks each output's shape
+        only.  A NaN or Inf in K x, from an oracle or an overflow, reaches
+        y* of the graph point it feeds: the engine's certificate and the
+        scans of ``graph_point`` and ``warped_resolvent`` catch it there.
+        Only an ``eval_override`` output, which no graph point follows, is
+        scanned here.
         """
         x = np.asarray(x, dtype=float)
         check_dim(x, self.dim, f"kernel {self.name} argument")
@@ -195,13 +219,18 @@ class Kernel:
         y = self.base_eval(x)
         if self.fold is not None:
             g, B = self.fold
-            y = y - g * B(x)
+            y = y - g * B._apply(x)
         return y
 
     # -- warped backward solve ----------------------------------------------
 
     def backward_solve(self, gamma, set_part: SetValuedOperator, v, start=None) -> np.ndarray:
-        """Solve v in K_base(p) + gamma * A(p); ``start`` warm-starts inner loops."""
+        """Solve v in K_base(p) + gamma * A(p); ``start`` warm-starts inner loops.
+
+        Blockwise ``solve_base_inclusion``, through the unscanned oracle
+        entries: each block's output is shape-checked, and certified finite
+        only by an inner loop's residual; the graph point certifies the rest.
+        """
         if self.base is None:
             raise ConfigurationError(
                 f"kernel {self.name!r} has no backward solve; it is evaluation-only")
@@ -256,29 +285,48 @@ def _check_pairing(m: MDecomposition, kernel: Kernel, gamma):
 
 
 def _warped_pair(m: MDecomposition, kernel: Kernel, gamma, x, start=None):
-    """(y, y*) at x for a pairing the caller has checked.
+    """(y, y*) at x for a pairing the caller has checked, not scanned.
 
-    y* is the one finite scan of the graph point: it catches an overflow in
-    either kernel evaluation.  ``start`` warm-starts inner loops.
+    ``start`` warm-starts inner loops.  A NaN or Inf in K x or K y reaches
+    y*, and one in the backward solve reaches y; the caller certifies the
+    pair (``_scan_pair``, or the engine's theta and sigma).
     """
     w = kernel.eval(x)
     y = kernel.backward_solve(gamma, m.set_part, w, start)
-    y_star = check_finite((w - kernel.eval(y)) / gamma, "graph point y*")
-    return y, y_star
+    return y, (w - kernel.eval(y)) / gamma
+
+
+def _scan_pair(kernel: Kernel, x, y, y_star):
+    """The exact scans that certify a graph point (y, y*) computed at x.
+
+    Returns when y and y* are finite.  Else raises NonFiniteEntryError naming
+    the first non-finite value in the order they were computed: the kernel's
+    folded forward oracle at x (called again, through its scanned entry, to
+    tell), y, then y*.
+    """
+    if np.isfinite(y).all() and np.isfinite(y_star).all():
+        return
+    if kernel.fold is not None:
+        kernel.fold[1](x)
+    check_finite(y, "graph point y")
+    check_finite(y_star, "graph point y*")
 
 
 def warped_resolvent(m: MDecomposition, kernel: Kernel, gamma, x) -> np.ndarray:
     """Evaluate (K + gamma M)^{-1} (K x).
 
     Fixed points of this map are exactly the zeros of M; the output y also
-    satisfies ``K x - K y  in  gamma * M y``.
+    satisfies ``K x - K y  in  gamma * M y``.  K x and y are scanned for
+    NaN/Inf; numpy's floating-point warnings are off while they are computed.
     """
     if not gamma > 0:
         raise ConfigurationError(f"warped resolvent needs gamma > 0, got {gamma}")
     x = np.asarray(x, dtype=float)
     _check_pairing(m, kernel, gamma)
-    w = kernel.eval(x)
-    return kernel.backward_solve(gamma, m.set_part, w)
+    with np.errstate(all="ignore"):
+        w = check_finite(kernel.eval(x), f"kernel {kernel.name} output")
+        return check_finite(kernel.backward_solve(gamma, m.set_part, w),
+                            "warped resolvent output")
 
 
 def graph_point(m: MDecomposition, kernel: Kernel, gamma, x_tilde) -> GraphPoint:
@@ -286,13 +334,17 @@ def graph_point(m: MDecomposition, kernel: Kernel, gamma, x_tilde) -> GraphPoint
 
     y* = (K x_tilde - K y) / gamma, which lies in M y by the graph
     characterization of warped resolvents; the pair certifies a half-space
-    containing every zero of M.
+    containing every zero of M.  The pair is the engine's, bit for bit,
+    scanned by ``_scan_pair``; numpy's floating-point warnings are off while
+    it is computed.
     """
     if not gamma > 0:
         raise ConfigurationError(f"graph_point needs gamma > 0, got {gamma}")
     x_tilde = np.asarray(x_tilde, dtype=float)
     _check_pairing(m, kernel, gamma)
-    y, y_star = _warped_pair(m, kernel, gamma, x_tilde)
+    with np.errstate(all="ignore"):
+        y, y_star = _warped_pair(m, kernel, gamma, x_tilde)
+        _scan_pair(kernel, x_tilde, y, y_star)
     return GraphPoint(y=y, y_star=y_star)
 
 

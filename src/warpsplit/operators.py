@@ -32,6 +32,11 @@ class SetValuedOperator:
         ``(gamma, x) -> J_{gamma A} x`` for every ``gamma > 0``.
     name : str
         Catalog name, used in error messages and problem files.
+
+    ``resolvent`` validates gamma and x, calls the oracle through
+    ``_resolve`` and scans the output for NaN/Inf.  ``_resolve`` only checks
+    the output's shape; the iteration engine calls it, and certifies
+    finiteness once per graph point instead.
     """
 
     def __init__(self, dim, resolvent_oracle, name="operator"):
@@ -39,16 +44,27 @@ class SetValuedOperator:
         self._resolvent = resolvent_oracle
         self.name = name
 
+    def _resolve(self, gamma, x) -> np.ndarray:
+        """J_{gamma A} x for a float gamma > 0 and a float vector x of this
+        dimension: the output's shape is checked, its entries are not scanned.
+
+        This is the entry the iteration engine calls; a NaN or Inf it returns
+        reaches the graph point it feeds, whose certificate catches it.
+        """
+        y = np.asarray(self._resolvent(gamma, x), dtype=float)
+        check_dim(y, self.dim, f"resolvent output of {self.name}")
+        return y
+
     def resolvent(self, gamma, x) -> np.ndarray:
-        """Evaluate J_{gamma A} x = (Id + gamma A)^{-1} x."""
+        """Evaluate J_{gamma A} x = (Id + gamma A)^{-1} x, scanned for NaN/Inf."""
         if not gamma > 0:
             raise ConfigurationError(f"resolvent needs gamma > 0, got {gamma}")
         x = np.asarray(x, dtype=float)
         check_dim(x, self.dim, f"resolvent of {self.name}")
-        y = np.asarray(self._resolvent(float(gamma), x), dtype=float)
-        check_dim(y, self.dim, f"resolvent output of {self.name}")
-        check_finite(y, f"resolvent output of {self.name}")
-        return y
+        return check_finite(self._resolve(float(gamma), x), f"resolvent output of {self.name}")
+
+    def _inverse_resolve(self, gamma, x) -> np.ndarray:
+        return x - gamma * self._resolve(1.0 / gamma, x / gamma)
 
     def inverse_resolvent(self, gamma, x) -> np.ndarray:
         """Evaluate J_{gamma A^{-1}} x via the inverse-resolvent identity.
@@ -57,17 +73,14 @@ class SetValuedOperator:
         """
         if not gamma > 0:
             raise ConfigurationError(f"inverse_resolvent needs gamma > 0, got {gamma}")
-        gamma = float(gamma)
         x = np.asarray(x, dtype=float)
-        return x - gamma * self.resolvent(1.0 / gamma, x / gamma)
+        check_dim(x, self.dim, f"inverse resolvent of {self.name}")
+        return check_finite(self._inverse_resolve(float(gamma), x),
+                            f"inverse resolvent output of {self.name}")
 
     def inverse(self) -> "SetValuedOperator":
         """The inverse operator A^{-1}, resolvents via the identity above."""
-        return SetValuedOperator(
-            self.dim,
-            lambda g, x, _op=self: _op.inverse_resolvent(g, x),
-            name=f"inv({self.name})",
-        )
+        return SetValuedOperator(self.dim, self._inverse_resolve, name=f"inv({self.name})")
 
     def add_constant(self, w) -> "SetValuedOperator":
         """The operator x -> A x + w; its resolvent is J_A(v - gamma w)."""
@@ -75,7 +88,7 @@ class SetValuedOperator:
         check_dim(w, self.dim, "constant shift")
         return SetValuedOperator(
             self.dim,
-            lambda g, x, _op=self, _w=w: _op.resolvent(g, x - g * _w),
+            lambda g, x, _op=self, _w=w: _op._resolve(g, x - g * _w),
             name=f"{self.name}+const",
         )
 
@@ -104,7 +117,7 @@ class BlockDiagonalOperator(SetValuedOperator):
     def _block_resolvent(self, gamma, x):
         parts = self.layout.split(x)
         return self.layout.join(
-            [b.resolvent(gamma, p) for b, p in zip(self.blocks, parts)])
+            [b._resolve(gamma, p) for b, p in zip(self.blocks, parts)])
 
 
 class SingleValuedOperator:
@@ -113,6 +126,11 @@ class SingleValuedOperator:
     ``lipschitz`` (and optionally ``strong_monotonicity``) are declared,
     trusted inputs.  ``scale_of_identity`` marks maps equal to c * Id, which
     unlocks closed-form backward solves in the kernels module.
+
+    Calling the operator validates x, calls ``fn`` through ``_apply`` and
+    scans the output for NaN/Inf.  ``_apply`` only checks the output's
+    shape; the iteration engine calls it, and certifies finiteness once per
+    graph point instead.
     """
 
     def __init__(self, dim, fn, lipschitz, monotone=True,
@@ -134,13 +152,22 @@ class SingleValuedOperator:
         self.name = name
         self.tag = tag
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        check_dim(x, self.dim, f"argument of {self.name}")
+    def _apply(self, x) -> np.ndarray:
+        """The map at a float vector x of this dimension: the output's shape
+        is checked, its entries are not scanned.
+
+        This is the entry the iteration engine calls; a NaN or Inf it returns
+        reaches the graph point it feeds, whose certificate catches it.
+        """
         y = np.asarray(self._fn(x), dtype=float)
         check_dim(y, self.dim, f"output of {self.name}")
-        check_finite(y, f"output of {self.name}")
         return y
+
+    def __call__(self, x) -> np.ndarray:
+        """The map at x, scanned for NaN/Inf."""
+        x = np.asarray(x, dtype=float)
+        check_dim(x, self.dim, f"argument of {self.name}")
+        return check_finite(self._apply(x), f"output of {self.name}")
 
     def __repr__(self):
         return f"SingleValuedOperator({self.name}, dim={self.dim}, beta={self.lipschitz})"
@@ -214,7 +241,8 @@ def box_normal_cone(lo, hi) -> SetValuedOperator:
     hi = vector(hi)
     if lo.shape != hi.shape or np.any(lo > hi):
         raise ConfigurationError("box bounds must satisfy lo <= hi componentwise")
-    return SetValuedOperator(lo.shape[0], lambda g, x: proj_box(x, lo, hi), name="box")
+    # ndarray.clip is the ufunc np.clip calls, without its dispatch overhead.
+    return SetValuedOperator(lo.shape[0], lambda g, x: x.clip(lo, hi), name="box")
 
 
 def ball_normal_cone(center, radius) -> SetValuedOperator:

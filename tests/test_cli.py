@@ -486,6 +486,18 @@ def test_underflowing_forward_matrix_is_numerical_failure(tmp_path, capsys, vari
     assert "underflowed to 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["strong", "weak"])
+def test_overflowing_cut_of_a_finite_graph_point_is_numerical_failure(tmp_path, capsys, variant):
+    # y* = x0 - P_box x0 = 1e200 - 1 is finite; theta and sigma = |y*|^2 overflow.
+    text = ZERO_FORWARD.replace("[-2.2]", "[1.0e200]").replace("strong", variant)
+    text = text.replace("begin B\n  name = affine_map\n  matrix = [[0.0]]\nend\n", "")
+    text = text.replace("begin kernel\n  name = fbf\nend\n", "")
+    code = main(["run", "--problem", write(tmp_path, "o.txt", text),
+                 "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
+    assert code == EXIT_NUMERICAL
+    assert "step norm nan" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(tmp_path):
     prob = write(tmp_path, "p.txt", "kind = inclusion\nbegin A\n")
     code = main(["run", "--problem", prob])

@@ -1,12 +1,20 @@
 """What the iteration engine's hot path promises.
 
-Finiteness and shape are checked where values enter: forward outputs,
-resolvent outputs, general-base outputs, y* once per graph point and the
-inner-loop residual.  A bad value from a user oracle raises a typed error
-at the iteration it appears in and never reaches a trace record.  The inner
-loop of a general base is warm-started from the previous y within one run
-only, and identity bases and the pairing check cost nothing per iteration.
+Finiteness is certified once per graph point.  The engine calls its
+oracles through entries that check each output's shape but scan no
+entries, and the cut's scalars certify the pair: sigma = |y*|^2 finite
+means y* is, and theta = <y - x, y*> finite means y is.  Only when one of
+them is not finite are the vectors scanned.  The inner loop of a general
+base certifies through its residual.  A bad value from a user oracle
+raises a typed error naming the iteration it appears in, and never reaches
+a trace record; a finite y* whose sigma overflows fails as a corrupted cut.
+The public entries scan what they return, and ``graph_point`` gives the
+engine's pair bit for bit.  The inner loop of a general base is
+warm-started from the previous y within one run only, and identity bases
+and the pairing check cost nothing per iteration.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -22,15 +30,20 @@ from warpsplit import (
     SetValuedOperator,
     SingleValuedOperator,
     SolverConfig,
+    SolverCorruptionError,
     affine_map,
     box_normal_cone,
+    coupled_kernel,
     fbf_kernel,
+    graph_point,
+    identity_kernel,
     identity_map,
     map_kernel,
     scaled_identity_operator,
     solve_coupled,
     solve_strong,
     solve_weak,
+    warped_resolvent,
 )
 from warpsplit import algorithms, kernels
 from warpsplit.kernels import solve_base_inclusion
@@ -127,6 +140,18 @@ def weak_or_strong(solver, fault, solve):
     return lambda: run(MDecomposition(A, B), k, None, tight(200), np.full(d, 3.0))
 
 
+def coupled_problem(A_fn, C_fn, F_fn, c_lip, f_lip, general):
+    d = 2
+    A = SetValuedOperator(d, A_fn, name="user_box")
+    C = SingleValuedOperator(d, C_fn, lipschitz=c_lip, name="user_forward")
+    F = SingleValuedOperator(d, F_fn, lipschitz=f_lip, strong_monotonicity=1.0, name="user_base")
+    prob = CoupledProblem(
+        [PrimalBlock(A=A, C=C, s_star=[1.0, -1.0], alpha=1.0, chi=f_lip if general else 1.0)],
+        [DualBlock(B=scaled_identity_operator(d, 1.0), r=[0.5, 0.5])],
+        {(0, 0): np.array([[1.0, 0.5], [0.0, 1.0]])})
+    return prob, F
+
+
 def coupled(fault, solve):
     d = 2
     A_fn, C_fn, F_fn, c_lip, f_lip = user_ops(d, np.random.default_rng(72))
@@ -138,25 +163,22 @@ def coupled(fault, solve):
         C_fn = faulty(C_fn, inf_out)
     else:
         F_fn = faulty_in_inner_loop(F_fn, solve)
-    A = SetValuedOperator(d, A_fn, name="user_box")
-    C = SingleValuedOperator(d, C_fn, lipschitz=c_lip, name="user_forward")
-    F = SingleValuedOperator(d, F_fn, lipschitz=f_lip, strong_monotonicity=1.0, name="user_base")
     general = fault == "base_nan"
-    prob = CoupledProblem(
-        [PrimalBlock(A=A, C=C, s_star=[1.0, -1.0], alpha=1.0, chi=f_lip if general else 1.0)],
-        [DualBlock(B=scaled_identity_operator(d, 1.0), r=[0.5, 0.5])],
-        {(0, 0): np.array([[1.0, 0.5], [0.0, 1.0]])})
+    prob, F = coupled_problem(A_fn, C_fn, F_fn, c_lip, f_lip, general)
     return lambda: solve_coupled(prob, tight(200), F_schedule=[F] if general else None)
 
 
 @pytest.mark.parametrize("solver", ["weak", "strong", "coupled"])
-@pytest.mark.parametrize("fault, error", [
-    ("resolvent_nan", NonFiniteEntryError),
-    ("forward_inf", NonFiniteEntryError),
-    ("resolvent_shape", DimensionMismatchError),
-    ("base_nan", NonFiniteEntryError),
+@pytest.mark.parametrize("fault, error, at", [
+    # Each iteration calls the resolvent once, the forward map twice and
+    # solves through the user base once, so the fault hits iteration ``at``.
+    ("resolvent_nan", NonFiniteEntryError, FAULT_AT - 1),
+    ("forward_inf", NonFiniteEntryError, (FAULT_AT - 1) // 2),
+    ("resolvent_shape", DimensionMismatchError, FAULT_AT - 1),
+    ("base_nan", NonFiniteEntryError, BASE_FAULT_SOLVE - 1),
 ])
-def test_bad_oracle_value_raises_typed_error_before_any_record(monkeypatch, solver, fault, error):
+def test_bad_oracle_value_raises_typed_error_before_any_record(monkeypatch, solver, fault, error,
+                                                               at):
     records = []
     record = algorithms.IterationRecord
 
@@ -181,13 +203,32 @@ def test_bad_oracle_value_raises_typed_error_before_any_record(monkeypatch, solv
 
     monkeypatch.setattr(kernels, "solve_base_inclusion", numbered)
     run = coupled(fault, solve) if solver == "coupled" else weak_or_strong(solver, fault, solve)
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^iteration {at}: "):
         run()
-    assert records, "the fault should hit after some iterations"
+    assert len(records) == at
     for rec in records:
         for v in (rec.x, rec.x_tilde, rec.y, rec.y_star):
             assert np.isfinite(v).all()
         assert np.isfinite([rec.theta, rec.sigma, rec.rho, rec.residual, rec.step_norm]).all()
+
+
+def test_public_entries_scan_what_they_return():
+    nan_res = SetValuedOperator(2, lambda g, x: np.full(2, np.nan), name="nan_res")
+    inf_map = SingleValuedOperator(2, lambda x: np.full(2, np.inf), lipschitz=1.0, name="inf_map")
+    with pytest.raises(NonFiniteEntryError, match="^resolvent output of nan_res"):
+        nan_res.resolvent(1.0, np.zeros(2))
+    with pytest.raises(NonFiniteEntryError, match="^inverse resolvent output of nan_res"):
+        nan_res.inverse_resolvent(1.0, np.zeros(2))
+    with pytest.raises(NonFiniteEntryError, match="^output of inf_map"):
+        inf_map(np.zeros(2))
+    # The box clamps K x = -Inf back to a finite y, so only the scan of K x,
+    # or the forward oracle called again, sees the Inf.
+    m = MDecomposition(box_normal_cone([-1.0, -1.0], [1.0, 1.0]), inf_map)
+    k = fbf_kernel(identity_map(2), inf_map, 0.5, 0.05)
+    with pytest.raises(NonFiniteEntryError, match="^output of inf_map"):
+        graph_point(m, k, 0.5, np.zeros(2))
+    with pytest.raises(NonFiniteEntryError, match="^kernel .* output"):
+        warped_resolvent(m, k, 0.5, np.zeros(2))
 
 
 @pytest.mark.parametrize("solver", [solve_weak, solve_strong])
@@ -200,6 +241,15 @@ def test_kernel_overflow_is_caught_at_y_star(solver):
         solver(m, k, None, SolverConfig(step_size=1.0), [1e308, 1e308])
 
 
+@pytest.mark.parametrize("solver", [solve_weak, solve_strong])
+def test_finite_y_star_whose_sigma_overflows_is_a_corrupted_cut(solver):
+    # y* = x0 - P_box x0 ~ 1e200 is finite, so no NonFiniteEntryError: theta
+    # and sigma overflow, and the cut they give is caught as corrupted.
+    m = MDecomposition(box_normal_cone([-1.0], [1.0]))
+    with pytest.raises(SolverCorruptionError, match="step norm nan"):
+        solver(m, identity_kernel(1), None, SolverConfig(step_size=1.0), [1e200])
+
+
 def test_non_finite_inner_residual_raises_at_once():
     # c = |W|^2 / alpha = 1e300, so c * start overflows although every oracle
     # output is finite: the loop stops at its first step instead of failing
@@ -208,6 +258,20 @@ def test_non_finite_inner_residual_raises_at_once():
     A = box_normal_cone([-1e10] * 2, [1e10] * 2)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteEntryError, match="residual"):
         solve_base_inclusion(W, 1.0, A, np.ones(2), start=np.full(2, 1e10))
+
+
+def test_inner_tolerance_survives_an_overflowing_norm():
+    # |v|^2 overflows for this finite v: the tolerance is taken from the norm
+    # scaled by max |v_i|, so the solve converges instead of raising.
+    Wm = np.eye(2) + 0.5 * skew_unit(np.random.default_rng(74), 2)
+    W = affine_map(Wm)
+    A = box_normal_cone([-1.0, -1.0], [1.0, 1.0])
+    v = np.array([1e300, 1e300])
+    with np.errstate(over="ignore"):  # the first, unscaled |v|^2 overflows
+        assert np.array_equal(solve_base_inclusion(W, 1.0, A, v), [1.0, 1.0])
+    # The same solve through the public warped resolvent, K = W, K x = v.
+    x = np.linalg.solve(Wm, v)
+    assert np.array_equal(warped_resolvent(MDecomposition(A), map_kernel(W), 1.0, x), [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +349,62 @@ def test_identity_base_is_never_called(monkeypatch):
     A, B, _, gamma, eps, _, x0, _ = general_base_problem()
     W = identity_map(A.dim)
     calls = {W: 0, B: 0}
-    call = SingleValuedOperator.__call__
+    for op in (W, B):
+        def counting(x, op=op, fn=op._fn):
+            calls[op] += 1
+            return fn(x)
 
-    def counting(op, x):
-        calls[op] = calls.get(op, 0) + 1
-        return call(op, x)
-
-    monkeypatch.setattr(SingleValuedOperator, "__call__", counting)
+        monkeypatch.setattr(op, "_fn", counting)
     res = solve_weak(MDecomposition(A, B), fbf_kernel(W, B, gamma, eps), None, tight(40), x0)
     assert calls[W] == 0 and calls[B] == 2 * res.iterations == 80
+
+
+def test_healthy_weak_run_scans_no_vector(monkeypatch):
+    A, B, _, gamma, eps, _, x0, _ = general_base_problem()
+    scans = []
+    check = kernels.check_finite
+    bound = [mod for name, mod in sys.modules.items()
+             if name.split(".")[0] == "warpsplit" and "check_finite" in vars(mod)]
+    assert len(bound) >= 3  # space, operators, kernels
+    for mod in bound:
+        monkeypatch.setattr(mod, "check_finite",
+                            lambda arr, what="value": scans.append(what) or check(arr, what))
+    res = solve_weak(MDecomposition(A, B), fbf_kernel(identity_map(A.dim), B, gamma, eps), None,
+                     tight(40), x0)
+    assert res.iterations == 40 and scans == []
+    B(x0)  # the public call scans, through the same bindings
+    assert scans == ["output of affine_map"]
+
+
+def engine_runs():
+    """(m, kernel, gamma, result, general base?) of weak and strong runs with
+    an identity and a general base W = I + 0.5 R, and of a coupled run."""
+    A, B, W, gamma, eps, _, x0, _ = general_base_problem()
+    m = MDecomposition(A, B)
+    for base in (identity_map(A.dim), W):
+        k = fbf_kernel(base, B, gamma, eps)
+        for solver in (solve_weak, solve_strong):
+            yield m, k, gamma, solver(m, k, None, tight(25), x0), base is W
+    prob, _ = coupled_problem(*user_ops(2, np.random.default_rng(72)), general=False)
+    k = coupled_kernel(prob, [identity_map(2)], [identity_map(2)],
+                       [prob.primal[0].default_step], [prob.dual[0].default_step])
+    yield prob.decomposition(), k, 1.0, solve_coupled(prob, tight(25)), False
+
+
+def test_trace_pairs_are_graph_points_bit_for_bit():
+    # The unscanned engine and the scanned public graph_point do the same
+    # arithmetic.  Only the engine warm-starts a general base's inner loop,
+    # so there the first pair agrees bit for bit and the rest within the
+    # inner loop's tolerance.
+    for m, k, gamma, res, warm in engine_runs():
+        assert res.iterations == 25
+        for rec in res.trace:
+            gp = graph_point(m, k, gamma, rec.x_tilde)
+            if warm and rec.n > 0:
+                assert np.linalg.norm(gp.y - rec.y) <= 1e-10 * (1.0 + np.linalg.norm(rec.y))
+            else:
+                assert gp.y.tobytes() == rec.y.tobytes()
+                assert gp.y_star.tobytes() == rec.y_star.tobytes()
 
 
 def test_pairing_checked_once_per_kernel_and_gamma(monkeypatch):
