@@ -66,14 +66,28 @@ from .space import BlockLayout, LinearMap, check_dim, vector
 # Configuration, schedules, policies
 # ---------------------------------------------------------------------------
 
-def as_schedule(value, name="schedule"):
-    """Normalize a constant or callable n -> value into a callable."""
-    if value is None:
-        raise ConfigurationError(f"{name} is required")
-    if callable(value):
-        return value
-    v = float(value)
-    return lambda n: v
+STALL_LIMIT = 50  # consecutive idle cuts with a non-small residual before StallError
+
+
+def _is_schedule(value):
+    # An operator is callable, but as a stage input it is a constant.
+    return callable(value) and not isinstance(value, SingleValuedOperator)
+
+
+def stage_at(value, n):
+    """The stage-n value of an n-indexed input: ``value(n)`` for a schedule, else ``value``."""
+    return value(n) if _is_schedule(value) else value
+
+
+def staged(build, *inputs):
+    """``build(*inputs)`` once when no input is a schedule, else n -> build at stage n.
+
+    Constant inputs thus build one object (a kernel, a stage list) per run,
+    and schedules one per iteration, read by ``stage_at``.
+    """
+    if not any(map(_is_schedule, inputs)):
+        return build(*inputs)
+    return lambda n: build(*(stage_at(v, n) for v in inputs))
 
 
 @dataclass
@@ -83,8 +97,12 @@ class SolverConfig:
     ``relaxation`` is the lambda schedule: a constant, a callable
     ``n -> float``, or a callable ``(n, ctx) -> float`` receiving the
     iteration context (used by the Tseng-implied relaxation).
-    ``step_size`` is the gamma schedule; None selects a solver-specific
-    default safely interior to the admissible range.
+    ``step_size`` is the gamma schedule, a constant or a callable
+    ``n -> float``.  None selects the solver's default: the step each
+    kernel K_n was folded with (1 for a kernel without a fold), or the
+    FBF default step for ``solve_fbf_memory`` and ``solve_tseng``.  A run
+    raises StallError after ``STALL_LIMIT`` (50) consecutive idle cuts
+    whose residual is not small.
     """
 
     epsilon: float = 0.05
@@ -93,7 +111,6 @@ class SolverConfig:
     max_iter: int = 1000
     tol_residual: float = 1e-8
     tol_step: float = 1e-8
-    stall_limit: int = 50
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -102,8 +119,6 @@ class SolverConfig:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol_residual > 0 or not self.tol_step > 0:
             raise ConfigurationError("tolerances must be positive")
-        if self.stall_limit < 1:
-            raise ConfigurationError("stall_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,17 +155,13 @@ def _relaxation_schedule(relaxation, epsilon):
     decided here, once per run, so a TypeError raised inside the schedule
     surfaces unchanged.
     """
-    takes_ctx = False
-    if not callable(relaxation):
-        value = float(relaxation)
-        fn = lambda n, ctx: value
-    else:
+    if _is_schedule(relaxation):
         try:
             inspect.signature(relaxation).bind(0, None)
-            fn, takes_ctx = relaxation, True
+            return (lambda n, ctx: check_relaxation(relaxation(n, ctx), epsilon, n)), True
         except TypeError:
-            fn = lambda n, ctx: relaxation(n)
-    return (lambda n, ctx: check_relaxation(fn(n, ctx), epsilon, n)), takes_ctx
+            pass
+    return (lambda n, ctx: check_relaxation(stage_at(relaxation, n), epsilon, n)), False
 
 
 def tseng_relaxation(n, ctx: IterationContext) -> float:
@@ -198,19 +209,20 @@ class PerturbationPolicy:
     @classmethod
     def inertial(cls, alpha):
         """alpha: bounded extrapolation coefficient (constant or callable n -> float)."""
-        return cls("inertial", alpha=as_schedule(alpha, "inertial alpha"), depth=2)
+        if alpha is None:
+            raise ConfigurationError("inertial alpha is required")
+        return cls("inertial", alpha=alpha, depth=2)
 
     @classmethod
     def memory(cls, weights, errors=None):
-        """weights: row (mu_{n,n-m}, ..., mu_{n,n}) or callable n -> row; rows sum to 1."""
-        if callable(weights):
-            probe = np.asarray(weights(0), dtype=float)
-        else:
-            probe = np.asarray(weights, dtype=float)
-            if probe.ndim != 1 or probe.size == 0:
-                raise ConfigurationError("memory weights must be a nonempty row")
-        depth = int(probe.size)
-        return cls("memory", weights=weights, errors=errors, depth=depth)
+        """weights: row (mu_{n,n-m}, ..., mu_{n,n}) or callable n -> row; rows sum to 1.
+
+        The row at n = 0 sets the history depth; no later row may be longer.
+        """
+        probe = np.asarray(stage_at(weights, 0), dtype=float)
+        if probe.ndim != 1 or probe.size == 0:
+            raise ConfigurationError("memory weights must be a nonempty row")
+        return cls("memory", weights=weights, errors=errors, depth=int(probe.size))
 
     @property
     def history_depth(self):
@@ -234,13 +246,16 @@ def apply_policy(policy: PerturbationPolicy, history, n) -> np.ndarray:
         return x + e
     if policy.kind == "inertial":
         prev = history[-2] if len(history) >= 2 else history[0]
-        a = float(policy.alpha(n))
+        a = float(stage_at(policy.alpha, n))
         return x + a * (x - prev)
     if policy.kind == "memory":
-        row = policy.weights(n) if callable(policy.weights) else policy.weights
-        row = np.asarray(row, dtype=float)
+        row = np.asarray(stage_at(policy.weights, n), dtype=float)
         if row.ndim != 1 or row.size == 0:
             raise ConfigurationError("memory weight row must be a nonempty vector")
+        if row.size > policy.history_depth:
+            raise ConfigurationError(
+                f"memory weight row at n = {n} has length {row.size}, longer than the "
+                f"history depth {policy.history_depth} set by the row at n = 0")
         if abs(float(row.sum()) - 1.0) > 1e-12:
             raise ConfigurationError(
                 f"memory weight row at n = {n} sums to {row.sum()!r}, must be 1 within 1e-12")
@@ -328,32 +343,14 @@ def _stall_floor(cfg, x):
 # Weak and strong warped proximal iterations
 # ---------------------------------------------------------------------------
 
-def _as_kernel_schedule(kernel_schedule):
-    if isinstance(kernel_schedule, Kernel):
-        k = kernel_schedule
-        return lambda n: k
-    if callable(kernel_schedule):
-        return kernel_schedule
-    raise ConfigurationError("kernel schedule must be a Kernel or a callable n -> Kernel")
-
-
-def _default_gamma_schedule(cfg, kernel_fn):
-    if cfg.step_size is not None:
-        return as_schedule(cfg.step_size, "gamma schedule")
-
-    def gamma_of(n):
-        k = kernel_fn(n)
-        return k.fold[0] if k.fold is not None else 1.0
-
-    return gamma_of
-
-
-def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
+def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
              x0, zeros, anchored=False) -> SolveResult:
     """The iteration engine shared by every solver.
 
-    Each step: gamma_n and K_n from their schedules, the policy point x~_n,
-    the graph point (y_n, y_n*) of the warped resolvent at x~_n, then the
+    Each step: K_n from ``kernels`` (a Kernel or a schedule n -> Kernel),
+    gamma_n from ``step`` (a constant or a schedule; None reads the step
+    K_n was folded with, 1 without a fold), the policy point x~_n, the
+    graph point (y_n, y_n*) of the warped resolvent at x~_n, then the
     update through its cut.  The update is the relaxed projection, or, when
     ``anchored``, the projection of x0 onto the two bookkeeping half-spaces
     (Haugazeau).  Stops when |y*| <= tol_residual and |x~ - y| <= tol_step:
@@ -370,6 +367,8 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
     iteration n.  numpy's floating-point warnings are off in the loop: the
     typed errors report what they would.
     """
+    if not (isinstance(kernels, Kernel) or _is_schedule(kernels)):
+        raise ConfigurationError("kernel schedule must be a Kernel or a callable n -> Kernel")
     policy = policy if policy is not None else PerturbationPolicy.none()
     x0 = vector(x0)
     check_dim(x0, m.dim, "starting point")
@@ -385,10 +384,13 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
     status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
     with np.errstate(all="ignore"):
         for n in range(cfg.max_iter):
-            gamma = float(gamma_fn(n))
+            kern = stage_at(kernels, n)
+            if step is not None:
+                gamma = float(stage_at(step, n))
+            else:
+                gamma = kern.fold[0] if kern.fold is not None else 1.0
             if not gamma >= floor:
                 check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
-            kern = kernel_fn(n)
             if kern is not paired[0] or gamma != paired[1]:
                 _check_pairing(m, kern, gamma)
                 paired = kern, gamma
@@ -431,7 +433,7 @@ def _iterate(m: MDecomposition, kernel_fn, gamma_fn, policy, cfg: SolverConfig,
                 break
             if theta >= 0 and residual > _stall_floor(cfg, x_tilde):
                 stall += 1
-                if stall >= cfg.stall_limit:
+                if stall >= STALL_LIMIT:
                     raise StallError(
                         f"{stall} consecutive idle cuts with residual {residual:.3e} at "
                         f"n = {n}; check kernel constants and schedules")
@@ -452,9 +454,7 @@ def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     projection onto its half-space.  Stops when |y*| <= tol_residual and
     |x~ - y| <= tol_step; reaching max_iter returns a warning status.
     """
-    kernel_fn = _as_kernel_schedule(kernel_schedule)
-    return _iterate(m, kernel_fn, _default_gamma_schedule(cfg, kernel_fn), policy, cfg,
-                    x0, zeros)
+    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, zeros)
 
 
 def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
@@ -466,9 +466,7 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     the two bookkeeping half-spaces.  An infeasible intersection aborts
     with the typed error (it cannot occur when zeros exist).
     """
-    kernel_fn = _as_kernel_schedule(kernel_schedule)
-    return _iterate(m, kernel_fn, _default_gamma_schedule(cfg, kernel_fn), policy, cfg,
-                    x0, zeros, anchored=True)
+    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, zeros, anchored=True)
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +476,15 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
 def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0, zeros):
     # K_n = W_n - gamma_n B, paired with M = A + B; fbf_kernel checks each
     # stage's step range, fbf_step the epsilon regime and the default step.
-    # With W and the step constant, the one kernel is built once.
-    if W_schedule is None or isinstance(W_schedule, SingleValuedOperator):
-        W = W_schedule if W_schedule is not None else identity_map(A.dim)
-        W_fn = lambda n: W
-    else:
-        W_fn = W_schedule
-    W0 = W_fn(0)
-    if W0.strong_monotonicity is None:
+    W = identity_map(A.dim) if W_schedule is None else W_schedule
+    alpha = stage_at(W, 0).strong_monotonicity
+    if alpha is None:
         raise ConfigurationError("solve_fbf_memory needs W with declared strong monotonicity")
-    gamma = fbf_step(W0.strong_monotonicity, B.lipschitz if B is not None else 0.0,
-                     cfg.epsilon)
+    gamma = fbf_step(alpha, B.lipschitz if B is not None else 0.0, cfg.epsilon)
     step = gamma_schedule if gamma_schedule is not None else cfg.step_size
-    gamma_fn = as_schedule(gamma if step is None else step, "gamma schedule")
-    if W_fn is W_schedule or callable(step):
-        kernel_fn = lambda n: fbf_kernel(W_fn(n), B, gamma_fn(n), cfg.epsilon)
-    else:
-        kernel_fn = _as_kernel_schedule(fbf_kernel(W0, B, gamma_fn(0), cfg.epsilon))
-    return _iterate(MDecomposition(A, B), kernel_fn, gamma_fn, policy, cfg, x0, zeros)
+    step = gamma if step is None else step
+    kernels = staged(lambda W_n, gamma_n: fbf_kernel(W_n, B, gamma_n, cfg.epsilon), W, step)
+    return _iterate(MDecomposition(A, B), kernels, step, policy, cfg, x0, zeros)
 
 
 def solve_fbf_memory(A: SetValuedOperator, B, W_schedule, gamma_schedule,
@@ -822,42 +811,27 @@ def kt_residuals(problem: CoupledProblem, point: KuhnTuckerPoint):
     return tuple(out)
 
 
-def _coupled_schedules(problem, F_schedule, W_schedule, gamma_schedules, tau_schedules):
-    if F_schedule is None:
-        for i, blk in enumerate(problem.primal):
-            if blk.alpha != 1.0 or blk.chi != 1.0:
-                raise ConfigurationError(
-                    f"primal block {i} declares (alpha, chi) = ({blk.alpha}, {blk.chi}) "
-                    "but no stage operators F were supplied")
-        F_fn = lambda n, ops=[identity_map(blk.dim) for blk in problem.primal]: ops
-    else:
-        F_fn = F_schedule if callable(F_schedule) else (lambda n, ops=list(F_schedule): ops)
-    if W_schedule is None:
-        for j, blk in enumerate(problem.dual):
-            if blk.beta != 1.0 or blk.kappa != 1.0:
-                raise ConfigurationError(
-                    f"dual block {j} declares (beta, kappa) = ({blk.beta}, {blk.kappa}) "
-                    "but no stage operators W were supplied")
-        W_fn = lambda n, ops=[identity_map(blk.dim) for blk in problem.dual]: ops
-    else:
-        W_fn = W_schedule if callable(W_schedule) else (lambda n, ops=list(W_schedule): ops)
+def _identity_stages(blocks, side, consts, sym):
+    # Blocks whose stage constants are (1, 1) take identity stage operators.
+    for i, blk in enumerate(blocks):
+        values = (blk.stage[0], blk.stage[3])
+        if values != (1.0, 1.0):
+            raise ConfigurationError(
+                f"{side} block {i} declares {consts} = ({values[0]}, {values[1]}) "
+                f"but no stage operators {sym} were supplied")
+    return [identity_map(blk.dim) for blk in blocks]
 
-    def norm_stage(schedules, blocks, kind):
-        if schedules is None:
-            vals = [blk.default_step for blk in blocks]
-            return lambda n: vals
-        if callable(schedules):
-            return schedules
-        fixed = [float(s) for s in np.atleast_1d(np.asarray(schedules, dtype=float))]
-        if len(fixed) == 1:
-            fixed = fixed * len(blocks)
-        if len(fixed) != len(blocks):
-            raise ConfigurationError(f"need one {kind} per block, got {len(fixed)}")
-        return lambda n: fixed
 
-    gamma_fn = norm_stage(gamma_schedules, problem.primal, "gamma")
-    tau_fn = norm_stage(tau_schedules, problem.dual, "tau")
-    return F_fn, W_fn, gamma_fn, tau_fn
+def _stage_steps(steps, blocks, kind):
+    # One stage constant per block: the blocks' defaults, or a scalar broadcast.
+    if steps is None:
+        return [blk.default_step for blk in blocks]
+    fixed = [float(s) for s in np.atleast_1d(np.asarray(steps, dtype=float))]
+    if len(fixed) == 1:
+        fixed = fixed * len(blocks)
+    if len(fixed) != len(blocks):
+        raise ConfigurationError(f"need one {kind} per block, got {len(fixed)}")
+    return fixed
 
 
 def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
@@ -866,21 +840,20 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
     """Primal-dual solver for a coupled inclusion system.
 
     Runs the generic weak solver over the stacked Kuhn-Tucker space with
-    the coupled kernels: one kernel when no schedule is a callable, else one
-    per iteration.  The result carries blockwise Kuhn-Tucker residual
-    certificates of the final point.
+    the coupled kernels, built by ``staged``.  The result carries blockwise
+    Kuhn-Tucker residual certificates of the final point.
     """
-    F_fn, W_fn, gamma_fn, tau_fn = _coupled_schedules(
-        problem, F_schedule, W_schedule, gamma_schedules, tau_schedules)
+    if F_schedule is None:
+        F_schedule = _identity_stages(problem.primal, "primal", "(alpha, chi)", "F")
+    if W_schedule is None:
+        W_schedule = _identity_stages(problem.dual, "dual", "(beta, kappa)", "W")
+    gammas = staged(lambda g: _stage_steps(g, problem.primal, "gamma"), gamma_schedules)
+    taus = staged(lambda t: _stage_steps(t, problem.dual, "tau"), tau_schedules)
+    kernels = staged(lambda F, W, g, t: coupled_kernel(problem, F, W, g, t),
+                     F_schedule, W_schedule, gammas, taus)
     start = KuhnTuckerPoint.zero(problem) if start is None else start
     flat_zeros = [z.flatten() if isinstance(z, KuhnTuckerPoint) else np.asarray(z, dtype=float)
                   for z in zeros]
-    if any(map(callable, (F_schedule, W_schedule, gamma_schedules, tau_schedules))):
-        def kernels(n):
-            return coupled_kernel(problem, F_fn(n), W_fn(n), gamma_fn(n), tau_fn(n))
-    else:
-        kernels = coupled_kernel(problem, F_fn(0), W_fn(0), gamma_fn(0), tau_fn(0))
-
     res = solve_weak(problem.decomposition(), kernels, policy, replace(cfg, step_size=1.0),
                      start.flatten(), zeros=flat_zeros)
     point = KuhnTuckerPoint.from_flat(res.x, problem)

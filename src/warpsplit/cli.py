@@ -28,7 +28,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -351,9 +350,8 @@ class ProblemFile:
         self._validate_inclusion(self._config(solver, {}))
 
     def _inclusion_gamma(self, cfg):
-        # A constant step stays a float, so its kernel is built once.
         if cfg.step_size is not None:
-            return cfg.step_size if callable(cfg.step_size) else float(cfg.step_size)
+            return cfg.step_size
         if self.variant in ("fbf", "tseng"):
             return kern.fbf_step(1.0, self._beta(), cfg.epsilon)
         if self.B is not None and self.kernel_name == "fbf":
@@ -377,11 +375,9 @@ class ProblemFile:
         eps = self._kernel_epsilon(cfg)
         if self.kernel_name == "identity":
             return kern.identity_kernel(self.dim)
-        gamma = self._inclusion_gamma(cfg)
         W = ops.identity_map(self.dim)
-        if not callable(gamma):
-            return kern.fbf_kernel(W, self.B, gamma, eps)
-        return lambda n: kern.fbf_kernel(W, self.B, gamma(n), eps)
+        return alg.staged(lambda gamma: kern.fbf_kernel(W, self.B, gamma, eps),
+                          self._inclusion_gamma(cfg))
 
     def _validate_inclusion(self, cfg):
         # The run's own regime checks, on the values it will run.
@@ -404,11 +400,10 @@ class ProblemFile:
         gamma = self._inclusion_gamma(cfg)
         zeros = self.zeros
         if variant in ("weak", "strong"):
+            # Without a file gamma, the engine reads each gamma_n from K_n's fold.
             m = kern.MDecomposition(self.A, self.B if self.kernel_name == "fbf" else None)
-            schedule = self._kernel_schedule(cfg)
-            run_cfg = replace(cfg, step_size=gamma)
             fn = alg.solve_weak if variant == "weak" else alg.solve_strong
-            return fn(m, schedule, policy, run_cfg, self.x0, zeros=zeros)
+            return fn(m, self._kernel_schedule(cfg), policy, cfg, self.x0, zeros=zeros)
         if variant == "tseng":
             return alg.solve_tseng(self.A, self.B, gamma, cfg, self.x0, zeros=zeros)
         if variant == "fbf":
@@ -580,7 +575,7 @@ def _stage_constants(blocks, sections, key):
 
 def _ends(schedule):
     """The first value and the limit of a constant or a schedule block's rule."""
-    return (schedule(0), schedule(math.inf)) if callable(schedule) else (schedule,)
+    return alg.stage_at(schedule, 0), alg.stage_at(schedule, math.inf)
 
 
 def _stacked(section, key, layout):

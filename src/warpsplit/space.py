@@ -101,14 +101,6 @@ class LinearMap:
         m.flags.writeable = False
         self.matrix = m
 
-    @classmethod
-    def identity(cls, dim) -> "LinearMap":
-        return cls(np.eye(dim))
-
-    @classmethod
-    def zero(cls, codomain_dim, domain_dim) -> "LinearMap":
-        return cls(np.zeros((codomain_dim, domain_dim)))
-
     @property
     def domain_dim(self) -> int:
         return self.matrix.shape[1]
@@ -126,9 +118,6 @@ class LinearMap:
         v = np.asarray(v, dtype=float)
         check_dim(v, self.codomain_dim, "LinearMap adjoint argument")
         return self.matrix.T @ v
-
-    def adjoint(self) -> "LinearMap":
-        return LinearMap(self.matrix.T)
 
     def operator_norm(self) -> float:
         if self.matrix.size == 0:

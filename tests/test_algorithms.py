@@ -77,6 +77,25 @@ def test_policy_memory_weight_sum_validated():
         apply_policy(PerturbationPolicy.memory([0.5, 0.4]), hist, 1)
 
 
+def test_policy_memory_row_longer_than_depth_rejected():
+    # The row at n = 0 sets the history depth (1); the longer row at n = 1
+    # would otherwise read x_1 for x_0 and return x~_1 = x_1.
+    pol = PerturbationPolicy.memory(lambda n: [1.0] if n == 0 else [0.5, 0.5])
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    cfg = SolverConfig(step_size=1.0, max_iter=5)
+    with pytest.raises(ConfigurationError, match=r"n = 1 has length 2.*depth 1"):
+        solve_weak(m, identity_kernel(1), pol, cfg, [1.0])
+
+
+def test_policy_and_kernel_schedule_type_errors():
+    with pytest.raises(ConfigurationError, match="inertial alpha"):
+        PerturbationPolicy.inertial(None)
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    for bad in (3.0, identity_map(1)):
+        with pytest.raises(ConfigurationError, match="kernel schedule"):
+            solve_weak(m, bad, None, SolverConfig(max_iter=5), [1.0])
+
+
 def test_policy_additive():
     hist = [np.array([1.0, 1.0])]
     pol = PerturbationPolicy.additive(lambda n: 0.5 ** n * np.array([1.0, 0.0]))
@@ -210,8 +229,7 @@ def test_weak_stall_aborts_with_diagnostic():
     # the iterate, producing idle cuts with large residual.
     m = MDecomposition(scaled_identity_operator(1, 1.0))
     pol = PerturbationPolicy.additive(lambda n: np.array([10.0]))
-    cfg = SolverConfig(step_size=1.0, max_iter=200, tol_residual=1e-12,
-                       tol_step=1e-12, stall_limit=50)
+    cfg = SolverConfig(step_size=1.0, max_iter=200, tol_residual=1e-12, tol_step=1e-12)
     with pytest.raises(StallError):
         solve_weak(m, identity_kernel(1), pol, cfg, [0.0])
 
@@ -304,6 +322,33 @@ def test_fbf_kernel_built_once_for_constant_step(monkeypatch):
     sched = solve_tseng(A, B, lambda n: 0.5, cfg, [0.0])
     assert len(calls) == 40
     np.testing.assert_array_equal(sched.x, const.x)
+    # A W operator is a constant; a W schedule builds one kernel per iteration.
+    W = identity_map(1)
+    calls.clear()
+    const = solve_fbf_memory(A, B, W, 0.5, None, cfg, [0.0])
+    assert len(calls) == 1
+    calls.clear()
+    sched = solve_fbf_memory(A, B, lambda n: W, 0.5, None, cfg, [0.0])
+    assert len(calls) == sched.iterations == const.iterations
+    np.testing.assert_array_equal(sched.x, const.x)
+    assert [r.gamma for r in sched.trace] == [r.gamma for r in const.trace]
+
+
+def test_weak_kernel_schedule_called_once_per_iteration():
+    # With no step_size, gamma_n is read from the fold of the fetched K_n.
+    B = affine_map(ROT, np.array([-0.5, 0.5]))
+    m = MDecomposition(box_normal_cone([0.0, 0.0], [1.0, 1.0]), B)
+    calls = []
+
+    def schedule(n):
+        calls.append(n)
+        return fbf_kernel(identity_map(2), B, 0.7, 0.2)
+
+    res = solve_weak(m, schedule, None, SolverConfig(epsilon=0.2, max_iter=30,
+                                                     tol_residual=1e-300, tol_step=1e-300),
+                     [0.9, 0.1])
+    assert res.iterations == 30 and calls == list(range(30))
+    assert {r.gamma for r in res.trace} == {0.7}
 
 def test_tseng_regime_validation():
     A = box_normal_cone([0.0], [1.0])

@@ -297,6 +297,56 @@ def test_coupled_parse_and_run_build_one_kernel(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+ROTATION_BOX = """\
+kind = inclusion
+x0 = [0.9, 0.1]
+begin A
+  name = box
+  lo = [0.0, 0.0]
+  hi = [1.0, 1.0]
+end
+begin B
+  name = affine_map
+  matrix = [[0.0, 1.0], [-1.0, 0.0]]
+  offset = [-0.5, 0.5]
+end
+begin kernel
+  name = fbf
+  epsilon = 0.2
+end
+begin solver
+  variant = weak
+  epsilon = 0.2
+  gamma = 0.7
+  max_iter = 25
+  tol_residual = 1e-300
+  tol_step = 1e-300
+end
+"""
+
+GEOMETRIC_GAMMA = ROTATION_BOX.replace(
+    "gamma = 0.7",
+    "begin gamma\n    rule = geometric\n    start = 0.7\n    factor = 0.99\n"
+    "    floor = 0.2\n  end")
+
+
+@pytest.mark.parametrize("text, builds", [(ROTATION_BOX, 1), (GEOMETRIC_GAMMA, 25)])
+def test_inclusion_run_builds_one_kernel_per_stage(tmp_path, monkeypatch, text, builds):
+    # A constant gamma builds one fbf kernel per run, a schedule one per iteration.
+    calls = []
+    real = kernels.fbf_kernel
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "fbf_kernel", counted)
+    res = parse_problem(write(tmp_path, "r.txt", text)).run({})
+    assert res.iterations == 25 and len(calls) == builds
+    assert [r.gamma for r in res.trace] == [max(0.2, 0.7 * 0.99 ** n) if builds > 1 else 0.7
+                                            for n in range(25)]
+
+
 def test_unknown_operator_name(tmp_path):
     text = MINIMAL.replace("name = ball", "name = warp_drive")
     code = main(["run", "--problem", write(tmp_path, "u.txt", text)])

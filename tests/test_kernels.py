@@ -327,7 +327,7 @@ def test_monotone_transport_and_lipschitz_bound():
 # ---------------------------------------------------------------------------
 
 def test_primal_dual_kernel_trivial_coupling_is_identity():
-    k = primal_dual_kernel(LinearMap.zero(2, 2), 1.0, 1.0)
+    k = primal_dual_kernel(LinearMap(np.zeros((2, 2))), 1.0, 1.0)
     rng = np.random.default_rng(31)
     u = rng.normal(size=4)
     np.testing.assert_allclose(k.eval(u), u)
