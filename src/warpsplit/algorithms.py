@@ -149,19 +149,19 @@ def check_relaxation(lam, epsilon, n=0) -> float:
 def _relaxation_schedule(relaxation, epsilon):
     """The lambda schedule as ``(lam_of, takes_ctx)``, lam_of range-checked.
 
-    ``lam_of(n, ctx)`` returns lambda_n; ``takes_ctx`` says whether the
-    schedule reads ctx, so the engine builds an ``IterationContext`` only
-    then.  Whether a callable schedule takes ``(n)`` or ``(n, ctx)`` is
-    decided here, once per run, so a TypeError raised inside the schedule
-    surfaces unchanged.
+    ``lam_of(n, ctx)`` returns lambda_n (None for a constant, which the
+    engine checks once); ``takes_ctx`` says whether it reads ctx, so the
+    engine builds an ``IterationContext`` only then.  Whether a callable
+    schedule takes ``(n)`` or ``(n, ctx)`` is decided here, once per run, so
+    a TypeError raised inside the schedule surfaces unchanged.
     """
-    if _is_schedule(relaxation):
-        try:
-            inspect.signature(relaxation).bind(0, None)
-            return (lambda n, ctx: check_relaxation(relaxation(n, ctx), epsilon, n)), True
-        except TypeError:
-            pass
-    return (lambda n, ctx: check_relaxation(stage_at(relaxation, n), epsilon, n)), False
+    if not _is_schedule(relaxation):
+        return None, False
+    try:
+        inspect.signature(relaxation).bind(0, None)
+        return (lambda n, ctx: check_relaxation(relaxation(n, ctx), epsilon, n)), True
+    except TypeError:
+        return (lambda n, ctx: check_relaxation(relaxation(n), epsilon, n)), False
 
 
 def tseng_relaxation(n, ctx: IterationContext) -> float:
@@ -319,14 +319,7 @@ class SolveResult:
 
 
 def _gaps(x, zeros):
-    if not zeros:
-        return None
-    return tuple(float(np.linalg.norm(x - z)) for z in zeros)
-
-
-def _history_for(policy):
-    depth = policy.history_depth if policy is not None else 1
-    return deque(maxlen=max(depth, 1))
+    return tuple(_length(x - z) for z in zeros) if zeros else None
 
 
 def _length(d):
@@ -374,7 +367,7 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     check_dim(x0, m.dim, "starting point")
     x = x0
     lam_of, takes_ctx = _relaxation_schedule(cfg.relaxation, cfg.epsilon)
-    history = _history_for(policy)
+    history = deque(maxlen=max(policy.history_depth, 1))
     history.append(x)
     trace = []
     stall = 0
@@ -382,24 +375,30 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     y = None  # the previous y warm-starts the next backward solve
     floor = step_floor(cfg.epsilon)
     status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
+    # Settled once per run: a constant stage (K, gamma), a constant lambda,
+    # and x~_n = x_n itself (not a copy) when there is no perturbation.
+    staged_run = _is_schedule(kernels) or _is_schedule(step)
+    lam = None if anchored or lam_of else check_relaxation(cfg.relaxation, cfg.epsilon)
+    perturbed = policy.kind != "none"
     with np.errstate(all="ignore"):
         for n in range(cfg.max_iter):
-            kern = stage_at(kernels, n)
-            if step is not None:
-                gamma = float(stage_at(step, n))
-            else:
-                gamma = kern.fold[0] if kern.fold is not None else 1.0
-            if not gamma >= floor:
-                check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
-            if kern is not paired[0] or gamma != paired[1]:
-                _check_pairing(m, kern, gamma)
-                paired = kern, gamma
-            x_tilde = apply_policy(policy, history, n)
+            if staged_run or n == 0:
+                kern = stage_at(kernels, n)
+                if step is not None:
+                    gamma = float(stage_at(step, n))
+                else:
+                    gamma = kern.fold[0] if kern.fold is not None else 1.0
+                if not gamma >= floor:
+                    check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
+                if kern is not paired[0] or gamma != paired[1]:
+                    _check_pairing(m, kern, gamma)
+                    paired = kern, gamma
+            x_tilde = apply_policy(policy, history, n) if perturbed else x
             try:
                 y, y_star = _warped_pair(m, kern, gamma, x_tilde, y)
-                # np.dot and sqrt(d.dot(d)) are what inner() and np.linalg.norm compute.
-                theta = float(np.dot(y - x, y_star))
-                sigma = float(np.dot(y_star, y_star))
+                # d.dot(e) and sqrt(d.dot(d)) are what inner() and np.linalg.norm compute.
+                theta = float((y - x).dot(y_star))
+                sigma = float(y_star.dot(y_star))
                 if not (math.isfinite(theta) and math.isfinite(sigma)):
                     _scan_pair(kern, x_tilde, y, y_star)
             except (NonFiniteEntryError, DimensionMismatchError) as exc:
@@ -407,9 +406,10 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
             residual = math.sqrt(sigma)
             done = residual <= cfg.tol_residual and _length(x_tilde - y) <= cfg.tol_step
             if not anchored:
-                ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star,
-                                       theta, sigma) if takes_ctx else None
-                lam = lam_of(n, ctx)
+                if lam_of:
+                    ctx = IterationContext(n, gamma, cfg.epsilon, x, x_tilde, y, y_star,
+                                           theta, sigma) if takes_ctx else None
+                    lam = lam_of(n, ctx)
                 rho, x_next = relaxed_cut(x, theta, sigma, y_star, lam)
             elif done:
                 # Certified before the two-cut projection: a noise-scale
@@ -834,15 +834,23 @@ def _stage_steps(steps, blocks, kind):
     return fixed
 
 
+def check_coupled_step(step):
+    """A coupled run's step is the gamma = 1 its kernels fold: None or 1.0."""
+    if step is not None and step != 1.0:
+        raise ConfigurationError(f"a coupled run's step is 1 (its kernels fold gamma = 1), got {step!r}")
+
+
 def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
                   policy=None, F_schedule=None, W_schedule=None,
                   gamma_schedules=None, tau_schedules=None, zeros=()) -> SolveResult:
     """Primal-dual solver for a coupled inclusion system.
 
     Runs the generic weak solver over the stacked Kuhn-Tucker space with
-    the coupled kernels, built by ``staged``.  The result carries blockwise
+    the coupled kernels, built by ``staged``; ``cfg.step_size`` must be
+    None or 1.0 (``check_coupled_step``).  The result carries blockwise
     Kuhn-Tucker residual certificates of the final point.
     """
+    check_coupled_step(cfg.step_size)
     if F_schedule is None:
         F_schedule = _identity_stages(problem.primal, "primal", "(alpha, chi)", "F")
     if W_schedule is None:
@@ -854,8 +862,8 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
     start = KuhnTuckerPoint.zero(problem) if start is None else start
     flat_zeros = [z.flatten() if isinstance(z, KuhnTuckerPoint) else np.asarray(z, dtype=float)
                   for z in zeros]
-    res = solve_weak(problem.decomposition(), kernels, policy, replace(cfg, step_size=1.0),
-                     start.flatten(), zeros=flat_zeros)
+    res = solve_weak(problem.decomposition(), kernels, policy, cfg, start.flatten(),
+                     zeros=flat_zeros)
     point = KuhnTuckerPoint.from_flat(res.x, problem)
     return SolveResult(
         x=point, trace=res.trace, status=res.status, stop_reason=res.stop_reason,

@@ -466,7 +466,9 @@ class ProblemFile:
         self.variant = solver.get("variant", "coupled")
         if self.variant != "coupled":
             raise ConfigurationError("a coupled problem runs with variant 'coupled'")
-        self._check_relaxation(self._config(solver, {}))
+        cfg = self._config(solver, {})
+        alg.check_coupled_step(cfg.step_size)
+        self._check_relaxation(cfg)
 
     def _run_coupled(self, overrides):
         algo = overrides.get("algo")
@@ -611,10 +613,6 @@ def parse_problem(path) -> ProblemFile:
 # Trace and summary output
 # ---------------------------------------------------------------------------
 
-def _g17(v):
-    return f"{float(v):.17g}"
-
-
 def write_trace(result: alg.SolveResult, path):
     """CSV trace: n, residual, step_norm, theta, sigma, rho, then Fejer gaps."""
     n_gaps = 0
@@ -625,12 +623,10 @@ def write_trace(result: alg.SolveResult, path):
     header += [f"gap_{k + 1}" for k in range(n_gaps)]
     lines = [",".join(header)]
     for rec in result.trace:
-        row = [str(rec.n), _g17(rec.residual), _g17(rec.step_norm),
-               _g17(rec.theta), _g17(rec.sigma), _g17(rec.rho)]
         gaps = rec.fejer_gaps or ()
-        row += [_g17(g) for g in gaps]
-        row += [""] * (n_gaps - len(gaps))
-        lines.append(",".join(row))
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+            rec.n, rec.residual, rec.step_norm, rec.theta, rec.sigma, rec.rho)
+            + ",%.17g" * len(gaps) % gaps + "," * (n_gaps - len(gaps)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

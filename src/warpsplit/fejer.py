@@ -67,9 +67,9 @@ def haugazeau_Q(x0, x, x_half) -> np.ndarray:
             f"haugazeau_Q needs equal shapes, got {x0.shape}, {x.shape}, {x_half.shape}")
     d0 = (x0 - x).astype(np.longdouble)
     d1 = (x - x_half).astype(np.longdouble)
-    chi = np.dot(d0, d1)
-    mu = np.dot(d0, d0)
-    nu = np.dot(d1, d1)
+    chi = d0.dot(d1)  # ndarray.dot is np.dot without its dispatch
+    mu = d0.dot(d0)
+    nu = d1.dot(d1)
     rho = mu * nu - chi * chi
     if rho <= RHO_ZERO_REL * max(mu * nu, 1.0):
         if chi < 0:
@@ -80,5 +80,6 @@ def haugazeau_Q(x0, x, x_half) -> np.ndarray:
     if chi * nu >= rho:
         out = x0.astype(np.longdouble) + (1.0 + chi / nu) * (x_half - x).astype(np.longdouble)
         return np.asarray(out, dtype=float)
-    out = x.astype(np.longdouble) + (nu / rho) * (chi * d0 + mu * (-d1))
+    # a - c*d is a + c*(-d) exactly in IEEE arithmetic, without the negation.
+    out = x.astype(np.longdouble) + (nu / rho) * (chi * d0 - mu * d1)
     return np.asarray(out, dtype=float)

@@ -84,6 +84,11 @@ def _norm(v) -> float:
     return n
 
 
+def _over(v, c):
+    """v / c, skipping a division by exactly 1.0, which is an identity in IEEE arithmetic."""
+    return v if c == 1.0 else v / c
+
+
 def solve_base_inclusion(W, gamma, A, v, start=None):
     """Solve v in W(p) + gamma * A(p) for the unique p.
 
@@ -98,13 +103,13 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
     (``SetValuedOperator._resolve``, ``SingleValuedOperator._apply``).  The
     loop certifies its own output: a residual within tolerance is finite,
     and a non-finite residual raises NonFiniteEntryError at once.  The
-    closed form's output is certified by the graph point it feeds.
+    closed form's output is certified by the graph point it feeds; it is a
+    copy when the resolvent hands back v itself.
     """
-    if W is None:
-        return A._resolve(gamma, v)
-    c = W.scale_of_identity
+    c = 1.0 if W is None else W.scale_of_identity
     if c is not None:
-        return A._resolve(gamma / c, v / c)
+        p = A._resolve(_over(gamma, c), _over(v, c))
+        return p.copy() if p is v else p
     if W.strong_monotonicity is None:
         raise ConfigurationError(
             f"backward solve with base {W.name!r} needs a declared strong-monotonicity constant")
@@ -187,14 +192,17 @@ class Kernel:
     # -- evaluation ---------------------------------------------------------
 
     def base_eval(self, x):
+        """K_base x, always a new array."""
         if self.base is None:
             raise ConfigurationError(f"kernel {self.name!r} has no structured base")
         if self.layout is None:
             W, c = self.base[0]
-            if W is None:
-                return c * x
-            s = W.scale_of_identity
-            return c * W._apply(x) if s is None else c * (s * x)
+            s = 1.0 if W is None else W.scale_of_identity
+            if s is None:
+                return c * W._apply(x)
+            if c == s == 1.0:  # c * (s * x) is x: skip both products
+                return x.copy()
+            return c * x if W is None else c * (s * x)
         y = self._coef * x
         for sl, W, c in self._general:
             y[sl] = c * W._apply(x[sl])
@@ -212,14 +220,14 @@ class Kernel:
         scanned here.
         """
         x = np.asarray(x, dtype=float)
-        check_dim(x, self.dim, f"kernel {self.name} argument")
+        check_dim(x, self.dim, "kernel %s argument", self.name)
         if self._eval_override is not None:
             y = np.asarray(self._eval_override(x), dtype=float)
             return check_finite(y, f"kernel {self.name} output")
         y = self.base_eval(x)
         if self.fold is not None:
             g, B = self.fold
-            y = y - g * B._apply(x)
+            y -= g * B._apply(x)  # in place: base_eval's output is new
         return y
 
     # -- warped backward solve ----------------------------------------------
@@ -244,7 +252,7 @@ class Kernel:
         if self.layout is None:
             W, c = self.base[0]
             # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c
-            return solve_base_inclusion(W, gamma / c, set_part, v / c, start)
+            return solve_base_inclusion(W, _over(gamma, c), set_part, _over(v, c), start)
         if not isinstance(set_part, BlockDiagonalOperator) or \
                 set_part.layout.dims != self.layout.dims:
             raise ConfigurationError(
@@ -252,7 +260,7 @@ class Kernel:
                 f"its layout {self.layout.dims}")
         out = np.empty(self.dim)
         for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
-            out[sl] = solve_base_inclusion(W, gamma / c, A_b, v[sl] / c,
+            out[sl] = solve_base_inclusion(W, _over(gamma, c), A_b, _over(v[sl], c),
                                            None if start is None else start[sl])
         return out
 
@@ -293,7 +301,7 @@ def _warped_pair(m: MDecomposition, kernel: Kernel, gamma, x, start=None):
     """
     w = kernel.eval(x)
     y = kernel.backward_solve(gamma, m.set_part, w, start)
-    return y, (w - kernel.eval(y)) / gamma
+    return y, _over(w - kernel.eval(y), gamma)
 
 
 def _scan_pair(kernel: Kernel, x, y, y_star):

@@ -52,7 +52,7 @@ class SetValuedOperator:
         reaches the graph point it feeds, whose certificate catches it.
         """
         y = np.asarray(self._resolvent(gamma, x), dtype=float)
-        check_dim(y, self.dim, f"resolvent output of {self.name}")
+        check_dim(y, self.dim, "resolvent output of %s", self.name)
         return y
 
     def resolvent(self, gamma, x) -> np.ndarray:
@@ -160,7 +160,7 @@ class SingleValuedOperator:
         reaches the graph point it feeds, whose certificate catches it.
         """
         y = np.asarray(self._fn(x), dtype=float)
-        check_dim(y, self.dim, f"output of {self.name}")
+        check_dim(y, self.dim, "output of %s", self.name)
         return y
 
     def __call__(self, x) -> np.ndarray:

@@ -34,8 +34,10 @@ def check_finite(arr, what="value"):
     return arr
 
 
-def check_dim(x, dim, what="vector"):
+def check_dim(x, dim, what="vector", *args):
+    """Check ``x.shape == (dim,)``; ``what % args`` names x, formatted only on failure."""
     if x.shape != (dim,):
+        what = what % args if args else what
         raise DimensionMismatchError(f"{what}: expected dimension {dim}, got shape {x.shape}")
     return x
 

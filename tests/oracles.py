@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the library's computation
 paths: enumeration, grid search, bisection and dense linear algebra, plus
 two literal loop transcriptions, Tseng's method and the per-block coupled
-primal-dual step, that the library's one iteration engine must reproduce.
+primal-dual step, that the library's one iteration engine must reproduce,
+and the literal extended-precision Haugazeau formula that
+``fejer.haugazeau_Q`` must reproduce byte for byte.
 The coupled references apply each coupling L_{ji} block by block, where the
 library uses one stacked coupling matrix.
 The transcriptions call only the operators they are given.  The
@@ -13,7 +15,7 @@ that the CLI's run-at-a-time parser must reproduce, errors included.
 
 import numpy as np
 
-from warpsplit.errors import ProblemFormatError
+from warpsplit.errors import InfeasibleCutsError, ProblemFormatError
 
 
 def project_halfspace(x, anchor, normal):
@@ -80,6 +82,32 @@ def qp_two_halfspaces(x0, y, z, tol=1e-9):
         return None
     dists = [np.linalg.norm(u - x0) for u in candidates]
     return candidates[int(np.argmin(dists))]
+
+
+def literal_haugazeau_Q(x0, x, x_half, rho_zero_rel=1e-14):
+    """Q(x0, x, x_half) written out as the closed form reads, in longdouble.
+
+    chi = <x0 - x, x - x_half>, mu = |x0 - x|^2, nu = |x - x_half|^2,
+    rho = mu*nu - chi^2; rho counts as zero when it is at most
+    ``rho_zero_rel * max(mu*nu, 1)``, and then chi < 0 means disjoint cuts.
+    """
+    ld = np.longdouble
+    x0, x, x_half = (np.asarray(v, dtype=float) for v in (x0, x, x_half))
+    d0 = (x0 - x).astype(ld)
+    d1 = (x - x_half).astype(ld)
+    chi = np.dot(d0, d1)
+    mu = np.dot(d0, d0)
+    nu = np.dot(d1, d1)
+    rho = mu * nu - chi * chi
+    if rho <= rho_zero_rel * max(mu * nu, 1.0):
+        if chi < 0:
+            raise InfeasibleCutsError("disjoint cuts")
+        return x_half.copy()
+    if chi * nu >= rho:
+        out = x0.astype(ld) + (1.0 + chi / nu) * (x_half - x).astype(ld)
+        return np.asarray(out, dtype=float)
+    out = x.astype(ld) + (nu / rho) * (chi * d0 + mu * (-d1))
+    return np.asarray(out, dtype=float)
 
 
 def box_vi_solution(B, lo, hi, resolution=1e-4, grid=33):

@@ -585,6 +585,21 @@ def test_coupled_problem_validation():
         solve_coupled(prob, SolverConfig(max_iter=10), gamma_schedules=[9.0])
 
 
+@pytest.mark.parametrize("step", [0.3, lambda n: 1.0])
+def test_coupled_step_other_than_one_raises(step):
+    # The coupled kernels fold gamma = 1: another step is rejected, not replaced.
+    with pytest.raises(ConfigurationError, match="coupled run's step is 1"):
+        solve_coupled(scalar_coupled_problem(), SolverConfig(step_size=step, max_iter=5))
+
+
+def test_coupled_step_one_is_the_default_step():
+    prob = scalar_coupled_problem()
+    runs = [solve_coupled(prob, SolverConfig(step_size=step, max_iter=50)) for step in (None, 1.0)]
+    assert all(rec.gamma == 1.0 for res in runs for rec in res.trace)
+    np.testing.assert_array_equal(runs[0].x.flatten(), runs[1].x.flatten())
+    assert [r.residual for r in runs[0].trace] == [r.residual for r in runs[1].trace]
+
+
 def test_coupled_kernel_built_once_for_constant_stage_constants(monkeypatch):
     calls = []
     build = algorithms.coupled_kernel

@@ -283,6 +283,22 @@ def test_coupled_solver_section_is_checked_at_parse(tmp_path, setting):
         parse_problem(write(tmp_path, "c.txt", text))
 
 
+@pytest.mark.parametrize("gamma", [
+    "gamma = 0.5",
+    "begin gamma\n    rule = geometric\n    start = 1.0\n    factor = 0.5\n    floor = 0.1\n  end",
+])
+def test_coupled_solver_step_other_than_one_is_a_usage_error(tmp_path, capsys, gamma):
+    # The coupled kernels fold gamma = 1; a file step is rejected at parse, not ignored.
+    text = COUPLED_SCALAR.replace("variant = coupled", f"variant = coupled\n  {gamma}")
+    with pytest.raises(ConfigurationError, match="coupled run's step is 1"):
+        parse_problem(write(tmp_path, "c.txt", text))
+    assert main(["run", "--problem", write(tmp_path, "c.txt", text)]) == EXIT_USAGE
+    assert "coupled run's step is 1" in capsys.readouterr().err
+    assert not (tmp_path / "c.txt.trace.csv").exists()
+    unit = COUPLED_SCALAR.replace("variant = coupled", "variant = coupled\n  gamma = 1.0")
+    assert parse_problem(write(tmp_path, "u.txt", unit)).run({}).converged
+
+
 def test_coupled_parse_and_run_build_one_kernel(tmp_path, monkeypatch):
     builds = []
     real = kernels.coupled_kernel
@@ -416,6 +432,25 @@ def test_halving_trace_rows_halve(tmp_path):
         assert abs(b - 0.5 * a) <= 1e-15
     rec = json.loads(summary.read_text())
     assert rec["status"] == "max_iter" and rec["exit_code"] == EXIT_MAX_ITER
+
+
+def test_trace_rows_are_17_digit_floats(tmp_path):
+    # Each row is "%d" then "%.17g" per float, empty cells padding missing gaps.
+    rec = algorithms.IterationRecord(
+        n=3, x=None, x_tilde=None, y=None, y_star=None, step_norm=0.1, residual=5e-324,
+        theta=-0.0, sigma=1e300, rho=-1 / 3, lam=1.0, gamma=1.0, fejer_gaps=(2 / 3,))
+    bare = algorithms.IterationRecord(**{**rec.__dict__, "n": 4, "fejer_gaps": None})
+    result = algorithms.SolveResult(x=None, trace=[rec, bare], status="max_iter",
+                                    stop_reason="", iterations=2)
+    path = tmp_path / "t.csv"
+    cli.write_trace(result, path)
+    assert path.read_text().splitlines() == [
+        "n,residual,step_norm,theta,sigma,rho,gap_1",
+        "3,4.9406564584124654e-324,0.10000000000000001,-0,1.0000000000000001e+300,"
+        "-0.33333333333333331,0.66666666666666663",
+        "4,4.9406564584124654e-324,0.10000000000000001,-0,1.0000000000000001e+300,"
+        "-0.33333333333333331,",
+    ]
 
 
 def test_rerun_is_byte_identical(tmp_path):

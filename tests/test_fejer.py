@@ -9,7 +9,7 @@ from warpsplit import (
     relaxed_projection_step,
 )
 
-from oracles import project_halfspace, qp_two_halfspaces
+from oracles import literal_haugazeau_Q, project_halfspace, qp_two_halfspaces
 
 
 def gp(y, y_star):
@@ -121,3 +121,45 @@ def test_haugazeau_output_lies_in_both_cuts():
             continue
         assert np.dot(q - x, x0 - x) <= 1e-10
         assert np.dot(q - xh, x - xh) <= 1e-10
+
+
+def _pinning_triples(rng, count):
+    # Four families, in turn: independent points; x_half = x + s*noise; and
+    # x_half moved from x away from x0 (both closed-form branches, near the
+    # degenerate edge) or towards it (disjoint cuts), plus s*noise.  The
+    # noise scale s runs down to 1e-12, where rho cancels to roundoff.
+    for k in range(count):
+        d = int(rng.integers(1, 9))
+        x0, x = rng.normal(size=d) * 2, rng.normal(size=d) * 2
+        s = 10.0 ** rng.uniform(-12, 0)
+        if k % 4 == 0:
+            x_half = rng.normal(size=d) * 2
+        elif k % 4 == 1:
+            x_half = x + s * rng.normal(size=d)
+        else:
+            t = rng.uniform(0.1, 2.0) * (1.0 if k % 4 == 2 else -1.0)
+            x_half = x + t * (x - x0) + s * rng.normal(size=d)
+        yield x0, x, x_half
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasibleCutsError:
+        return None
+
+
+def test_haugazeau_matches_the_literal_formula_byte_for_byte():
+    # The shipped arithmetic is the literal longdouble formula rewritten only
+    # through exact identities: the same bytes, and the same triples raise.
+    outcomes = {"infeasible": 0, "x_half": 0, "projected": 0}
+    for x0, x, x_half in _pinning_triples(np.random.default_rng(15), 10_000):
+        ref = _outcome(literal_haugazeau_Q, x0, x, x_half)
+        out = _outcome(haugazeau_Q, x0, x, x_half)
+        assert (ref is None) == (out is None), (x0, x, x_half)
+        if ref is None:
+            outcomes["infeasible"] += 1
+            continue
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes(), (x0, x, x_half)
+        outcomes["x_half" if np.array_equal(out, x_half) else "projected"] += 1
+    assert min(outcomes.values()) >= 1_500, outcomes
