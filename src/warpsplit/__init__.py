@@ -39,10 +39,7 @@ from .errors import (
     UnknownOperatorError,
     WarpsplitError,
 )
-from .fejer import (
-    haugazeau_Q,
-    relaxed_projection_step,
-)
+from .fejer import haugazeau_Q
 from .kernels import (
     Kernel,
     MDecomposition,
@@ -74,7 +71,6 @@ from .operators import (
     make_single_valued,
     proj_affine_set,
     proj_ball,
-    proj_box,
     proj_halfspace,
     saddle_skew_map,
     scaled_identity_operator,

@@ -179,98 +179,98 @@ def tseng_relaxation(n, ctx: IterationContext) -> float:
     return ctx.epsilon
 
 
-class PerturbationPolicy:
-    """Choice of the evaluation point x~_n fed to the warped resolvent.
+def _memory_pull(weights, where, depth=None):
+    """The pull (-mu_{n-1}, ..., -mu_{n-m}) of a checked memory row (mu_{n-m}, ..., mu_n).
 
-    Variants: ``none`` (x~ = x_n), ``additive`` (x_n + e_n with |e_n| -> 0),
-    ``inertial`` (x_n + a_n (x_n - x_{n-1})), and ``memory`` (a sliding
-    window of weighted past iterates, rows summing to 1, optionally plus an
-    additive error).
+    The row must be a nonempty vector summing to 1 within 1e-12, no longer
+    than ``depth``.  x~ = sum_k mu_{n-k} x_{n-k} is then x_n plus the pull
+    applied to the differences x_n - x_{n-k}; negating a weight is exact.
+    """
+    row = np.asarray(weights, dtype=float)
+    if row.ndim != 1 or row.size == 0:
+        raise ConfigurationError(f"memory weight row{where} must be a nonempty vector")
+    if depth is not None and row.size > depth:
+        raise ConfigurationError(
+            f"memory weight row{where} has length {row.size}, longer than the "
+            f"history depth {depth} set by the row at n = 0")
+    total = float(row.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ConfigurationError(
+            f"memory weight row{where} sums to {total!r}, must be 1 within 1e-12")
+    return tuple((-row[-2::-1]).tolist())
+
+
+@dataclass(frozen=True)
+class PerturbationPolicy:
+    """The evaluation point x~_n fed to the warped resolvent.
+
+    x~_n = x_n + sum_{k=1}^{depth-1} a_{n,k} (x_n - x_{n-k}) + e_n, with
+    iterates before x_0 taken as x_0.  ``pull`` is the row (a_{n,1}, ...)
+    or a schedule n -> row, ``errors`` a schedule n -> e_n (|e_n| -> 0) or
+    None, and ``depth`` the number of iterates the engine keeps.
     """
 
-    def __init__(self, kind, *, errors=None, alpha=None, weights=None, depth=None):
-        self.kind = kind
-        self.errors = errors
-        self.alpha = alpha
-        self.weights = weights
-        self.depth = depth
+    pull: object = ()
+    errors: object = None
+    depth: int = 1
+
+    def __post_init__(self):
+        if not _is_schedule(self.pull) and len(self.pull) >= self.depth:
+            raise ConfigurationError(
+                f"a pull of length {len(self.pull)} needs depth > {len(self.pull)}, got {self.depth}")
 
     @classmethod
     def none(cls):
-        return cls("none", depth=1)
+        return cls()
 
     @classmethod
     def additive(cls, errors):
         """errors: callable n -> perturbation vector, with |e_n| -> 0."""
         if not callable(errors):
             raise ConfigurationError("additive policy needs a callable error schedule")
-        return cls("additive", errors=errors, depth=1)
+        return cls(errors=errors)
 
     @classmethod
     def inertial(cls, alpha):
         """alpha: bounded extrapolation coefficient (constant or callable n -> float)."""
         if alpha is None:
             raise ConfigurationError("inertial alpha is required")
-        return cls("inertial", alpha=alpha, depth=2)
+        return cls(staged(lambda a: (float(a),), alpha), depth=2)
 
     @classmethod
     def memory(cls, weights, errors=None):
         """weights: row (mu_{n,n-m}, ..., mu_{n,n}) or callable n -> row; rows sum to 1.
 
-        The row at n = 0 sets the history depth; no later row may be longer.
+        A constant row is checked here, once.  A schedule's row at n = 0
+        sets the history depth; each row is checked at its n, and none may
+        be longer.
         """
-        probe = np.asarray(stage_at(weights, 0), dtype=float)
-        if probe.ndim != 1 or probe.size == 0:
-            raise ConfigurationError("memory weights must be a nonempty row")
-        return cls("memory", weights=weights, errors=errors, depth=int(probe.size))
-
-    @property
-    def history_depth(self):
-        return self.depth if self.depth else 1
+        if not _is_schedule(weights):
+            pull = _memory_pull(weights, "")
+            return cls(pull, errors, len(pull) + 1)
+        depth = len(_memory_pull(weights(0), " at n = 0")) + 1
+        return cls(lambda n: _memory_pull(weights(n), f" at n = {n}", depth), errors, depth)
 
 
 def apply_policy(policy: PerturbationPolicy, history, n) -> np.ndarray:
     """Evaluate x~_n from the iterate history (oldest to newest, x_n last).
 
     Entries before iterate 0 are taken as x_0, matching the inertial
-    convention x_{-1} := x_0.
+    convention x_{-1} := x_0.  Returns a new array.
     """
     if not len(history):
         raise ConfigurationError("apply_policy needs a nonempty history")
     x = history[-1]
-    if policy is None or policy.kind == "none":
-        return np.asarray(x, dtype=float).copy()
-    if policy.kind == "additive":
+    out = np.array(x, dtype=float)
+    if policy is None:
+        return out
+    for k, a in enumerate(stage_at(policy.pull, n), 1):
+        out += a * (x - (history[-1 - k] if k < len(history) else history[0]))
+    if policy.errors is not None:
         e = vector(policy.errors(n))
         check_dim(e, x.shape[0], "additive perturbation")
-        return x + e
-    if policy.kind == "inertial":
-        prev = history[-2] if len(history) >= 2 else history[0]
-        a = float(stage_at(policy.alpha, n))
-        return x + a * (x - prev)
-    if policy.kind == "memory":
-        row = np.asarray(stage_at(policy.weights, n), dtype=float)
-        if row.ndim != 1 or row.size == 0:
-            raise ConfigurationError("memory weight row must be a nonempty vector")
-        if row.size > policy.history_depth:
-            raise ConfigurationError(
-                f"memory weight row at n = {n} has length {row.size}, longer than the "
-                f"history depth {policy.history_depth} set by the row at n = 0")
-        if abs(float(row.sum()) - 1.0) > 1e-12:
-            raise ConfigurationError(
-                f"memory weight row at n = {n} sums to {row.sum()!r}, must be 1 within 1e-12")
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        m = row.size - 1
-        for k, w in enumerate(row):
-            idx = len(history) - 1 - (m - k)
-            past = history[idx] if idx >= 0 else history[0]
-            out = out + w * past
-        if policy.errors is not None:
-            e = vector(policy.errors(n))
-            check_dim(e, x.shape[0], "memory additive perturbation")
-            out = out + e
-        return out
-    raise ConfigurationError(f"unknown perturbation policy kind {policy.kind!r}")
+        out += e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,6 @@ class IterationRecord:
     rho: float
     lam: float
     gamma: float
-    fejer_gaps: tuple = None
 
     def __post_init__(self):
         if not (math.isfinite(self.step_norm) and self.step_norm >= 0):
@@ -318,10 +317,6 @@ class SolveResult:
         return self.status == "converged"
 
 
-def _gaps(x, zeros):
-    return tuple(_length(x - z) for z in zeros) if zeros else None
-
-
 def _length(d):
     return math.sqrt(d.dot(d))
 
@@ -337,7 +332,7 @@ def _stall_floor(cfg, x):
 # ---------------------------------------------------------------------------
 
 def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
-             x0, zeros, anchored=False) -> SolveResult:
+             x0, anchored=False) -> SolveResult:
     """The iteration engine shared by every solver.
 
     Each step: K_n from ``kernels`` (a Kernel or a schedule n -> Kernel),
@@ -367,7 +362,7 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     check_dim(x0, m.dim, "starting point")
     x = x0
     lam_of, takes_ctx = _relaxation_schedule(cfg.relaxation, cfg.epsilon)
-    history = deque(maxlen=max(policy.history_depth, 1))
+    history = deque(maxlen=policy.depth)
     history.append(x)
     trace = []
     stall = 0
@@ -379,7 +374,7 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     # and x~_n = x_n itself (not a copy) when there is no perturbation.
     staged_run = _is_schedule(kernels) or _is_schedule(step)
     lam = None if anchored or lam_of else check_relaxation(cfg.relaxation, cfg.epsilon)
-    perturbed = policy.kind != "none"
+    perturbed = _is_schedule(policy.pull) or len(policy.pull) or policy.errors is not None
     with np.errstate(all="ignore"):
         for n in range(cfg.max_iter):
             if staged_run or n == 0:
@@ -425,8 +420,7 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
             trace.append(IterationRecord(
                 n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
                 step_norm=_length(x_next - x), residual=residual,
-                theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma,
-                fejer_gaps=_gaps(x, zeros)))
+                theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma))
             if done:
                 x = x_next
                 status, reason = "converged", f"residual and step tolerances met at n = {n}"
@@ -446,7 +440,7 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
 
 
 def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
-               x0, zeros=()) -> SolveResult:
+               x0) -> SolveResult:
     """Relaxed warped proximal iteration, weakly convergent to a zero of M.
 
     Each step evaluates the warped resolvent at the policy point x~_n,
@@ -454,11 +448,11 @@ def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     projection onto its half-space.  Stops when |y*| <= tol_residual and
     |x~ - y| <= tol_step; reaching max_iter returns a warning status.
     """
-    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, zeros)
+    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0)
 
 
 def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
-                 x0, zeros=()) -> SolveResult:
+                 x0) -> SolveResult:
     """Haugazeau-style warped iteration, strongly convergent to proj_Z x0.
 
     The candidate x_{n+1/2} is the unrelaxed cut projection; the next
@@ -466,14 +460,14 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     the two bookkeeping half-spaces.  An infeasible intersection aborts
     with the typed error (it cannot occur when zeros exist).
     """
-    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, zeros, anchored=True)
+    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, anchored=True)
 
 
 # ---------------------------------------------------------------------------
 # Forward-backward-forward solvers
 # ---------------------------------------------------------------------------
 
-def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0, zeros):
+def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0):
     # K_n = W_n - gamma_n B, paired with M = A + B; fbf_kernel checks each
     # stage's step range, fbf_step the epsilon regime and the default step.
     W = identity_map(A.dim) if W_schedule is None else W_schedule
@@ -484,11 +478,11 @@ def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0, zeros):
     step = gamma_schedule if gamma_schedule is not None else cfg.step_size
     step = gamma if step is None else step
     kernels = staged(lambda W_n, gamma_n: fbf_kernel(W_n, B, gamma_n, cfg.epsilon), W, step)
-    return _iterate(MDecomposition(A, B), kernels, step, policy, cfg, x0, zeros)
+    return _iterate(MDecomposition(A, B), kernels, step, policy, cfg, x0)
 
 
 def solve_fbf_memory(A: SetValuedOperator, B, W_schedule, gamma_schedule,
-                     policy, cfg: SolverConfig, x0, zeros=()) -> SolveResult:
+                     policy, cfg: SolverConfig, x0) -> SolveResult:
     """Perturbed forward-backward-forward iteration with memory.
 
     x~ from the policy, one forward evaluation at x~, one backward solve
@@ -496,11 +490,11 @@ def solve_fbf_memory(A: SetValuedOperator, B, W_schedule, gamma_schedule,
     relaxed cut projection: the engine run with the forward-backward
     kernels ``W_n - gamma_n B``.
     """
-    return _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0, zeros)
+    return _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0)
 
 
 def solve_tseng(A: SetValuedOperator, B: SingleValuedOperator, gamma_schedule,
-                cfg: SolverConfig, x0, zeros=()) -> SolveResult:
+                cfg: SolverConfig, x0) -> SolveResult:
     """Tseng's forward-backward-forward iteration.
 
     v* = gamma B x; y = J_{gamma A}(x - v*); x+ = y - gamma B y + v*.  This
@@ -509,7 +503,7 @@ def solve_tseng(A: SetValuedOperator, B: SingleValuedOperator, gamma_schedule,
     exposes; ``cfg.relaxation`` is not used.
     """
     return _fbf(A, B, None, gamma_schedule, None,
-                replace(cfg, relaxation=tseng_relaxation), x0, zeros)
+                replace(cfg, relaxation=tseng_relaxation), x0)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +836,7 @@ def check_coupled_step(step):
 
 def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
                   policy=None, F_schedule=None, W_schedule=None,
-                  gamma_schedules=None, tau_schedules=None, zeros=()) -> SolveResult:
+                  gamma_schedules=None, tau_schedules=None) -> SolveResult:
     """Primal-dual solver for a coupled inclusion system.
 
     Runs the generic weak solver over the stacked Kuhn-Tucker space with
@@ -860,10 +854,7 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
     kernels = staged(lambda F, W, g, t: coupled_kernel(problem, F, W, g, t),
                      F_schedule, W_schedule, gammas, taus)
     start = KuhnTuckerPoint.zero(problem) if start is None else start
-    flat_zeros = [z.flatten() if isinstance(z, KuhnTuckerPoint) else np.asarray(z, dtype=float)
-                  for z in zeros]
-    res = solve_weak(problem.decomposition(), kernels, policy, cfg, start.flatten(),
-                     zeros=flat_zeros)
+    res = solve_weak(problem.decomposition(), kernels, policy, cfg, start.flatten())
     point = KuhnTuckerPoint.from_flat(res.x, problem)
     return SolveResult(
         x=point, trace=res.trace, status=res.status, stop_reason=res.stop_reason,

@@ -244,7 +244,7 @@ def serialize_section(section: Section, depth=0) -> str:
 
 
 class ProblemFile:
-    """A fully validated in-memory problem (operators built, regimes checked)."""
+    """A fully validated in-memory problem (operators and policy built, regimes checked)."""
 
     def __init__(self, root: Section, path="<memory>"):
         self.root = root
@@ -257,6 +257,7 @@ class ProblemFile:
             self._assemble_inclusion()
         else:
             self._assemble_coupled()
+        self.policy = self._policy()
 
     # -- shared helpers ------------------------------------------------------
 
@@ -396,19 +397,16 @@ class ProblemFile:
         solver = self._solver_section()
         cfg = self._config(solver, overrides)
         variant = overrides.get("algo") or self.variant
-        policy = self._policy()
         gamma = self._inclusion_gamma(cfg)
-        zeros = self.zeros
         if variant in ("weak", "strong"):
             # Without a file gamma, the engine reads each gamma_n from K_n's fold.
             m = kern.MDecomposition(self.A, self.B if self.kernel_name == "fbf" else None)
             fn = alg.solve_weak if variant == "weak" else alg.solve_strong
-            return fn(m, self._kernel_schedule(cfg), policy, cfg, self.x0, zeros=zeros)
+            return fn(m, self._kernel_schedule(cfg), self.policy, cfg, self.x0)
         if variant == "tseng":
-            return alg.solve_tseng(self.A, self.B, gamma, cfg, self.x0, zeros=zeros)
+            return alg.solve_tseng(self.A, self.B, gamma, cfg, self.x0)
         if variant == "fbf":
-            return alg.solve_fbf_memory(
-                self.A, self.B, None, gamma, policy, cfg, self.x0, zeros=zeros)
+            return alg.solve_fbf_memory(self.A, self.B, None, gamma, self.policy, cfg, self.x0)
         raise ConfigurationError(f"unknown algorithm {variant!r}")
 
     # -- coupled problems ------------------------------------------------------
@@ -476,9 +474,8 @@ class ProblemFile:
             raise ConfigurationError(f"coupled problems only run --algo coupled, got {algo!r}")
         cfg = self._config(self._solver_section(), overrides)
         return alg.solve_coupled(
-            self.problem, cfg, start=self.start, policy=self._policy(),
-            gamma_schedules=self.gamma_stage, tau_schedules=self.tau_stage,
-            zeros=self.zeros)
+            self.problem, cfg, start=self.start, policy=self.policy,
+            gamma_schedules=self.gamma_stage, tau_schedules=self.tau_stage)
 
     # -- public API -----------------------------------------------------------
 
@@ -613,20 +610,21 @@ def parse_problem(path) -> ProblemFile:
 # Trace and summary output
 # ---------------------------------------------------------------------------
 
-def write_trace(result: alg.SolveResult, path):
-    """CSV trace: n, residual, step_norm, theta, sigma, rho, then Fejer gaps."""
-    n_gaps = 0
-    for rec in result.trace:
-        if rec.fejer_gaps is not None:
-            n_gaps = max(n_gaps, len(rec.fejer_gaps))
+def write_trace(result: alg.SolveResult, path, zeros=()):
+    """CSV trace: n, residual, step_norm, theta, sigma, rho, then one Fejer gap per zero.
+
+    ``gap_k`` is |x_n - z_k| for the recorded iterate x_n and the k-th known
+    zero (a vector or a ``KuhnTuckerPoint``).
+    """
+    zeros = [z.flatten() if isinstance(z, alg.KuhnTuckerPoint) else np.asarray(z, dtype=float)
+             for z in zeros]
     header = ["n", "residual", "step_norm", "theta", "sigma", "rho"]
-    header += [f"gap_{k + 1}" for k in range(n_gaps)]
+    header += [f"gap_{k + 1}" for k in range(len(zeros))]
     lines = [",".join(header)]
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g" + ",%.17g" * len(zeros)
     for rec in result.trace:
-        gaps = rec.fejer_gaps or ()
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            rec.n, rec.residual, rec.step_norm, rec.theta, rec.sigma, rec.rho)
-            + ",%.17g" * len(gaps) % gaps + "," * (n_gaps - len(gaps)))
+        lines.append(row % (rec.n, rec.residual, rec.step_norm, rec.theta, rec.sigma, rec.rho,
+                            *(alg._length(rec.x - z) for z in zeros)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -676,7 +674,7 @@ def run_problem(pf: ProblemFile, overrides, trace_path, summary_path):
         return EXIT_NUMERICAL
     exit_code = EXIT_OK if result.converged else EXIT_MAX_ITER
     if trace_path:
-        write_trace(result, trace_path)
+        write_trace(result, trace_path, pf.zeros)
     if summary_path:
         write_summary(result, exit_code, algo, summary_path)
     print(f"{algo}: {result.status} after {result.iterations} iterations "

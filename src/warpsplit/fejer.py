@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, InfeasibleCutsError, SolverCorruptionError
-from .operators import GraphPoint
+from .errors import DimensionMismatchError, InfeasibleCutsError, SolverCorruptionError
 # check_dim is unused here; bench/spans.py rebinds it at this module.
-from .space import check_dim, inner  # noqa: F401
+from .space import check_dim  # noqa: F401
 
 RHO_ZERO_REL = 1e-14
 
@@ -33,19 +32,6 @@ def relaxed_cut(x, theta, sigma, y_star, lam):
         rho = lam * theta / sigma
         return rho, x + rho * y_star
     return 0.0, x
-
-
-def relaxed_projection_step(x, gp: GraphPoint, lam) -> np.ndarray:
-    """One relaxed projection of x onto the cut of a graph point.
-
-    Returns ``x + lam * (proj_H x - x)`` when the strict inequality
-    ``<y - x, y*> < 0`` holds and a copy of x otherwise.
-    """
-    if not 0 < lam < 2:
-        raise ConfigurationError(f"relaxation must lie in ]0, 2[, got {lam}")
-    x = np.array(x, dtype=float)
-    theta = inner(gp.y - x, gp.y_star)
-    return relaxed_cut(x, theta, inner(gp.y_star, gp.y_star), gp.y_star, lam)[1]
 
 
 def haugazeau_Q(x0, x, x_half) -> np.ndarray:

@@ -200,10 +200,6 @@ class GraphPoint:
 # Closed-form projections
 # ---------------------------------------------------------------------------
 
-def proj_box(x, lo, hi):
-    return np.clip(x, lo, hi)
-
-
 def proj_ball(x, center, radius):
     d = x - center
     n = np.linalg.norm(d)

@@ -5,7 +5,10 @@ paths: enumeration, grid search, bisection and dense linear algebra, plus
 two literal loop transcriptions, Tseng's method and the per-block coupled
 primal-dual step, that the library's one iteration engine must reproduce,
 and the literal extended-precision Haugazeau formula that
-``fejer.haugazeau_Q`` must reproduce byte for byte.
+``fejer.haugazeau_Q`` must reproduce byte for byte.  The four-branch
+evaluation-point formula ``literal_apply_policy`` pins the one-form
+``algorithms.apply_policy``, and ``relaxed_projection_step`` is the
+single-cut relaxed projection written from a graph point.
 The coupled references apply each coupling L_{ji} block by block, where the
 library uses one stacked coupling matrix.
 The transcriptions call only the operators they are given.  The
@@ -13,9 +16,15 @@ character-by-character bracket parser pins the problem-file value grammar
 that the CLI's run-at-a-time parser must reproduce, errors included.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from warpsplit.errors import InfeasibleCutsError, ProblemFormatError
+from warpsplit.algorithms import stage_at
+from warpsplit.errors import ConfigurationError, InfeasibleCutsError, ProblemFormatError
+from warpsplit.fejer import relaxed_cut
+from warpsplit.operators import GraphPoint
+from warpsplit.space import check_dim, inner, vector
 
 
 def project_halfspace(x, anchor, normal):
@@ -27,6 +36,78 @@ def project_halfspace(x, anchor, normal):
     if g <= 0:
         return np.asarray(x, dtype=float).copy()
     return x - (g / nn) * normal
+
+
+def relaxed_projection_step(x, gp: GraphPoint, lam) -> np.ndarray:
+    """One relaxed projection of x onto the cut of a graph point.
+
+    Returns ``x + lam * (proj_H x - x)`` when the strict inequality
+    ``<y - x, y*> < 0`` holds and a copy of x otherwise.
+    """
+    if not 0 < lam < 2:
+        raise ConfigurationError(f"relaxation must lie in ]0, 2[, got {lam}")
+    x = np.array(x, dtype=float)
+    theta = inner(gp.y - x, gp.y_star)
+    return relaxed_cut(x, theta, inner(gp.y_star, gp.y_star), gp.y_star, lam)[1]
+
+
+@dataclass
+class LiteralPolicy:
+    """A policy in the four-kind form ``literal_apply_policy`` reads."""
+
+    kind: str
+    errors: object = None
+    alpha: object = None
+    weights: object = None
+    depth: int = None
+
+    @property
+    def history_depth(self):
+        return self.depth if self.depth else 1
+
+
+def literal_apply_policy(policy: LiteralPolicy, history, n) -> np.ndarray:
+    """Evaluate x~_n from the iterate history (oldest to newest, x_n last).
+
+    Entries before iterate 0 are taken as x_0, matching the inertial
+    convention x_{-1} := x_0.
+    """
+    if not len(history):
+        raise ConfigurationError("apply_policy needs a nonempty history")
+    x = history[-1]
+    if policy is None or policy.kind == "none":
+        return np.asarray(x, dtype=float).copy()
+    if policy.kind == "additive":
+        e = vector(policy.errors(n))
+        check_dim(e, x.shape[0], "additive perturbation")
+        return x + e
+    if policy.kind == "inertial":
+        prev = history[-2] if len(history) >= 2 else history[0]
+        a = float(stage_at(policy.alpha, n))
+        return x + a * (x - prev)
+    if policy.kind == "memory":
+        row = np.asarray(stage_at(policy.weights, n), dtype=float)
+        if row.ndim != 1 or row.size == 0:
+            raise ConfigurationError("memory weight row must be a nonempty vector")
+        if row.size > policy.history_depth:
+            raise ConfigurationError(
+                f"memory weight row at n = {n} has length {row.size}, longer than the "
+                f"history depth {policy.history_depth} set by the row at n = 0")
+        if abs(float(row.sum()) - 1.0) > 1e-12:
+            raise ConfigurationError(
+                f"memory weight row at n = {n} sums to {row.sum()!r}, must be 1 within 1e-12")
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        m = row.size - 1
+        for k, w in enumerate(row):
+            idx = len(history) - 1 - (m - k)
+            past = history[idx] if idx >= 0 else history[0]
+            out = out + w * past
+        if policy.errors is not None:
+            e = vector(policy.errors(n))
+            check_dim(e, x.shape[0], "memory additive perturbation")
+            out = out + e
+        return out
+    raise ConfigurationError(f"unknown perturbation policy kind {policy.kind!r}")
 
 
 def qp_two_halfspaces(x0, y, z, tol=1e-9):

@@ -22,7 +22,6 @@ from warpsplit import (
     identity_kernel,
     identity_map,
     kt_residuals,
-    relaxed_projection_step,
     scaled_identity_operator,
     solve_coupled,
     solve_fbf_memory,
@@ -35,7 +34,15 @@ from warpsplit import (
 from warpsplit import algorithms
 from warpsplit.operators import GraphPoint
 
-from oracles import box_vi_solution, coupled_iterates, dense_kt_solution, tseng_iterates
+from oracles import (
+    LiteralPolicy,
+    box_vi_solution,
+    coupled_iterates,
+    dense_kt_solution,
+    literal_apply_policy,
+    relaxed_projection_step,
+    tseng_iterates,
+)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -72,9 +79,96 @@ def test_policy_memory_hand_formula():
 
 
 def test_policy_memory_weight_sum_validated():
-    hist = [np.array([1.0])]
-    with pytest.raises(ConfigurationError):
-        apply_policy(PerturbationPolicy.memory([0.5, 0.4]), hist, 1)
+    # A constant row is checked once, when the policy is built; the message
+    # prints the sum as a plain float.
+    for bad, match in (([0.5, 0.4], r"row sums to 0.9, must be 1 within 1e-12"),
+                       ([], "nonempty vector"), ([[0.5, 0.5]], "nonempty vector")):
+        with pytest.raises(ConfigurationError, match=match):
+            PerturbationPolicy.memory(bad)
+
+
+def test_policy_constant_pull_needs_room_in_depth():
+    # A pull reaching x_{n-2} with only two iterates kept would read x_{n-1}.
+    for pull, depth in (((0.3, 0.2), 2), ((), 0)):
+        with pytest.raises(ConfigurationError, match=f"needs depth > {len(pull)}, got {depth}"):
+            PerturbationPolicy(pull, depth=depth)
+    assert PerturbationPolicy((0.3, 0.2), depth=3).depth == 3
+
+
+def test_policy_memory_scheduled_row_checked_at_its_n():
+    rows = {0: [-0.3, 1.3], 1: [0.0, 1.0], 2: [0.5, 0.4]}
+    pol = PerturbationPolicy.memory(lambda n: rows[min(n, 2)])
+    hist = [np.array([1.0]), np.array([2.0])]
+    for n in (0, 1):
+        apply_policy(pol, hist, n)
+    with pytest.raises(ConfigurationError, match=r"row at n = 2 sums to 0.9, must be 1"):
+        apply_policy(pol, hist, 2)
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    with pytest.raises(ConfigurationError, match=r"row at n = 2 sums to 0.9"):
+        solve_weak(m, identity_kernel(1), pol, SolverConfig(step_size=1.0, max_iter=5), [1.0])
+
+
+def _histories(rng, d=4, longest=5):
+    # Histories of 1..longest iterates, so rows deeper than the history
+    # read x_0 for the missing iterates.
+    xs = [rng.normal(size=d) * 10.0 ** rng.integers(-3, 4) for _ in range(longest)]
+    return [xs[:k] for k in range(1, longest + 1)]
+
+
+def test_policy_one_form_is_bit_identical_to_literal_kinds():
+    rng = np.random.default_rng(11)
+    alpha = lambda n: 0.1 + 0.7 * 0.9 ** n  # noqa: E731
+    errors = lambda n: 0.5 ** n * np.arange(1.0, 5.0)  # noqa: E731
+    cases = [
+        (PerturbationPolicy.none(), LiteralPolicy("none")),
+        (None, None),
+        (PerturbationPolicy.additive(errors), LiteralPolicy("additive", errors=errors)),
+        (PerturbationPolicy.inertial(0.3), LiteralPolicy("inertial", alpha=0.3, depth=2)),
+        (PerturbationPolicy.inertial(alpha), LiteralPolicy("inertial", alpha=alpha, depth=2)),
+    ]
+    for _ in range(20):
+        for history in _histories(rng):
+            for n in (0, 1, 7):
+                for pol, lit in cases:
+                    out = apply_policy(pol, history, n)
+                    assert out.tobytes() == literal_apply_policy(lit, history, n).tobytes()
+
+
+def test_policy_memory_rows_match_literal_weighted_sum():
+    rng = np.random.default_rng(12)
+    for depth in (1, 2, 3, 4):
+        for _ in range(25):
+            row = rng.uniform(-1.0, 1.0, depth)
+            row[-1] = 1.0 - row[:-1].sum()
+            errors = (lambda n: 1e-3 * 0.5 ** n * np.ones(4)) if depth % 2 else None
+            pol = PerturbationPolicy.memory(row, errors)
+            lit = LiteralPolicy("memory", weights=row, errors=errors, depth=depth)
+            assert pol.depth == depth
+            for history in _histories(rng):
+                for n in (0, 3):
+                    out = apply_policy(pol, history, n)
+                    ref = literal_apply_policy(lit, history, n)
+                    scale = max(np.abs(h).max() for h in history)
+                    assert np.abs(out - ref).max() <= 1e-12 * scale
+
+
+def test_policy_memory_two_row_is_inertial_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for a in (0.3, -0.25, 0.0, 0.9):
+        mem, inert = PerturbationPolicy.memory((-a, 1 + a)), PerturbationPolicy.inertial(a)
+        assert mem == inert
+        for history in _histories(rng):
+            assert apply_policy(mem, history, 4).tobytes() == apply_policy(inert, history, 4).tobytes()
+    B = affine_map(ROT, np.array([-0.5, 0.5]))
+    m = MDecomposition(box_normal_cone([0.0, 0.0], [1.0, 1.0]), B)
+    k = fbf_kernel(identity_map(2), B, 0.7, 0.2)
+    cfg = SolverConfig(epsilon=0.2, step_size=0.7, max_iter=3000, tol_residual=1e-10, tol_step=1e-10)
+    runs = [solve_weak(m, k, pol, cfg, [0.9, 0.1]) for pol in
+            (PerturbationPolicy.memory([-0.3, 1.3]), PerturbationPolicy.inertial(0.3))]
+    assert runs[0].converged and runs[0].iterations == runs[1].iterations
+    assert runs[0].x.tobytes() == runs[1].x.tobytes()
+    assert all(r0.x_tilde.tobytes() == r1.x_tilde.tobytes()
+               for r0, r1 in zip(runs[0].trace, runs[1].trace))
 
 
 def test_policy_memory_row_longer_than_depth_rejected():
@@ -178,8 +272,8 @@ def test_weak_fejer_gaps_nonincreasing():
     k = fbf_kernel(identity_map(2), B, 0.7, 0.2)
     cfg = SolverConfig(epsilon=0.2, step_size=0.7, max_iter=3000,
                        tol_residual=1e-10, tol_step=1e-10)
-    res = solve_weak(m, k, None, cfg, [0.9, 0.1], zeros=[np.array([0.5, 0.5])])
-    gaps = [rec.fejer_gaps[0] for rec in res.trace]
+    res = solve_weak(m, k, None, cfg, [0.9, 0.1])
+    gaps = [float(np.linalg.norm(rec.x - np.array([0.5, 0.5]))) for rec in res.trace]
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-10
 
@@ -192,7 +286,7 @@ def test_weak_cuts_contain_registered_zero():
     cfg = SolverConfig(epsilon=0.2, step_size=0.7, max_iter=3000,
                        tol_residual=1e-10, tol_step=1e-10)
     z = np.array([0.5, 0.5])
-    res = solve_weak(m, k, None, cfg, [0.9, 0.1], zeros=[z])
+    res = solve_weak(m, k, None, cfg, [0.9, 0.1])
     for rec in res.trace:
         assert np.dot(z - rec.y, rec.y_star) <= 1e-10
 

@@ -435,22 +435,21 @@ def test_halving_trace_rows_halve(tmp_path):
 
 
 def test_trace_rows_are_17_digit_floats(tmp_path):
-    # Each row is "%d" then "%.17g" per float, empty cells padding missing gaps.
+    # Each row is "%d" then "%.17g" per float; gap_k is |x_n - z_k| for the
+    # recorded iterate x_n, one column per known zero.
     rec = algorithms.IterationRecord(
-        n=3, x=None, x_tilde=None, y=None, y_star=None, step_norm=0.1, residual=5e-324,
-        theta=-0.0, sigma=1e300, rho=-1 / 3, lam=1.0, gamma=1.0, fejer_gaps=(2 / 3,))
-    bare = algorithms.IterationRecord(**{**rec.__dict__, "n": 4, "fejer_gaps": None})
-    result = algorithms.SolveResult(x=None, trace=[rec, bare], status="max_iter",
-                                    stop_reason="", iterations=2)
+        n=3, x=np.zeros(2), x_tilde=None, y=None, y_star=None, step_norm=0.1, residual=5e-324,
+        theta=-0.0, sigma=1e300, rho=-1 / 3, lam=1.0, gamma=1.0)
+    result = algorithms.SolveResult(x=None, trace=[rec], status="max_iter",
+                                    stop_reason="", iterations=1)
+    row = ("3,4.9406564584124654e-324,0.10000000000000001,-0,1.0000000000000001e+300,"
+           "-0.33333333333333331")
     path = tmp_path / "t.csv"
-    cli.write_trace(result, path)
+    cli.write_trace(result, path, [np.array([2 / 3, 0.0]), [0.0, -3.0]])
     assert path.read_text().splitlines() == [
-        "n,residual,step_norm,theta,sigma,rho,gap_1",
-        "3,4.9406564584124654e-324,0.10000000000000001,-0,1.0000000000000001e+300,"
-        "-0.33333333333333331,0.66666666666666663",
-        "4,4.9406564584124654e-324,0.10000000000000001,-0,1.0000000000000001e+300,"
-        "-0.33333333333333331,",
-    ]
+        "n,residual,step_norm,theta,sigma,rho,gap_1,gap_2", row + ",0.66666666666666663,3"]
+    cli.write_trace(result, path)
+    assert path.read_text().splitlines() == ["n,residual,step_norm,theta,sigma,rho", row]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -614,7 +613,7 @@ def test_generate_is_deterministic_and_solvable(tmp_path):
     assert res.converged
     z = pf.zeros[0]
     assert np.linalg.norm(res.x - z) <= 1e-6
-    gaps = [rec.fejer_gaps[0] for rec in res.trace]
+    gaps = [float(np.linalg.norm(rec.x - z)) for rec in res.trace]
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-10
 
@@ -700,8 +699,27 @@ def test_policy_blocks_parse(tmp_path):
         "begin solver",
         "begin policy\n  kind = inertial\n  alpha = 0.3\nend\nbegin solver")
     pf = parse_problem(write(tmp_path, "pol.txt", text))
+    assert pf.policy == algorithms.PerturbationPolicy.inertial(0.3)
     res = pf.run({})
     assert res.converged
+
+
+@pytest.mark.parametrize("block, error, message", [
+    ("kind = bogus", ConfigurationError, "unknown policy kind 'bogus'"),
+    ("kind = inertial", ProblemFormatError, "missing required key 'alpha'"),
+    ("kind = additive\n  scale = 1.0\n  rate = 1.0", ConfigurationError,
+     r"rate must lie in \[0, 1\["),
+    ("kind = memory\n  weights = [0.5, 0.4]", ConfigurationError,
+     r"memory weight row sums to 0.9, must be 1 within 1e-12"),
+], ids=["unknown-kind", "missing-alpha", "additive-rate", "memory-row-sum"])
+def test_bad_policy_block_fails_at_parse(tmp_path, block, error, message):
+    # The policy is built once, by the parser, so a bad block exits 1 before any run.
+    text = MINIMAL.replace("begin solver", f"begin policy\n  {block}\nend\nbegin solver")
+    prob = write(tmp_path, "bad_policy.txt", text)
+    with pytest.raises(error, match=message):
+        parse_problem(prob)
+    assert main(["run", "--problem", prob, "--trace", str(tmp_path / "t.csv")]) == EXIT_USAGE
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_geometric_schedule_block(tmp_path):

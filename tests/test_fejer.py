@@ -6,10 +6,14 @@ from warpsplit import (
     GraphPoint,
     InfeasibleCutsError,
     haugazeau_Q,
-    relaxed_projection_step,
 )
 
-from oracles import literal_haugazeau_Q, project_halfspace, qp_two_halfspaces
+from oracles import (
+    literal_haugazeau_Q,
+    project_halfspace,
+    qp_two_halfspaces,
+    relaxed_projection_step,
+)
 
 
 def gp(y, y_star):
