@@ -256,7 +256,8 @@ def apply_policy(policy: PerturbationPolicy, history, n) -> np.ndarray:
     """Evaluate x~_n from the iterate history (oldest to newest, x_n last).
 
     Entries before iterate 0 are taken as x_0, matching the inertial
-    convention x_{-1} := x_0.  Returns a new array.
+    convention x_{-1} := x_0.  Returns a new array.  A pull row longer
+    than ``depth - 1`` would read past the iterates kept, and raises.
     """
     if not len(history):
         raise ConfigurationError("apply_policy needs a nonempty history")
@@ -264,7 +265,11 @@ def apply_policy(policy: PerturbationPolicy, history, n) -> np.ndarray:
     out = np.array(x, dtype=float)
     if policy is None:
         return out
-    for k, a in enumerate(stage_at(policy.pull, n), 1):
+    row = stage_at(policy.pull, n)
+    if len(row) >= policy.depth:
+        raise ConfigurationError(f"the pull at n = {n} has length {len(row)}; "
+                                 f"it needs depth > {len(row)}, got {policy.depth}")
+    for k, a in enumerate(row, 1):
         out += a * (x - (history[-1 - k] if k < len(history) else history[0]))
     if policy.errors is not None:
         e = vector(policy.errors(n))

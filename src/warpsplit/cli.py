@@ -258,6 +258,7 @@ class ProblemFile:
         else:
             self._assemble_coupled()
         self.policy = self._policy()
+        self._check_policy(self.variant)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -318,6 +319,11 @@ class ProblemFile:
 
             return alg.PerturbationPolicy.additive(errors)
         raise ConfigurationError(f"unknown policy kind {kind!r}")
+
+    def _check_policy(self, variant):
+        if variant == "tseng" and self.policy != alg.PerturbationPolicy.none():
+            raise ConfigurationError("variant tseng runs no perturbation policy; "
+                                     "remove the policy block or set kind = none")
 
     # -- inclusion problems ---------------------------------------------------
 
@@ -404,6 +410,7 @@ class ProblemFile:
             fn = alg.solve_weak if variant == "weak" else alg.solve_strong
             return fn(m, self._kernel_schedule(cfg), self.policy, cfg, self.x0)
         if variant == "tseng":
+            self._check_policy(variant)
             return alg.solve_tseng(self.A, self.B, gamma, cfg, self.x0)
         if variant == "fbf":
             return alg.solve_fbf_memory(self.A, self.B, None, gamma, self.policy, cfg, self.x0)

@@ -63,9 +63,15 @@ def haugazeau_Q(x0, x, x_half) -> np.ndarray:
                 "the two half-space cuts are disjoint (rho = 0, chi < 0); "
                 "the target set is empty or the iteration is corrupted")
         return x_half.copy()
+    # x0 + (1 + chi/nu) (x_half - x) and x + (nu/rho) (chi d0 - mu d1), bit for
+    # bit, in place on the fresh d0, d1: x_half - x is -d1 exactly.
     if chi * nu >= rho:
-        out = x0.astype(np.longdouble) + (1.0 + chi / nu) * (x_half - x).astype(np.longdouble)
-        return np.asarray(out, dtype=float)
-    # a - c*d is a + c*(-d) exactly in IEEE arithmetic, without the negation.
-    out = x.astype(np.longdouble) + (nu / rho) * (chi * d0 - mu * d1)
-    return np.asarray(out, dtype=float)
+        d1 *= -(1.0 + chi / nu)
+        d1 += x0
+        return d1.astype(float)
+    d0 *= chi
+    d1 *= mu
+    d0 -= d1
+    d0 *= nu / rho
+    d0 += x
+    return d0.astype(float)

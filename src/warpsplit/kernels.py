@@ -99,12 +99,18 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
     200 iterations, else raises.  The loop starts from ``start`` when given
     (any point converges), else from the resolvent at v.
 
+    For an affine W (``W.matrix``) and an A with ``resolvent_jacobian``, the
+    steps are semismooth Newton steps on p - J_{(gamma/c) A}(p - (W p - v)/c),
+    each certified by a contraction step, whose output is returned; once one
+    fails to halve the best residual, contraction goes on from the best point.
+
     The oracles are called through their unscanned entries
     (``SetValuedOperator._resolve``, ``SingleValuedOperator._apply``).  The
     loop certifies its own output: a residual within tolerance is finite,
-    and a non-finite residual raises NonFiniteEntryError at once.  The
-    closed form's output is certified by the graph point it feeds; it is a
-    copy when the resolvent hands back v itself.
+    and a non-finite residual raises NonFiniteEntryError at once (after a
+    Newton step, the loop falls back instead).  The closed form's output is
+    certified by the graph point it feeds; it is a copy when the resolvent
+    hands back v itself.
     """
     c = 1.0 if W is None else W.scale_of_identity
     if c is not None:
@@ -118,19 +124,37 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
     if not math.isfinite(tol):
         raise NonFiniteEntryError(f"backward solve right-hand side has norm {tol / INNER_TOL_SCALE}")
     g = gamma / c
+    jacobian = None if W.matrix is None else A.resolvent_jacobian
+    best, best_residual = None, math.inf  # the Newton path's best (q, W q)
     p = A._resolve(g, v / c) if start is None else start
     Wp = W._apply(p)
     residual = np.inf
     for _ in range(INNER_MAX_ITER):
         u = (v - Wp + c * p) / c
-        p = A._resolve(g, u)
-        Wp = W._apply(p)
-        # u - p in (gamma/c) A p, so c*(u - p) is gamma * (a point of A p)
-        residual = _norm(Wp + c * (u - p) - v)
+        q = A._resolve(g, u)
+        Wq = W._apply(q)
+        # u - q in (gamma/c) A q, so c*(u - q) is gamma * (a point of A q)
+        residual = _norm(Wq + c * (u - q) - v)
         if residual <= tol:
-            return p
-        if not math.isfinite(residual):
+            return q
+        if not math.isfinite(residual) and (jacobian is None or best is None):
             raise NonFiniteEntryError(f"backward solve residual {residual} is not finite")
+        if jacobian is not None:
+            halved = residual < 0.5 * best_residual
+            if residual < best_residual:
+                best, best_residual = (q, Wq), residual
+            if halved:
+                # Newton on F(p) = p - q: its Jacobian I - D (I - W_m/c) has
+                # the positive definite block (W_m/c)_FF on D's free set F.
+                D = jacobian(g, u)
+                H = W.matrix * (D / c)[:, None]
+                H.ravel()[::len(D) + 1] += 1.0 - D  # the diagonal, through a view
+                p = p - np.linalg.solve(H, p - q)
+                Wp = W._apply(p)
+                continue
+            jacobian = None  # the residual stopped halving
+            q, Wq = best
+        p, Wp = q, Wq
     raise BackwardSolveError(
         f"backward solve did not reach tolerance {tol:.3e} within "
         f"{INNER_MAX_ITER} iterations (residual {residual:.3e})",

@@ -37,7 +37,14 @@ class SetValuedOperator:
     ``_resolve`` and scans the output for NaN/Inf.  ``_resolve`` only checks
     the output's shape; the iteration engine calls it, and certifies
     finiteness once per graph point instead.
+
+    ``resolvent_jacobian``, when set, is ``(gamma, u) -> d``, the diagonal of
+    an element of the generalized Jacobian of ``J_{gamma A}`` at u: the free
+    mask of ``box`` and ``l1``, all ones for ``zero``.  Affine-base backward
+    solves take Newton steps with it.
     """
+
+    resolvent_jacobian = None
 
     def __init__(self, dim, resolvent_oracle, name="operator"):
         self.dim = int(dim)
@@ -132,6 +139,8 @@ class SingleValuedOperator:
     shape; the iteration engine calls it, and certifies finiteness once per
     graph point instead.
     """
+
+    matrix = None  # the read-only linear part of an affine map
 
     def __init__(self, dim, fn, lipschitz, monotone=True,
                  strong_monotonicity=None, scale_of_identity=None,
@@ -238,7 +247,9 @@ def box_normal_cone(lo, hi) -> SetValuedOperator:
     if lo.shape != hi.shape or np.any(lo > hi):
         raise ConfigurationError("box bounds must satisfy lo <= hi componentwise")
     # ndarray.clip is the ufunc np.clip calls, without its dispatch overhead.
-    return SetValuedOperator(lo.shape[0], lambda g, x: x.clip(lo, hi), name="box")
+    op = SetValuedOperator(lo.shape[0], lambda g, x: x.clip(lo, hi), name="box")
+    op.resolvent_jacobian = lambda g, u: ((lo < u) & (u < hi)).astype(float)
+    return op
 
 
 def ball_normal_cone(center, radius) -> SetValuedOperator:
@@ -277,12 +288,16 @@ def l1_operator(dim, weight=1.0) -> SetValuedOperator:
     if not weight > 0:
         raise ConfigurationError(f"l1 weight must be > 0, got {weight}")
     weight = float(weight)
-    return SetValuedOperator(dim, lambda g, x: soft_threshold(x, g * weight), name="l1")
+    op = SetValuedOperator(dim, lambda g, x: soft_threshold(x, g * weight), name="l1")
+    op.resolvent_jacobian = lambda g, u: (np.abs(u) > g * weight).astype(float)
+    return op
 
 
 def zero_operator(dim) -> SetValuedOperator:
     """The zero operator A x = {0}; its resolvent is the identity."""
-    return SetValuedOperator(dim, lambda g, x: x.copy(), name="zero")
+    op = SetValuedOperator(dim, lambda g, x: x.copy(), name="zero")
+    op.resolvent_jacobian = lambda g, u: np.ones(u.shape)
+    return op
 
 
 def scaled_identity_operator(dim, scale) -> SetValuedOperator:
@@ -354,13 +369,16 @@ def affine_map(M, b=None) -> SingleValuedOperator:
     check_dim(b, dim, "affine offset")
     lip = float(np.linalg.norm(M, 2)) if M.size else 0.0
     mu = float(_monotone_spectrum(M, "affine map matrix")[0])
+    M.setflags(write=False)
     # A zero matrix is declared 1-Lipschitz like zero_map: a finite default step.
-    return SingleValuedOperator(
+    op = SingleValuedOperator(
         dim, lambda x: M @ x + b,
         lipschitz=lip if lip > 0 else 1.0,
         monotone=True,
         strong_monotonicity=mu if mu > 0 else None,
         name="affine_map")
+    op.matrix = M
+    return op
 
 
 def zero_map(dim) -> SingleValuedOperator:

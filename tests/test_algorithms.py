@@ -95,6 +95,21 @@ def test_policy_constant_pull_needs_room_in_depth():
     assert PerturbationPolicy((0.3, 0.2), depth=3).depth == 3
 
 
+def test_policy_scheduled_pull_needs_room_in_depth():
+    # Two iterates kept, a lag-2 pull: x_{n-1} would stand in for x_{n-2}
+    # and give 3 + 0.3 * 2 + 0.2 * 2 = 4.0.
+    pol = PerturbationPolicy(lambda n: (0.3, 0.2), depth=2)
+    hist = [np.array([1.0]), np.array([3.0])]
+    with pytest.raises(ConfigurationError,
+                       match=r"pull at n = 5 has length 2; it needs depth > 2, got 2"):
+        apply_policy(pol, hist, 5)
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    with pytest.raises(ConfigurationError, match=r"pull at n = 0 has length 2"):
+        solve_weak(m, identity_kernel(1), pol, SolverConfig(step_size=1.0, max_iter=5), [1.0])
+    ok = PerturbationPolicy(lambda n: (0.3, 0.2), depth=3)
+    np.testing.assert_allclose(apply_policy(ok, [np.array([0.0])] + hist, 5), [4.2], rtol=1e-15)
+
+
 def test_policy_memory_scheduled_row_checked_at_its_n():
     rows = {0: [-0.3, 1.3], 1: [0.0, 1.0], 2: [0.5, 0.4]}
     pol = PerturbationPolicy.memory(lambda n: rows[min(n, 2)])

@@ -704,6 +704,28 @@ def test_policy_blocks_parse(tmp_path):
     assert res.converged
 
 
+INERTIAL_POLICY = "begin policy\n  kind = inertial\n  alpha = 0.9\nend\nbegin solver"
+
+
+def test_tseng_rejects_a_policy_before_any_iteration(tmp_path, capsys, monkeypatch):
+    # solve_tseng takes no policy, so running one would drop it silently.
+    monkeypatch.setattr(algorithms, "solve_tseng", lambda *a: pytest.fail("tseng ran"))
+    tseng = ROTATION_BOX.replace("variant = weak", "variant = tseng")
+    prob = write(tmp_path, "tseng.txt", tseng.replace("begin solver", INERTIAL_POLICY))
+    with pytest.raises(ConfigurationError, match="variant tseng runs no perturbation policy"):
+        parse_problem(prob)
+    weak = write(tmp_path, "weak.txt", ROTATION_BOX.replace("begin solver", INERTIAL_POLICY))
+    for args in (["--problem", prob], ["--problem", weak, "--algo", "tseng"]):
+        trace = tmp_path / "t.csv"
+        assert main(["run", *args, "--trace", str(trace)]) == EXIT_USAGE
+        assert "variant tseng runs no perturbation policy" in capsys.readouterr().err
+        assert not trace.exists()
+    # A kind = none block is no policy: the run goes ahead.
+    none = tseng.replace("begin solver", "begin policy\n  kind = none\nend\nbegin solver")
+    pf = parse_problem(write(tmp_path, "none.txt", none))
+    assert pf.policy == algorithms.PerturbationPolicy.none()
+
+
 @pytest.mark.parametrize("block, error, message", [
     ("kind = bogus", ConfigurationError, "unknown policy kind 'bogus'"),
     ("kind = inertial", ProblemFormatError, "missing required key 'alpha'"),

@@ -10,6 +10,7 @@ from warpsplit import (
     LinearMap,
     MDecomposition,
     PrimalBlock,
+    SetValuedOperator,
     SingleValuedOperator,
     SolverConfig,
     affine_map,
@@ -32,6 +33,7 @@ from warpsplit import (
     warped_resolvent,
     zero_operator,
 )
+from warpsplit import kernels
 from warpsplit.kernels import fbf_step, solve_base_inclusion
 
 from oracles import (
@@ -257,6 +259,161 @@ def test_backward_solve_divergence_is_typed_error():
     with pytest.raises(BackwardSolveError) as err:
         solve_base_inclusion(W, 1.0, zero_operator(2), np.array([1.0, 1.0]))
     assert err.value.residual is not None and err.value.residual > 0
+
+
+# ---------------------------------------------------------------------------
+# Newton path of the backward solve: affine base, set part with a Jacobian
+# ---------------------------------------------------------------------------
+
+def affine_base(rng, d):
+    """W = I + 0.5 R with R skew of unit norm: 1-strongly monotone, not c * Id."""
+    R = rng.normal(size=(d, d))
+    R = R - R.T
+    return affine_map(np.eye(d) + 0.5 * R / np.linalg.norm(R, 2), rng.normal(size=d))
+
+
+def contraction_only(A):
+    """A's resolvent oracle without a declared Jacobian: the contraction loop runs."""
+    return SetValuedOperator(A.dim, A._resolvent, name=A.name)
+
+
+def recorded(A):
+    """Record (input, output) of every ``A._resolve`` call, in order."""
+    calls = []
+    real = A._resolve
+
+    def spy(g, x):
+        calls.append((x, real(g, x)))
+        return calls[-1][1]
+
+    A._resolve = spy
+    return calls
+
+
+def assert_inner_tolerance(W, A_calls, v, p):
+    # p is the last resolvent output q at input u, and meets the loop's own
+    # residual test |W q + c (u - q) - v| <= 1e-12 (1 + |v|).
+    u, q = A_calls[-1]
+    assert p is q
+    c = W.lipschitz ** 2 / W.strong_monotonicity
+    assert np.linalg.norm(W(q) + c * (u - q) - v) <= 1e-12 * (1.0 + np.linalg.norm(v))
+
+
+def seeded_set_parts(rng, d):
+    lo, hi = -rng.uniform(0.2, 1.5, d), rng.uniform(0.2, 1.5, d)
+    return box_normal_cone(lo, hi), l1_operator(d, float(rng.uniform(0.1, 1.0)))
+
+
+def test_newton_path_agrees_with_the_contraction_loop():
+    rng = np.random.default_rng(81)
+    newton_calls = contraction_calls = 0
+    for _ in range(60):
+        d = int(rng.integers(2, 7))
+        W = affine_base(rng, d)
+        for A in seeded_set_parts(rng, d):
+            v = rng.normal(size=d) * 3.0
+            gamma = float(rng.uniform(0.2, 2.0))
+            start = rng.normal(size=d) if rng.uniform() < 0.5 else None
+            calls = recorded(A)
+            p = solve_base_inclusion(W, gamma, A, v, start)
+            assert_inner_tolerance(W, calls, v, p)
+            ref = contraction_only(A)
+            ref_calls = recorded(ref)
+            q = solve_base_inclusion(W, gamma, ref, v, start)
+            assert np.linalg.norm(p - q) <= 1e-10
+            newton_calls += len(calls)
+            contraction_calls += len(ref_calls)
+    assert newton_calls * 4 < contraction_calls
+
+
+def test_newton_path_on_a_degenerate_active_set():
+    # Coordinate 0 is decoupled from the rest and the solution p* sits on
+    # the face p_0 = hi_0 with a zero normal-cone part, so from a start on
+    # that face the first mask is taken at u exactly on the face.
+    rng = np.random.default_rng(82)
+    d = 4
+    R = np.zeros((d, d))
+    R[1:, 1:] = rng.normal(size=(d - 1, d - 1))
+    R = R - R.T
+    W = affine_map(np.eye(d) + 0.5 * R / np.linalg.norm(R, 2))
+    lo, hi = -np.ones(d), np.ones(d)
+    A = box_normal_cone(lo, hi)
+    masks = []
+    mask = A.resolvent_jacobian
+    A.resolvent_jacobian = lambda g, u: masks.append(u.copy()) or mask(g, u)
+    p_star = np.array([1.0, 0.2, -0.3, 0.4])
+    v = W(p_star)
+    start = p_star + np.array([0.0, 0.5, 0.5, -0.5])
+    calls = recorded(A)
+    p = solve_base_inclusion(W, 0.7, A, v, start)
+    assert masks[0][0] == hi[0] and mask(0.7, masks[0])[0] == 0.0
+    assert_inner_tolerance(W, calls, v, p)
+    assert np.linalg.norm(p - p_star) <= 1e-10
+    assert np.linalg.norm(p - solve_base_inclusion(W, 0.7, contraction_only(A), v, start)) <= 1e-10
+
+
+def test_wrong_jacobian_falls_back_to_the_contraction_loop():
+    rng = np.random.default_rng(83)
+    fallbacks = 0
+    for _ in range(30):
+        d = int(rng.integers(2, 7))
+        W = affine_base(rng, d)
+        A, _ = seeded_set_parts(rng, d)
+        mask = A.resolvent_jacobian
+        steps = []
+        A.resolvent_jacobian = lambda g, u: steps.append(1) or 1.0 - mask(g, u)
+        v = rng.normal(size=d) * 3.0
+        calls = recorded(A)
+        p = solve_base_inclusion(W, 1.0, A, v)
+        assert_inner_tolerance(W, calls, v, p)
+        assert np.linalg.norm(p - solve_base_inclusion(W, 1.0, contraction_only(A), v)) <= 1e-10
+        # the cold start, one step per Newton step, and at least one more
+        fallbacks += len(calls) > len(steps) + 2
+    assert fallbacks >= 20
+    # A Newton point whose residual is not finite falls back too, and raises nothing.
+    W = affine_base(rng, 2)
+    A = box_normal_cone([-1.0, -1.0], [1.0, 1.0])
+    A.resolvent_jacobian = lambda g, u: np.full(2, np.nan)
+    v = np.array([3.0, 0.2])
+    calls = recorded(A)
+    p = solve_base_inclusion(W, 1.0, A, v)
+    assert_inner_tolerance(W, calls, v, p)
+
+
+def test_newton_path_is_taken_on_the_general_base_problem(monkeypatch):
+    from test_engine_contract import general_base_problem
+    A, B, W, gamma, eps, cfg, x0, z = general_base_problem()
+    resolves = []
+    real = A._resolve
+    monkeypatch.setattr(A, "_resolve", lambda g, x: resolves.append(1) or real(g, x))
+    solves = []
+    base_solve = kernels.solve_base_inclusion
+    monkeypatch.setattr(kernels, "solve_base_inclusion",
+                        lambda *args: solves.append(1) or base_solve(*args))
+    res = solve_weak(MDecomposition(A, B), fbf_kernel(W, B, gamma, eps), None, cfg, x0)
+    assert res.converged and np.linalg.norm(res.x - z) <= 1e-6
+    assert len(solves) == res.iterations and len(resolves) <= 3 * len(solves)
+
+
+def test_affine_map_keeps_a_read_only_copy_of_its_matrix():
+    M = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    W = affine_map(M)
+    M[0, 0] = -5.0
+    np.testing.assert_array_equal(W.matrix, [[2.0, 1.0], [-1.0, 3.0]])
+    np.testing.assert_array_equal(W(np.array([1.0, 0.0])), [2.0, -1.0])
+    with pytest.raises(ValueError):
+        W.matrix[0, 0] = 0.0
+    assert identity_map(2).matrix is None
+
+
+def test_catalog_resolvent_jacobians():
+    u = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+    box = box_normal_cone(-np.ones(6), np.ones(6))
+    np.testing.assert_array_equal(box.resolvent_jacobian(0.5, u), [0, 0, 1, 1, 0, 0])
+    np.testing.assert_array_equal(l1_operator(6, 2.0).resolvent_jacobian(0.5, u),
+                                  [1, 0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(zero_operator(6).resolvent_jacobian(0.5, u), np.ones(6))
+    assert ball_normal_cone(np.zeros(6), 1.0).resolvent_jacobian is None
 
 
 def test_averagedness_of_warped_resolvent():
