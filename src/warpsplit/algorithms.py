@@ -35,7 +35,8 @@ from .errors import (
     SolverCorruptionError,
     StallError,
 )
-from .fejer import haugazeau_Q, relaxed_cut
+# haugazeau_Q is unused here; bench/spans.py rebinds it at this module.
+from .fejer import CutRing, cut_coefficient, haugazeau_Q, relaxed_cut  # noqa: F401
 # solve_base_inclusion is unused here; bench/spans.py rebinds it at this module.
 from .kernels import (  # noqa: F401
     Kernel,
@@ -380,6 +381,7 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     staged_run = _is_schedule(kernels) or _is_schedule(step)
     lam = None if anchored or lam_of else check_relaxation(cfg.relaxation, cfg.epsilon)
     perturbed = _is_schedule(policy.pull) or len(policy.pull) or policy.errors is not None
+    ring = CutRing(x0) if anchored else None
     with np.errstate(all="ignore"):
         for n in range(cfg.max_iter):
             if staged_run or n == 0:
@@ -412,16 +414,27 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
                     lam = lam_of(n, ctx)
                 rho, x_next = relaxed_cut(x, theta, sigma, y_star, lam)
             elif done:
-                # Certified before the two-cut projection: a noise-scale
-                # candidate would make the cut geometry meaningless.
+                # Certified before the projection: a noise-scale cut would
+                # make the cut geometry meaningless.
                 lam, rho, x_next = 1.0, 0.0, x
             else:
                 lam = 1.0
-                rho, x_half = relaxed_cut(x, theta, sigma, y_star, lam)
-                try:
-                    x_next = haugazeau_Q(x0, x, x_half)
-                except InfeasibleCutsError as exc:
-                    raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
+                rho = cut_coefficient(theta, sigma, lam)
+                if not math.isfinite(rho):
+                    # theta and sigma overflowed: the cut has no geometry, and
+                    # the record reports the non-finite step, as a relaxed one.
+                    x_next = x + rho * y_star
+                else:
+                    ring.add(y, y_star, sigma, theta)
+                    # x = P_{C_{n-1}} x0 meets the new cut when theta >= 0, so
+                    # it is x0's projection onto C_n as well.
+                    if theta < 0:
+                        try:
+                            x_next = ring.project(x)
+                        except InfeasibleCutsError as exc:
+                            raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
+                    else:
+                        x_next = x
             trace.append(IterationRecord(
                 n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
                 step_norm=_length(x_next - x), residual=residual,

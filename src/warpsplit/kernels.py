@@ -84,6 +84,26 @@ def _norm(v) -> float:
     return n
 
 
+# Inverses of solve_base_inclusion's Newton matrix I - D (I - W_m / c), by
+# (W, c, D); the free mask D rarely changes within a run.  Oldest out first.
+_NEWTON_INVERSES = {}
+NEWTON_CACHE_SIZE = 8
+
+
+def _newton_inverse(W, c, D):
+    key = (W, c, D.tobytes())
+    inv = _NEWTON_INVERSES.get(key)
+    if inv is None:
+        # Its positive definite block (W_m/c)_FF on D's free set F makes it invertible.
+        H = W.matrix * (D / c)[:, None]
+        H.ravel()[::len(D) + 1] += 1.0 - D  # the diagonal, through a view
+        inv = np.linalg.inv(H)
+        if len(_NEWTON_INVERSES) >= NEWTON_CACHE_SIZE:
+            del _NEWTON_INVERSES[next(iter(_NEWTON_INVERSES))]
+        _NEWTON_INVERSES[key] = inv
+    return inv
+
+
 def _over(v, c):
     """v / c, skipping a division by exactly 1.0, which is an identity in IEEE arithmetic."""
     return v if c == 1.0 else v / c
@@ -144,12 +164,8 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
             if residual < best_residual:
                 best, best_residual = (q, Wq), residual
             if halved:
-                # Newton on F(p) = p - q: its Jacobian I - D (I - W_m/c) has
-                # the positive definite block (W_m/c)_FF on D's free set F.
-                D = jacobian(g, u)
-                H = W.matrix * (D / c)[:, None]
-                H.ravel()[::len(D) + 1] += 1.0 - D  # the diagonal, through a view
-                p = p - np.linalg.solve(H, p - q)
+                # Newton on F(p) = p - q, with Jacobian I - D (I - W_m/c).
+                p = p - _newton_inverse(W, c, jacobian(g, u)).dot(p - q)
                 Wp = W._apply(p)
                 continue
             jacobian = None  # the residual stopped halving

@@ -8,7 +8,9 @@ and the literal extended-precision Haugazeau formula that
 ``fejer.haugazeau_Q`` must reproduce byte for byte.  The four-branch
 evaluation-point formula ``literal_apply_policy`` pins the one-form
 ``algorithms.apply_policy``, and ``relaxed_projection_step`` is the
-single-cut relaxed projection written from a graph point.
+single-cut relaxed projection written from a graph point.  The strong
+solver's multi-cut projector ``fejer.CutRing`` is pinned by
+``qp_polyhedron``, which enumerates active sets.
 The coupled references apply each coupling L_{ji} block by block, where the
 library uses one stacked coupling matrix.
 The transcriptions call only the operators they are given.  The
@@ -16,6 +18,7 @@ character-by-character bracket parser pins the problem-file value grammar
 that the CLI's run-at-a-time parser must reproduce, errors included.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +166,40 @@ def qp_two_halfspaces(x0, y, z, tol=1e-9):
         return None
     dists = [np.linalg.norm(u - x0) for u in candidates]
     return candidates[int(np.argmin(dists))]
+
+
+def qp_polyhedron(x0, normals, offsets, tol=1e-9):
+    """Projection of x0 onto {z : <n_i, z> <= c_i for all i} by active-set enumeration.
+
+    Every subset S of linearly independent normals (so at most d of them)
+    gives the candidate z on the planes of S nearest x0, z = x0 - N_S^T lam;
+    it is kept when lam >= 0 and z meets every half-space (each within
+    ``tol``, relative to the scale of z and n_i).  Returns the candidate
+    nearest x0, or None when no candidate is kept: then the half-spaces are
+    disjoint, since a nonempty polyhedron's projection has a certificate
+    with independent active normals.  Subsets of one size are solved as
+    one stack.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    N = np.array(normals, dtype=float).reshape(-1, x0.size)
+    c = np.asarray(offsets, dtype=float).reshape(-1)
+    norms = np.linalg.norm(N, axis=1)
+    candidates = [x0[None, :]]
+    for size in range(1, min(len(c), x0.size) + 1):
+        S = np.array(list(itertools.combinations(range(len(c)), size)))
+        NS = N[S]
+        sv = np.linalg.svd(NS / norms[S][..., None], compute_uv=False)
+        keep = sv[:, -1] > 1e-10 * sv[:, 0]
+        S, NS = S[keep], NS[keep]
+        lam = np.linalg.solve(NS @ NS.transpose(0, 2, 1), (NS @ x0 - c[S])[..., None])[..., 0]
+        keep = np.all(lam >= -tol * (1.0 + np.abs(lam).max(axis=1, keepdims=True)), axis=1)
+        candidates.append(x0 - np.einsum("ks,ksd->kd", lam[keep], NS[keep]))
+    z = np.concatenate(candidates)
+    slack = tol * (1.0 + np.linalg.norm(z, axis=1))[:, None] * norms
+    z = z[np.all(z @ N.T - c <= slack, axis=1)]
+    if not len(z):
+        return None
+    return z[np.argmin(np.linalg.norm(z - x0, axis=1))]
 
 
 def literal_haugazeau_Q(x0, x, x_half, rho_zero_rel=1e-14):

@@ -202,6 +202,23 @@ def test_criterion_5_strong_convergence_to_projection():
               "sets with nondecreasing anchor distance", t0)
 
 
+def test_criterion_5_strong_solver_on_the_regression_recipe():
+    # The recipe's Z is the singleton {z}; the multi-cut Haugazeau step
+    # must reach it at the tight tolerance on every seed, within the cap.
+    t0 = time.perf_counter()
+    iterations = []
+    for seed in range(100, 124):
+        A, B, x0, z = seeded_affine_box_problem(seed, max_dim=6)
+        eps, gamma, cfg = fbf_setup(B, 1e-9, 10_000)
+        res = solve_strong(MDecomposition(A, B), fbf_kernel(identity_map(A.dim), B, gamma, eps),
+                           None, cfg, x0)
+        assert res.converged, f"seed {seed}: {res.stop_reason}"
+        assert np.linalg.norm(res.x - z) <= 1e-6
+        iterations.append(res.iterations)
+    report(5, f"solve_strong converges on regression seeds 100-123 at tol 1e-9 "
+              f"({sum(iterations)} iterations, at most {max(iterations)})", t0)
+
+
 def scalar_coupled_problem():
     return CoupledProblem(
         [PrimalBlock(A=scaled_identity_operator(1, 1.0))],

@@ -390,6 +390,23 @@ def test_strong_limit_is_projection_of_start():
     assert np.linalg.norm(res.x - proj) <= 1e-6
 
 
+@pytest.mark.parametrize("x0", [[3.0, 0.5], [-2.0, 4.0], [0.9, -3.0], [-5.0, -0.99],
+                                [0.5, 1.5], [-0.7, 0.2]])
+def test_strong_limit_is_the_projection_onto_a_zero_segment(x0):
+    # B(x) = (x_1 - 0.2, 0) on the box [-1, 1]^2: Z = {0.2} x [-1, 1], so
+    # the limit must be P_Z x0 = (0.2, clip(x0_2)), not just some zero.
+    A = box_normal_cone([-1.0, -1.0], [1.0, 1.0])
+    B = affine_map([[1.0, 0.0], [0.0, 0.0]], [-0.2, 0.0])
+    eps = min(0.05, 0.9 / (B.lipschitz + 1.0))
+    gamma = 0.9 * (1.0 - eps) / B.lipschitz
+    cfg = SolverConfig(epsilon=eps, step_size=gamma, max_iter=10_000,
+                       tol_residual=1e-10, tol_step=1e-10)
+    res = solve_strong(MDecomposition(A, B), fbf_kernel(identity_map(2), B, gamma, eps),
+                       None, cfg, np.array(x0))
+    assert res.converged
+    assert np.linalg.norm(res.x - [0.2, np.clip(x0[1], -1.0, 1.0)]) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # Tseng and FBF-with-memory
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ from warpsplit import (
     InfeasibleCutsError,
     haugazeau_Q,
 )
+from warpsplit.fejer import CutRing
 
 from oracles import (
     literal_haugazeau_Q,
     project_halfspace,
+    qp_polyhedron,
     qp_two_halfspaces,
     relaxed_projection_step,
 )
@@ -167,3 +169,121 @@ def test_haugazeau_matches_the_literal_formula_byte_for_byte():
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes(), (x0, x, x_half)
         outcomes["x_half" if np.array_equal(out, x_half) else "projected"] += 1
     assert min(outcomes.values()) >= 1_500, outcomes
+
+
+# ---------------------------------------------------------------------------
+# The strong solver's cut ring
+# ---------------------------------------------------------------------------
+
+def _add(ring, y, y_star):
+    # theta is taken at the ring's last projection, x0 before the first.
+    z = ring.x0 if ring.z is None else ring.z
+    ring.add(y, y_star, float(y_star @ y_star), float((y - z) @ y_star))
+
+
+def _ring_cut(rng, d, kept):
+    """A cut (y, y*) drawn at random, or, one time in four, built from a
+    positive combination of recent cuts and shifted off it, so that it
+    closes the set or nearly does (Farkas)."""
+    if kept and rng.integers(4) == 0:
+        c = rng.uniform(0.2, 1.0, len(kept))
+        normal = -sum(ci * n for ci, (n, _) in zip(c, kept))
+        offset = -sum(ci * b for ci, (_, b) in zip(c, kept))
+        offset -= rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
+        nn = normal @ normal
+        if nn > 1e-6:
+            return normal * offset / nn, normal
+    return rng.normal(size=d) * 2, rng.normal(size=d) * 2
+
+
+def test_cut_ring_matches_the_polyhedron_oracle():
+    # Runs of up to 5 cuts and 4 projections, d <= 6, rings that keep the
+    # last 1 to 4 cuts (and older active ones), plus the bookkeeping cut.
+    # Each projection is compared with the oracle over H(x0, x) and the
+    # rows the ring keeps: from a new x (row 0 becomes H(x0, x)), from x0,
+    # and from the last projection (the warm start).  The ring raises
+    # exactly when the oracle finds the cuts disjoint.
+    rng = np.random.default_rng(16)
+    counts = {"fresh": 0, "warm": 0, "disjoint": 0}
+    worst = 0.0
+    while counts["fresh"] + counts["warm"] < 1000:
+        d, size = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        x0 = rng.normal(size=d) * 2
+        ring = CutRing(x0, size)
+        kept, last = [], None
+        for _ in range(4):
+            for _ in range(min(int(rng.integers(1, 3)), 5 - len(kept))):
+                y, y_star = _ring_cut(rng, d, kept)
+                _add(ring, y, y_star)
+                kept.append((y_star, float(y_star @ y)))
+            warm = last is not None and rng.random() < 0.5
+            x = last if warm else (x0 if rng.random() < 0.2 else rng.normal(size=d) * 2)
+            try:
+                out = ring.project(x)
+            except InfeasibleCutsError:
+                out = None
+            # The rows as the projection left them: row 0 is H(x0, x) for a new x.
+            normals = [a for a in ring.normals if a @ a > 0]
+            offsets = [float(a @ x0 - s) for a, s in zip(ring.normals, ring.s) if a @ a > 0]
+            if not np.array_equal(x, x0):
+                normals.append(x0 - x)
+                offsets.append(float((x0 - x) @ x))
+            ref = qp_polyhedron(x0, normals, offsets)
+            assert (out is None) == (ref is None)
+            if out is None:
+                counts["disjoint"] += 1
+                break
+            if not warm and not np.array_equal(x, x0):
+                np.testing.assert_allclose(ring.normals[0] * np.linalg.norm(x0 - x), x0 - x)
+            worst = max(worst, np.linalg.norm(out - ref) / max(1.0, np.linalg.norm(ref - x0)))
+            counts["warm" if warm else "fresh"] += 1
+            last = out
+    assert worst <= 1e-8, worst
+    assert counts["fresh"] >= 300 and counts["warm"] >= 300 and counts["disjoint"] >= 100, counts
+
+
+def test_cut_ring_keeps_active_cuts_past_their_turn():
+    # Two cuts meet at the projection (1, 1) of x0; idle cuts that x0's
+    # projection already meets then fill the ring, and the active two stay.
+    x0 = np.array([3.0, 3.0])
+    ring = CutRing(x0, size=3)
+    _add(ring, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    _add(ring, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    z = ring.project(x0)
+    np.testing.assert_allclose(z, [1.0, 1.0])
+    for _ in range(5):
+        _add(ring, np.array([-5.0, 0.0]), np.array([-1.0, 0.0]))
+        z = ring.project(z)
+        np.testing.assert_allclose(z, [1.0, 1.0])
+    assert sorted(ring.active) == [1, 2]
+
+
+def test_cut_ring_disjoint_cuts_raise():
+    ring = CutRing(np.zeros(2))
+    _add(ring, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))  # z_1 >= 1
+    _add(ring, np.array([-1.0, 0.0]), np.array([1.0, 0.0]))  # z_1 <= -1
+    with pytest.raises(InfeasibleCutsError):
+        ring.project(np.zeros(2))
+
+
+def test_cut_ring_recovers_from_rounding_in_its_dual_basis():
+    # x0 = (3, 3) projects to the vertex (1, 1) of z_1 <= 1, z_2 <= 1.  Error
+    # planted in the dual basis, as rounding builds it up, sends the next
+    # swap off the active planes; the ring then solves its active set afresh
+    # and still returns the projection onto the three cuts.
+    x0 = np.array([3.0, 3.0])
+    ring = CutRing(x0, size=4)
+    _add(ring, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    _add(ring, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    z = ring.project(x0)
+    ring.dual[:2] += [[0.0, 1e-3], [2e-3, 0.0]]
+    _add(ring, np.array([0.75, 0.75]), np.array([1.0, 1.0]))  # z_1 + z_2 <= 1.5
+    np.testing.assert_allclose(ring.project(z), [0.75, 0.75], atol=1e-12)
+
+
+def test_cut_ring_skips_a_cut_without_a_finite_normal():
+    ring = CutRing(np.zeros(2))
+    for sigma in (0.0, np.inf, np.nan):
+        ring.add(np.ones(2), np.ones(2), sigma, -1.0)
+    assert not ring.s.any()
+    np.testing.assert_array_equal(ring.project(np.zeros(2)), [0.0, 0.0])
