@@ -2,12 +2,14 @@
 
 Every solver runs one iteration engine: evaluate a warped resolvent at the
 policy point, certify a graph point (y, y*), then update through its cut
-{z : <z - y, y*> <= 0}, either by a relaxed projection or by the
-Haugazeau two-cut projector.  The solvers only configure that engine.
+{z : <z - y, y*> <= 0}, either by a relaxed projection or by projecting
+the anchor onto the kept cuts (Haugazeau).  The solvers only configure
+that engine.
 
 * ``solve_weak``      -- relaxed single-cut projections (weak convergence).
-* ``solve_strong``    -- Haugazeau two-cut projections (strong convergence
-                         to the projection of the starting point).
+* ``solve_strong``    -- Haugazeau multi-cut projections (strong
+                         convergence to the projection of the starting
+                         point).
 * ``solve_fbf_memory``-- perturbed forward-backward-forward with memory:
                          forward-backward kernels plus a policy.
 * ``solve_tseng``     -- Tseng's forward-backward-forward method: the
@@ -346,10 +348,10 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     K_n was folded with, 1 without a fold), the policy point x~_n, the
     graph point (y_n, y_n*) of the warped resolvent at x~_n, then the
     update through its cut.  The update is the relaxed projection, or, when
-    ``anchored``, the projection of x0 onto the two bookkeeping half-spaces
-    (Haugazeau).  Stops when |y*| <= tol_residual and |x~ - y| <= tol_step:
-    the relaxed update still applies its last step, the anchored one
-    certifies before projecting and records a zero step.
+    ``anchored``, the projection of x0 onto H(x0, x_n) and the cuts a
+    ``CutRing`` keeps (Haugazeau).  Stops when |y*| <= tol_residual and
+    |x~ - y| <= tol_step: the relaxed update still applies its last step,
+    the anchored one certifies before projecting and records a zero step.
 
     Finiteness is certified once per graph point, by the scalars the cut
     needs: sigma = |y*|^2 finite means y* is, and theta = <y - x, y*>
@@ -473,10 +475,12 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
                  x0) -> SolveResult:
     """Haugazeau-style warped iteration, strongly convergent to proj_Z x0.
 
-    The candidate x_{n+1/2} is the unrelaxed cut projection; the next
-    iterate is the closed-form projection of x0 onto the intersection of
-    the two bookkeeping half-spaces.  An infeasible intersection aborts
-    with the typed error (it cannot occur when zeros exist).
+    The next iterate is the projection of x0 onto H(x0, x_n) = {z : <z -
+    x_n, x0 - x_n> <= 0} and the last ``fejer.RING_SIZE`` graph cuts, with
+    any older cut still active kept too (``fejer.CutRing``): a set that
+    contains every zero and lies in H(x0, x_n) and the newest cut.
+    Disjoint cuts abort with the typed error (they cannot occur when zeros
+    exist).
     """
     return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, anchored=True)
 

@@ -16,6 +16,7 @@ evaluations.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -84,24 +85,17 @@ def _norm(v) -> float:
     return n
 
 
-# Inverses of solve_base_inclusion's Newton matrix I - D (I - W_m / c), by
-# (W, c, D); the free mask D rarely changes within a run.  Oldest out first.
-_NEWTON_INVERSES = {}
-NEWTON_CACHE_SIZE = 8
+@functools.lru_cache(maxsize=8)
+def _newton_inverse(W, c, mask):
+    """(I - D (I - W_m / c))^-1 for the free mask D with bytes ``mask``.
 
-
-def _newton_inverse(W, c, D):
-    key = (W, c, D.tobytes())
-    inv = _NEWTON_INVERSES.get(key)
-    if inv is None:
-        # Its positive definite block (W_m/c)_FF on D's free set F makes it invertible.
-        H = W.matrix * (D / c)[:, None]
-        H.ravel()[::len(D) + 1] += 1.0 - D  # the diagonal, through a view
-        inv = np.linalg.inv(H)
-        if len(_NEWTON_INVERSES) >= NEWTON_CACHE_SIZE:
-            del _NEWTON_INVERSES[next(iter(_NEWTON_INVERSES))]
-        _NEWTON_INVERSES[key] = inv
-    return inv
+    Cached: D rarely changes within a run.  The matrix has the positive
+    definite block (W_m / c)_FF on D's free set F, so it is invertible.
+    """
+    D = np.frombuffer(mask)
+    H = W.matrix * (D / c)[:, None]
+    H.ravel()[::len(D) + 1] += 1.0 - D  # the diagonal, through a view
+    return np.linalg.inv(H)
 
 
 def _over(v, c):
@@ -123,6 +117,7 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
     steps are semismooth Newton steps on p - J_{(gamma/c) A}(p - (W p - v)/c),
     each certified by a contraction step, whose output is returned; once one
     fails to halve the best residual, contraction goes on from the best point.
+    The inverse Newton matrix is cached per (W, c, free mask).
 
     The oracles are called through their unscanned entries
     (``SetValuedOperator._resolve``, ``SingleValuedOperator._apply``).  The
@@ -165,7 +160,8 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
                 best, best_residual = (q, Wq), residual
             if halved:
                 # Newton on F(p) = p - q, with Jacobian I - D (I - W_m/c).
-                p = p - _newton_inverse(W, c, jacobian(g, u)).dot(p - q)
+                D = np.asarray(jacobian(g, u), dtype=float)
+                p = p - _newton_inverse(W, c, D.tobytes()).dot(p - q)
                 Wp = W._apply(p)
                 continue
             jacobian = None  # the residual stopped halving
