@@ -477,7 +477,7 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
 
     The next iterate is the projection of x0 onto H(x0, x_n) = {z : <z -
     x_n, x0 - x_n> <= 0} and the last ``fejer.RING_SIZE`` graph cuts, with
-    any older cut still active kept too (``fejer.CutRing``): a set that
+    older cuts still active kept too (``fejer.CutRing``): a set that
     contains every zero and lies in H(x0, x_n) and the newest cut.
     Disjoint cuts abort with the typed error (they cannot occur when zeros
     exist).

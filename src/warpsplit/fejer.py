@@ -114,10 +114,9 @@ class CutRing:
 
     A cut {z : <z - y, y*> <= 0} is kept unit-normalised: the row a =
     y*/|y*| of ``normals`` and its violation s = <a, x0 - y> at the anchor
-    x0.  Rows 1..size + d hold the last ``size`` graph cuts and any older
-    one still active (at most d are), the newest overwriting the oldest that
-    is not; row 0 is the bookkeeping cut H(x0, x) = {z : <z - x, x0 - x> <=
-    0}.
+    x0.  Rows 1..size + min(d, size) hold the last ``size`` graph cuts and
+    older ones still active, the newest overwriting the oldest that is not;
+    row 0 is the bookkeeping cut H(x0, x) = {z : <z - x, x0 - x> <= 0}.
 
     ``project`` runs the dual active-set method of Goldfarb and Idnani
     (Math. Program. 27, 1983) on min |z - x0|^2 / 2 over the kept cuts: z =
@@ -138,11 +137,12 @@ class CutRing:
 
     def __init__(self, x0, size=RING_SIZE):
         d = x0.shape[0]
+        rows = size + min(d, size) + 1
         self.x0 = x0
-        self.normals = np.zeros((size + d + 1, d))
-        self.s = np.zeros(size + d + 1)
+        self.normals = np.zeros((rows, d))
+        self.s = np.zeros(rows)
         self.top = 0.0  # the largest violation of a kept cut, an upper bound
-        self.order = list(range(1, size + d + 1))  # ring rows, oldest cut first
+        self.order = list(range(1, rows))  # ring rows, oldest cut first
         self.fresh = {}  # row -> violation at z, of the cuts added since the last projection
         self.active = []  # P
         self.dual = np.zeros((d, d))  # P's dual basis, in P's order
@@ -155,15 +155,20 @@ class CutRing:
 
         theta = <y - z, y*> for z the last projection (x0 before the first):
         the cut's violation at z is -theta / |y*|.  The cut overwrites the
-        oldest ring row that is not active; at most d rows are, so ``size``
-        rows or more turn over.
+        oldest ring row that is not active.  At most d rows are active, so
+        this fails only when d > ``size``; the oldest row then goes, and the
+        next projection restarts from H(x0, z), which contains the
+        intersection of the cuts active at z.
         """
         if not 0 < sigma < math.inf:
             return
         order, P = self.order, self.active
-        k = 0
-        while order[k] in P:
-            k += 1
+        for k, slot in enumerate(order):
+            if slot not in P:
+                break
+        else:
+            k = 0
+            self.z = None
         slot = order.pop(k)
         order.append(slot)
         scale = 1.0 / math.sqrt(sigma)
