@@ -258,7 +258,7 @@ class ProblemFile:
         else:
             self._assemble_coupled()
         self.policy = self._policy()
-        self._check_policy(self.variant)
+        self._check_variant(self.variant)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -320,8 +320,14 @@ class ProblemFile:
             return alg.PerturbationPolicy.additive(errors)
         raise ConfigurationError(f"unknown policy kind {kind!r}")
 
-    def _check_policy(self, variant):
-        if variant == "tseng" and self.policy != alg.PerturbationPolicy.none():
+    def _check_variant(self, variant):
+        # Checked for the file's variant at parse and again for --algo:
+        # tseng needs B and runs no policy, which it would silently drop.
+        if variant != "tseng":
+            return
+        if self.B is None:
+            raise ConfigurationError("variant tseng needs a forward operator B")
+        if self.policy != alg.PerturbationPolicy.none():
             raise ConfigurationError("variant tseng runs no perturbation policy; "
                                      "remove the policy block or set kind = none")
 
@@ -334,6 +340,8 @@ class ProblemFile:
         if x0 is None and dim is None:
             raise ProblemFormatError("inclusion problem needs 'x0' or 'dim'")
         self.x0 = np.zeros(dim) if x0 is None else _floats(root, "x0", 1)
+        if not self.x0.size:
+            raise ProblemFormatError("'x0' must not be empty")
         self.dim = dim if dim is not None else len(self.x0)
         if self.x0.shape != (self.dim,):
             raise ProblemFormatError(
@@ -388,8 +396,6 @@ class ProblemFile:
 
     def _validate_inclusion(self, cfg):
         # The run's own regime checks, on the values it will run.
-        if self.variant == "tseng" and self.B is None:
-            raise ConfigurationError("variant tseng needs a forward operator B")
         fbf = self.variant in ("fbf", "tseng")
         eps = cfg.epsilon if fbf else self._kernel_epsilon(cfg)
         # fbf/tseng check the whole FBF regime; a weak or strong fbf_kernel
@@ -410,7 +416,7 @@ class ProblemFile:
             fn = alg.solve_weak if variant == "weak" else alg.solve_strong
             return fn(m, self._kernel_schedule(cfg), self.policy, cfg, self.x0)
         if variant == "tseng":
-            self._check_policy(variant)
+            self._check_variant(variant)
             return alg.solve_tseng(self.A, self.B, gamma, cfg, self.x0)
         if variant == "fbf":
             return alg.solve_fbf_memory(self.A, self.B, None, gamma, self.policy, cfg, self.x0)

@@ -3,9 +3,11 @@
 Each graph point (y, y*) of a monotone operator induces the half-space
 ``H = {z : <z - y, y*> <= 0}`` containing every zero.  The weak solver
 relaxes the projection onto H.  The strong solver projects its anchor x0
-onto the last ``RING_SIZE`` such cuts and the bookkeeping half-space
-H(x0, x) through ``CutRing``; the two-half-space projector Q is the closed
-form of the one-cut case.
+through ``CutRing`` onto the bookkeeping half-space H(x0, x), the last
+``RING_SIZE`` such cuts and the older cuts still active at its last
+projection.  The two-half-space projector ``haugazeau_Q``, the closed form
+of the one-cut case, is not called by the engine; it stays for the tests
+and ``bench/spans.py``.
 """
 
 from __future__ import annotations

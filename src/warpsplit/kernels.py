@@ -180,90 +180,69 @@ class Kernel:
     ----------
     dim : int
         Dimension of the kernel's space.
-    base : list of (W, c) pairs or None
+    base : list of (W, c) pairs
         Per-block base maps with positive coefficients; W = None means the
-        identity.  None disables the backward solve (evaluation-only kernel).
+        identity.
     layout : BlockLayout or None
-        Block structure; None means a single whole-space block.
+        Block structure; None means one block covering the whole space.
     fold : (gamma, SingleValuedOperator) or None
         Forward part folded into the evaluation: K = K_base - gamma * B.
     alpha, beta : float
         Declared strong-monotonicity and Lipschitz constants of K.
     """
 
-    def __init__(self, dim, base, layout, fold, alpha, beta, name="kernel",
-                 eval_override=None):
+    def __init__(self, dim, base, layout, fold, alpha, beta, name="kernel"):
         if not alpha > 0:
             raise ConfigurationError(f"kernel strong monotonicity must be > 0, got {alpha}")
         if not beta > 0:
             raise ConfigurationError(f"kernel Lipschitz constant must be > 0, got {beta}")
-        if layout is not None and layout.total != dim:
+        # One whole-space block is built here, not as a BlockLayout, which
+        # rejects the empty block of a zero-dimensional space.
+        dims, offs = ((dim,), (0, dim)) if layout is None else (layout.dims, layout.offsets)
+        if sum(dims) != dim:
             raise DimensionMismatchError("kernel layout does not cover the space")
-        if base is not None:
-            n_blocks = 1 if layout is None else len(layout.dims)
-            if len(base) != n_blocks:
-                raise DimensionMismatchError("kernel base must have one (W, c) pair per block")
-            for W, c in base:
-                if not c > 0:
-                    raise ConfigurationError(f"kernel base coefficient must be > 0, got {c}")
+        if len(base) != len(dims):
+            raise DimensionMismatchError("kernel base must have one (W, c) pair per block")
+        for W, c in base:
+            if not c > 0:
+                raise ConfigurationError(f"kernel base coefficient must be > 0, got {c}")
         self.dim = int(dim)
-        self.base = None if base is None else [(W, float(c)) for W, c in base]
+        self.base = [(W, float(c)) for W, c in base]
         self.layout = layout
         self.fold = None if fold is None else (float(fold[0]), fold[1])
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.name = name
-        self._eval_override = eval_override
-        if layout is not None and base is not None:
-            # Block slices, and the coefficient vector of the identity and
-            # scaled-identity blocks; only the general blocks call their W.
-            offs = layout.offsets
-            self._slices = [slice(a, b) for a, b in zip(offs, offs[1:])]
-            scales = [1.0 if W is None else W.scale_of_identity for W, _ in self.base]
-            self._coef = np.repeat([0.0 if s is None else c * s
-                                    for s, (_, c) in zip(scales, self.base)], layout.dims)
-            self._general = [(sl, W, c) for sl, s, (W, c)
-                             in zip(self._slices, scales, self.base) if s is None]
-
-    # -- evaluation ---------------------------------------------------------
-
-    def base_eval(self, x):
-        """K_base x, always a new array."""
-        if self.base is None:
-            raise ConfigurationError(f"kernel {self.name!r} has no structured base")
-        if self.layout is None:
-            W, c = self.base[0]
+        # Block slices, and the coefficient vector of the identity and
+        # scaled-identity blocks; only the general blocks call their W.
+        self._slices = [slice(a, b) for a, b in zip(offs, offs[1:])]
+        coefs, self._general = [], []
+        for sl, (W, c) in zip(self._slices, self.base):
             s = 1.0 if W is None else W.scale_of_identity
             if s is None:
-                return c * W._apply(x)
-            if c == s == 1.0:  # c * (s * x) is x: skip both products
-                return x.copy()
-            return c * x if W is None else c * (s * x)
-        y = self._coef * x
-        for sl, W, c in self._general:
-            y[sl] = c * W._apply(x[sl])
-        return y
+                self._general.append((sl, W, c))
+            coefs.append(0.0 if s is None else c * s)
+        self._coef = np.array(coefs).repeat(dims)
+
+    # -- evaluation ---------------------------------------------------------
 
     def eval(self, x) -> np.ndarray:
         """K x, shape-checked but not scanned for NaN/Inf.
 
-        The structured form calls its base and forward maps through
+        The base and forward maps are called through
         ``SingleValuedOperator._apply``, which checks each output's shape
         only.  A NaN or Inf in K x, from an oracle or an overflow, reaches
         y* of the graph point it feeds: the engine's certificate and the
         scans of ``graph_point`` and ``warped_resolvent`` catch it there.
-        Only an ``eval_override`` output, which no graph point follows, is
-        scanned here.
         """
         x = np.asarray(x, dtype=float)
         check_dim(x, self.dim, "kernel %s argument", self.name)
-        if self._eval_override is not None:
-            y = np.asarray(self._eval_override(x), dtype=float)
-            return check_finite(y, f"kernel {self.name} output")
-        y = self.base_eval(x)
+        y = self._coef * x
+        for sl, W, c in self._general:
+            y[sl] = c * W._apply(x[sl])
         if self.fold is not None:
             g, B = self.fold
-            y -= g * B._apply(x)  # in place: base_eval's output is new
+            y -= g * B._apply(x)  # in place: y is new
         return y
 
     # -- warped backward solve ----------------------------------------------
@@ -274,10 +253,9 @@ class Kernel:
         Blockwise ``solve_base_inclusion``, through the unscanned oracle
         entries: each block's output is shape-checked, and certified finite
         only by an inner loop's residual; the graph point certifies the rest.
+        A kernel of several blocks needs a ``BlockDiagonalOperator`` set part
+        on its layout; a one-block kernel hands its block's output back.
         """
-        if self.base is None:
-            raise ConfigurationError(
-                f"kernel {self.name!r} has no backward solve; it is evaluation-only")
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
         v = np.asarray(v, dtype=float)
@@ -285,9 +263,9 @@ class Kernel:
         if set_part.dim != self.dim:
             raise DimensionMismatchError(
                 f"set part dim {set_part.dim} != kernel dim {self.dim}")
-        if self.layout is None:
-            W, c = self.base[0]
-            # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c
+        # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c, per block
+        if len(self.base) == 1:
+            (W, c), = self.base
             return solve_base_inclusion(W, _over(gamma, c), set_part, _over(v, c), start)
         if not isinstance(set_part, BlockDiagonalOperator) or \
                 set_part.layout.dims != self.layout.dims:
@@ -570,15 +548,18 @@ def nongradient_cubic_kernel() -> Kernel:
     """Planar non-gradient test kernel (x1, x2) -> (x1^3/2 + x1/5 - x2, x1 + x2).
 
     Strictly monotone (symmetric Jacobian part >= diag(1/5, 1)) but not a
-    gradient and not globally Lipschitz; ships evaluation-only, for warped
-    projection experiments driven by an external variational-inequality
-    oracle.
+    gradient and not globally Lipschitz: a one-block kernel whose base map
+    declares no strong monotonicity, so its backward solve raises.  It is
+    for warped projection experiments driven by an external
+    variational-inequality oracle; its output is scanned for NaN/Inf.
     """
 
     def k2(u):
         x1, x2 = u
-        return np.array([0.5 * x1 ** 3 + 0.2 * x1 - x2, x1 + x2])
+        return check_finite(np.array([0.5 * x1 ** 3 + 0.2 * x1 - x2, x1 + x2]),
+                            "kernel nongradient_cubic output")
 
-    return Kernel(2, base=None, layout=None, fold=None,
-                  alpha=0.2, beta=np.finfo(float).max,
-                  name="nongradient_cubic", eval_override=k2)
+    beta = np.finfo(float).max
+    W = SingleValuedOperator(2, k2, lipschitz=beta, name="nongradient_cubic")
+    return Kernel(2, base=[(W, 1.0)], layout=None, fold=None,
+                  alpha=0.2, beta=beta, name="nongradient_cubic")

@@ -726,6 +726,30 @@ def test_tseng_rejects_a_policy_before_any_iteration(tmp_path, capsys, monkeypat
     assert pf.policy == algorithms.PerturbationPolicy.none()
 
 
+def test_tseng_without_a_forward_part_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The file's variant and --algo take the same check, before any iteration.
+    monkeypatch.setattr(algorithms, "solve_tseng", lambda *a: pytest.fail("tseng ran"))
+    prob = write(tmp_path, "tseng.txt", MINIMAL.replace("variant = weak", "variant = tseng"))
+    with pytest.raises(ConfigurationError, match="variant tseng needs a forward operator B"):
+        parse_problem(prob)
+    weak = write(tmp_path, "weak.txt", MINIMAL)
+    for args in (["--problem", prob], ["--problem", weak, "--algo", "tseng"]):
+        trace = tmp_path / "t.csv"
+        assert main(["run", *args, "--trace", str(trace)]) == EXIT_USAGE
+        assert "variant tseng needs a forward operator B" in capsys.readouterr().err
+        assert not trace.exists()
+
+
+def test_empty_x0_is_a_parse_error(tmp_path):
+    # scaled_identity takes any dimension, so an empty x0 would "converge".
+    text = HALVING.replace("x0 = [1.0, 1.0]", "x0 = []")
+    prob = write(tmp_path, "empty.txt", text)
+    with pytest.raises(ProblemFormatError, match="'x0' must not be empty"):
+        parse_problem(prob)
+    assert main(["run", "--problem", prob, "--trace", str(tmp_path / "t.csv")]) == EXIT_USAGE
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("block, error, message", [
     ("kind = bogus", ConfigurationError, "unknown policy kind 'bogus'"),
     ("kind = inertial", ProblemFormatError, "missing required key 'alpha'"),

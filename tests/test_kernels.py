@@ -3,12 +3,15 @@ import pytest
 
 from warpsplit import (
     BackwardSolveError,
+    BlockDiagonalOperator,
+    BlockLayout,
     ConfigurationError,
     CoupledProblem,
     DualBlock,
     KuhnTuckerPoint,
     LinearMap,
     MDecomposition,
+    NonFiniteEntryError,
     PrimalBlock,
     SetValuedOperator,
     SingleValuedOperator,
@@ -29,6 +32,7 @@ from warpsplit import (
     primal_dual_kernel,
     saddle_decomposition,
     scaled_identity_operator,
+    solve_strong,
     solve_weak,
     warped_resolvent,
     zero_operator,
@@ -636,6 +640,13 @@ def test_cubic_kernel_has_no_backward_solve():
         k.backward_solve(1.0, ball_normal_cone(np.zeros(2), 1.0), np.zeros(2))
 
 
+def test_cubic_kernel_overflow_is_a_non_finite_entry():
+    # The cubic map scans its own output: x1^3 overflows at x1 = 1e120.
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteEntryError, match="kernel nongradient_cubic output"):
+        nongradient_cubic_kernel().eval([1e120, 0.0])
+
+
 def test_cubic_kernel_warped_disk_projection_oracle():
     k = nongradient_cubic_kernel()
     x = np.array([np.sqrt(2) / 2, -2.0])
@@ -806,3 +817,53 @@ def test_one_step_range_at_the_floor(alpha, beta, eps):
         engine(eps * (1 - 1e-9))
     with pytest.raises(ConfigurationError, match=OUTSIDE):
         stage_kernel(prob, eps * (1 - 1e-9))
+
+
+# ---------------------------------------------------------------------------
+# One kernel form: each one-block kernel is its literal formula, bit for bit
+# ---------------------------------------------------------------------------
+
+def one_block_cases(rng, d):
+    """(kernel, base W or None, base as a formula, folded (gamma, B) or None)."""
+    B = affine_map(monotone_matrix(rng, d, shift=0.1), rng.normal(size=d))
+    Wa = affine_base(rng, d)
+    gamma = fbf_step(1.0, B.lipschitz, 0.1)
+    Id, s03 = identity_map(d), identity_map(d, 0.3)
+    return [
+        (identity_kernel(d), None, lambda x: 1.0 * (1.0 * x), None),
+        (map_kernel(s03), s03, lambda x: 1.0 * (0.3 * x), None),
+        (fbf_kernel(Id, B, gamma, 0.1), Id, lambda x: 1.0 * (1.0 * x), (gamma, B)),
+        (fbf_kernel(Wa, B, gamma, 0.1), Wa, Wa, (gamma, B)),
+    ]
+
+
+def test_one_block_kernels_are_their_literal_formulas():
+    rng = np.random.default_rng(91)
+    for d in (2, 3, 6):
+        lo, hi = -rng.uniform(0.2, 1.5, d), rng.uniform(0.2, 1.5, d)
+        A = box_normal_cone(lo, hi)  # declares a Jacobian: the affine base takes Newton steps
+        for k, W, base, fold in one_block_cases(rng, d):
+            for _ in range(20):
+                x, v = rng.normal(size=d) * 2, rng.normal(size=d) * 3
+                want = base(x) if fold is None else base(x) - fold[0] * fold[1](x)
+                assert k.eval(x).tobytes() == want.tobytes()
+                g = float(rng.uniform(0.2, 2.0))
+                start = rng.normal(size=d) if rng.uniform() < 0.5 else None
+                got = k.backward_solve(g, A, v, start)
+                assert got.tobytes() == solve_base_inclusion(W, g, A, v, start).tobytes()
+
+
+def test_several_blocks_need_a_matching_block_diagonal_set_part():
+    k = primal_dual_kernel(LinearMap(np.ones((2, 3))), 1.0, 1.0)  # blocks (3, 2)
+    swapped = BlockDiagonalOperator([zero_operator(2), zero_operator(3)], BlockLayout((2, 3)))
+    for set_part in (ball_normal_cone(np.zeros(5), 1.0), swapped):
+        with pytest.raises(ConfigurationError, match="block-diagonal set part"):
+            k.backward_solve(1.0, set_part, np.ones(5))
+
+
+def test_zero_dimensional_kernel_and_solve():
+    k = identity_kernel(0)
+    assert k.eval(np.zeros(0)).shape == (0,)
+    for solve in (solve_weak, solve_strong):
+        res = solve(MDecomposition(zero_operator(0)), k, None, SolverConfig(), np.zeros(0))
+        assert res.converged and res.iterations == 1 and res.x.shape == (0,)
