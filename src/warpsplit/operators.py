@@ -42,9 +42,13 @@ class SetValuedOperator:
     an element of the generalized Jacobian of ``J_{gamma A}`` at u: the free
     mask of ``box`` and ``l1``, all ones for ``zero``.  Affine-base backward
     solves take Newton steps with it.
+
+    ``linear_resolvent``, when set, is ``gamma -> (R, s)`` with ``J_{gamma A} x =
+    R (x - s)``; kernels stack it over blocks, and ``add_constant`` passes it on.
     """
 
     resolvent_jacobian = None
+    linear_resolvent = None
 
     def __init__(self, dim, resolvent_oracle, name="operator"):
         self.dim = int(dim)
@@ -93,11 +97,17 @@ class SetValuedOperator:
         """The operator x -> A x + w; its resolvent is J_A(v - gamma w)."""
         w = vector(w)
         check_dim(w, self.dim, "constant shift")
-        return SetValuedOperator(
+        op = SetValuedOperator(
             self.dim,
             lambda g, x, _op=self, _w=w: _op._resolve(g, x - g * _w),
             name=f"{self.name}+const",
         )
+        if self.linear_resolvent is not None:
+            def linear(g, _base=self.linear_resolvent):
+                R, s = _base(g)
+                return R, s + g * w  # R (x - g w - s)
+            op.linear_resolvent = linear
+        return op
 
     def __repr__(self):
         return f"SetValuedOperator({self.name}, dim={self.dim})"
@@ -297,6 +307,7 @@ def zero_operator(dim) -> SetValuedOperator:
     """The zero operator A x = {0}; its resolvent is the identity."""
     op = SetValuedOperator(dim, lambda g, x: x.copy(), name="zero")
     op.resolvent_jacobian = lambda g, u: np.ones(u.shape)
+    op.linear_resolvent = lambda g: (np.eye(dim), np.zeros(dim))
     return op
 
 
@@ -305,15 +316,19 @@ def scaled_identity_operator(dim, scale) -> SetValuedOperator:
     if scale < 0:
         raise ConfigurationError(f"scaled identity needs scale >= 0 for monotonicity, got {scale}")
     scale = float(scale)
-    return SetValuedOperator(
+    op = SetValuedOperator(
         dim, lambda g, x: x / (1.0 + g * scale), name="scaled_identity")
+    op.linear_resolvent = lambda g: (np.eye(dim) / (1.0 + g * scale), np.zeros(dim))
+    return op
 
 
 def constant_operator(value) -> SetValuedOperator:
     """A x = {value} for every x; resolvent v -> v - gamma * value."""
     value = vector(value)
-    return SetValuedOperator(
+    op = SetValuedOperator(
         value.shape[0], lambda g, x: x - g * value, name="constant")
+    op.linear_resolvent = lambda g: (np.eye(value.shape[0]), g * value)
+    return op
 
 
 def _monotone_spectrum(M, what):
@@ -345,14 +360,22 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     check_finite(M, "affine operator matrix")
     _monotone_spectrum(M, "affine operator matrix")
     eye = np.eye(dim)
-    last = [None, None]  # gamma, inverse of I + gamma M
+    last = [(None, None)]  # (gamma, inverse of I + gamma M), replaced whole
+
+    def linear(g):
+        g0, R = last[0]
+        if g != g0:
+            R = np.linalg.inv(eye + g * M)
+            last[0] = g, R
+        return R, g * b
 
     def res(g, x):
-        if g != last[0]:
-            last[:] = g, np.linalg.inv(eye + g * M)
-        return last[1] @ (x - g * b)
+        R, s = linear(g)
+        return R @ (x - s)
 
-    return SetValuedOperator(dim, res, name="affine")
+    op = SetValuedOperator(dim, res, name="affine")
+    op.linear_resolvent = linear
+    return op
 
 
 def affine_map(M, b=None) -> SingleValuedOperator:

@@ -31,7 +31,7 @@ from warpsplit import (
     tseng_relaxation,
     zero_map,
 )
-from warpsplit import algorithms
+from warpsplit import algorithms, kernels
 from warpsplit.operators import GraphPoint
 
 from oracles import (
@@ -650,7 +650,13 @@ def scalar_coupled_oracle(prob, iterations):
                             np.zeros(prob.layout.total), iterations)
 
 
-def test_coupled_delegated_and_literal_agree_per_iterate():
+def test_coupled_delegated_and_literal_agree_per_iterate(monkeypatch):
+    # Every block is linear, so the kernel solves them with one stacked map
+    # and never calls the per-block loop.
+    def loop(*args):
+        raise AssertionError("per-block solve_base_inclusion called")
+
+    monkeypatch.setattr(kernels, "solve_base_inclusion", loop)
     prob = scalar_coupled_problem()
     cfg = SolverConfig(max_iter=300, tol_residual=1e-300, tol_step=1e-300)
     res_d = solve_coupled(prob, cfg)

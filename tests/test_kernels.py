@@ -7,7 +7,9 @@ from warpsplit import (
     BlockLayout,
     ConfigurationError,
     CoupledProblem,
+    DimensionMismatchError,
     DualBlock,
+    Kernel,
     KuhnTuckerPoint,
     LinearMap,
     MDecomposition,
@@ -20,6 +22,7 @@ from warpsplit import (
     affine_resolvent_operator,
     ball_normal_cone,
     box_normal_cone,
+    constant_operator,
     coupled_kernel,
     fbf_kernel,
     graph_point,
@@ -420,6 +423,97 @@ def test_catalog_resolvent_jacobians():
     assert ball_normal_cone(np.zeros(6), 1.0).resolvent_jacobian is None
 
 
+def linear_resolvent_cases(rng, d):
+    """Operators declaring ``linear_resolvent``, one of each kind."""
+    M = monotone_matrix(rng, d)
+    return [affine_resolvent_operator(M, rng.normal(size=d)),
+            affine_resolvent_operator(M).add_constant(rng.normal(size=d)),
+            constant_operator(rng.normal(size=d)),
+            zero_operator(d),
+            scaled_identity_operator(d, 0.7),
+            scaled_identity_operator(d, 1.3).add_constant(rng.normal(size=d))]
+
+
+def test_linear_resolvent_hooks_are_the_resolvents():
+    rng = np.random.default_rng(92)
+    for d in (1, 3):
+        for A in linear_resolvent_cases(rng, d):
+            for g in (0.3, 1.7):
+                R, s = A.linear_resolvent(g)
+                x = rng.normal(size=d) * 2
+                want = A.resolvent(g, x)
+                assert np.linalg.norm(R @ (x - s) - want) <= 1e-13 * np.linalg.norm(want)
+    # Derived and user operators declare none.
+    for A in (zero_operator(2).inverse(), box_normal_cone(-np.ones(2), np.ones(2)),
+              box_normal_cone(-np.ones(2), np.ones(2)).add_constant([1.0, 0.0]),
+              SetValuedOperator(2, lambda g, x: x)):
+        assert A.linear_resolvent is None
+
+
+def no_block_loop(monkeypatch):
+    """Make the per-block loop raise, so only the stacked map can answer."""
+    def loop(*args):
+        raise AssertionError("per-block solve_base_inclusion called")
+    monkeypatch.setattr(kernels, "solve_base_inclusion", loop)
+
+
+def test_stacked_backward_solve_matches_the_blockwise_formula(monkeypatch):
+    rng = np.random.default_rng(93)
+    no_block_loop(monkeypatch)
+    for trial in range(20):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 6))))
+        blocks = [linear_resolvent_cases(rng, d)[rng.integers(6)] for d in dims]
+        # Bases: the identity, identity_map and a scaled identity_map, with c_b != 1.
+        base = [(rng.choice([None, identity_map(d), identity_map(d, 2.5)]),
+                 float(rng.uniform(0.3, 3.0))) for d in dims]
+        layout = BlockLayout(dims)
+        k = Kernel(layout.total, base, layout, None, 0.1, 10.0)
+        set_part = BlockDiagonalOperator(blocks, layout)
+        for g in (0.6, 1.9, 0.6):  # a stale cached map fails the second gamma
+            v = rng.normal(size=layout.total) * 3
+            ref = []
+            for (W, c), A, v_b in zip(base, blocks, layout.split(v)):
+                cs = c * (1.0 if W is None else W.scale_of_identity)
+                ref.append(A.resolvent(g / cs, v_b / cs))
+            ref = np.concatenate(ref)
+            p = k.backward_solve(g, set_part, v)
+            assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
+
+
+def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
+    rng = np.random.default_rng(94)
+    dims = (2, 3, 2)
+    layout = BlockLayout(dims)
+    blocks = [affine_resolvent_operator(monotone_matrix(rng, 2)),
+              box_normal_cone(-np.ones(3), np.ones(3)), constant_operator([1.0, -2.0])]
+    base = [(identity_map(2), 1.5), (None, 0.5), (identity_map(2, 2.0), 1.0)]
+    k = Kernel(layout.total, base, layout, None, 0.5, 4.0)
+    set_part = BlockDiagonalOperator(blocks, layout)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_base_inclusion(*args)
+
+    monkeypatch.setattr(kernels, "solve_base_inclusion", counted)
+    for g in (0.4, 1.1):
+        v = rng.normal(size=layout.total) * 3
+        want = np.concatenate([solve_base_inclusion(W, g / c, A, v_b / c)
+                               for (W, c), A, v_b in zip(base, blocks, layout.split(v))])
+        assert k.backward_solve(g, set_part, v).tobytes() == want.tobytes()
+    assert len(calls) == 2 * len(dims)
+
+
+def test_a_wrong_linear_resolvent_shape_names_its_block():
+    user = SetValuedOperator(2, lambda g, x: x, name="user")
+    user.linear_resolvent = lambda g: (np.eye(3), np.zeros(2))
+    layout = BlockLayout((1, 2))
+    k = Kernel(3, [(None, 1.0), (None, 2.0)], layout, None, 1.0, 2.0)
+    set_part = BlockDiagonalOperator([zero_operator(1), user], layout)
+    with pytest.raises(DimensionMismatchError, match=r"block 1 \(user\)"):
+        k.backward_solve(1.0, set_part, np.ones(3))
+
+
 def test_averagedness_of_warped_resolvent():
     # K = 0.5 Id + 0.5 Rot is averaged with constant 0.5; M = 0.5 Id makes
     # K + M 1-strongly monotone, so J is averaged with constant 2/3.
@@ -644,6 +738,13 @@ def test_cubic_kernel_overflow_is_a_non_finite_entry():
     # The cubic map scans its own output: x1^3 overflows at x1 = 1e120.
     with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteEntryError, match="kernel nongradient_cubic output"):
+        nongradient_cubic_kernel().eval([1e120, 0.0])
+
+
+def test_cubic_kernel_overflow_warns_nothing():
+    # Warnings are errors in this suite: the overflow must reach the scan
+    # as NonFiniteEntryError, not as a numpy RuntimeWarning.
+    with pytest.raises(NonFiniteEntryError, match="kernel nongradient_cubic output"):
         nongradient_cubic_kernel().eval([1e120, 0.0])
 
 
