@@ -223,7 +223,7 @@ class Kernel:
                 self._general.append((sl, W, c))
             coefs.append(0.0 if s is None else c * s)
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
-        self._stacked = (None, None, None)  # set part, gamma, _stacked_map of the last solve
+        self._scales = None if self._general else tuple(coefs)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -256,8 +256,8 @@ class Kernel:
         only by an inner loop's residual; the graph point certifies the rest.
         A kernel of several blocks needs a ``BlockDiagonalOperator`` set part
         on its layout; a one-block kernel hands its block's output back.
-        Identity-like blocks that all declare ``linear_resolvent`` are solved
-        at once, by ``_stacked_map``.
+        Identity-like blocks may be solved by the set part's affine maps
+        (``BlockDiagonalOperator._linear_solve``).
         """
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
@@ -275,35 +275,15 @@ class Kernel:
             raise ConfigurationError(
                 f"kernel {self.name!r} needs a block-diagonal set part matching "
                 f"its layout {self.layout.dims}")
-        last = self._stacked
-        if last[0] is not set_part or last[1] != gamma:
-            last = self._stacked = (set_part, gamma, self._stacked_map(gamma, set_part))
-        if last[2] is not None:
-            return last[2][0] @ v - last[2][1]
+        if self._scales is not None:
+            p = set_part._linear_solve(gamma, self._scales, v)
+            if p is not None:
+                return p
         out = np.empty(self.dim)
         for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
             out[sl] = solve_base_inclusion(W, _over(gamma, c), A_b, _over(v[sl], c),
                                            None if start is None else start[sl])
         return out
-
-    def _stacked_map(self, gamma, set_part):
-        """(R C^-1, R s), with ``p = R (C^-1 v - s)`` solving every block, or None.
-
-        Block b (base ``c_b s_W Id``) is ``R_b (v_b / (c_b s_W) - s_b)``; unlike
-        ``R (v / c - s)``, the folded form keeps the scalar test problem's zero exact.
-        """
-        if self._general or any(A.linear_resolvent is None for A in set_part.blocks):
-            return None
-        R, s, c = np.zeros((self.dim, self.dim)), np.empty(self.dim), np.empty(self.dim)
-        for k, (sl, (W, c_b), A) in enumerate(zip(self._slices, self.base, set_part.blocks)):
-            s_w = 1.0 if W is None else W.scale_of_identity
-            R_b, s_b = map(np.asarray, A.linear_resolvent(_over(_over(gamma, c_b), s_w)))
-            d = sl.stop - sl.start
-            if R_b.shape != (d, d) or s_b.shape != (d,):
-                raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
-                                             f"R {R_b.shape}, s {s_b.shape}, block dim {d}")
-            R[sl, sl], s[sl], c[sl] = R_b, s_b, c_b * s_w
-        return R / c, R @ s
 
     def __repr__(self):
         return f"Kernel({self.name}, dim={self.dim}, alpha={self.alpha}, beta={self.beta})"

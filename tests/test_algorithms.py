@@ -651,15 +651,19 @@ def scalar_coupled_oracle(prob, iterations):
 
 
 def test_coupled_delegated_and_literal_agree_per_iterate(monkeypatch):
-    # Every block is linear, so the kernel solves them with one stacked map
-    # and never calls the per-block loop.
+    # Every block is linear, so the kernel solves them with blockwise affine
+    # maps; only the first solve, before they are built, runs the loop.
+    calls, solve_block = [], kernels.solve_base_inclusion
+
     def loop(*args):
-        raise AssertionError("per-block solve_base_inclusion called")
+        calls.append(args)
+        return solve_block(*args)
 
     monkeypatch.setattr(kernels, "solve_base_inclusion", loop)
     prob = scalar_coupled_problem()
     cfg = SolverConfig(max_iter=300, tol_residual=1e-300, tol_step=1e-300)
     res_d = solve_coupled(prob, cfg)
+    assert len(calls) == len(prob.layout.dims)
     ref = scalar_coupled_oracle(prob, 300)
     assert len(res_d.trace) == len(ref) == 300
     for rd, (p, _, _, theta, sigma, _) in zip(res_d.trace, ref):

@@ -442,7 +442,15 @@ def test_linear_resolvent_hooks_are_the_resolvents():
                 R, s = A.linear_resolvent(g)
                 x = rng.normal(size=d) * 2
                 want = A.resolvent(g, x)
-                assert np.linalg.norm(R @ (x - s) - want) <= 1e-13 * np.linalg.norm(want)
+                assert np.linalg.norm(np.dot(R, x - s) - want) <= 1e-13 * np.linalg.norm(want)
+    # Identity-like kinds hand back a scalar R, so their blocks cost O(d);
+    # affine hands back its cached inverse, which a caller cannot overwrite.
+    for A in (zero_operator(500), constant_operator(np.ones(500)),
+              scaled_identity_operator(500, 2.0).add_constant(np.ones(500))):
+        assert np.ndim(A.linear_resolvent(0.5)[0]) == 0
+    R, _ = affine_resolvent_operator(np.eye(2)).linear_resolvent(0.5)
+    with pytest.raises(ValueError):
+        R *= 2.0
     # Derived and user operators declare none.
     for A in (zero_operator(2).inverse(), box_normal_cone(-np.ones(2), np.ones(2)),
               box_normal_cone(-np.ones(2), np.ones(2)).add_constant([1.0, 0.0]),
@@ -450,16 +458,20 @@ def test_linear_resolvent_hooks_are_the_resolvents():
         assert A.linear_resolvent is None
 
 
-def no_block_loop(monkeypatch):
-    """Make the per-block loop raise, so only the stacked map can answer."""
+def counted_block_loop(monkeypatch):
+    """Count the per-block loop's calls; the list grows by one per block solved."""
+    calls, solve_block = [], kernels.solve_base_inclusion
+
     def loop(*args):
-        raise AssertionError("per-block solve_base_inclusion called")
+        calls.append(args)
+        return solve_block(*args)
     monkeypatch.setattr(kernels, "solve_base_inclusion", loop)
+    return calls
 
 
-def test_stacked_backward_solve_matches_the_blockwise_formula(monkeypatch):
+def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
     rng = np.random.default_rng(93)
-    no_block_loop(monkeypatch)
+    calls = counted_block_loop(monkeypatch)
     for trial in range(20):
         dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 6))))
         blocks = [linear_resolvent_cases(rng, d)[rng.integers(6)] for d in dims]
@@ -469,7 +481,10 @@ def test_stacked_backward_solve_matches_the_blockwise_formula(monkeypatch):
         layout = BlockLayout(dims)
         k = Kernel(layout.total, base, layout, None, 0.1, 10.0)
         set_part = BlockDiagonalOperator(blocks, layout)
-        for g in (0.6, 1.9, 0.6):  # a stale cached map fails the second gamma
+        del calls[:]
+        # The first solve at a gamma runs the loop, a repeat the maps built
+        # for that gamma: a stale map fails at the second gamma.
+        for g in (0.6, 0.6, 1.9, 1.9, 1.9):
             v = rng.normal(size=layout.total) * 3
             ref = []
             for (W, c), A, v_b in zip(base, blocks, layout.split(v)):
@@ -478,6 +493,20 @@ def test_stacked_backward_solve_matches_the_blockwise_formula(monkeypatch):
             ref = np.concatenate(ref)
             p = k.backward_solve(g, set_part, v)
             assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
+        assert len(calls) == 2 * len(dims)
+
+
+def test_a_one_off_solve_builds_no_maps(monkeypatch):
+    # A staged run with a varying step solves each (gamma, scales) once.
+    def build(*args):
+        raise AssertionError("blockwise maps built for a single solve")
+    monkeypatch.setattr(BlockDiagonalOperator, "_linear_maps", build)
+    layout = BlockLayout((2, 2))
+    set_part = BlockDiagonalOperator([zero_operator(2), constant_operator([1.0, 2.0])], layout)
+    for c in (1.0, 2.0, 3.0):
+        k = Kernel(4, [(None, c), (None, 1.0)], layout, None, 1.0, 3.0)
+        np.testing.assert_allclose(k.backward_solve(1.0, set_part, np.ones(4)),
+                                   [1 / c, 1 / c, 0.0, -1.0])
 
 
 def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
@@ -489,19 +518,13 @@ def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
     base = [(identity_map(2), 1.5), (None, 0.5), (identity_map(2, 2.0), 1.0)]
     k = Kernel(layout.total, base, layout, None, 0.5, 4.0)
     set_part = BlockDiagonalOperator(blocks, layout)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve_base_inclusion(*args)
-
-    monkeypatch.setattr(kernels, "solve_base_inclusion", counted)
-    for g in (0.4, 1.1):
+    calls = counted_block_loop(monkeypatch)
+    for g in (0.4, 0.4, 1.1):
         v = rng.normal(size=layout.total) * 3
         want = np.concatenate([solve_base_inclusion(W, g / c, A, v_b / c)
                                for (W, c), A, v_b in zip(base, blocks, layout.split(v))])
         assert k.backward_solve(g, set_part, v).tobytes() == want.tobytes()
-    assert len(calls) == 2 * len(dims)
+    assert len(calls) == 3 * len(dims)
 
 
 def test_a_wrong_linear_resolvent_shape_names_its_block():
@@ -510,6 +533,7 @@ def test_a_wrong_linear_resolvent_shape_names_its_block():
     layout = BlockLayout((1, 2))
     k = Kernel(3, [(None, 1.0), (None, 2.0)], layout, None, 1.0, 2.0)
     set_part = BlockDiagonalOperator([zero_operator(1), user], layout)
+    k.backward_solve(1.0, set_part, np.ones(3))  # the first solve runs the loop
     with pytest.raises(DimensionMismatchError, match=r"block 1 \(user\)"):
         k.backward_solve(1.0, set_part, np.ones(3))
 
