@@ -775,11 +775,17 @@ class KuhnTuckerPoint:
 
     @classmethod
     def lift(cls, problem: CoupledProblem, x_blocks, v_blocks) -> "KuhnTuckerPoint":
-        """Lift a primal-dual pair to (x, Lx - r, v*)."""
+        """Lift a primal-dual pair, given block by block, to (x, Lx - r, v*)."""
         x = problem.primal_layout.join([vector(b) for b in x_blocks])
         v = problem.dual_layout.join([vector(b) for b in v_blocks])
+        return cls.from_pair(problem, x, v)
+
+    @classmethod
+    def from_pair(cls, problem: CoupledProblem, x, v_star) -> "KuhnTuckerPoint":
+        """Lift a primal-dual pair, given as stacked vectors, to (x, Lx - r, v*)."""
+        x = check_dim(np.asarray(x, dtype=float), problem.primal_layout.total, "stacked x")
         y = problem.coupling @ x - np.concatenate([blk.r for blk in problem.dual])
-        return cls(np.concatenate([x, y, v]), problem)
+        return cls(np.concatenate([x, y, v_star]), problem)
 
     @classmethod
     def zero(cls, problem: CoupledProblem) -> "KuhnTuckerPoint":
@@ -858,22 +864,27 @@ def check_coupled_step(step):
 
 def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
                   policy=None, F_schedule=None, W_schedule=None,
-                  gamma_schedules=None, tau_schedules=None) -> SolveResult:
+                  gamma_schedules=None, tau_schedules=None, dual_scale=None) -> SolveResult:
     """Primal-dual solver for a coupled inclusion system.
 
     Runs the generic weak solver over the stacked Kuhn-Tucker space with
     the coupled kernels, built by ``staged``; ``cfg.step_size`` must be
-    None or 1.0 (``check_coupled_step``).  The result carries blockwise
-    Kuhn-Tucker residual certificates of the final point.
+    None or 1.0 (``check_coupled_step``).  ``dual_scale`` is the kernels'
+    v* coefficient c: None selects the skew norm |S| (>= 1, since S holds
+    the +-Id blocks linking y and v*), 1.0 the paper's kernel.  The result
+    carries blockwise Kuhn-Tucker residual certificates of the final point.
     """
     check_coupled_step(cfg.step_size)
+    if dual_scale is not None and not dual_scale > 0:
+        raise ConfigurationError(f"dual_scale must be > 0, got {dual_scale}")
+    c = problem.skew_norm() if dual_scale is None else float(dual_scale)
     if F_schedule is None:
         F_schedule = _identity_stages(problem.primal, "primal", "(alpha, chi)", "F")
     if W_schedule is None:
         W_schedule = _identity_stages(problem.dual, "dual", "(beta, kappa)", "W")
     gammas = staged(lambda g: _stage_steps(g, problem.primal, "gamma"), gamma_schedules)
     taus = staged(lambda t: _stage_steps(t, problem.dual, "tau"), tau_schedules)
-    kernels = staged(lambda F, W, g, t: coupled_kernel(problem, F, W, g, t),
+    kernels = staged(lambda F, W, g, t: coupled_kernel(problem, F, W, g, t, c),
                      F_schedule, W_schedule, gammas, taus)
     start = KuhnTuckerPoint.zero(problem) if start is None else start
     res = solve_weak(problem.decomposition(), kernels, policy, cfg, start.flatten())

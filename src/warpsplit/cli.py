@@ -67,8 +67,10 @@ class Section:
         self.children = []
 
     def child(self, name):
-        found = [s for n, s in self.children if n == name]
-        return found[0] if found else None
+        for n, s in self.children:
+            if n == name:
+                return s
+        return None
 
     def all_children(self, name):
         return [s for n, s in self.children if n == name]
@@ -95,44 +97,94 @@ def _canon_value(v):
     return v
 
 
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-+")
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-+")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# The only float() literals that begin with a letter, and characters that
+# int() never reads.
+_FLOAT_WORDS = frozenset(("inf", "infinity", "nan"))
+_FLOAT_MARKS = frozenset(".eE")
+
+
+def _indent(text):
+    return len(text) - len(text.lstrip())
 
 
 def _parse_value(text, lineno, col0):
     s = text.strip()
-    offset = col0 + (len(text) - len(text.lstrip()))
     if not s:
-        raise ProblemFormatError("empty value", lineno, offset)
-    if s.startswith("["):
+        raise ProblemFormatError("empty value", lineno, col0 + _indent(text))
+    if s[0] == "[":
+        offset = col0 + _indent(text)
         value, end = _parse_bracket(s, 0, lineno, offset)
         if s[end:].strip():
             raise ProblemFormatError(
                 f"trailing text after value: {s[end:].strip()!r}", lineno, offset + end)
         return value
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    if all(c in _WORD_CHARS for c in s):
+    # A value that begins with an ASCII letter is a word unless float() reads
+    # it (int() reads none), so a word skips both failed conversions.
+    if s[0] not in _LETTERS or s.lower() in _FLOAT_WORDS:
+        if _FLOAT_MARKS.isdisjoint(s):
+            try:
+                return int(s)
+            except ValueError:
+                pass
+        try:
+            return float(s)
+        except ValueError:
+            pass
+    if _WORD_CHARS.issuperset(s):
         return s
-    raise ProblemFormatError(f"cannot parse value {s!r}", lineno, offset)
+    raise ProblemFormatError(f"cannot parse value {s!r}", lineno, col0 + _indent(text))
 
 
 _BRACKET = re.compile(r"[\[\]]")
 _TOKEN_END = re.compile(r"[,\]]")
 _LIST_SEPARATOR = re.compile(r"(?:[ \t]*,)?")
+_BLANKS = re.compile(r"[ \t]*")
+_ROW_GAP = re.compile(r"[ \t]*(?:,[ \t]*)?")  # between rows of a matrix
+
+
+def _flat_numbers(body, start, lineno, col0):
+    """The numbers of a flat list whose text ``body`` begins at index ``start``."""
+    pieces = body.split(",")
+    if not pieces[-1].strip(" \t"):
+        del pieces[-1]  # blank: the list is empty or ends with a comma
+    return _numbers(pieces, start, lineno, col0)
+
+
+def _flat_end(s, i):
+    """Index of the ']' closing a flat list that opens at index i, else -1."""
+    end = s.find("]", i + 1)
+    return end if end >= 0 and s.find("[", i + 1, end) < 0 else -1
+
+
+def _parse_rows(s, i, lineno, col0):
+    """A list of flat lists (a matrix) opening at index i, as (rows, index
+    past ']'), or None when the list holds anything else."""
+    rows = []
+    j = _BLANKS.match(s, i + 1).end()
+    while s.startswith("[", j):
+        end = _flat_end(s, j)
+        if end < 0:
+            return None
+        rows.append(_flat_numbers(s[j + 1:end], j + 1, lineno, col0))
+        j = _ROW_GAP.match(s, end + 1).end()
+    return (rows, j + 1) if rows and s.startswith("]", j) else None
 
 
 def _parse_bracket(s, i, lineno, col0):
     """Parse a [...] list starting at index i; returns (value, index past ']').
 
-    Works one run of numbers at a time: the text up to the next bracket is
-    split on commas and converted in one pass.
+    A flat list and a list of flat lists are cut with ``str.find``; any other
+    list works one run of numbers at a time: the text up to the next bracket
+    is split on commas and converted in one pass.
     """
+    end = _flat_end(s, i)
+    if end >= 0:
+        return _flat_numbers(s[i + 1:end], i + 1, lineno, col0), end + 1
+    rows = _parse_rows(s, i, lineno, col0)
+    if rows is not None:
+        return rows
     items = []
     i += 1
     while True:
@@ -187,37 +239,39 @@ def parse_text(text) -> Section:
     """Parse problem-file text into the root section (syntax only)."""
     root = Section("root")
     stack = [root]
+    comments = "#" in text
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
+        line = raw.partition("#")[0] if comments else raw
         s = line.strip()
         if not s:
             continue
-        indent = len(line) - len(line.lstrip())
         if s == "end":
             if len(stack) == 1:
-                raise ProblemFormatError("'end' without matching 'begin'", lineno, indent + 1)
+                raise ProblemFormatError("'end' without matching 'begin'", lineno, _indent(line) + 1)
             stack.pop()
             continue
         if s.startswith("begin"):
             parts = s.split()
             if len(parts) != 2 or not parts[1].replace("_", "").isalnum():
                 raise ProblemFormatError(
-                    "expected 'begin <name>'", lineno, indent + 1)
+                    "expected 'begin <name>'", lineno, _indent(line) + 1)
             child = Section(parts[1])
             stack[-1].children.append((parts[1], child))
             stack.append(child)
             continue
-        if "=" not in s:
+        key, eq, val = line.partition("=")
+        if not eq:
             raise ProblemFormatError(
                 f"expected 'key = value', 'begin <name>' or 'end', got {s!r}",
-                lineno, indent + 1)
-        key, _, val = line.partition("=")
+                lineno, _indent(line) + 1)
         k = key.strip()
-        if not k or not all(c in _WORD_CHARS for c in k):
-            raise ProblemFormatError(f"bad key {key.strip()!r}", lineno, indent + 1)
-        if k in stack[-1].entries:
-            raise ProblemFormatError(f"duplicate key {k!r} in block {stack[-1].name!r}", lineno, indent + 1)
-        stack[-1].entries[k] = _parse_value(val, lineno, len(key) + 2)
+        entries = stack[-1].entries
+        if not k or not _WORD_CHARS.issuperset(k):
+            raise ProblemFormatError(f"bad key {k!r}", lineno, _indent(line) + 1)
+        if k in entries:
+            raise ProblemFormatError(
+                f"duplicate key {k!r} in block {stack[-1].name!r}", lineno, _indent(line) + 1)
+        entries[k] = _parse_value(val, lineno, len(key) + 2)
     if len(stack) != 1:
         raise ProblemFormatError(f"unclosed block {stack[-1].name!r} at end of file")
     return root
@@ -465,14 +519,14 @@ class ProblemFile:
             if start.get("y") is not None:
                 sy = _stacked(start, "y", self.problem.dual_layout)
                 self.start = alg.KuhnTuckerPoint.from_flat(
-                    np.concatenate(sx + sy + sv), self.problem)
+                    np.concatenate([sx, sy, sv]), self.problem)
             else:
-                self.start = alg.KuhnTuckerPoint.lift(self.problem, sx, sv)
+                self.start = alg.KuhnTuckerPoint.from_pair(self.problem, sx, sv)
         self.zeros = []
         for sol in root.all_children("solution"):
             zx = _stacked(sol, "x", self.problem.primal_layout)
             zv = _stacked(sol, "v_star", self.problem.dual_layout)
-            self.zeros.append(alg.KuhnTuckerPoint.lift(self.problem, zx, zv))
+            self.zeros.append(alg.KuhnTuckerPoint.from_pair(self.problem, zx, zv))
         solver = self._solver_section()
         self.variant = solver.get("variant", "coupled")
         if self.variant != "coupled":
@@ -567,6 +621,8 @@ def _number(section: Section, key, default=_REQUIRED, kind=float):
     value = section.require(key) if default is _REQUIRED else section.get(key)
     if value is None:
         return default
+    if type(value) is kind:
+        return value
     return ops.number(value, key, f"block {section.name!r}", kind)
 
 
@@ -595,7 +651,7 @@ def _stacked(section, key, layout):
     if v.shape != (layout.total,):
         raise ProblemFormatError(
             f"expected a stacked vector of length {layout.total}, got {v.shape[0]}")
-    return layout.split(v)
+    return v
 
 
 def _schedule_from_block(block: Section):
@@ -614,8 +670,9 @@ def _schedule_from_block(block: Section):
 
 def parse_problem(path) -> ProblemFile:
     """Parse and fully validate a problem file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    # Bytes decoded whole: parse_text splits lines on '\r\n' and '\r' itself.
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
     return ProblemFile(parse_text(text), path=str(path))
 
 

@@ -513,14 +513,19 @@ def saddle_decomposition(A: SetValuedOperator, B: SetValuedOperator,
     return MDecomposition(set_part, saddle_skew_map(L))
 
 
-def coupled_kernel(problem, F_ops, W_ops, gammas, taus) -> Kernel:
+def coupled_kernel(problem, F_ops, W_ops, gammas, taus, c=1.0) -> Kernel:
     """Stage-n kernel for the coupled-system solver.
 
     Maps (x, y, v*) to ``((F_i x_i / gamma_i - C_i x_i)_i - L* v*,
-    (W_j y_j / tau_j - D_j y_j)_j + v*, L x - y + v*)``.  Stage constants
-    must lie in the admissible ranges; the declared strong-monotonicity
-    constant is the instance's vartheta.
+    (W_j y_j / tau_j - D_j y_j)_j + v*, L x - y + c v*)``.  Stage constants
+    must lie in the admissible ranges.  The v* block's base is ``c Id``
+    (the paper's kernel is c = 1); it carries no C or D, so its modulus and
+    Lipschitz constant are both c.  The declared strong-monotonicity
+    constant is min(the stages' vartheta, c), and the Lipschitz constant
+    max(the stages' eta, c) + |S| for the skew coupling S.
     """
+    if not c > 0:
+        raise ConfigurationError(f"coupled kernel v* coefficient c must be > 0, got {c}")
     primal, dual = problem.primal, problem.dual
     if len(F_ops) != len(primal) or len(W_ops) != len(dual):
         raise DimensionMismatchError("one stage operator per block is required")
@@ -538,9 +543,10 @@ def coupled_kernel(problem, F_ops, W_ops, gammas, taus) -> Kernel:
         if op.strong_monotonicity is None:
             raise ConfigurationError(f"stage operator {sym}_{i} needs a declared strong monotonicity")
 
-    base = [(op, 1.0 / s) for op, s in zip(ops, steps)] + [(None, 1.0) for _ in dual]
-    vartheta = min(min(e * b / (a - e) for a, b, e, _ in stages), 1.0)
-    eta = max(max(c / e + b for _, b, e, c in stages), 1.0)
+    c = float(c)
+    base = [(op, 1.0 / s) for op, s in zip(ops, steps)] + [(None, c) for _ in dual]
+    vartheta = min(min(e * b / (a - e) for a, b, e, _ in stages), c)
+    eta = max(max(chi / e + b for _, b, e, chi in stages), c)
     beta = eta + problem.skew_norm()
     return Kernel(problem.layout.total,
                   base=base,

@@ -393,13 +393,12 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     check_dim(b, dim, "affine offset")
     check_finite(M, "affine operator matrix")
     _monotone_spectrum(M, "affine operator matrix")
-    eye = np.eye(dim)
     last = [(None, None)]  # (gamma, inverse of I + gamma M), replaced whole
 
     def linear(g):
         g0, R = last[0]
         if g != g0:
-            R = np.linalg.inv(eye + g * M)
+            R = np.linalg.inv(np.eye(dim) + g * M)
             R.setflags(write=False)  # handed out by the hook
             last[0] = g, R
         return R, g * b

@@ -62,17 +62,18 @@ class BlockLayout:
         if not dims or any(d <= 0 for d in dims):
             raise DimensionMismatchError(f"block dimensions must be positive, got {dims}")
         object.__setattr__(self, "dims", dims)
+        offsets = [0]
+        for d in dims:
+            offsets.append(offsets[-1] + d)
+        object.__setattr__(self, "_offsets", tuple(offsets))
 
     @property
     def total(self) -> int:
-        return sum(self.dims)
+        return self._offsets[-1]
 
     @property
     def offsets(self):
-        out = [0]
-        for d in self.dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return self._offsets
 
     def split(self, v):
         """Cut a flat vector into its blocks."""

@@ -226,6 +226,13 @@ def scalar_coupled_problem():
         {(0, 0): [[1.0]]})
 
 
+def strongly_coupled_problem():
+    return CoupledProblem(
+        [PrimalBlock(A=box_normal_cone([-1.0, -1.0], [1.0, 1.0]), s_star=[0.5, -0.3])],
+        [DualBlock(B=scaled_identity_operator(2, 1.0), r=[0.2, 0.4])],
+        {(0, 0): [[12.0, 5.0], [-3.0, 9.0]]})
+
+
 def test_criterion_6_coupled_solver():
     t0 = time.perf_counter()
     # Scalar instance converges to the Kuhn-Tucker pair (1, -1).
@@ -257,9 +264,10 @@ def test_criterion_6_coupled_solver():
     assert res2.converged
     assert np.linalg.norm(res2.x.x.flatten() - np.concatenate(xs)) <= 1e-6
     assert np.linalg.norm(res2.x.v_star.flatten() - np.concatenate(vs)) <= 1e-6
-    # The solver and the literal per-block transcription agree per-iterate to 1e-12.
+    # The solver with the paper's kernel (v* coefficient 1) and the literal
+    # per-block transcription agree per-iterate to 1e-12.
     cfg3 = SolverConfig(max_iter=300, tol_residual=1e-300, tol_step=1e-300)
-    res_d = solve_coupled(prob, cfg3)
+    res_d = solve_coupled(prob, cfg3, dual_scale=1.0)
     ref = coupled_iterates(prob, [b.default_step for b in prob.primal],
                            [b.default_step for b in prob.dual],
                            np.zeros(prob.layout.total), 300)
@@ -333,8 +341,15 @@ def test_criterion_7_kernel_property_suite():
     tau = [max(b.delta, 0.9 * (b.beta - b.delta) / b.nu) for b in prob.dual]
     kern_c = coupled_kernel(prob, [identity_map(1)], [identity_map(1)], gam, tau)
     check_kernel_family("coupled", kern_c, prob.decomposition(), 1.0, rng)
+    # solve_coupled's default kernel: v* coefficient c = |S|, on a strongly
+    # coupled problem (|S| = 13.1) where c sets the Lipschitz constant.
+    prob_s = strongly_coupled_problem()
+    kern_s = coupled_kernel(prob_s, [identity_map(2)], [identity_map(2)],
+                            [b.default_step for b in prob_s.primal],
+                            [b.default_step for b in prob_s.dual], prob_s.skew_norm())
+    check_kernel_family("coupled, c = |S|", kern_s, prob_s.decomposition(), 1.0, rng)
     report(7, "kernel families (identity, fbf, general-base, primal-dual, "
-              "coupled) verified on 10^4 pairs each: strong monotonicity, "
+              "coupled at c = 1 and c = |S|) verified on 10^4 pairs each: strong monotonicity, "
               "Lipschitz, cocoercivity (W=Id), transport and (beta/alpha) "
               "resolvent bounds within 1e-8", t0)
 

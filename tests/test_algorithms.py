@@ -662,7 +662,7 @@ def test_coupled_delegated_and_literal_agree_per_iterate(monkeypatch):
     monkeypatch.setattr(kernels, "solve_base_inclusion", loop)
     prob = scalar_coupled_problem()
     cfg = SolverConfig(max_iter=300, tol_residual=1e-300, tol_step=1e-300)
-    res_d = solve_coupled(prob, cfg)
+    res_d = solve_coupled(prob, cfg, dual_scale=1.0)  # the oracle's kernel
     assert len(calls) == len(prob.layout.dims)
     ref = scalar_coupled_oracle(prob, 300)
     assert len(res_d.trace) == len(ref) == 300
@@ -709,6 +709,28 @@ def test_coupled_quadratic_matches_dense_kkt():
     assert res.converged
     assert np.linalg.norm(res.x.x.flatten() - x_ref) <= 1e-6
     assert np.linalg.norm(res.x.v_star.flatten() - v_ref) <= 1e-6
+
+
+def test_coupled_default_dual_scale_beats_the_paper_kernel():
+    # The default v* coefficient c = |S| reaches the dense KKT solution in
+    # fewer iterations than the paper's kernel, c = 1.
+    prob, x_ref, v_ref = two_primal_one_dual_quadratic(np.random.default_rng(42))
+    cfg = SolverConfig(max_iter=60_000, tol_residual=1e-9, tol_step=1e-9)
+    scaled = solve_coupled(prob, cfg)
+    paper = solve_coupled(prob, cfg, dual_scale=1.0)
+    for res in (scaled, paper):
+        assert res.converged
+        assert np.linalg.norm(res.x.x.flatten() - x_ref) <= 1e-6
+        assert np.linalg.norm(res.x.v_star.flatten() - v_ref) <= 1e-6
+    assert scaled.iterations < paper.iterations
+    explicit = solve_coupled(prob, cfg, dual_scale=prob.skew_norm())
+    np.testing.assert_array_equal(explicit.x.flatten(), scaled.x.flatten())
+
+
+@pytest.mark.parametrize("dual_scale", [0.0, -1.0, float("nan")])
+def test_coupled_dual_scale_must_be_positive(dual_scale):
+    with pytest.raises(ConfigurationError, match="dual_scale must be > 0"):
+        solve_coupled(scalar_coupled_problem(), SolverConfig(max_iter=5), dual_scale=dual_scale)
 
 
 def test_coupled_problem_validation():

@@ -404,6 +404,28 @@ def test_bracket_parser_matches_oracle_on_fuzzed_strings():
     assert kinds == {"value", "expected a", "unterminat"}
 
 
+def test_bracket_parser_matches_oracle_on_fuzzed_matrices():
+    # Lists of lists with odd gaps, trailing commas, bad tokens and missing
+    # or extra brackets: the matrix path must agree with the oracle or step
+    # aside for the general one.
+    rng = random.Random(2020)
+    gaps = ["", " ", "\t", ",", " ,", ", ", ",,", "\x0c", " , "]
+    tokens = ["1", "-2.5", "3e2", "", " ", "x", "1_0", "nan", "7.0", " 4 "]
+    kinds = set()
+    for _ in range(20000):
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            body = rng.choice(["", ","]).join(rng.choice(tokens) for _ in range(rng.randint(0, 3)))
+            rows.append("[" + rng.choice(["", " "]) + body + rng.choice(["", ",", " "])
+                        + "]" * rng.choice([1, 1, 1, 0, 2]))
+        s = ("[" + rng.choice(gaps) + rng.choice([",", ", ", " ,", "", " "]).join(rows)
+             + rng.choice(gaps) + "]" * rng.choice([1, 1, 0, 2]) + rng.choice(["", " x", "]", ",1"]))
+        got = _bracket_outcome(cli._parse_bracket, s)
+        assert got == _bracket_outcome(bracket_oracle, s), s
+        kinds.add(got[0])
+    assert kinds == {"value", "error"}
+
+
 def test_parse_text_matches_oracle_on_generated_d200(monkeypatch):
     text = generate_problem("inclusion", 200, 3)
     fast = parse_text(text).canonical()

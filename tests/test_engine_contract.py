@@ -387,7 +387,8 @@ def engine_runs():
             yield m, k, gamma, solver(m, k, None, tight(25), x0), base is W
     prob, _ = coupled_problem(*user_ops(2, np.random.default_rng(72)), general=False)
     k = coupled_kernel(prob, [identity_map(2)], [identity_map(2)],
-                       [prob.primal[0].default_step], [prob.dual[0].default_step])
+                       [prob.primal[0].default_step], [prob.dual[0].default_step],
+                       prob.skew_norm())  # solve_coupled's default v* coefficient
     yield prob.decomposition(), k, 1.0, solve_coupled(prob, tight(25)), False
 
 

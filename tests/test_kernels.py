@@ -692,6 +692,22 @@ def test_coupled_kernel_hand_evaluation():
     np.testing.assert_allclose(k.eval(u), [2.0, 3.0 + 5.0, -3.0 + 5.0])
 
 
+@pytest.mark.parametrize("c, alpha, beta", [
+    # Stage vartheta = 1/(3 - 1) = 0.5 and eta = 1/1 + 1 = 2; |S| = 1 (only
+    # the +-Id blocks linking y and v*).  c binds eta above 2, vartheta below 0.5.
+    (2.5, 0.5, 2.5 + 1.0),
+    (0.25, 0.25, 2.0 + 1.0),
+])
+def test_coupled_kernel_hand_evaluation_with_v_star_coefficient(c, alpha, beta):
+    prob = scalar_uncoupled_problem()
+    k = coupled_kernel(prob, [identity_map(1)], [identity_map(1)], [1.0], [1.0], c)
+    u = np.array([2.0, 3.0, 5.0])  # (x, y, v*)
+    np.testing.assert_allclose(k.eval(u), [2.0, 3.0 + 5.0, -3.0 + c * 5.0])
+    assert (k.alpha, k.beta) == (alpha, beta)
+    with pytest.raises(ConfigurationError, match="v\\* coefficient"):
+        coupled_kernel(prob, [identity_map(1)], [identity_map(1)], [1.0], [1.0], 0.0)
+
+
 def test_coupled_kernel_stage_regime_validation():
     prob = scalar_uncoupled_problem()
     with pytest.raises(ConfigurationError):
