@@ -18,7 +18,6 @@ from .algorithms import (
     SolveResult,
     SolverConfig,
     apply_policy,
-    build_kt_operator,
     kt_residuals,
     solve_coupled,
     solve_fbf_memory,

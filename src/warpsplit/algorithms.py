@@ -728,9 +728,7 @@ class CoupledProblem:
 
     def decomposition(self) -> MDecomposition:
         """The stacked Kuhn-Tucker operator as an M-decomposition."""
-        m = MDecomposition(self.kt_set_part(), self.kt_forward())
-        m.problem = self
-        return m
+        return MDecomposition(self.kt_set_part(), self.kt_forward())
 
 
 @dataclass(frozen=True, eq=False)
@@ -793,23 +791,6 @@ class KuhnTuckerPoint:
 
     def flatten(self) -> np.ndarray:
         return self.flat
-
-
-def build_kt_operator(A: SetValuedOperator, B: SetValuedOperator, L,
-                      s_star=None, r=None) -> MDecomposition:
-    """The Kuhn-Tucker operator of a single coupled pair, as M = diag + skew.
-
-    M(x, y, v*) = (-s* + A x + L* v*) x (B y - v*) x {r - L x + y}; its zeros
-    (x, y, v*) give Kuhn-Tucker pairs (x, v*) of the primal problem
-    ``s* in A x + L*(B(L x - r))``.  The returned decomposition carries the
-    synthesized one-block problem as ``.problem`` for kernel pairing.
-    """
-    L = L if isinstance(L, LinearMap) else LinearMap(L)
-    problem = CoupledProblem(
-        [PrimalBlock(A=A, s_star=s_star)],
-        [DualBlock(B=B, r=r)],
-        {(0, 0): L})
-    return problem.decomposition()
 
 
 def kt_residuals(problem: CoupledProblem, point: KuhnTuckerPoint):

@@ -12,6 +12,8 @@ A list may end with a trailing comma and ``[]`` is the empty list.  An
 integer literal (``3``, ``-2``, ``1_000``) stays an ``int``; any other
 number is a ``float``.  A ragged or mis-nested matrix, such as
 ``[[1, 0], [0]]`` or ``[1, [0]]``, is a ``ProblemFormatError`` (exit 1).
+A list that JSON reads is decoded by ``json``, any other by the grammar's own
+loop; both give the same values, and errors always come from the loop.
 
 Blocks nest; repeated block names are allowed (``primal``, ``dual``,
 ``coupling``, ``solution``).  See the README for the full key reference.
@@ -140,51 +142,30 @@ def _parse_value(text, lineno, col0):
 _BRACKET = re.compile(r"[\[\]]")
 _TOKEN_END = re.compile(r"[,\]]")
 _LIST_SEPARATOR = re.compile(r"(?:[ \t]*,)?")
-_BLANKS = re.compile(r"[ \t]*")
-_ROW_GAP = re.compile(r"[ \t]*(?:,[ \t]*)?")  # between rows of a matrix
-
-
-def _flat_numbers(body, start, lineno, col0):
-    """The numbers of a flat list whose text ``body`` begins at index ``start``."""
-    pieces = body.split(",")
-    if not pieces[-1].strip(" \t"):
-        del pieces[-1]  # blank: the list is empty or ends with a comma
-    return _numbers(pieces, start, lineno, col0)
-
-
-def _flat_end(s, i):
-    """Index of the ']' closing a flat list that opens at index i, else -1."""
-    end = s.find("]", i + 1)
-    return end if end >= 0 and s.find("[", i + 1, end) < 0 else -1
-
-
-def _parse_rows(s, i, lineno, col0):
-    """A list of flat lists (a matrix) opening at index i, as (rows, index
-    past ']'), or None when the list holds anything else."""
-    rows = []
-    j = _BLANKS.match(s, i + 1).end()
-    while s.startswith("[", j):
-        end = _flat_end(s, j)
-        if end < 0:
-            return None
-        rows.append(_flat_numbers(s[j + 1:end], j + 1, lineno, col0))
-        j = _ROW_GAP.match(s, end + 1).end()
-    return (rows, j + 1) if rows and s.startswith("]", j) else None
+# JSON reads a list that holds none of these characters exactly as the
+# grammar does.  With them it would accept what the grammar rejects: a
+# string, an object, false ('f'), true or null ('u'), or a line break as a blank.
+_NOT_JSON = '"{fu\n\r'
+_JSON = json.JSONDecoder()
 
 
 def _parse_bracket(s, i, lineno, col0):
     """Parse a [...] list starting at index i; returns (value, index past ']').
 
-    A flat list and a list of flat lists are cut with ``str.find``; any other
-    list works one run of numbers at a time: the text up to the next bracket
-    is split on commas and converted in one pass.
+    A list that JSON reads is decoded by ``json``; any other list, and every
+    error, goes through ``_parse_list``.
     """
-    end = _flat_end(s, i)
-    if end >= 0:
-        return _flat_numbers(s[i + 1:end], i + 1, lineno, col0), end + 1
-    rows = _parse_rows(s, i, lineno, col0)
-    if rows is not None:
-        return rows
+    if not any(c in s for c in _NOT_JSON):
+        try:
+            return _JSON.raw_decode(s, i)
+        except ValueError:
+            pass
+    return _parse_list(s, i, lineno, col0)
+
+
+def _parse_list(s, i, lineno, col0):
+    """The grammar's list loop, one run of numbers at a time: the text up to
+    the next bracket is split on commas and converted in one pass."""
     items = []
     i += 1
     while True:
@@ -202,7 +183,7 @@ def _parse_bracket(s, i, lineno, col0):
             raise ProblemFormatError("unterminated '['", lineno, col0 + len(s))
         if m.group() == "]":
             return items, end + 1
-        sub, i = _parse_bracket(s, end, lineno, col0)
+        sub, i = _parse_list(s, end, lineno, col0)
         items.append(sub)
         i = _LIST_SEPARATOR.match(s, i).end()  # one comma may follow a nested list
 
@@ -672,7 +653,13 @@ def parse_problem(path) -> ProblemFile:
     """Parse and fully validate a problem file."""
     # Bytes decoded whole: parse_text splits lines on '\r\n' and '\r' itself.
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the first bad one decode; count lines as parse_text does.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ProblemFormatError(f"not UTF-8: {exc.reason}", line) from None
     return ProblemFile(parse_text(text), path=str(path))
 
 

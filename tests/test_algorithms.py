@@ -17,7 +17,6 @@ from warpsplit import (
     affine_set_normal_cone,
     apply_policy,
     box_normal_cone,
-    build_kt_operator,
     fbf_kernel,
     identity_kernel,
     identity_map,
@@ -563,17 +562,17 @@ def test_fbf_memory_additive_errors_decay_on_logs():
 # Kuhn-Tucker assembly and the coupled solver
 # ---------------------------------------------------------------------------
 
-def test_build_kt_operator_scalar_zero_by_hand():
+def test_kt_residuals_scalar_zero_by_hand():
     # A = Id, B = Id, L = 1, s* = 0, r = 2: the three slots of M vanish at
     # (x, y, v*) = (1, -1, -1).
     x, y, v = 1.0, -1.0, -1.0
     assert x + 1.0 * v == 0.0            # -s* + A x + L* v*
     assert y - v == 0.0                  # B y - v*
     assert 2.0 - 1.0 * x + y == 0.0      # r - L x + y
-    m = build_kt_operator(scaled_identity_operator(1, 1.0),
-                          scaled_identity_operator(1, 1.0),
-                          [[1.0]], s_star=None, r=[2.0])
-    prob = m.problem
+    prob = CoupledProblem(
+        [PrimalBlock(A=scaled_identity_operator(1, 1.0))],
+        [DualBlock(B=scaled_identity_operator(1, 1.0), r=[2.0])],
+        {(0, 0): [[1.0]]})
     point = KuhnTuckerPoint.from_flat(np.array([x, y, v]), prob)
     res = kt_residuals(prob, point)
     assert max(res) <= 1e-12
@@ -610,11 +609,10 @@ def test_kt_zero_matches_dense_solve_on_random_saddle():
     s = rng.normal(size=2)
     r = rng.normal(size=2)
     xs, ys, vs = dense_kt_solution([P], [s], [R], [r], {(0, 0): L}, [2], [2])
-    m = build_kt_operator(affine_resolvent_operator(P),
-                          affine_resolvent_operator(R), L, s_star=s, r=r)
-    point = KuhnTuckerPoint.from_flat(
-        np.concatenate([xs[0], ys[0], vs[0]]), m.problem)
-    assert max(kt_residuals(m.problem, point)) <= 1e-9
+    prob = CoupledProblem([PrimalBlock(A=affine_resolvent_operator(P), s_star=s)],
+                          [DualBlock(B=affine_resolvent_operator(R), r=r)], {(0, 0): L})
+    point = KuhnTuckerPoint.from_flat(np.concatenate([xs[0], ys[0], vs[0]]), prob)
+    assert max(kt_residuals(prob, point)) <= 1e-9
 
 
 def scalar_coupled_problem():

@@ -209,6 +209,14 @@ def test_parse_reports_line_and_column(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_parse_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"kind = inclusion\nx0 = [1.0]\n\xff\n")
+    with pytest.raises(ProblemFormatError, match=r"^line 3: not UTF-8: invalid start byte$"):
+        parse_problem(path)
+    assert main(["run", "--problem", str(path)]) == EXIT_USAGE
+
+
 def test_parse_unclosed_block():
     with pytest.raises(ProblemFormatError) as err:
         parse_text("begin A\nname = ball\n")
@@ -406,8 +414,8 @@ def test_bracket_parser_matches_oracle_on_fuzzed_strings():
 
 def test_bracket_parser_matches_oracle_on_fuzzed_matrices():
     # Lists of lists with odd gaps, trailing commas, bad tokens and missing
-    # or extra brackets: the matrix path must agree with the oracle or step
-    # aside for the general one.
+    # or extra brackets: the parser must agree with the oracle whether json
+    # or the grammar's own loop reads the list.
     rng = random.Random(2020)
     gaps = ["", " ", "\t", ",", " ,", ", ", ",,", "\x0c", " , "]
     tokens = ["1", "-2.5", "3e2", "", " ", "x", "1_0", "nan", "7.0", " 4 "]
@@ -426,8 +434,48 @@ def test_bracket_parser_matches_oracle_on_fuzzed_matrices():
     assert kinds == {"value", "error"}
 
 
-def test_parse_text_matches_oracle_on_generated_d200(monkeypatch):
-    text = generate_problem("inclusion", 200, 3)
+# Tokens and gaps where JSON and the grammar part ways: JSON-only values and
+# blanks, and number forms that only one of the two reads.
+JSON_ITEMS = ["1", "-2", "3.5", "1e5", "", " ", "x", "true", "false", "null", '"a"', "{}",
+              '{"a": 1}', ":", "NaN", "Infinity", "-Infinity", "00", "1e400", "1" * 5000]
+JSON_GAPS = ["", "", " ", "\t", "\n", "\r", "\r\n"]
+
+
+def _json_fuzz_list(rng, depth):
+    items = []
+    for _ in range(rng.randint(0, 3)):
+        if depth < 2 and rng.random() < 0.3:
+            items.append(_json_fuzz_list(rng, depth + 1))
+        else:
+            items.append(rng.choice(JSON_GAPS) + rng.choice(JSON_ITEMS) + rng.choice(JSON_GAPS))
+    sep = rng.choice([",", ",", ", ", " ,", ",\n", "\r,", ":", ",,"])
+    return "[" + rng.choice(JSON_GAPS) + sep.join(items) + rng.choice(["", "", ","]) + "]"
+
+
+def test_bracket_parser_matches_oracle_on_json_tokens():
+    # Every guard character of the json attempt must keep a list that JSON
+    # reads, but the grammar rejects, away from json.
+    rng = random.Random(2021)
+    decoder = json.JSONDecoder()
+    kinds, json_only = set(), 0
+    for _ in range(20000):
+        s = _json_fuzz_list(rng, 0) + rng.choice(["", "", "]", " x"])
+        got = _bracket_outcome(cli._parse_bracket, s)
+        want = _bracket_outcome(bracket_oracle, s)
+        assert got == want, s
+        kinds.add(got[0])
+        try:
+            value, end = decoder.raw_decode(s, 0)
+            json_only += ("value", repr(value), end) != want
+        except ValueError:
+            pass
+    assert kinds == {"value", "error"}
+    assert json_only > 1000, json_only
+
+
+@pytest.mark.parametrize("kind, dim", [("inclusion", 200), ("coupled", 20)])
+def test_parse_text_matches_oracle_on_generated(monkeypatch, kind, dim):
+    text = generate_problem(kind, dim, 3)
     fast = parse_text(text).canonical()
     monkeypatch.setattr(cli, "_parse_bracket", bracket_oracle)
     assert fast == parse_text(text).canonical()
