@@ -309,9 +309,9 @@ class ProblemFile:
         lam_block = solver.child("lambda")
         if lam_block is not None and overrides.get("relax") is None:
             lam = _schedule_from_block(lam_block)
-        gamma = pick("gamma", None)
+        gamma = _number(solver, "gamma", None)
         gamma_block = solver.child("gamma")
-        if gamma_block is not None and overrides.get("gamma") is None:
+        if gamma_block is not None:
             gamma = _schedule_from_block(gamma_block)
         cfg = alg.SolverConfig(
             epsilon=_number(solver, "epsilon", 0.05),
@@ -400,10 +400,9 @@ class ProblemFile:
         self._validate_inclusion(self._config(solver, {}))
 
     def _inclusion_gamma(self, cfg):
+        """A weak or strong run's step; fbf and tseng runs take ``cfg.step_size``."""
         if cfg.step_size is not None:
             return cfg.step_size
-        if self.variant in ("fbf", "tseng"):
-            return kern.fbf_step(1.0, self._beta(), cfg.epsilon)
         if self.B is not None and self.kernel_name == "fbf":
             # The run checks the floor with the solver's epsilon and the
             # upper end with the kernel's: step from the larger of the two.
@@ -436,15 +435,16 @@ class ProblemFile:
         # fbf/tseng check the whole FBF regime; a weak or strong fbf_kernel
         # only needs epsilon < alpha.
         kern.fbf_step(1.0, self._beta() if fbf else 0.0, eps)
-        for gamma in _ends(self._inclusion_gamma(cfg)):
-            kern.check_step(gamma, 1.0, self._beta(), eps, floor=cfg.epsilon)
+        # fbf_step's default step passes check_step by construction.
+        if not fbf or cfg.step_size is not None:
+            for gamma in _ends(self._inclusion_gamma(cfg)):
+                kern.check_step(gamma, 1.0, self._beta(), eps, floor=cfg.epsilon)
         self._check_relaxation(cfg)
 
     def _run_inclusion(self, overrides):
         solver = self._solver_section()
         cfg = self._config(solver, overrides)
         variant = overrides.get("algo") or self.variant
-        gamma = self._inclusion_gamma(cfg)
         if variant in ("weak", "strong"):
             # Without a file gamma, the engine reads each gamma_n from K_n's fold.
             m = kern.MDecomposition(self.A, self.B if self.kernel_name == "fbf" else None)
@@ -452,9 +452,9 @@ class ProblemFile:
             return fn(m, self._kernel_schedule(cfg), self.policy, cfg, self.x0)
         if variant == "tseng":
             self._check_variant(variant)
-            return alg.solve_tseng(self.A, self.B, gamma, cfg, self.x0)
+            return alg.solve_tseng(self.A, self.B, cfg.step_size, cfg, self.x0)
         if variant == "fbf":
-            return alg.solve_fbf_memory(self.A, self.B, None, gamma, self.policy, cfg, self.x0)
+            return alg.solve_fbf_memory(self.A, self.B, None, cfg.step_size, self.policy, cfg, self.x0)
         raise ConfigurationError(f"unknown algorithm {variant!r}")
 
     # -- coupled problems ------------------------------------------------------

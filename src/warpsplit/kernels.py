@@ -103,6 +103,25 @@ def _over(v, c):
     return v if c == 1.0 else v / c
 
 
+def _linear_maps(set_part, gamma, scales):
+    """Per block (slice, R_b / C_b, R_b s_b), or None if a block has no hook.
+
+    Block b of ``C_b p_b + gamma A_b(p_b) = v_b`` is then ``(R_b / C_b) v_b -
+    R_b s_b``, from ``linear_resolvent`` at gamma / C_b; folded so, the
+    scalar test problem's zero stays exact.
+    """
+    if any(A.linear_resolvent is None for A in set_part.blocks):
+        return None
+    maps = []
+    for k, (a, A, C) in enumerate(zip(set_part.layout.offsets, set_part.blocks, scales)):
+        R, s = A.linear_resolvent(gamma if C == 1.0 else gamma / C)
+        if np.shape(R) not in ((), (A.dim, A.dim)) or np.shape(s) != (A.dim,):
+            raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
+                                         f"R {np.shape(R)}, s {np.shape(s)}, block dim {A.dim}")
+        maps.append((slice(a, a + A.dim), np.divide(R, C), np.dot(R, s)))
+    return maps
+
+
 def solve_base_inclusion(W, gamma, A, v, start=None):
     """Solve v in W(p) + gamma * A(p) for the unique p.
 
@@ -224,6 +243,7 @@ class Kernel:
             coefs.append(0.0 if s is None else c * s)
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
         self._scales = None if self._general else tuple(coefs)
+        self._linear = None  # (gamma, set_part, _linear_maps) of the last blockwise solve
 
     # -- evaluation ---------------------------------------------------------
 
@@ -256,8 +276,9 @@ class Kernel:
         only by an inner loop's residual; the graph point certifies the rest.
         A kernel of several blocks needs a ``BlockDiagonalOperator`` set part
         on its layout; a one-block kernel hands its block's output back.
-        Identity-like blocks may be solved by the set part's affine maps
-        (``BlockDiagonalOperator._linear_solve``).
+        When every block is identity-like and every set-part block declares
+        ``linear_resolvent``, each block is one affine map (``_linear_maps``),
+        kept for the last (gamma, set part).
         """
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
@@ -276,9 +297,11 @@ class Kernel:
                 f"kernel {self.name!r} needs a block-diagonal set part matching "
                 f"its layout {self.layout.dims}")
         if self._scales is not None:
-            p = set_part._linear_solve(gamma, self._scales, v)
-            if p is not None:
-                return p
+            linear = self._linear
+            if linear is None or linear[0] != gamma or linear[1] is not set_part:
+                linear = self._linear = (gamma, set_part, _linear_maps(set_part, gamma, self._scales))
+            if linear[2] is not None:
+                return np.concatenate([np.dot(Rc, v[sl]) - t for sl, Rc, t in linear[2]])
         out = np.empty(self.dim)
         for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
             out[sl] = solve_base_inclusion(W, _over(gamma, c), A_b, _over(v[sl], c),

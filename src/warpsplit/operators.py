@@ -131,39 +131,7 @@ class BlockDiagonalOperator(SetValuedOperator):
             raise DimensionMismatchError("block operator dims do not match layout")
         self.blocks = blocks
         self.layout = layout
-        self._linear = (None, False)  # (gamma, scales) of the last _linear_solve, its maps
         super().__init__(layout.total, self._block_resolvent, name=name)
-
-    def _linear_solve(self, gamma, scales, v):
-        """p with ``C_b p_b + gamma A_b(p_b)`` containing v_b on every block, or None.
-
-        Block b is ``(R_b / C_b) v_b - R_b s_b``, from ``linear_resolvent`` at
-        gamma / C_b; folded so, the scalar test problem's zero stays exact.  The
-        maps are built when a (gamma, scales) comes again: a one-off call (a
-        staged run's kernel) builds none and gets None, as do hookless blocks.
-        """
-        key, maps = self._linear
-        if key != (gamma, scales):
-            self._linear = ((gamma, scales), False)
-            return None
-        if maps is False:
-            maps = self._linear_maps(gamma, scales)
-            self._linear = (key, maps)
-        return None if maps is None else np.concatenate(
-            [np.dot(Rc, v[sl]) - t for sl, Rc, t in maps])
-
-    def _linear_maps(self, gamma, scales):
-        """Per block (slice, R_b / C_b, R_b s_b), or None if a block has no hook."""
-        if any(A.linear_resolvent is None for A in self.blocks):
-            return None
-        maps = []
-        for k, (a, A, C) in enumerate(zip(self.layout.offsets, self.blocks, scales)):
-            R, s = A.linear_resolvent(gamma if C == 1.0 else gamma / C)
-            if np.shape(R) not in ((), (A.dim, A.dim)) or np.shape(s) != (A.dim,):
-                raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
-                                             f"R {np.shape(R)}, s {np.shape(s)}, block dim {A.dim}")
-            maps.append((slice(a, a + A.dim), np.divide(R, C), np.dot(R, s)))
-        return maps
 
     def _block_resolvent(self, gamma, x):
         parts = self.layout.split(x)

@@ -231,6 +231,18 @@ def test_relaxation_schedule_type_error_surfaces():
         solve_weak(m, identity_kernel(1), None, cfg, [1.0])
 
 
+def test_one_argument_relaxation_schedule():
+    # A schedule of n alone gives lambda_n, range-checked at each n.
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    cfg = SolverConfig(relaxation=lambda n: 1.0 + 0.5 ** (n + 1), step_size=1.0, max_iter=5,
+                       tol_residual=1e-300, tol_step=1e-300)
+    res = solve_weak(m, identity_kernel(1), None, cfg, [1.0])
+    assert [r.lam for r in res.trace] == [1.0 + 0.5 ** (n + 1) for n in range(5)]
+    cfg = SolverConfig(relaxation=lambda n: 2.5, step_size=1.0, max_iter=5)
+    with pytest.raises(ConfigurationError, match="relaxation lambda_0"):
+        solve_weak(m, identity_kernel(1), None, cfg, [1.0])
+
+
 # ---------------------------------------------------------------------------
 # Weak solver
 # ---------------------------------------------------------------------------
@@ -650,7 +662,7 @@ def scalar_coupled_oracle(prob, iterations):
 
 def test_coupled_delegated_and_literal_agree_per_iterate(monkeypatch):
     # Every block is linear, so the kernel solves them with blockwise affine
-    # maps; only the first solve, before they are built, runs the loop.
+    # maps, built at the first solve: the loop never runs.
     calls, solve_block = [], kernels.solve_base_inclusion
 
     def loop(*args):
@@ -661,7 +673,7 @@ def test_coupled_delegated_and_literal_agree_per_iterate(monkeypatch):
     prob = scalar_coupled_problem()
     cfg = SolverConfig(max_iter=300, tol_residual=1e-300, tol_step=1e-300)
     res_d = solve_coupled(prob, cfg, dual_scale=1.0)  # the oracle's kernel
-    assert len(calls) == len(prob.layout.dims)
+    assert len(calls) == 0
     ref = scalar_coupled_oracle(prob, 300)
     assert len(res_d.trace) == len(ref) == 300
     for rd, (p, _, _, theta, sigma, _) in zip(res_d.trace, ref):

@@ -371,6 +371,78 @@ def test_inclusion_run_builds_one_kernel_per_stage(tmp_path, monkeypatch, text, 
                                             for n in range(25)]
 
 
+# The kernel's epsilon (0.3) exceeds the solver's (0.05): a weak run's
+# default step comes from 0.3, a tseng run's from 0.05.
+EPSILON_SPLIT = ROTATION_BOX.split("begin kernel")[0] + """\
+begin kernel
+  name = fbf
+  epsilon = 0.3
+end
+begin solver
+  variant = weak
+  epsilon = 0.05
+end
+"""
+
+
+def run_artifacts(tmp_path, name, text, *args):
+    """(exit code, trace bytes, summary bytes) of a CLI run of ``text``."""
+    trace, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+    code = main(["run", "--problem", write(tmp_path, f"{name}.txt", text), *args,
+                 "--trace", str(trace), "--summary", str(summary)])
+    return code, trace.read_bytes(), summary.read_bytes()
+
+
+@pytest.mark.parametrize("variant, algo", [("tseng", "weak"), ("weak", "tseng")])
+def test_algo_override_is_the_run_of_that_variant(tmp_path, variant, algo):
+    # The default step follows the algorithm run, not the file's variant.
+    native = run_artifacts(tmp_path, "native", EPSILON_SPLIT.replace("variant = weak", f"variant = {algo}"))
+    assert native[0] == EXIT_OK
+    other = EPSILON_SPLIT.replace("variant = weak", f"variant = {variant}")
+    assert run_artifacts(tmp_path, "override", other, "--algo", algo) == native
+
+
+def test_geometric_lambda_block(tmp_path):
+    text = HALVING.replace("  lambda = 1.0\n", "  begin lambda\n    rule = geometric\n"
+                           "    start = 1.5\n    factor = 0.8\n    floor = 0.5\n  end\n")
+    res = parse_problem(write(tmp_path, "lam.txt", text)).run({})
+    assert len(res.trace) > 5
+    assert [r.lam for r in res.trace] == [max(0.5, 1.5 * 0.8 ** n) for n in range(len(res.trace))]
+
+
+def test_additive_policy_perturbs_the_first_point(tmp_path):
+    text = MINIMAL.replace("begin solver", "begin policy\n  kind = additive\n  scale = 0.5\n"
+                           "  rate = 0.5\nend\nbegin solver")
+    res = parse_problem(write(tmp_path, "add.txt", text)).run({})
+    assert res.converged
+    np.testing.assert_array_equal(res.trace[0].x_tilde, [2.0, 0.0] + 0.5 * np.ones(2) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("start, flat", [
+    ("x = [0.5]\n  v_star = [0.25]", [0.5, 0.5 - 2.0, 0.25]),
+    ("x = [0.5]\n  y = [3.0]\n  v_star = [0.25]", [0.5, 3.0, 0.25]),
+], ids=["lifted-y", "given-y"])
+def test_coupled_start_block(tmp_path, start, flat):
+    # Without y, the start is lifted to (x, L x - r, v*).
+    text = COUPLED_SCALAR.replace("begin solver", f"begin start\n  {start}\nend\nbegin solver")
+    res = parse_problem(write(tmp_path, "start.txt", text)).run({})
+    assert res.converged
+    np.testing.assert_array_equal(res.trace[0].x, flat)
+
+
+def test_generated_coupled_run_solves_on_blockwise_maps(tmp_path, monkeypatch):
+    # Every block of a generated coupled problem is linear: the per-block loop never runs.
+    calls, solve_block = [], kernels.solve_base_inclusion
+
+    def loop(*args):
+        calls.append(args)
+        return solve_block(*args)
+    monkeypatch.setattr(kernels, "solve_base_inclusion", loop)
+    pf = parse_problem(write(tmp_path, "gc.txt", generate_problem("coupled", 2, 1)))
+    assert pf.run({}).converged
+    assert calls == []
+
+
 def test_unknown_operator_name(tmp_path):
     text = MINIMAL.replace("name = ball", "name = warp_drive")
     code = main(["run", "--problem", write(tmp_path, "u.txt", text)])

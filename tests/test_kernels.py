@@ -482,8 +482,8 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
         k = Kernel(layout.total, base, layout, None, 0.1, 10.0)
         set_part = BlockDiagonalOperator(blocks, layout)
         del calls[:]
-        # The first solve at a gamma runs the loop, a repeat the maps built
-        # for that gamma: a stale map fails at the second gamma.
+        # Every solve uses the maps, built at the first solve at a gamma and
+        # reused on a repeat: a stale map fails at the second gamma.
         for g in (0.6, 0.6, 1.9, 1.9, 1.9):
             v = rng.normal(size=layout.total) * 3
             ref = []
@@ -493,20 +493,19 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
             ref = np.concatenate(ref)
             p = k.backward_solve(g, set_part, v)
             assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
-        assert len(calls) == 2 * len(dims)
+        assert len(calls) == 0
 
 
-def test_a_one_off_solve_builds_no_maps(monkeypatch):
-    # A staged run with a varying step solves each (gamma, scales) once.
-    def build(*args):
-        raise AssertionError("blockwise maps built for a single solve")
-    monkeypatch.setattr(BlockDiagonalOperator, "_linear_maps", build)
+def test_a_one_off_solve_uses_the_maps(monkeypatch):
+    # A staged run with a varying step solves each kernel once, on its maps.
+    calls = counted_block_loop(monkeypatch)
     layout = BlockLayout((2, 2))
     set_part = BlockDiagonalOperator([zero_operator(2), constant_operator([1.0, 2.0])], layout)
     for c in (1.0, 2.0, 3.0):
         k = Kernel(4, [(None, c), (None, 1.0)], layout, None, 1.0, 3.0)
         np.testing.assert_allclose(k.backward_solve(1.0, set_part, np.ones(4)),
                                    [1 / c, 1 / c, 0.0, -1.0])
+    assert len(calls) == 0
 
 
 def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
@@ -533,7 +532,6 @@ def test_a_wrong_linear_resolvent_shape_names_its_block():
     layout = BlockLayout((1, 2))
     k = Kernel(3, [(None, 1.0), (None, 2.0)], layout, None, 1.0, 2.0)
     set_part = BlockDiagonalOperator([zero_operator(1), user], layout)
-    k.backward_solve(1.0, set_part, np.ones(3))  # the first solve runs the loop
     with pytest.raises(DimensionMismatchError, match=r"block 1 \(user\)"):
         k.backward_solve(1.0, set_part, np.ones(3))
 
