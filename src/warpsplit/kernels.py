@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 
 import numpy as np
 
@@ -101,6 +102,11 @@ def _newton_inverse(W, c, mask):
 def _over(v, c):
     """v / c, skipping a division by exactly 1.0, which is an identity in IEEE arithmetic."""
     return v if c == 1.0 else v / c
+
+
+# Per set part: its last (gamma, scales) and their _linear_maps, or False
+# until that key repeats.  Weak keys: an entry goes with its set part.
+_LINEAR = weakref.WeakKeyDictionary()
 
 
 def _linear_maps(set_part, gamma, scales):
@@ -243,7 +249,6 @@ class Kernel:
             coefs.append(0.0 if s is None else c * s)
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
         self._scales = None if self._general else tuple(coefs)
-        self._linear = None  # (gamma, set_part, _linear_maps) of the last blockwise solve
 
     # -- evaluation ---------------------------------------------------------
 
@@ -278,7 +283,10 @@ class Kernel:
         on its layout; a one-block kernel hands its block's output back.
         When every block is identity-like and every set-part block declares
         ``linear_resolvent``, each block is one affine map (``_linear_maps``),
-        kept for the last (gamma, set part).
+        kept per set part for its last (gamma, scales) so that a staged run's
+        kernels share them.  They are built at a set part's first solve and
+        when a key repeats; a changed key runs the loop, which costs less
+        than maps used once.
         """
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
@@ -297,11 +305,13 @@ class Kernel:
                 f"kernel {self.name!r} needs a block-diagonal set part matching "
                 f"its layout {self.layout.dims}")
         if self._scales is not None:
-            linear = self._linear
-            if linear is None or linear[0] != gamma or linear[1] is not set_part:
-                linear = self._linear = (gamma, set_part, _linear_maps(set_part, gamma, self._scales))
-            if linear[2] is not None:
-                return np.concatenate([np.dot(Rc, v[sl]) - t for sl, Rc, t in linear[2]])
+            key = gamma, self._scales
+            last, maps = _LINEAR.get(set_part, (key, False))
+            if last != key or maps is False:
+                maps = _linear_maps(set_part, gamma, self._scales) if last == key else False
+                _LINEAR[set_part] = key, maps
+            if maps:
+                return np.concatenate([np.dot(Rc, v[sl]) - t for sl, Rc, t in maps])
         out = np.empty(self.dim)
         for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
             out[sl] = solve_base_inclusion(W, _over(gamma, c), A_b, _over(v[sl], c),

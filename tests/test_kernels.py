@@ -482,8 +482,8 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
         k = Kernel(layout.total, base, layout, None, 0.1, 10.0)
         set_part = BlockDiagonalOperator(blocks, layout)
         del calls[:]
-        # Every solve uses the maps, built at the first solve at a gamma and
-        # reused on a repeat: a stale map fails at the second gamma.
+        # The first solve builds the maps; the new gamma runs the loop once,
+        # and its repeat builds maps for it: a stale map fails there.
         for g in (0.6, 0.6, 1.9, 1.9, 1.9):
             v = rng.normal(size=layout.total) * 3
             ref = []
@@ -493,18 +493,34 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
             ref = np.concatenate(ref)
             p = k.backward_solve(g, set_part, v)
             assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
-        assert len(calls) == 0
+        assert len(calls) == len(dims)
 
 
-def test_a_one_off_solve_uses_the_maps(monkeypatch):
-    # A staged run with a varying step solves each kernel once, on its maps.
+def test_staged_kernels_share_their_set_parts_maps(monkeypatch):
+    # One kernel per stage, as a staged run builds them: a changed scale runs
+    # the loop once, and a settled one reuses the maps built at its repeat.
     calls = counted_block_loop(monkeypatch)
+    builds, build = [], kernels._linear_maps
+    monkeypatch.setattr(kernels, "_linear_maps", lambda *args: builds.append(args) or build(*args))
     layout = BlockLayout((2, 2))
     set_part = BlockDiagonalOperator([zero_operator(2), constant_operator([1.0, 2.0])], layout)
-    for c in (1.0, 2.0, 3.0):
+    for c, loops, built in ((1.0, 0, 1), (2.0, 2, 1), (3.0, 4, 1), (3.0, 4, 2), (3.0, 4, 2)):
         k = Kernel(4, [(None, c), (None, 1.0)], layout, None, 1.0, 3.0)
         np.testing.assert_allclose(k.backward_solve(1.0, set_part, np.ones(4)),
                                    [1 / c, 1 / c, 0.0, -1.0])
+        assert (len(calls), len(builds)) == (loops, built), c
+
+
+def test_one_kernel_keeps_maps_per_set_part(monkeypatch):
+    # Two set parts at the same (gamma, scales): each is solved by its own maps.
+    calls = counted_block_loop(monkeypatch)
+    layout = BlockLayout((2, 2))
+    k = Kernel(4, [(None, 2.0), (None, 1.0)], layout, None, 1.0, 3.0)
+    parts = {a: BlockDiagonalOperator([zero_operator(2), constant_operator([a, 2.0])], layout)
+             for a in (1.0, 5.0)}
+    for a in (1.0, 5.0, 1.0, 5.0):
+        np.testing.assert_allclose(k.backward_solve(1.0, parts[a], np.ones(4)),
+                                   [0.5, 0.5, 1.0 - a, -1.0])
     assert len(calls) == 0
 
 
