@@ -26,6 +26,7 @@ import inspect
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,9 +286,8 @@ def apply_policy(policy: PerturbationPolicy, history, n) -> np.ndarray:
 # Traces and results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Observable quantities of one iteration."""
+class IterationRecord(NamedTuple):
+    """Observable quantities of one iteration; the engine checks step_norm and residual."""
 
     n: int
     x: np.ndarray
@@ -301,12 +301,6 @@ class IterationRecord:
     rho: float
     lam: float
     gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step_norm) and self.step_norm >= 0):
-            raise SolverCorruptionError(f"step norm {self.step_norm} is not finite nonnegative")
-        if not (math.isfinite(self.residual) and self.residual >= 0):
-            raise SolverCorruptionError(f"residual {self.residual} is not finite nonnegative")
 
 
 @dataclass
@@ -437,9 +431,14 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
                             raise InfeasibleCutsError(f"iteration {n}: {exc}") from exc
                     else:
                         x_next = x
+            step_norm = _length(x_next - x)
+            if not (math.isfinite(step_norm) and step_norm >= 0):
+                raise SolverCorruptionError(f"step norm {step_norm} is not finite nonnegative")
+            if not (math.isfinite(residual) and residual >= 0):
+                raise SolverCorruptionError(f"residual {residual} is not finite nonnegative")
             trace.append(IterationRecord(
                 n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
-                step_norm=_length(x_next - x), residual=residual,
+                step_norm=step_norm, residual=residual,
                 theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma))
             if done:
                 x = x_next

@@ -110,7 +110,7 @@ _LINEAR = weakref.WeakKeyDictionary()
 
 
 def _linear_maps(set_part, gamma, scales):
-    """Per block (slice, R_b / C_b, R_b s_b), or None if a block has no hook.
+    """Per block (slice, R_b / C_b), and the stacked R_b s_b; None if a block has no hook.
 
     Block b of ``C_b p_b + gamma A_b(p_b) = v_b`` is then ``(R_b / C_b) v_b -
     R_b s_b``, from ``linear_resolvent`` at gamma / C_b; folded so, the
@@ -118,14 +118,15 @@ def _linear_maps(set_part, gamma, scales):
     """
     if any(A.linear_resolvent is None for A in set_part.blocks):
         return None
-    maps = []
+    maps, offsets = [], []
     for k, (a, A, C) in enumerate(zip(set_part.layout.offsets, set_part.blocks, scales)):
         R, s = A.linear_resolvent(gamma if C == 1.0 else gamma / C)
         if np.shape(R) not in ((), (A.dim, A.dim)) or np.shape(s) != (A.dim,):
             raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
                                          f"R {np.shape(R)}, s {np.shape(s)}, block dim {A.dim}")
-        maps.append((slice(a, a + A.dim), np.divide(R, C), np.dot(R, s)))
-    return maps
+        maps.append((slice(a, a + A.dim), np.divide(R, C)))
+        offsets.append(np.dot(R, s))
+    return maps, np.concatenate(offsets)
 
 
 def solve_base_inclusion(W, gamma, A, v, start=None):
@@ -268,7 +269,8 @@ class Kernel:
             y[sl] = c * W._apply(x[sl])
         if self.fold is not None:
             g, B = self.fold
-            y -= g * B._apply(x)  # in place: y is new
+            # In place (y is new); a fold at 1.0 skips the multiply, as _over the division.
+            y -= B._apply(x) if g == 1.0 else g * B._apply(x)
         return y
 
     # -- warped backward solve ----------------------------------------------
@@ -304,6 +306,7 @@ class Kernel:
             raise ConfigurationError(
                 f"kernel {self.name!r} needs a block-diagonal set part matching "
                 f"its layout {self.layout.dims}")
+        out = np.empty(self.dim)
         if self._scales is not None:
             key = gamma, self._scales
             last, maps = _LINEAR.get(set_part, (key, False))
@@ -311,8 +314,11 @@ class Kernel:
                 maps = _linear_maps(set_part, gamma, self._scales) if last == key else False
                 _LINEAR[set_part] = key, maps
             if maps:
-                return np.concatenate([np.dot(Rc, v[sl]) - t for sl, Rc, t in maps])
-        out = np.empty(self.dim)
+                blocks, offsets = maps
+                for sl, Rc in blocks:
+                    np.dot(Rc, v[sl], out=out[sl])
+                out -= offsets
+                return out
         for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
             out[sl] = solve_base_inclusion(W, _over(gamma, c), A_b, _over(v[sl], c),
                                            None if start is None else start[sl])

@@ -250,6 +250,24 @@ def test_finite_y_star_whose_sigma_overflows_is_a_corrupted_cut(solver):
         solver(m, identity_kernel(1), None, SolverConfig(step_size=1.0), [1e200])
 
 
+@pytest.mark.parametrize("solver", [solve_weak, solve_strong])
+def test_sigma_overflow_with_a_finite_step_is_a_corrupted_residual(solver):
+    # K = 1e300 Id: y* ~ 1e160 is finite and theta ~ -1e20 is too, so the
+    # step is finite; sigma = |y*|^2 overflows, and with it the residual.
+    m = MDecomposition(box_normal_cone([-1e-140], [1e-140]))
+    k = map_kernel(identity_map(1, scale=1e300))
+    with pytest.raises(SolverCorruptionError, match="^residual inf is not finite nonnegative"):
+        solver(m, k, None, SolverConfig(step_size=1.0), [2e-140])
+
+
+def test_iteration_records_are_immutable():
+    m = MDecomposition(box_normal_cone([-1.0], [1.0]))
+    rec = solve_weak(m, identity_kernel(1), None, SolverConfig(step_size=1.0), [2.0]).trace[0]
+    with pytest.raises(AttributeError):
+        rec.residual = 0.0
+    assert rec._replace(residual=0.0).residual == 0.0 and rec.residual > 0
+
+
 def test_non_finite_inner_residual_raises_at_once():
     # c = |W|^2 / alpha = 1e300, so c * start overflows although every oracle
     # output is finite: the loop stops at its first step instead of failing

@@ -41,6 +41,7 @@ from warpsplit import (
     zero_operator,
 )
 from warpsplit import kernels
+from warpsplit.cli import ProblemFile, generate_problem, parse_text
 from warpsplit.kernels import fbf_step, solve_base_inclusion
 
 from oracles import (
@@ -486,13 +487,19 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
         # and its repeat builds maps for it: a stale map fails there.
         for g in (0.6, 0.6, 1.9, 1.9, 1.9):
             v = rng.normal(size=layout.total) * 3
-            ref = []
+            ref, folded = [], []
             for (W, c), A, v_b in zip(base, blocks, layout.split(v)):
                 cs = c * (1.0 if W is None else W.scale_of_identity)
                 ref.append(A.resolvent(g / cs, v_b / cs))
+                # Each block's map as the hooks give it, applied on its own.
+                R, s = A.linear_resolvent(g if cs == 1.0 else g / cs)
+                folded.append(np.dot(np.divide(R, cs), v_b) - np.dot(R, s))
             ref = np.concatenate(ref)
+            looped = len(calls)
             p = k.backward_solve(g, set_part, v)
             assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
+            if len(calls) == looped:  # solved by the maps
+                assert p.tobytes() == np.concatenate(folded).tobytes(), (trial, g)
         assert len(calls) == len(dims)
 
 
@@ -843,6 +850,24 @@ def two_by_two_coupled_problem(rng, alpha0=1.0, chi0=1.0):
     couplings = {(j, i): rng.normal(size=(dd[j], pd[i])) for j in range(2) for i in range(2)
                  if (j, i) != (1, 0)}
     return CoupledProblem(primal, dual, couplings), mats
+
+
+def test_generated_coupled_kernel_is_its_literal_formula():
+    # The fold's gamma is 1.0, so K u is the base's coefficients times u,
+    # minus the Kuhn-Tucker forward map, to the last bit.
+    for seed in (1, 2):
+        prob = ProblemFile(parse_text(generate_problem("coupled", 2, seed))).problem
+        steps = [b.default_step for b in prob.primal + prob.dual]
+        c = prob.skew_norm()
+        k = coupled_kernel(prob, [identity_map(b.dim) for b in prob.primal],
+                           [identity_map(b.dim) for b in prob.dual], steps[:len(prob.primal)],
+                           steps[len(prob.primal):], c)
+        coef = np.repeat([1.0 / s for s in steps] + [c] * len(prob.dual), prob.layout.dims)
+        fwd = prob.kt_forward()
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            u = rng.normal(size=prob.layout.total) * 3
+            assert k.eval(u).tobytes() == (coef * u - fwd(u)).tobytes()
 
 
 def test_kt_forward_matches_blockwise_formula():
