@@ -86,12 +86,23 @@ def stage_at(value, n):
 def staged(build, *inputs):
     """``build(*inputs)`` once when no input is a schedule, else n -> build at stage n.
 
-    Constant inputs thus build one object (a kernel, a stage list) per run,
-    and schedules one per iteration, read by ``stage_at``.
+    A schedule builds again only when the stage values read by ``stage_at``
+    differ from the last build's (a list by the items it held then).
     """
     if not any(map(_is_schedule, inputs)):
         return build(*inputs)
-    return lambda n: build(*(stage_at(v, n) for v in inputs))
+    last = [None, None]  # a snapshot of the last build's stage values, and that build
+
+    def at(n):
+        values = [stage_at(v, n) for v in inputs]
+        try:  # an array, or an == that raises TypeError or ValueError, is a change
+            same = values == last[0] and not any(isinstance(v, np.ndarray) for v in values)
+        except (TypeError, ValueError):
+            same = False
+        if not same:
+            last[:] = [list(v) if isinstance(v, list) else v for v in values], build(*values)
+        return last[1]
+    return at
 
 
 @dataclass
@@ -767,10 +778,6 @@ class KuhnTuckerPoint:
         return parts[:nI], parts[nI:nI + nJ], parts[nI + nJ:]
 
     @classmethod
-    def from_flat(cls, p, problem: CoupledProblem) -> "KuhnTuckerPoint":
-        return cls(p, problem)
-
-    @classmethod
     def lift(cls, problem: CoupledProblem, x_blocks, v_blocks) -> "KuhnTuckerPoint":
         """Lift a primal-dual pair, given block by block, to (x, Lx - r, v*)."""
         x = problem.primal_layout.join([vector(b) for b in x_blocks])
@@ -824,14 +831,14 @@ def _identity_stages(blocks, side, consts, sym):
     return [identity_map(blk.dim) for blk in blocks]
 
 
-def _stage_steps(steps, blocks, kind):
+def _stage_steps(steps, defaults, kind):
     # One stage constant per block: the blocks' defaults, or a scalar broadcast.
     if steps is None:
-        return [blk.default_step for blk in blocks]
+        return defaults
     fixed = [float(s) for s in np.atleast_1d(np.asarray(steps, dtype=float))]
     if len(fixed) == 1:
-        fixed = fixed * len(blocks)
-    if len(fixed) != len(blocks):
+        fixed = fixed * len(defaults)
+    if len(fixed) != len(defaults):
         raise ConfigurationError(f"need one {kind} per block, got {len(fixed)}")
     return fixed
 
@@ -862,13 +869,13 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
         F_schedule = _identity_stages(problem.primal, "primal", "(alpha, chi)", "F")
     if W_schedule is None:
         W_schedule = _identity_stages(problem.dual, "dual", "(beta, kappa)", "W")
-    gammas = staged(lambda g: _stage_steps(g, problem.primal, "gamma"), gamma_schedules)
-    taus = staged(lambda t: _stage_steps(t, problem.dual, "tau"), tau_schedules)
-    kernels = staged(lambda F, W, g, t: coupled_kernel(problem, F, W, g, t, c),
-                     F_schedule, W_schedule, gammas, taus)
+    gamma0, tau0 = ([b.default_step for b in part] for part in (problem.primal, problem.dual))
+    kernels = staged(lambda F, W, g, t: coupled_kernel(
+        problem, F, W, _stage_steps(g, gamma0, "gamma"), _stage_steps(t, tau0, "tau"), c),
+        F_schedule, W_schedule, gamma_schedules, tau_schedules)
     start = KuhnTuckerPoint.zero(problem) if start is None else start
     res = solve_weak(problem.decomposition(), kernels, policy, cfg, start.flatten())
-    point = KuhnTuckerPoint.from_flat(res.x, problem)
+    point = KuhnTuckerPoint(res.x, problem)
     return SolveResult(
         x=point, trace=res.trace, status=res.status, stop_reason=res.stop_reason,
         iterations=res.iterations, kt_residuals=kt_residuals(problem, point))

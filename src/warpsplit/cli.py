@@ -499,8 +499,7 @@ class ProblemFile:
             sv = _stacked(start, "v_star", self.problem.dual_layout)
             if start.get("y") is not None:
                 sy = _stacked(start, "y", self.problem.dual_layout)
-                self.start = alg.KuhnTuckerPoint.from_flat(
-                    np.concatenate([sx, sy, sv]), self.problem)
+                self.start = alg.KuhnTuckerPoint(np.concatenate([sx, sy, sv]), self.problem)
             else:
                 self.start = alg.KuhnTuckerPoint.from_pair(self.problem, sx, sv)
         self.zeros = []

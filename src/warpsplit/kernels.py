@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 
 import numpy as np
 
@@ -104,11 +103,6 @@ def _over(v, c):
     return v if c == 1.0 else v / c
 
 
-# Per set part: its last (gamma, scales) and their _linear_maps, or False
-# until that key repeats.  Weak keys: an entry goes with its set part.
-_LINEAR = weakref.WeakKeyDictionary()
-
-
 def _linear_maps(set_part, gamma, scales):
     """Per block (slice, R_b / C_b), and the stacked R_b s_b; None if a block has no hook.
 
@@ -118,15 +112,16 @@ def _linear_maps(set_part, gamma, scales):
     """
     if any(A.linear_resolvent is None for A in set_part.blocks):
         return None
-    maps, offsets = [], []
+    maps, offsets = [], np.empty(set_part.dim)
     for k, (a, A, C) in enumerate(zip(set_part.layout.offsets, set_part.blocks, scales)):
         R, s = A.linear_resolvent(gamma if C == 1.0 else gamma / C)
-        if np.shape(R) not in ((), (A.dim, A.dim)) or np.shape(s) != (A.dim,):
+        R, s = np.asarray(R), np.asarray(s)
+        if R.shape not in ((), (A.dim, A.dim)) or s.shape != (A.dim,):
             raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
-                                         f"R {np.shape(R)}, s {np.shape(s)}, block dim {A.dim}")
-        maps.append((slice(a, a + A.dim), np.divide(R, C)))
-        offsets.append(np.dot(R, s))
-    return maps, np.concatenate(offsets)
+                                         f"R {R.shape}, s {s.shape}, block dim {A.dim}")
+        maps.append((slice(a, a + A.dim), R / C))
+        offsets[a:a + A.dim] = np.dot(R, s)
+    return maps, offsets
 
 
 def solve_base_inclusion(W, gamma, A, v, start=None):
@@ -250,6 +245,7 @@ class Kernel:
             coefs.append(0.0 if s is None else c * s)
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
         self._scales = None if self._general else tuple(coefs)
+        self._maps = None, None, None  # the last (gamma, set part, _linear_maps)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -284,11 +280,9 @@ class Kernel:
         A kernel of several blocks needs a ``BlockDiagonalOperator`` set part
         on its layout; a one-block kernel hands its block's output back.
         When every block is identity-like and every set-part block declares
-        ``linear_resolvent``, each block is one affine map (``_linear_maps``),
-        kept per set part for its last (gamma, scales) so that a staged run's
-        kernels share them.  They are built at a set part's first solve and
-        when a key repeats; a changed key runs the loop, which costs less
-        than maps used once.
+        ``linear_resolvent``, each block is one affine map (``_linear_maps``).
+        The kernel keeps the maps of its last (gamma, set part) and builds
+        them again on a miss, so a solve never depends on what came before.
         """
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
@@ -308,12 +302,11 @@ class Kernel:
                 f"its layout {self.layout.dims}")
         out = np.empty(self.dim)
         if self._scales is not None:
-            key = gamma, self._scales
-            last, maps = _LINEAR.get(set_part, (key, False))
-            if last != key or maps is False:
-                maps = _linear_maps(set_part, gamma, self._scales) if last == key else False
-                _LINEAR[set_part] = key, maps
-            if maps:
+            g0, part0, maps = self._maps  # one read: another thread may replace the entry
+            if g0 != gamma or part0 is not set_part:
+                maps = _linear_maps(set_part, gamma, self._scales)
+                self._maps = gamma, set_part, maps
+            if maps is not None:
                 blocks, offsets = maps
                 for sl, Rc in blocks:
                     np.dot(Rc, v[sl], out=out[sl])

@@ -442,33 +442,90 @@ def test_tseng_zero_forward_is_single_proximal_step():
     assert res.iterations == 2  # first step projects, second certifies
 
 
-def test_fbf_kernel_built_once_for_constant_step(monkeypatch):
-    calls = []
-    build = algorithms.fbf_kernel
+def trace_bytes(res):
+    """A run's trace, field by field, as bytes: equal only when bit for bit equal."""
+    return [tuple(np.asarray(field).tobytes() for field in rec) for rec in res.trace]
+
+
+def counted_builds(monkeypatch, name):
+    calls, build = [], getattr(algorithms, name)
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(algorithms, "fbf_kernel", counting)
+    monkeypatch.setattr(algorithms, name, counting)
+    return calls
+
+
+def test_fbf_kernel_built_once_for_constant_step(monkeypatch):
+    # A constant step and a constant-valued step schedule both build one
+    # kernel, and run the same iterates bit for bit.
+    calls = counted_builds(monkeypatch, "fbf_kernel")
     A, B = box_normal_cone([1.0], [2.0]), affine_map([[1.0]], [-3.0])
     cfg = SolverConfig(epsilon=0.1, max_iter=40, tol_residual=1e-300, tol_step=1e-300)
     const = solve_tseng(A, B, 0.5, cfg, [0.0])
     assert len(calls) == 1 and const.iterations == 40
     calls.clear()
     sched = solve_tseng(A, B, lambda n: 0.5, cfg, [0.0])
-    assert len(calls) == 40
-    np.testing.assert_array_equal(sched.x, const.x)
-    # A W operator is a constant; a W schedule builds one kernel per iteration.
+    assert len(calls) == 1
+    assert trace_bytes(sched) == trace_bytes(const)
+    # A W operator is a constant; a W schedule that returns one operator is
+    # one stage, and a fresh operator each iteration is a new stage.
     W = identity_map(1)
     calls.clear()
     const = solve_fbf_memory(A, B, W, 0.5, None, cfg, [0.0])
     assert len(calls) == 1
     calls.clear()
     sched = solve_fbf_memory(A, B, lambda n: W, 0.5, None, cfg, [0.0])
-    assert len(calls) == sched.iterations == const.iterations
-    np.testing.assert_array_equal(sched.x, const.x)
-    assert [r.gamma for r in sched.trace] == [r.gamma for r in const.trace]
+    assert len(calls) == 1
+    assert trace_bytes(sched) == trace_bytes(const)
+    calls.clear()
+    fresh = solve_fbf_memory(A, B, lambda n: identity_map(1), 0.5, None, cfg, [0.0])
+    assert len(calls) == fresh.iterations == const.iterations
+    assert trace_bytes(fresh) == trace_bytes(const)
+
+
+def test_varying_step_builds_once_per_distinct_stage(monkeypatch):
+    # A stage is rebuilt when its value differs from the last build's: a
+    # stepwise schedule builds once per step, an alternating one each time.
+    calls = counted_builds(monkeypatch, "fbf_kernel")
+    A, B = box_normal_cone([1.0], [2.0]), affine_map([[1.0]], [-3.0])
+    cfg = SolverConfig(epsilon=0.1, max_iter=40, tol_residual=1e-300, tol_step=1e-300)
+    steps = lambda n: 0.5 if n < 10 else 0.45 if n < 25 else 0.4  # noqa: E731
+    res = solve_tseng(A, B, steps, cfg, [0.0])
+    assert [c[2] for c in calls] == [0.5, 0.45, 0.4]
+    assert [r.gamma for r in res.trace] == [steps(n) for n in range(40)]
+    calls.clear()
+    res = solve_tseng(A, B, lambda n: (0.5, 0.4)[n % 2], cfg, [0.0])
+    assert len(calls) == res.iterations == 40
+
+
+def test_staged_compares_stage_values_with_their_snapshot():
+    builds = []
+    build = lambda *values: builds.append(values) or len(builds)  # noqa: E731
+    # Equal values return the last build; a float equal to an int is equal.
+    at = algorithms.staged(build, lambda n: (1, 1.0, 2)[n], 7)
+    assert [at(n) for n in range(3)] == [1, 1, 2]
+    # A list is compared by the items it held at build time.
+    row = [0.5]
+
+    def mutating(n):
+        row[0] = 0.5 + n % 2
+        return row
+    at = algorithms.staged(build, mutating)
+    assert [at(n) for n in range(4)] == [3, 4, 5, 6]
+    at = algorithms.staged(build, lambda n: [0.5])
+    assert [at(n) for n in range(3)] == [7, 7, 7]
+    # An array, or an == that raises, is a change.
+    at = algorithms.staged(build, lambda n: np.array([0.5]))
+    assert [at(n) for n in range(2)] == [8, 9]
+
+    class Unequal:
+        def __eq__(self, other):
+            raise TypeError("no ==")
+    at = algorithms.staged(build, lambda n: Unequal())
+    assert [at(n) for n in range(2)] == [10, 11]
 
 
 def test_weak_kernel_schedule_called_once_per_iteration():
@@ -585,7 +642,7 @@ def test_kt_residuals_scalar_zero_by_hand():
         [PrimalBlock(A=scaled_identity_operator(1, 1.0))],
         [DualBlock(B=scaled_identity_operator(1, 1.0), r=[2.0])],
         {(0, 0): [[1.0]]})
-    point = KuhnTuckerPoint.from_flat(np.array([x, y, v]), prob)
+    point = KuhnTuckerPoint(np.array([x, y, v]), prob)
     res = kt_residuals(prob, point)
     assert max(res) <= 1e-12
 
@@ -597,7 +654,7 @@ def test_kt_point_is_one_frozen_flat_vector():
         [DualBlock(B=scaled_identity_operator(2, 1.0))],
         {(0, 1): np.eye(2)})
     flat = np.arange(7.0)
-    point = KuhnTuckerPoint.from_flat(flat, prob)
+    point = KuhnTuckerPoint(flat, prob)
     flat[0] = 99.0  # the point keeps its own copy
     np.testing.assert_array_equal(point.flatten(), np.arange(7.0))
     np.testing.assert_array_equal(point.x, [0.0, 1.0, 2.0])
@@ -608,7 +665,7 @@ def test_kt_point_is_one_frozen_flat_vector():
     for view in (point.x, point.y, point.v_star, *xs, *ys, *vs):
         assert not view.flags.writeable
     with pytest.raises(DimensionMismatchError):
-        KuhnTuckerPoint.from_flat(np.zeros(6), prob)
+        KuhnTuckerPoint(np.zeros(6), prob)
 
 
 def test_kt_zero_matches_dense_solve_on_random_saddle():
@@ -623,7 +680,7 @@ def test_kt_zero_matches_dense_solve_on_random_saddle():
     xs, ys, vs = dense_kt_solution([P], [s], [R], [r], {(0, 0): L}, [2], [2])
     prob = CoupledProblem([PrimalBlock(A=affine_resolvent_operator(P), s_star=s)],
                           [DualBlock(B=affine_resolvent_operator(R), r=r)], {(0, 0): L})
-    point = KuhnTuckerPoint.from_flat(np.concatenate([xs[0], ys[0], vs[0]]), prob)
+    point = KuhnTuckerPoint(np.concatenate([xs[0], ys[0], vs[0]]), prob)
     assert max(kt_residuals(prob, point)) <= 1e-9
 
 
@@ -769,14 +826,9 @@ def test_coupled_step_one_is_the_default_step():
 
 
 def test_coupled_kernel_built_once_for_constant_stage_constants(monkeypatch):
-    calls = []
-    build = algorithms.coupled_kernel
-
-    def counting(*args):
-        calls.append(1)
-        return build(*args)
-
-    monkeypatch.setattr(algorithms, "coupled_kernel", counting)
+    # Constant stage constants, and a schedule that returns one unchanged
+    # list, build one kernel; each run is the constant run bit for bit.
+    calls = counted_builds(monkeypatch, "coupled_kernel")
     prob, _, _ = two_primal_one_dual_quadratic(np.random.default_rng(43))
     cfg = SolverConfig(max_iter=20_000, tol_residual=1e-9, tol_step=1e-9)
     const = solve_coupled(prob, cfg)
@@ -784,5 +836,29 @@ def test_coupled_kernel_built_once_for_constant_stage_constants(monkeypatch):
     calls.clear()
     gammas = [b.default_step for b in prob.primal]
     sched = solve_coupled(prob, cfg, gamma_schedules=lambda n: gammas)
-    assert sched.converged and len(calls) == sched.iterations == const.iterations
-    np.testing.assert_array_equal(sched.x.flatten(), const.x.flatten())
+    assert sched.converged and len(calls) == 1
+    assert trace_bytes(sched) == trace_bytes(const)
+    # An array value is a new stage every iteration, and still runs.
+    calls.clear()
+    arrays = solve_coupled(prob, cfg, gamma_schedules=lambda n: np.array(gammas))
+    assert len(calls) == arrays.iterations == const.iterations
+    assert trace_bytes(arrays) == trace_bytes(const)
+
+
+def test_coupled_schedule_mutating_one_list_gets_a_build_per_change(monkeypatch):
+    # A schedule that rewrites and returns one list in place: each change
+    # is a new build, and the run equals one with a fresh list per stage.
+    calls = counted_builds(monkeypatch, "coupled_kernel")
+    prob, _, _ = two_primal_one_dual_quadratic(np.random.default_rng(43))
+    cfg = SolverConfig(max_iter=300, tol_residual=1e-9, tol_step=1e-9)
+    gammas = [b.default_step for b in prob.primal]
+    fresh = lambda n: [gammas[0] * (1.0, 0.99)[n % 2]] + gammas[1:]  # noqa: E731
+    row = list(gammas)
+
+    def mutating(n):
+        row[:] = fresh(n)
+        return row
+    res = solve_coupled(prob, cfg, gamma_schedules=mutating)
+    assert len(calls) == res.iterations
+    assert [c[3] for c in calls] == [fresh(n) for n in range(res.iterations)]
+    assert trace_bytes(res) == trace_bytes(solve_coupled(prob, cfg, gamma_schedules=fresh))

@@ -470,9 +470,17 @@ def counted_block_loop(monkeypatch):
     return calls
 
 
+def counted_map_builds(monkeypatch):
+    """Count ``_linear_maps`` builds; the list grows by one per build."""
+    builds, build = [], kernels._linear_maps
+    monkeypatch.setattr(kernels, "_linear_maps", lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
 def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
     rng = np.random.default_rng(93)
     calls = counted_block_loop(monkeypatch)
+    builds = counted_map_builds(monkeypatch)
     for trial in range(20):
         dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 6))))
         blocks = [linear_resolvent_cases(rng, d)[rng.integers(6)] for d in dims]
@@ -482,9 +490,9 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
         layout = BlockLayout(dims)
         k = Kernel(layout.total, base, layout, None, 0.1, 10.0)
         set_part = BlockDiagonalOperator(blocks, layout)
-        del calls[:]
-        # The first solve builds the maps; the new gamma runs the loop once,
-        # and its repeat builds maps for it: a stale map fails there.
+        del builds[:]
+        # Every solve takes the maps, built at the first solve and again
+        # when gamma changes: a stale map fails at the new gamma's solves.
         for g in (0.6, 0.6, 1.9, 1.9, 1.9):
             v = rng.normal(size=layout.total) * 3
             ref, folded = [], []
@@ -495,32 +503,55 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
                 R, s = A.linear_resolvent(g if cs == 1.0 else g / cs)
                 folded.append(np.dot(np.divide(R, cs), v_b) - np.dot(R, s))
             ref = np.concatenate(ref)
-            looped = len(calls)
             p = k.backward_solve(g, set_part, v)
             assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
-            if len(calls) == looped:  # solved by the maps
-                assert p.tobytes() == np.concatenate(folded).tobytes(), (trial, g)
-        assert len(calls) == len(dims)
+            assert p.tobytes() == np.concatenate(folded).tobytes(), (trial, g)
+        assert len(builds) == 2 and not calls
 
 
-def test_staged_kernels_share_their_set_parts_maps(monkeypatch):
-    # One kernel per stage, as a staged run builds them: a changed scale runs
-    # the loop once, and a settled one reuses the maps built at its repeat.
+def test_each_kernel_builds_its_own_maps(monkeypatch):
+    # One kernel per stage, as a staged run builds them: each kernel builds
+    # its maps at its first solve and reuses them; no solve runs the loop.
     calls = counted_block_loop(monkeypatch)
-    builds, build = [], kernels._linear_maps
-    monkeypatch.setattr(kernels, "_linear_maps", lambda *args: builds.append(args) or build(*args))
+    builds = counted_map_builds(monkeypatch)
     layout = BlockLayout((2, 2))
     set_part = BlockDiagonalOperator([zero_operator(2), constant_operator([1.0, 2.0])], layout)
-    for c, loops, built in ((1.0, 0, 1), (2.0, 2, 1), (3.0, 4, 1), (3.0, 4, 2), (3.0, 4, 2)):
+    for n, c in enumerate((1.0, 2.0, 3.0, 3.0), 1):
         k = Kernel(4, [(None, c), (None, 1.0)], layout, None, 1.0, 3.0)
-        np.testing.assert_allclose(k.backward_solve(1.0, set_part, np.ones(4)),
-                                   [1 / c, 1 / c, 0.0, -1.0])
-        assert (len(calls), len(builds)) == (loops, built), c
+        for _ in range(2):
+            np.testing.assert_allclose(k.backward_solve(1.0, set_part, np.ones(4)),
+                                       [1 / c, 1 / c, 0.0, -1.0])
+        assert (len(calls), len(builds)) == (0, n), c
 
 
-def test_one_kernel_keeps_maps_per_set_part(monkeypatch):
-    # Two set parts at the same (gamma, scales): each is solved by its own maps.
+def test_a_blockwise_solve_does_not_depend_on_earlier_solves():
+    # The same (gamma, set part, v) gives the same bytes whatever the kernel
+    # solved before: on a fresh kernel, after another gamma, and repeated.
+    rng = np.random.default_rng(95)
+    layout = BlockLayout((3, 2))
+    mats = [monotone_matrix(rng, d) for d in layout.dims]
+    offsets = [rng.normal(size=d) for d in layout.dims]
+
+    def solve(history, g, v):
+        set_part = BlockDiagonalOperator(
+            [affine_resolvent_operator(M, b) for M, b in zip(mats, offsets)], layout)
+        k = Kernel(5, [(None, 1.7), (None, 0.6)], layout, None, 0.6, 1.7)
+        for h in history:
+            k.backward_solve(h, set_part, v)
+        return k.backward_solve(g, set_part, v).tobytes()
+
+    for _ in range(20):
+        g, other = rng.uniform(0.2, 2.0, size=2)
+        v = rng.normal(size=5) * 3
+        fresh = solve([], g, v)
+        assert solve([other], g, v) == solve([other, g], g, v) == fresh
+
+
+def test_one_kernel_rebuilds_its_maps_for_another_set_part(monkeypatch):
+    # Two set parts at the same gamma, in turn: each miss builds the maps of
+    # the set part at hand, and no solve runs the loop.
     calls = counted_block_loop(monkeypatch)
+    builds = counted_map_builds(monkeypatch)
     layout = BlockLayout((2, 2))
     k = Kernel(4, [(None, 2.0), (None, 1.0)], layout, None, 1.0, 3.0)
     parts = {a: BlockDiagonalOperator([zero_operator(2), constant_operator([a, 2.0])], layout)
@@ -528,7 +559,7 @@ def test_one_kernel_keeps_maps_per_set_part(monkeypatch):
     for a in (1.0, 5.0, 1.0, 5.0):
         np.testing.assert_allclose(k.backward_solve(1.0, parts[a], np.ones(4)),
                                    [0.5, 0.5, 1.0 - a, -1.0])
-    assert len(calls) == 0
+    assert len(calls) == 0 and len(builds) == 4
 
 
 def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
@@ -550,13 +581,23 @@ def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
 
 
 def test_a_wrong_linear_resolvent_shape_names_its_block():
-    user = SetValuedOperator(2, lambda g, x: x, name="user")
-    user.linear_resolvent = lambda g: (np.eye(3), np.zeros(2))
-    layout = BlockLayout((1, 2))
-    k = Kernel(3, [(None, 1.0), (None, 2.0)], layout, None, 1.0, 2.0)
-    set_part = BlockDiagonalOperator([zero_operator(1), user], layout)
+    def solve(hook):
+        user = SetValuedOperator(2, lambda g, x: x, name="user")
+        user.linear_resolvent = hook
+        layout = BlockLayout((1, 2))
+        k = Kernel(3, [(None, 1.0), (None, 2.0)], layout, None, 1.0, 2.0)
+        return k.backward_solve(1.0, BlockDiagonalOperator([zero_operator(1), user], layout),
+                                np.ones(3))
+
     with pytest.raises(DimensionMismatchError, match=r"block 1 \(user\)"):
-        k.backward_solve(1.0, set_part, np.ones(3))
+        solve(lambda g: (np.eye(3), np.zeros(2)))
+    with pytest.raises(DimensionMismatchError, match=r"block 1 \(user\): R \(2, 3\)"):
+        solve(lambda g: ([[1.0, 0.0, 0.0]] * 2, np.zeros(2)))
+    # A 0-d R, a float, numpy scalar or array, stands for R * Id; a list R is
+    # read by its shape, as an array is.
+    for R in (0.5, np.float64(0.5), np.array(0.5), [[0.5, 0.0], [0.0, 0.5]]):
+        np.testing.assert_array_equal(solve(lambda g: (R, np.array([0.0, 2.0]))),
+                                      [1.0, 0.25, -0.75])
 
 
 def test_averagedness_of_warped_resolvent():
@@ -899,7 +940,7 @@ def test_kt_residuals_match_blockwise_formula():
     rng = np.random.default_rng(63)
     prob, _ = two_by_two_coupled_problem(rng)
     for _ in range(50):
-        point = KuhnTuckerPoint.from_flat(rng.normal(size=prob.layout.total) * 3, prob)
+        point = KuhnTuckerPoint(rng.normal(size=prob.layout.total) * 3, prob)
         xs, _, vs = point.blocks()
         ref = blockwise_kt_residuals(prob, xs, vs)
         got = np.array(kt_residuals(prob, point))
