@@ -811,12 +811,13 @@ def kt_residuals(problem: CoupledProblem, point: KuhnTuckerPoint):
     lx = problem.dual_layout.split(problem.coupling @ point.x)
     out = []
     for blk, x, lt_i in zip(problem.primal, xs, lt):
-        w = x + (blk.s_star - lt_i - blk.C(x))
-        out.append(float(np.linalg.norm(x - blk.A.resolvent(1.0, w))))
+        w = blk.s_star - lt_i  # a C_i or D_j not given is zero: skipping it keeps the bits
+        w = x + (w - blk.C(x) if blk._C_given else w)
+        out.append(_length(x - blk.A.resolvent(1.0, w)))
     for blk, lx_j, v in zip(problem.dual, lx, vs):
         u = lx_j - blk.r
-        w = u + v - blk.D(u)
-        out.append(float(np.linalg.norm(u - blk.B.resolvent(1.0, w))))
+        w = u + v
+        out.append(_length(u - blk.B.resolvent(1.0, w - blk.D(u) if blk._D_given else w)))
     return tuple(out)
 
 

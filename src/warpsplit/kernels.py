@@ -104,23 +104,34 @@ def _over(v, c):
 
 
 def _linear_maps(set_part, gamma, scales):
-    """Per block (slice, R_b / C_b), and the stacked R_b s_b; None if a block has no hook.
+    """Per run of blocks (slice, R, shape), and the stacked R_b s_b; None if a block has no hook.
 
-    Block b of ``C_b p_b + gamma A_b(p_b) = v_b`` is then ``(R_b / C_b) v_b -
+    Block b of ``C_b p_b + gamma A_b(p_b) = v_b`` is ``(R_b / C_b) v_b -
     R_b s_b``, from ``linear_resolvent`` at gamma / C_b; folded so, the
-    scalar test problem's zero stays exact.
+    scalar test problem's zero stays exact.  A run is a row of scalar-R blocks
+    (R: one read-only coefficient per coordinate; shape None) or of d_b x d_b
+    ones (R: their read-only (k, d_b, d_b) stack; shape (k, d_b, 1) for
+    ``np.matmul``), so the cost stays Σ d_b² on matrix blocks, O(d_b) on scalar ones.
     """
     if any(A.linear_resolvent is None for A in set_part.blocks):
         return None
-    maps, offsets = [], np.empty(set_part.dim)
+    runs, offsets = [], np.empty(set_part.dim)  # runs: (offset, R shape, R_b / C_b's, d_b's)
     for k, (a, A, C) in enumerate(zip(set_part.layout.offsets, set_part.blocks, scales)):
         R, s = A.linear_resolvent(gamma if C == 1.0 else gamma / C)
         R, s = np.asarray(R), np.asarray(s)
         if R.shape not in ((), (A.dim, A.dim)) or s.shape != (A.dim,):
             raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
                                          f"R {R.shape}, s {s.shape}, block dim {A.dim}")
-        maps.append((slice(a, a + A.dim), R / C))
+        if not runs or runs[-1][1] != R.shape:
+            runs.append((a, R.shape, [], []))
+        runs[-1][2].append(R / C)
+        runs[-1][3].append(A.dim)
         offsets[a:a + A.dim] = np.dot(R, s)
+    maps = []
+    for a, shape, Rs, dims in runs:
+        R = np.stack(Rs) if shape else np.array(Rs).repeat(dims)
+        R.flags.writeable = False
+        maps.append((slice(a, a + sum(dims)), R, (len(Rs), shape[0], 1) if shape else None))
     return maps, offsets
 
 
@@ -250,7 +261,13 @@ class Kernel:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x) -> np.ndarray:
-        """K x, shape-checked but not scanned for NaN/Inf.
+        """K x, with x checked for the kernel's dimension (``_eval`` checks nothing)."""
+        x = np.asarray(x, dtype=float)
+        check_dim(x, self.dim, "kernel %s argument", self.name)
+        return self._eval(x)
+
+    def _eval(self, x) -> np.ndarray:
+        """K x for a float vector x of the kernel's dimension, not scanned for NaN/Inf.
 
         The base and forward maps are called through
         ``SingleValuedOperator._apply``, which checks each output's shape
@@ -258,8 +275,6 @@ class Kernel:
         y* of the graph point it feeds: the engine's certificate and the
         scans of ``graph_point`` and ``warped_resolvent`` catch it there.
         """
-        x = np.asarray(x, dtype=float)
-        check_dim(x, self.dim, "kernel %s argument", self.name)
         y = np.empty(self.dim) if self._coef is None else self._coef * x
         for sl, W, c in self._general:
             y[sl] = c * W._apply(x[sl])
@@ -271,19 +286,16 @@ class Kernel:
 
     # -- warped backward solve ----------------------------------------------
 
-    def backward_solve(self, gamma, set_part: SetValuedOperator, v, start=None) -> np.ndarray:
-        """Solve v in K_base(p) + gamma * A(p); ``start`` warm-starts inner loops.
+    def _check_set_part(self, set_part):
+        """A kernel of several blocks needs a block-diagonal set part on its layout."""
+        if len(self.base) > 1 and (not isinstance(set_part, BlockDiagonalOperator)
+                                   or set_part.layout.dims != self.layout.dims):
+            raise ConfigurationError(
+                f"kernel {self.name!r} needs a block-diagonal set part matching "
+                f"its layout {self.layout.dims}")
 
-        Blockwise ``solve_base_inclusion``, through the unscanned oracle
-        entries: each block's output is shape-checked, and certified finite
-        only by an inner loop's residual; the graph point certifies the rest.
-        A kernel of several blocks needs a ``BlockDiagonalOperator`` set part
-        on its layout; a one-block kernel hands its block's output back.
-        When every block is identity-like and every set-part block declares
-        ``linear_resolvent``, each block is one affine map (``_linear_maps``).
-        The kernel keeps the maps of its last (gamma, set part) and builds
-        them again on a miss, so a solve never depends on what came before.
-        """
+    def backward_solve(self, gamma, set_part: SetValuedOperator, v, start=None) -> np.ndarray:
+        """Solve v in K_base(p) + gamma * A(p): ``_backward`` for checked gamma, v and set part."""
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
         v = np.asarray(v, dtype=float)
@@ -291,15 +303,26 @@ class Kernel:
         if set_part.dim != self.dim:
             raise DimensionMismatchError(
                 f"set part dim {set_part.dim} != kernel dim {self.dim}")
+        self._check_set_part(set_part)
+        return self._backward(gamma, set_part, v, start)
+
+    def _backward(self, gamma, set_part, v, start=None) -> np.ndarray:
+        """``backward_solve`` unchecked; ``start`` warm-starts inner loops.
+
+        Blockwise ``solve_base_inclusion``, through the unscanned oracle
+        entries: each block's output is shape-checked, and certified finite
+        only by an inner loop's residual; the graph point certifies the rest.
+        A one-block kernel hands its block's output back.  When every block
+        is identity-like and every set-part block declares
+        ``linear_resolvent``, the blocks are affine maps (``_linear_maps``),
+        one numpy call per run, with the bytes of each block's own ``np.dot``.
+        The kernel keeps the maps of its last (gamma, set part) and builds
+        them again on a miss, so a solve never depends on what came before.
+        """
         # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c, per block
         if len(self.base) == 1:
             (W, c), = self.base
             return solve_base_inclusion(W, _over(gamma, c), set_part, _over(v, c), start)
-        if not isinstance(set_part, BlockDiagonalOperator) or \
-                set_part.layout.dims != self.layout.dims:
-            raise ConfigurationError(
-                f"kernel {self.name!r} needs a block-diagonal set part matching "
-                f"its layout {self.layout.dims}")
         out = np.empty(self.dim)
         if self._scales is not None:
             g0, part0, maps = self._maps  # one read: another thread may replace the entry
@@ -307,9 +330,12 @@ class Kernel:
                 maps = _linear_maps(set_part, gamma, self._scales)
                 self._maps = gamma, set_part, maps
             if maps is not None:
-                blocks, offsets = maps
-                for sl, Rc in blocks:
-                    np.dot(Rc, v[sl], out=out[sl])
+                runs, offsets = maps
+                for sl, R, shape in runs:
+                    if shape is None:
+                        np.multiply(R, v[sl], out=out[sl])
+                    else:
+                        np.matmul(R, v[sl].reshape(shape), out=out[sl].reshape(shape))
                 out -= offsets
                 return out
         for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
@@ -322,9 +348,11 @@ class Kernel:
 
 
 def _check_pairing(m: MDecomposition, kernel: Kernel, gamma):
+    """Check the kernel against M once per stage: dimension, set part layout, and fold."""
     if m.dim != kernel.dim:
         raise DimensionMismatchError(
             f"M has dim {m.dim}, kernel {kernel.name!r} has dim {kernel.dim}")
+    kernel._check_set_part(m.set_part)
     if kernel.fold is None:
         if m.forward_part is not None:
             raise ConfigurationError(
@@ -346,15 +374,15 @@ def _check_pairing(m: MDecomposition, kernel: Kernel, gamma):
 
 
 def _warped_pair(m: MDecomposition, kernel: Kernel, gamma, x, start=None):
-    """(y, y*) at x for a pairing the caller has checked, not scanned.
+    """(y, y*) at a float x of the kernel's dimension, for a checked pairing, not scanned.
 
     ``start`` warm-starts inner loops.  A NaN or Inf in K x or K y reaches
     y*, and one in the backward solve reaches y; the caller certifies the
     pair (``_scan_pair``, or the engine's theta and sigma).
     """
-    w = kernel.eval(x)
-    y = kernel.backward_solve(gamma, m.set_part, w, start)
-    return y, _over(w - kernel.eval(y), gamma)
+    w = kernel._eval(x)
+    y = kernel._backward(gamma, m.set_part, w, start)
+    return y, _over(w - kernel._eval(y), gamma)
 
 
 def _scan_pair(kernel: Kernel, x, y, y_star):
@@ -403,6 +431,7 @@ def graph_point(m: MDecomposition, kernel: Kernel, gamma, x_tilde) -> GraphPoint
         raise ConfigurationError(f"graph_point needs gamma > 0, got {gamma}")
     x_tilde = np.asarray(x_tilde, dtype=float)
     _check_pairing(m, kernel, gamma)
+    check_dim(x_tilde, kernel.dim, "kernel %s argument", kernel.name)
     with np.errstate(all="ignore"):
         y, y_star = _warped_pair(m, kernel, gamma, x_tilde)
         _scan_pair(kernel, x_tilde, y, y_star)

@@ -481,9 +481,18 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
     rng = np.random.default_rng(93)
     calls = counted_block_loop(monkeypatch)
     builds = counted_map_builds(monkeypatch)
-    for trial in range(20):
-        dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 6))))
-        blocks = [linear_resolvent_cases(rng, d)[rng.integers(6)] for d in dims]
+    # Blocks as (d_b, matrix R or not), and the runs they make: equal matrix
+    # blocks in a row, a run broken by a scalar block or by a size change,
+    # then random layouts of up to 8 blocks of size up to 5.
+    fixed = [[(2, True)] * 4, [(3, True)] * 3 + [(1, False), (3, True), (3, True)],
+             [(5, True), (5, True), (2, True), (2, True), (2, True), (4, False), (1, False)],
+             [(1, True), (1, False), (1, True), (1, True), (2, False)]]
+    drawn = [[(int(d), bool(rng.uniform() < 0.6)) for d in rng.integers(1, 6, size=n)]
+             for n in rng.integers(2, 9, size=20)]
+    for trial, spec in enumerate(fixed + drawn):
+        dims = tuple(d for d, _ in spec)
+        blocks = [linear_resolvent_cases(rng, d)[rng.integers(2) if matrix else rng.integers(2, 6)]
+                  for d, matrix in spec]
         # Bases: the identity, identity_map and a scaled identity_map, with c_b != 1.
         base = [(rng.choice([None, identity_map(d), identity_map(d, 2.5)]),
                  float(rng.uniform(0.3, 3.0))) for d in dims]
@@ -507,6 +516,18 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
             assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
             assert p.tobytes() == np.concatenate(folded).tobytes(), (trial, g)
         assert len(builds) == 2 and not calls
+        # One run per change of R's shape along the blocks: () for a scalar R.
+        shapes = [(d, d) if matrix else () for d, matrix in spec]
+        runs, _ = k._maps[2]
+        assert len(runs) == 1 + sum(a != b for a, b in zip(shapes, shapes[1:])), trial
+    # A scalar block is solved elementwise: no d x d array for zero_operator(500).
+    layout = BlockLayout((2, 500, 2))
+    blocks = [affine_resolvent_operator(monotone_matrix(rng, 2)), zero_operator(500),
+              affine_resolvent_operator(monotone_matrix(rng, 2))]
+    k = Kernel(504, [(None, 1.5), (None, 2.0), (None, 0.5)], layout, None, 0.5, 2.0)
+    set_part, v = BlockDiagonalOperator(blocks, layout), rng.normal(size=504)
+    np.testing.assert_array_equal(k.backward_solve(1.0, set_part, v)[2:502], v[2:502] / 2.0)
+    assert max(R.size for _, R, _ in k._maps[2][0]) == 500
 
 
 def test_each_kernel_builds_its_own_maps(monkeypatch):
@@ -945,6 +966,11 @@ def test_kt_residuals_match_blockwise_formula():
         ref = blockwise_kt_residuals(prob, xs, vs)
         got = np.array(kt_residuals(prob, point))
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        # The dual block given no D skips the zero term, to the same bits.
+        blk = prob.dual[1]
+        u = prob.dual_layout.split(prob.coupling @ point.x)[1] - blk.r
+        full = np.linalg.norm(u - blk.B.resolvent(1.0, u + vs[1] - blk.D(u)))
+        assert not blk._D_given and got[-1] == full
 
 
 def test_coupled_kernel_general_block_matches_blockwise_formula():
@@ -1074,12 +1100,36 @@ def test_one_block_kernels_are_their_literal_formulas():
                 assert got.tobytes() == solve_base_inclusion(W, g, A, v, start).tobytes()
 
 
-def test_several_blocks_need_a_matching_block_diagonal_set_part():
+def test_several_blocks_need_a_matching_block_diagonal_set_part(monkeypatch):
     k = primal_dual_kernel(LinearMap(np.ones((2, 3))), 1.0, 1.0)  # blocks (3, 2)
     swapped = BlockDiagonalOperator([zero_operator(2), zero_operator(3)], BlockLayout((2, 3)))
     for set_part in (ball_normal_cone(np.zeros(5), 1.0), swapped):
         with pytest.raises(ConfigurationError, match="block-diagonal set part"):
             k.backward_solve(1.0, set_part, np.ones(5))
+    # A run checks the set part's layout with the rest of the pairing, once
+    # per stage, so a coupled run raises before it evaluates the kernel.
+    prob = random_coupled_problem(np.random.default_rng(37))
+    F = [identity_map(b.dim) for b in prob.primal]
+    W = [identity_map(b.dim) for b in prob.dual]
+    k = coupled_kernel(prob, F, W, [b.default_step for b in prob.primal],
+                       [b.default_step for b in prob.dual])
+    evals = []
+    monkeypatch.setattr(Kernel, "_eval", lambda self, x: evals.append(x))
+    d = prob.layout.total
+    for set_part in (ball_normal_cone(np.zeros(d), 1.0),
+                     BlockDiagonalOperator([zero_operator(d - 2), zero_operator(2)])):
+        m = MDecomposition(set_part, prob.kt_forward())
+        with pytest.raises(ConfigurationError, match="needs a block-diagonal set part matching "
+                                                     r"its layout \(2, 2, 2, 2\)"):
+            solve_weak(m, k, None, SolverConfig(), np.zeros(d))
+    assert not evals
+
+
+def test_graph_point_checks_the_point_it_is_given():
+    m = MDecomposition(zero_operator(2))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^kernel identity argument: expected dimension 2, got shape \(3,\)$"):
+        graph_point(m, identity_kernel(2), 1.0, np.zeros(3))
 
 
 def test_zero_dimensional_kernel_and_solve():
