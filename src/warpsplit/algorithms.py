@@ -113,9 +113,9 @@ class SolverConfig:
     ``n -> float``, or a callable ``(n, ctx) -> float`` receiving the
     iteration context (used by the Tseng-implied relaxation).
     ``step_size`` is the gamma schedule, a constant or a callable
-    ``n -> float``.  None selects the solver's default: the step each
-    kernel K_n was folded with (1 for a kernel without a fold), or the
-    FBF default step for ``solve_fbf_memory`` and ``solve_tseng``.  A run
+    ``n -> float``, paired with K_n into each stage (K_n, gamma_n).  None
+    selects the solver's default: K_n's fold step (1 without a fold), or
+    the FBF default step for ``solve_fbf_memory`` and ``solve_tseng``.  A run
     raises StallError after ``STALL_LIMIT`` (50) consecutive idle cuts
     whose residual is not small.
     """
@@ -344,14 +344,14 @@ def _stall_floor(cfg, x):
 # Weak and strong warped proximal iterations
 # ---------------------------------------------------------------------------
 
-def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
+def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
              x0, anchored=False) -> SolveResult:
     """The iteration engine shared by every solver.
 
-    Each step: K_n from ``kernels`` (a Kernel or a schedule n -> Kernel),
-    gamma_n from ``step`` (a constant or a schedule; None reads the step
-    K_n was folded with, 1 without a fold), the policy point x~_n, the
-    graph point (y_n, y_n*) of the warped resolvent at x~_n, then the
+    Each step: the stage (K_n, gamma_n) from ``stages`` (a pair, or a
+    schedule n -> pair), checked (step floor, pairing with M) unless K_n
+    and gamma_n repeat the last pair checked; the policy point x~_n;
+    the graph point (y_n, y_n*) of the warped resolvent at x~_n; then the
     update through its cut.  The update is the relaxed projection, or, when
     ``anchored``, the projection of x0 onto H(x0, x_n) and the cuts a
     ``CutRing`` keeps (Haugazeau).  Stops when |y*| <= tol_residual and
@@ -368,8 +368,6 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     iteration n.  numpy's floating-point warnings are off in the loop: the
     typed errors report what they would.
     """
-    if not (isinstance(kernels, Kernel) or _is_schedule(kernels)):
-        raise ConfigurationError("kernel schedule must be a Kernel or a callable n -> Kernel")
     policy = policy if policy is not None else PerturbationPolicy.none()
     x0 = vector(x0)
     check_dim(x0, m.dim, "starting point")
@@ -379,27 +377,23 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
     history.append(x)
     trace = []
     stall = 0
-    paired = None, None  # the (kernel, gamma) pairing last checked
+    paired = None, None  # the stage last checked: its kernel by identity, gamma by value
     y = None  # the previous y warm-starts the next backward solve
     floor = step_floor(cfg.epsilon)
     status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
     # Settled once per run: a constant stage (K, gamma), a constant lambda,
     # and x~_n = x_n itself (not a copy) when there is no perturbation.
-    staged_run = _is_schedule(kernels) or _is_schedule(step)
+    staged_run = _is_schedule(stages)
     lam = None if anchored or lam_of else check_relaxation(cfg.relaxation, cfg.epsilon)
     perturbed = _is_schedule(policy.pull) or len(policy.pull) or policy.errors is not None
     ring = CutRing(x0) if anchored else None
     with np.errstate(all="ignore"):
         for n in range(cfg.max_iter):
             if staged_run or n == 0:
-                kern = stage_at(kernels, n)
-                if step is not None:
-                    gamma = float(stage_at(step, n))
-                else:
-                    gamma = kern.fold[0] if kern.fold is not None else 1.0
-                if not gamma >= floor:
-                    check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
+                kern, gamma = stages(n) if staged_run else stages
                 if kern is not paired[0] or gamma != paired[1]:
+                    if not gamma >= floor:
+                        check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
                     _check_pairing(m, kern, gamma)
                     paired = kern, gamma
             x_tilde = apply_policy(policy, history, n) if perturbed else x
@@ -469,6 +463,23 @@ def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
                        iterations=len(trace))
 
 
+def _stages(kernels, step):
+    """The engine's stage input: ``kernels`` (a Kernel or a schedule n -> Kernel) and ``step``.
+
+    A step of None is the step K_n was folded with, 1 for a kernel without a fold.
+    """
+    staged_kernels = _is_schedule(kernels)
+    if not (staged_kernels or isinstance(kernels, Kernel)):
+        raise ConfigurationError("kernel schedule must be a Kernel or a callable n -> Kernel")
+
+    def pair(n):
+        kern = kernels(n) if staged_kernels else kernels
+        if step is not None:
+            return kern, float(stage_at(step, n))
+        return kern, (kern.fold[0] if kern.fold is not None else 1.0)
+    return pair if staged_kernels or _is_schedule(step) else pair(0)
+
+
 def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
                x0) -> SolveResult:
     """Relaxed warped proximal iteration, weakly convergent to a zero of M.
@@ -478,7 +489,7 @@ def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     projection onto its half-space.  Stops when |y*| <= tol_residual and
     |x~ - y| <= tol_step; reaching max_iter returns a warning status.
     """
-    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0)
+    return _iterate(m, _stages(kernel_schedule, cfg.step_size), policy, cfg, x0)
 
 
 def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
@@ -492,7 +503,7 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     Disjoint cuts abort with the typed error (they cannot occur when zeros
     exist).
     """
-    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, anchored=True)
+    return _iterate(m, _stages(kernel_schedule, cfg.step_size), policy, cfg, x0, anchored=True)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +520,8 @@ def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0):
     gamma = fbf_step(alpha, B.lipschitz if B is not None else 0.0, cfg.epsilon)
     step = gamma_schedule if gamma_schedule is not None else cfg.step_size
     step = gamma if step is None else step
-    kernels = staged(lambda W_n, gamma_n: fbf_kernel(W_n, B, gamma_n, cfg.epsilon), W, step)
-    return _iterate(MDecomposition(A, B), kernels, step, policy, cfg, x0)
+    stages = staged(lambda W_n, g: (fbf_kernel(W_n, B, g, cfg.epsilon), float(g)), W, step)
+    return _iterate(MDecomposition(A, B), stages, policy, cfg, x0)
 
 
 def solve_fbf_memory(A: SetValuedOperator, B, W_schedule, gamma_schedule,

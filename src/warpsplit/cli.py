@@ -420,14 +420,6 @@ class ProblemFile:
                 "use 'kernel fbf' so that K = Id - gamma B stays backward-solvable")
         return self.kernel_epsilon if self.kernel_epsilon > 0 else cfg.epsilon
 
-    def _kernel_schedule(self, cfg):
-        eps = self._kernel_epsilon(cfg)
-        if self.kernel_name == "identity":
-            return kern.identity_kernel(self.dim)
-        W = ops.identity_map(self.dim)
-        return alg.staged(lambda gamma: kern.fbf_kernel(W, self.B, gamma, eps),
-                          self._inclusion_gamma(cfg))
-
     def _validate_inclusion(self, cfg):
         # The run's own regime checks, on the values it will run.
         fbf = self.variant in ("fbf", "tseng")
@@ -446,10 +438,16 @@ class ProblemFile:
         cfg = self._config(solver, overrides)
         variant = overrides.get("algo") or self.variant
         if variant in ("weak", "strong"):
-            # Without a file gamma, the engine reads each gamma_n from K_n's fold.
-            m = kern.MDecomposition(self.A, self.B if self.kernel_name == "fbf" else None)
+            eps = self._kernel_epsilon(cfg)  # also rejects 'kernel identity' with a B
+            if self.B is None:  # fbf_kernel(Id, None, ...) would compute the same bits
+                kernels = kern.identity_kernel(self.dim)
+            else:
+                W = ops.identity_map(self.dim)
+                kernels = alg.staged(lambda gamma: kern.fbf_kernel(W, self.B, gamma, eps),
+                                     self._inclusion_gamma(cfg))
+                cfg.step_size = None  # this run's cfg: gamma_n travels in K_n's fold
             fn = alg.solve_weak if variant == "weak" else alg.solve_strong
-            return fn(m, self._kernel_schedule(cfg), self.policy, cfg, self.x0)
+            return fn(kern.MDecomposition(self.A, self.B), kernels, self.policy, cfg, self.x0)
         if variant == "tseng":
             self._check_variant(variant)
             return alg.solve_tseng(self.A, self.B, cfg.step_size, cfg, self.x0)

@@ -487,18 +487,22 @@ def test_fbf_kernel_built_once_for_constant_step(monkeypatch):
 
 
 def test_varying_step_builds_once_per_distinct_stage(monkeypatch):
-    # A stage is rebuilt when its value differs from the last build's: a
-    # stepwise schedule builds once per step, an alternating one each time.
+    # A stage is rebuilt, and paired with M, when its value differs from the
+    # last build's: a stepwise schedule once per step, an alternating one
+    # each time.
     calls = counted_builds(monkeypatch, "fbf_kernel")
+    pairings = counted_builds(monkeypatch, "_check_pairing")
     A, B = box_normal_cone([1.0], [2.0]), affine_map([[1.0]], [-3.0])
     cfg = SolverConfig(epsilon=0.1, max_iter=40, tol_residual=1e-300, tol_step=1e-300)
     steps = lambda n: 0.5 if n < 10 else 0.45 if n < 25 else 0.4  # noqa: E731
     res = solve_tseng(A, B, steps, cfg, [0.0])
     assert [c[2] for c in calls] == [0.5, 0.45, 0.4]
+    assert [c[2] for c in pairings] == [0.5, 0.45, 0.4]
     assert [r.gamma for r in res.trace] == [steps(n) for n in range(40)]
     calls.clear()
+    pairings.clear()
     res = solve_tseng(A, B, lambda n: (0.5, 0.4)[n % 2], cfg, [0.0])
-    assert len(calls) == res.iterations == 40
+    assert len(calls) == len(pairings) == res.iterations == 40
 
 
 def test_staged_compares_stage_values_with_their_snapshot():
@@ -543,6 +547,27 @@ def test_weak_kernel_schedule_called_once_per_iteration():
                      [0.9, 0.1])
     assert res.iterations == 30 and calls == list(range(30))
     assert {r.gamma for r in res.trace} == {0.7}
+
+
+@pytest.mark.parametrize("solver", ["tseng", "fbf_memory"])
+def test_fbf_step_schedule_called_once_per_iteration(solver):
+    # The step of each stage (K_n, gamma_n) is read once, for the kernel and
+    # the engine alike.
+    A, B = box_normal_cone([0.0, 0.0], [1.0, 1.0]), affine_map(ROT, np.array([-0.5, 0.5]))
+    cfg = SolverConfig(epsilon=0.1, max_iter=30, tol_residual=1e-300, tol_step=1e-300)
+    calls = []
+
+    def schedule(n):
+        calls.append(n)
+        return 0.5 * 0.99 ** n
+
+    if solver == "tseng":
+        res = solve_tseng(A, B, schedule, cfg, [0.9, 0.1])
+    else:
+        res = solve_fbf_memory(A, B, None, schedule, None, cfg, [0.9, 0.1])
+    assert res.iterations == 30 and calls == list(range(30))
+    assert [r.gamma for r in res.trace] == [0.5 * 0.99 ** n for n in range(30)]
+
 
 def test_tseng_regime_validation():
     A = box_normal_cone([0.0], [1.0])

@@ -354,21 +354,73 @@ GEOMETRIC_GAMMA = ROTATION_BOX.replace(
     "    floor = 0.2\n  end")
 
 
-@pytest.mark.parametrize("text, builds", [(ROTATION_BOX, 1), (GEOMETRIC_GAMMA, 25)])
+GEOMETRIC_FLAT = GEOMETRIC_GAMMA.replace("factor = 0.99", "factor = 1.0")
+
+
+def trace_bytes(res):
+    """A run's trace, field by field, as bytes: equal only when bit for bit equal."""
+    return [tuple(np.asarray(field).tobytes() for field in rec) for rec in res.trace]
+
+
+@pytest.mark.parametrize("text, builds", [(ROTATION_BOX, 1), (GEOMETRIC_GAMMA, 25),
+                                          (GEOMETRIC_FLAT, 1)])
 def test_inclusion_run_builds_one_kernel_per_stage(tmp_path, monkeypatch, text, builds):
-    # A constant gamma builds one fbf kernel per run, a schedule one per iteration.
-    calls = []
-    real = kernels.fbf_kernel
+    # A constant gamma builds and pairs one fbf kernel per run, a schedule one
+    # per distinct step: a flat one runs the constant run's trace, bit for bit.
+    constant = parse_problem(write(tmp_path, "c.txt", ROTATION_BOX)).run({})
+    calls, pairings = [], []
+    real, check = kernels.fbf_kernel, algorithms._check_pairing
 
     def counted(*args):
         calls.append(args[2])
         return real(*args)
 
     monkeypatch.setattr(kernels, "fbf_kernel", counted)
+    monkeypatch.setattr(algorithms, "_check_pairing", lambda *a: pairings.append(a) or check(*a))
     res = parse_problem(write(tmp_path, "r.txt", text)).run({})
-    assert res.iterations == 25 and len(calls) == builds
+    assert res.iterations == 25 and len(calls) == len(pairings) == builds
     assert [r.gamma for r in res.trace] == [max(0.2, 0.7 * 0.99 ** n) if builds > 1 else 0.7
                                             for n in range(25)]
+    if builds == 1:
+        assert trace_bytes(res) == trace_bytes(constant)
+
+
+def test_geometric_gamma_rule_called_once_per_iteration(tmp_path, monkeypatch):
+    # gamma_n travels in K_n's fold: the run reads the file's rule once per step.
+    calls, real = [], cli._schedule_from_block
+
+    def counted(block):
+        rule = real(block)
+        return (lambda n: calls.append(n) or rule(n)) if callable(rule) else rule
+
+    monkeypatch.setattr(cli, "_schedule_from_block", counted)
+    pf = parse_problem(write(tmp_path, "g.txt", GEOMETRIC_GAMMA))
+    calls.clear()  # the parse reads the rule's ends
+    res = pf.run({})
+    assert res.iterations == 25 and calls == list(range(25))
+
+
+# No B, a monotone affine A and a geometric gamma: every run takes 25 steps.
+NO_B_GEOMETRIC = GEOMETRIC_GAMMA.split("begin A")[0] + """\
+begin A
+  name = affine
+  matrix = [[0.5, 1.0], [-1.0, 0.5]]
+  offset = [-0.5, 0.5]
+end
+begin kernel""" + GEOMETRIC_GAMMA.split("begin kernel")[1]
+
+
+@pytest.mark.parametrize("algo", ["weak", "strong"])
+def test_fbf_kernel_without_b_runs_the_identity_kernel(tmp_path, monkeypatch, algo):
+    # With no B to fold, 'kernel fbf' builds no fbf_kernel: its run is the
+    # identity kernel's, byte for byte.
+    builds, real = [], kernels.fbf_kernel
+    monkeypatch.setattr(kernels, "fbf_kernel", lambda *a: builds.append(a) or real(*a))
+    fbf, identity = (
+        parse_problem(write(tmp_path, f"{name}.txt", NO_B_GEOMETRIC.replace("fbf", name)))
+        .run({"algo": algo}) for name in ("fbf", "identity"))
+    assert not builds and fbf.iterations == 25
+    assert trace_bytes(fbf) == trace_bytes(identity)
 
 
 # The kernel's epsilon (0.3) exceeds the solver's (0.05): a weak run's
