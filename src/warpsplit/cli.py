@@ -293,7 +293,8 @@ class ProblemFile:
         else:
             self._assemble_coupled()
         self.policy = self._policy()
-        self._check_variant(self.variant)
+        # The file's variant's checks, now: the run itself is dropped.
+        self._solver(self._config(self._solver_section(), {}), self.variant)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -323,12 +324,6 @@ class ProblemFile:
         )
         return cfg
 
-    def _check_relaxation(self, cfg):
-        # strong and tseng runs use no lambda of the file.
-        if self.variant not in ("strong", "tseng"):
-            for lam in _ends(cfg.relaxation):
-                alg.check_relaxation(lam, cfg.epsilon)
-
     def _policy(self):
         sec = self.root.child("policy")
         if sec is None:
@@ -355,16 +350,76 @@ class ProblemFile:
             return alg.PerturbationPolicy.additive(errors)
         raise ConfigurationError(f"unknown policy kind {kind!r}")
 
-    def _check_variant(self, variant):
-        # Checked for the file's variant at parse and again for --algo:
-        # tseng needs B and runs no policy, which it would silently drop.
-        if variant != "tseng":
-            return
-        if self.B is None:
-            raise ConfigurationError("variant tseng needs a forward operator B")
-        if self.policy != alg.PerturbationPolicy.none():
-            raise ConfigurationError("variant tseng runs no perturbation policy; "
-                                     "remove the policy block or set kind = none")
+    def _solver(self, cfg, variant):
+        """The run of ``variant`` with ``cfg``, as a zero-argument call.
+
+        Every check the run needs raises here, before iteration 0: at parse
+        for the file's variant, and in ``run`` for ``--algo``.  The call, not
+        the check, builds the run's kernels.
+        """
+        if self.kind == "coupled":
+            if variant != "coupled":
+                raise ConfigurationError(
+                    f"a coupled problem runs with variant 'coupled', got {variant!r}")
+            alg.check_coupled_step(cfg.step_size)
+            run = lambda: alg.solve_coupled(
+                self.problem, cfg, start=self.start, policy=self.policy,
+                gamma_schedules=self.gamma_stage, tau_schedules=self.tau_stage)
+        else:
+            beta = self.B.lipschitz if self.B is not None else 0.0
+            if variant in ("weak", "strong"):
+                if self.kernel_name == "identity" and self.B is not None:
+                    raise ConfigurationError(
+                        "an identity kernel cannot absorb the forward part B; "
+                        "use 'kernel fbf' so that K = Id - gamma B stays backward-solvable")
+                eps = self.kernel_epsilon if self.kernel_epsilon > 0 else cfg.epsilon
+                # A weak or strong fbf_kernel only needs epsilon < alpha.
+                kern.fbf_step(1.0, 0.0, eps)
+                step = cfg.step_size
+                if step is None and self.B is not None:
+                    # The run checks the floor with the solver's epsilon and the
+                    # upper end with the kernel's: step from the larger of the two.
+                    step = kern.fbf_step(1.0, beta, max(cfg.epsilon, eps))
+                solve = alg.solve_weak if variant == "weak" else alg.solve_strong
+
+                def run():
+                    if self.B is None:  # fbf_kernel(Id, None, ...) would compute the same bits
+                        kernels = kern.identity_kernel(self.dim)
+                    else:
+                        W = ops.identity_map(self.dim)
+                        kernels = alg.staged(
+                            lambda gamma: kern.fbf_kernel(W, self.B, gamma, eps), step)
+                        cfg.step_size = None  # this run's cfg: gamma_n travels in K_n's fold
+                    return solve(kern.MDecomposition(self.A, self.B), kernels, self.policy,
+                                 cfg, self.x0)
+            elif variant in ("fbf", "tseng"):
+                # tseng needs B and runs no policy, which it would silently drop.
+                if variant == "tseng" and self.B is None:
+                    raise ConfigurationError("variant tseng needs a forward operator B")
+                if variant == "tseng" and self.policy != alg.PerturbationPolicy.none():
+                    raise ConfigurationError("variant tseng runs no perturbation policy; "
+                                             "remove the policy block or set kind = none")
+                # fbf and tseng check the whole FBF regime; fbf_step's default
+                # step (a step of None) passes check_step by construction.
+                eps, step = cfg.epsilon, cfg.step_size
+                kern.fbf_step(1.0, beta, eps)
+                if variant == "tseng":
+                    run = lambda: alg.solve_tseng(self.A, self.B, cfg.step_size, cfg, self.x0)
+                else:
+                    run = lambda: alg.solve_fbf_memory(
+                        self.A, self.B, None, cfg.step_size, self.policy, cfg, self.x0)
+            else:
+                raise ConfigurationError(
+                    f"unknown solver variant {variant!r}; known: weak, strong, fbf, tseng")
+            # A step of None is 1 (weak or strong without B) or fbf_step's
+            # default (fbf, tseng): either passes check_step.
+            for n, gamma in _ends(step) if step is not None else ():
+                kern.check_step(gamma, 1.0, beta, eps, floor=cfg.epsilon, label=f"gamma_{n}")
+        # strong and tseng runs use no lambda of the file.
+        if variant not in ("strong", "tseng"):
+            for n, lam in _ends(cfg.relaxation):
+                alg.check_relaxation(lam, cfg.epsilon, n)
+        return run
 
     # -- inclusion problems ---------------------------------------------------
 
@@ -388,72 +443,10 @@ class ProblemFile:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel_name!r}; known: identity, fbf")
         self.kernel_epsilon = _number(k_sec, "epsilon", 0.0) if k_sec is not None else 0.0
-        solver = self._solver_section()
-        self.variant = solver.get("variant", "weak")
-        if self.variant not in ("weak", "strong", "fbf", "tseng"):
-            raise ConfigurationError(
-                f"unknown solver variant {self.variant!r}; known: weak, strong, fbf, tseng")
+        self.variant = self._solver_section().get("variant", "weak")
         self.zeros = []
         for sol in root.all_children("solution"):
             self.zeros.append(_floats(sol, "x", 1))
-        # Validate constants and regimes now, before any iteration runs.
-        self._validate_inclusion(self._config(solver, {}))
-
-    def _inclusion_gamma(self, cfg):
-        """A weak or strong run's step; fbf and tseng runs take ``cfg.step_size``."""
-        if cfg.step_size is not None:
-            return cfg.step_size
-        if self.B is not None and self.kernel_name == "fbf":
-            # The run checks the floor with the solver's epsilon and the
-            # upper end with the kernel's: step from the larger of the two.
-            return kern.fbf_step(1.0, self._beta(), max(cfg.epsilon, self.kernel_epsilon))
-        return 1.0
-
-    def _beta(self):
-        return self.B.lipschitz if self.B is not None else 0.0
-
-    def _kernel_epsilon(self, cfg):
-        """The epsilon of a weak or strong run's kernels."""
-        if self.kernel_name == "identity" and self.B is not None:
-            raise ConfigurationError(
-                "an identity kernel cannot absorb the forward part B; "
-                "use 'kernel fbf' so that K = Id - gamma B stays backward-solvable")
-        return self.kernel_epsilon if self.kernel_epsilon > 0 else cfg.epsilon
-
-    def _validate_inclusion(self, cfg):
-        # The run's own regime checks, on the values it will run.
-        fbf = self.variant in ("fbf", "tseng")
-        eps = cfg.epsilon if fbf else self._kernel_epsilon(cfg)
-        # fbf/tseng check the whole FBF regime; a weak or strong fbf_kernel
-        # only needs epsilon < alpha.
-        kern.fbf_step(1.0, self._beta() if fbf else 0.0, eps)
-        # fbf_step's default step passes check_step by construction.
-        if not fbf or cfg.step_size is not None:
-            for gamma in _ends(self._inclusion_gamma(cfg)):
-                kern.check_step(gamma, 1.0, self._beta(), eps, floor=cfg.epsilon)
-        self._check_relaxation(cfg)
-
-    def _run_inclusion(self, overrides):
-        solver = self._solver_section()
-        cfg = self._config(solver, overrides)
-        variant = overrides.get("algo") or self.variant
-        if variant in ("weak", "strong"):
-            eps = self._kernel_epsilon(cfg)  # also rejects 'kernel identity' with a B
-            if self.B is None:  # fbf_kernel(Id, None, ...) would compute the same bits
-                kernels = kern.identity_kernel(self.dim)
-            else:
-                W = ops.identity_map(self.dim)
-                kernels = alg.staged(lambda gamma: kern.fbf_kernel(W, self.B, gamma, eps),
-                                     self._inclusion_gamma(cfg))
-                cfg.step_size = None  # this run's cfg: gamma_n travels in K_n's fold
-            fn = alg.solve_weak if variant == "weak" else alg.solve_strong
-            return fn(kern.MDecomposition(self.A, self.B), kernels, self.policy, cfg, self.x0)
-        if variant == "tseng":
-            self._check_variant(variant)
-            return alg.solve_tseng(self.A, self.B, cfg.step_size, cfg, self.x0)
-        if variant == "fbf":
-            return alg.solve_fbf_memory(self.A, self.B, None, cfg.step_size, self.policy, cfg, self.x0)
-        raise ConfigurationError(f"unknown algorithm {variant!r}")
 
     # -- coupled problems ------------------------------------------------------
 
@@ -505,30 +498,14 @@ class ProblemFile:
             zx = _stacked(sol, "x", self.problem.primal_layout)
             zv = _stacked(sol, "v_star", self.problem.dual_layout)
             self.zeros.append(alg.KuhnTuckerPoint.from_pair(self.problem, zx, zv))
-        solver = self._solver_section()
-        self.variant = solver.get("variant", "coupled")
-        if self.variant != "coupled":
-            raise ConfigurationError("a coupled problem runs with variant 'coupled'")
-        cfg = self._config(solver, {})
-        alg.check_coupled_step(cfg.step_size)
-        self._check_relaxation(cfg)
-
-    def _run_coupled(self, overrides):
-        algo = overrides.get("algo")
-        if algo not in (None, "coupled"):
-            raise ConfigurationError(f"coupled problems only run --algo coupled, got {algo!r}")
-        cfg = self._config(self._solver_section(), overrides)
-        return alg.solve_coupled(
-            self.problem, cfg, start=self.start, policy=self.policy,
-            gamma_schedules=self.gamma_stage, tau_schedules=self.tau_stage)
+        self.variant = self._solver_section().get("variant", "coupled")
 
     # -- public API -----------------------------------------------------------
 
     def run(self, overrides=None) -> alg.SolveResult:
         overrides = overrides or {}
-        if self.kind == "inclusion":
-            return self._run_inclusion(overrides)
-        return self._run_coupled(overrides)
+        cfg = self._config(self._solver_section(), overrides)
+        return self._solver(cfg, overrides.get("algo") or self.variant)()
 
     def serialize(self) -> str:
         return serialize_section(self.root) + "\n"
@@ -620,8 +597,9 @@ def _stage_constants(blocks, sections, key):
 
 
 def _ends(schedule):
-    """The first value and the limit of a constant or a schedule block's rule."""
-    return alg.stage_at(schedule, 0), alg.stage_at(schedule, math.inf)
+    """``(n, value)`` at the first stage (n = 0) and the limit (n = inf) of a
+    constant or a schedule block's rule."""
+    return [(n, alg.stage_at(schedule, n)) for n in (0, math.inf)]
 
 
 def _stacked(section, key, layout):
@@ -716,7 +694,7 @@ def write_summary(result: alg.SolveResult, exit_code, algo, path):
 
 def run_problem(pf: ProblemFile, overrides, trace_path, summary_path):
     """Execute one problem and emit artifacts; returns the exit code."""
-    algo = overrides.get("algo") or getattr(pf, "variant", "weak")
+    algo = overrides.get("algo") or pf.variant
     try:
         result = pf.run(overrides)
     except InfeasibleCutsError as exc:

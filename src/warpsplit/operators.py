@@ -542,13 +542,14 @@ def standard_library():
     }
 
 
-def make_set_valued(name, params, dim) -> SetValuedOperator:
-    """Build a catalog set-valued operator; typed lookup error on unknown names."""
+def _make(catalog, kind, name, params, dim):
+    """Build ``name`` from ``catalog``; typed errors for an unknown name, a
+    missing parameter and a dimension mismatch."""
     try:
-        builder = SET_VALUED_CATALOG[name]
+        builder = catalog[name]
     except KeyError:
         raise UnknownOperatorError(
-            f"unknown set-valued operator {name!r}; known: {sorted(SET_VALUED_CATALOG)}") from None
+            f"unknown {kind} operator {name!r}; known: {sorted(catalog)}") from None
     try:
         op = builder(dict(params), dim)
     except KeyError as exc:
@@ -557,20 +558,13 @@ def make_set_valued(name, params, dim) -> SetValuedOperator:
         raise DimensionMismatchError(
             f"operator {name!r} has dimension {op.dim}, problem expects {dim}")
     return op
+
+
+def make_set_valued(name, params, dim) -> SetValuedOperator:
+    """Build a catalog set-valued operator; typed lookup error on unknown names."""
+    return _make(SET_VALUED_CATALOG, "set-valued", name, params, dim)
 
 
 def make_single_valued(name, params, dim) -> SingleValuedOperator:
     """Build a catalog single-valued operator; typed lookup error on unknown names."""
-    try:
-        builder = SINGLE_VALUED_CATALOG[name]
-    except KeyError:
-        raise UnknownOperatorError(
-            f"unknown single-valued operator {name!r}; known: {sorted(SINGLE_VALUED_CATALOG)}") from None
-    try:
-        op = builder(dict(params), dim)
-    except KeyError as exc:
-        raise ConfigurationError(f"operator {name!r} is missing parameter {exc}") from None
-    if op.dim != dim:
-        raise DimensionMismatchError(
-            f"operator {name!r} has dimension {op.dim}, problem expects {dim}")
-    return op
+    return _make(SINGLE_VALUED_CATALOG, "single-valued", name, params, dim)

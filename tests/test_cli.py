@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +286,28 @@ def test_relaxation_is_checked_at_parse(tmp_path, lam):
     parse_problem(write(tmp_path, "s.txt", text.replace("variant = weak", "variant = strong")))
 
 
+def geometric(key, start, floor):
+    return (f"begin {key}\n    rule = geometric\n    start = {start}\n    factor = 0.5\n"
+            f"    floor = {floor}\n  end")
+
+
+@pytest.mark.parametrize("block, message", [
+    (geometric("lambda", 2.5, 1.0),
+     "relaxation lambda_0 = 2.5 outside [epsilon, 2 - epsilon] = [0.05, 1.95]"),
+    (geometric("lambda", 1.0, 0.01),
+     "relaxation lambda_inf = 0.01 outside [epsilon, 2 - epsilon] = [0.05, 1.95]"),
+    (geometric("gamma", 0.01, 0.01),
+     "gamma_0 = 0.01 outside [epsilon, (alpha - epsilon)/beta] = [0.05, inf]"),
+    (geometric("gamma", 0.9, 0.01),
+     "gamma_inf = 0.01 outside [epsilon, (alpha - epsilon)/beta] = [0.05, inf]"),
+], ids=["lambda_0", "lambda_inf", "gamma_0", "gamma_inf"])
+def test_schedule_block_errors_name_the_failing_end(tmp_path, block, message):
+    # A rule is checked at its first stage (_0) and at its limit, the floor (_inf).
+    text = MINIMAL.replace("gamma = 1.0", "epsilon = 0.05\n  " + block)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        parse_problem(write(tmp_path, "e.txt", text))
+
+
 @pytest.mark.parametrize("setting", ["max_iter = 0", "epsilon = 2.0"])
 def test_coupled_solver_section_is_checked_at_parse(tmp_path, setting):
     text = COUPLED_SCALAR.replace("max_iter = 5000", setting)
@@ -386,7 +410,8 @@ def test_inclusion_run_builds_one_kernel_per_stage(tmp_path, monkeypatch, text, 
 
 
 def test_geometric_gamma_rule_called_once_per_iteration(tmp_path, monkeypatch):
-    # gamma_n travels in K_n's fold: the run reads the file's rule once per step.
+    # gamma_n travels in K_n's fold: the run checks the rule's two ends, then
+    # reads it once per step.
     calls, real = [], cli._schedule_from_block
 
     def counted(block):
@@ -397,7 +422,7 @@ def test_geometric_gamma_rule_called_once_per_iteration(tmp_path, monkeypatch):
     pf = parse_problem(write(tmp_path, "g.txt", GEOMETRIC_GAMMA))
     calls.clear()  # the parse reads the rule's ends
     res = pf.run({})
-    assert res.iterations == 25 and calls == list(range(25))
+    assert res.iterations == 25 and calls == [0, math.inf] + list(range(25))
 
 
 # No B, a monotone affine A and a geometric gamma: every run takes 25 steps.
@@ -421,6 +446,41 @@ def test_fbf_kernel_without_b_runs_the_identity_kernel(tmp_path, monkeypatch, al
         .run({"algo": algo}) for name in ("fbf", "identity"))
     assert not builds and fbf.iterations == 25
     assert trace_bytes(fbf) == trace_bytes(identity)
+
+
+# Two weak files that the weak checks reject, each with the variant of a
+# file that parses.  Run with --algo weak without those checks, the first
+# (a kernel epsilon of 1.5, no B) converged, and the second (a lambda floor
+# of 0.01 below epsilon = 0.05) failed only at n = 5.
+ALGO_PARITY = [
+    (MINIMAL.replace("begin solver",
+                     "begin kernel\n  name = fbf\n  epsilon = 1.5\nend\nbegin solver"),
+     "fbf", "epsilon = 1.5 outside ]0, alpha/(beta + 1)[ = ]0, 1.0["),
+    (ROTATION_BOX.replace("epsilon = 0.2\n  gamma", "epsilon = 0.05\n  " + geometric(
+        "lambda", 1.0, 0.01) + "\n  gamma"),
+     "strong", "relaxation lambda_inf = 0.01 outside [epsilon, 2 - epsilon] = [0.05, 1.95]"),
+]
+
+
+@pytest.mark.parametrize("text, other, message", ALGO_PARITY,
+                         ids=["kernel_epsilon", "lambda_floor"])
+def test_algo_takes_the_checks_of_the_variant_it_runs(tmp_path, capsys, monkeypatch,
+                                                      text, other, message):
+    # A weak file and a file of another variant run with --algo weak exit 1
+    # with the same message, before any iteration, and write no trace.
+    monkeypatch.setattr(algorithms, "solve_weak", lambda *a: pytest.fail("weak ran"))
+    weak = write(tmp_path, "weak.txt", text)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        parse_problem(weak)
+    moved = write(tmp_path, f"{other}.txt", text.replace("variant = weak", f"variant = {other}"))
+    parse_problem(moved)
+    errors = []
+    for args in (["--problem", weak], ["--problem", moved, "--algo", "weak"]):
+        trace = tmp_path / "t.csv"
+        assert main(["run", *args, "--trace", str(trace)]) == EXIT_USAGE
+        errors.append(capsys.readouterr().err)
+        assert not trace.exists()
+    assert errors == [f"error: {message}\n"] * 2
 
 
 # The kernel's epsilon (0.3) exceeds the solver's (0.05): a weak run's

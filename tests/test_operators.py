@@ -163,6 +163,26 @@ def test_catalog_builds_and_unknown_name():
         make_set_valued("ball", {}, 2)  # missing radius
 
 
+@pytest.mark.parametrize("make, kind, name, known", [
+    (make_set_valued, "set-valued", "affine",
+     "['affine', 'affine_set', 'ball', 'box', 'constant', 'halfspace', 'l1', "
+     "'scaled_identity', 'zero']"),
+    (make_single_valued, "single-valued", "affine_map",
+     "['affine_map', 'identity_map', 'zero_map']"),
+], ids=["set_valued", "single_valued"])
+def test_catalog_error_messages(make, kind, name, known):
+    # The message itself (args[0]: a KeyError's str() adds quotes).
+    with pytest.raises(UnknownOperatorError) as unknown:
+        make("nope", {}, 2)
+    assert unknown.value.args[0] == f"unknown {kind} operator 'nope'; known: {known}"
+    with pytest.raises(ConfigurationError) as missing:
+        make(name, {}, 2)
+    assert str(missing.value) == f"operator {name!r} is missing parameter 'matrix'"
+    with pytest.raises(DimensionMismatchError) as mismatch:
+        make(name, {"matrix": np.eye(3)}, 2)
+    assert str(mismatch.value) == f"operator {name!r} has dimension 3, problem expects 2"
+
+
 def test_graph_point_dimension_check():
     with pytest.raises(DimensionMismatchError):
         GraphPoint(y=np.array([1.0, 2.0]), y_star=np.array([1.0]))
