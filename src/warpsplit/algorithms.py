@@ -86,21 +86,24 @@ def stage_at(value, n):
 def staged(build, *inputs):
     """``build(*inputs)`` once when no input is a schedule, else n -> build at stage n.
 
-    A schedule builds again only when the stage values read by ``stage_at``
-    differ from the last build's (a list by the items it held then).
+    Constants are bound once; the schedules build again only when the values
+    they return differ from the last build's (a list by the items it held then).
     """
-    if not any(map(_is_schedule, inputs)):
+    schedules = {k: v for k, v in enumerate(inputs) if _is_schedule(v)}
+    if not schedules:
         return build(*inputs)
-    last = [None, None]  # a snapshot of the last build's stage values, and that build
+    values = dict(enumerate(inputs))  # by position; a schedule's entry is its last value
+    last = [None, None]  # a snapshot of the schedules' values at the last build, and that build
 
     def at(n):
-        values = [stage_at(v, n) for v in inputs]
+        read = [s(n) for s in schedules.values()]
         try:  # an array, or an == that raises TypeError or ValueError, is a change
-            same = values == last[0] and not any(isinstance(v, np.ndarray) for v in values)
+            same = read == last[0] and not any(isinstance(v, np.ndarray) for v in read)
         except (TypeError, ValueError):
             same = False
         if not same:
-            last[:] = [list(v) if isinstance(v, list) else v for v in values], build(*values)
+            values.update(zip(schedules, read))
+            last[:] = [list(v) if isinstance(v, list) else v for v in read], build(*values.values())
         return last[1]
     return at
 

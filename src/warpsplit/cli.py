@@ -26,6 +26,7 @@ failure (inner solve, stall, corruption, non-finite state).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -63,19 +64,16 @@ EXIT_NUMERICAL = 4
 class Section:
     """One block of a problem file: ordered entries plus ordered child blocks."""
 
-    def __init__(self, name="root"):
+    def __init__(self, name="root", entries=(), children=()):
         self.name = name
-        self.entries = {}
-        self.children = []
+        self.entries = dict(entries)
+        self.children = list(children)
 
     def child(self, name):
-        for n, s in self.children:
-            if n == name:
-                return s
-        return None
+        return next((c for c in self.children if c.name == name), None)
 
     def all_children(self, name):
-        return [s for n, s in self.children if n == name]
+        return [c for c in self.children if c.name == name]
 
     def get(self, key, default=None):
         return self.entries.get(key, default)
@@ -89,7 +87,7 @@ class Section:
         return (
             self.name,
             tuple((k, _canon_value(v)) for k, v in self.entries.items()),
-            tuple(c.canonical() for _, c in self.children),
+            tuple(c.canonical() for c in self.children),
         )
 
 
@@ -237,7 +235,7 @@ def parse_text(text) -> Section:
                 raise ProblemFormatError(
                     "expected 'begin <name>'", lineno, _indent(line) + 1)
             child = Section(parts[1])
-            stack[-1].children.append((parts[1], child))
+            stack[-1].children.append(child)
             stack.append(child)
             continue
         key, eq, val = line.partition("=")
@@ -271,8 +269,8 @@ def serialize_section(section: Section, depth=0) -> str:
     out = []
     for k, v in section.entries.items():
         out.append(f"{pad}{k} = {_fmt_value(v)}")
-    for name, child in section.children:
-        out.append(f"{pad}begin {name}")
+    for child in section.children:
+        out.append(f"{pad}begin {child.name}")
         out.append(serialize_section(child, depth + 1))
         out.append(f"{pad}end")
     return "\n".join(x for x in out if x != "")
@@ -294,14 +292,16 @@ class ProblemFile:
             self._assemble_coupled()
         self.policy = self._policy()
         # The file's variant's checks, now: the run itself is dropped.
-        self._solver(self._config(self._solver_section(), {}), self.variant)
+        self._solver({})
 
     # -- shared helpers ------------------------------------------------------
 
     def _solver_section(self):
         return self.root.child("solver") or Section("solver")
 
-    def _config(self, solver, overrides):
+    def _config(self, overrides):
+        solver = self._solver_section()
+
         def pick(key, default, kind=float):
             ov = overrides.get(key)
             return ov if ov is not None else _number(solver, key, default, kind)
@@ -314,7 +314,7 @@ class ProblemFile:
         gamma_block = solver.child("gamma")
         if gamma_block is not None:
             gamma = _schedule_from_block(gamma_block)
-        cfg = alg.SolverConfig(
+        return alg.SolverConfig(
             epsilon=_number(solver, "epsilon", 0.05),
             relaxation=lam,
             step_size=gamma,
@@ -322,7 +322,6 @@ class ProblemFile:
             tol_residual=pick("tol_residual", 1e-8),
             tol_step=pick("tol_step", 1e-8),
         )
-        return cfg
 
     def _policy(self):
         sec = self.root.child("policy")
@@ -350,13 +349,15 @@ class ProblemFile:
             return alg.PerturbationPolicy.additive(errors)
         raise ConfigurationError(f"unknown policy kind {kind!r}")
 
-    def _solver(self, cfg, variant):
-        """The run of ``variant`` with ``cfg``, as a zero-argument call.
+    def _solver(self, overrides):
+        """The run ``overrides`` select (``algo`` and the solver keys) as a zero-argument call.
 
         Every check the run needs raises here, before iteration 0: at parse
         for the file's variant, and in ``run`` for ``--algo``.  The call, not
         the check, builds the run's kernels.
         """
+        cfg = self._config(overrides)
+        variant = overrides.get("algo") or self.variant
         if self.kind == "coupled":
             if variant != "coupled":
                 raise ConfigurationError(
@@ -383,15 +384,17 @@ class ProblemFile:
                 solve = alg.solve_weak if variant == "weak" else alg.solve_strong
 
                 def run():
+                    run_cfg = cfg
                     if self.B is None:  # fbf_kernel(Id, None, ...) would compute the same bits
                         kernels = kern.identity_kernel(self.dim)
                     else:
                         W = ops.identity_map(self.dim)
                         kernels = alg.staged(
                             lambda gamma: kern.fbf_kernel(W, self.B, gamma, eps), step)
-                        cfg.step_size = None  # this run's cfg: gamma_n travels in K_n's fold
+                        # gamma_n travels in K_n's fold
+                        run_cfg = dataclasses.replace(cfg, step_size=None)
                     return solve(kern.MDecomposition(self.A, self.B), kernels, self.policy,
-                                 cfg, self.x0)
+                                 run_cfg, self.x0)
             elif variant in ("fbf", "tseng"):
                 # tseng needs B and runs no policy, which it would silently drop.
                 if variant == "tseng" and self.B is None:
@@ -415,10 +418,13 @@ class ProblemFile:
             # default (fbf, tseng): either passes check_step.
             for n, gamma in _ends(step) if step is not None else ():
                 kern.check_step(gamma, 1.0, beta, eps, floor=cfg.epsilon, label=f"gamma_{n}")
-        # strong and tseng runs use no lambda of the file.
+        # strong and tseng runs read no lambda: the file's is ignored, --relax refused.
         if variant not in ("strong", "tseng"):
             for n, lam in _ends(cfg.relaxation):
                 alg.check_relaxation(lam, cfg.epsilon, n)
+        elif overrides.get("relax") is not None:
+            raise ConfigurationError(f"variant {variant} reads no relaxation lambda; "
+                                     "--relax applies to weak, fbf and coupled runs")
         return run
 
     # -- inclusion problems ---------------------------------------------------
@@ -444,9 +450,7 @@ class ProblemFile:
                 f"unknown kernel {self.kernel_name!r}; known: identity, fbf")
         self.kernel_epsilon = _number(k_sec, "epsilon", 0.0) if k_sec is not None else 0.0
         self.variant = self._solver_section().get("variant", "weak")
-        self.zeros = []
-        for sol in root.all_children("solution"):
-            self.zeros.append(_floats(sol, "x", 1))
+        self.zeros = [_floats(sol, "x", 1) for sol in root.all_children("solution")]
 
     # -- coupled problems ------------------------------------------------------
 
@@ -503,9 +507,7 @@ class ProblemFile:
     # -- public API -----------------------------------------------------------
 
     def run(self, overrides=None) -> alg.SolveResult:
-        overrides = overrides or {}
-        cfg = self._config(self._solver_section(), overrides)
-        return self._solver(cfg, overrides.get("algo") or self.variant)()
+        return self._solver(overrides or {})()
 
     def serialize(self) -> str:
         return serialize_section(self.root) + "\n"
@@ -518,8 +520,8 @@ def _operator(section: Section, make, dim):
     """The catalog operator a block names; a configuration error names the block."""
     try:
         return make(section.require("name"), _op_params(section), dim)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"block {section.name!r}: {exc}") from None
+    except (ConfigurationError, UnknownOperatorError) as exc:
+        raise type(exc)(f"block {section.name!r}: {exc}") from None
 
 
 def _operators(section: Section, set_key, forward_key, dim, what):
@@ -735,36 +737,15 @@ def generate_problem(kind, dim, seed) -> str:
         beta = float(np.linalg.norm(M, 2))
         eps = kern.epsilon_bound(0.45, beta)  # 0.45/(beta + 1): inside the alpha = 1 regime
         x0 = np.round(z + rng.uniform(1.0, 2.0, dim), 6)
-        root = Section("root")
-        root.entries["kind"] = "inclusion"
-        root.entries["x0"] = x0.tolist()
-        a_sec = Section("A")
-        a_sec.entries["name"] = "box"
-        a_sec.entries["lo"] = lo.tolist()
-        a_sec.entries["hi"] = hi.tolist()
-        root.children.append(("A", a_sec))
-        b_sec = Section("B")
-        b_sec.entries["name"] = "affine_map"
-        b_sec.entries["matrix"] = M.tolist()
-        b_sec.entries["offset"] = b.tolist()
-        root.children.append(("B", b_sec))
-        k_sec = Section("kernel")
-        k_sec.entries["name"] = "fbf"
-        k_sec.entries["epsilon"] = float(eps)
-        root.children.append(("kernel", k_sec))
-        s_sec = Section("solver")
-        s_sec.entries["variant"] = "weak"
-        s_sec.entries["epsilon"] = float(eps)
-        s_sec.entries["lambda"] = 1.0
-        s_sec.entries["max_iter"] = 10000
-        s_sec.entries["tol_residual"] = 1e-08
-        s_sec.entries["tol_step"] = 1e-08
-        root.children.append(("solver", s_sec))
-        sol = Section("solution")
-        sol.entries["x"] = z.tolist()
-        root.children.append(("solution", sol))
-        return serialize_section(root) + "\n"
-    if kind == "coupled":
+        root = Section(entries={"kind": "inclusion", "x0": x0.tolist()}, children=[
+            Section("A", {"name": "box", "lo": lo.tolist(), "hi": hi.tolist()}),
+            Section("B", {"name": "affine_map", "matrix": M.tolist(), "offset": b.tolist()}),
+            Section("kernel", {"name": "fbf", "epsilon": float(eps)}),
+            Section("solver", {"variant": "weak", "epsilon": float(eps), "lambda": 1.0,
+                               "max_iter": 10000, "tol_residual": 1e-08, "tol_step": 1e-08}),
+            Section("solution", {"x": z.tolist()}),
+        ])
+    elif kind == "coupled":
         # Two primal blocks and one dual block, each of dimension dim.
         P = []
         for _ in range(2):
@@ -775,49 +756,27 @@ def generate_problem(kind, dim, seed) -> str:
         Ls = [np.round(rng.normal(size=(dim, dim)), 6) for _ in range(2)]
         ss = [np.round(rng.normal(size=dim), 6) for _ in range(2)]
         r = np.round(rng.normal(size=dim), 6)
-        root = Section("root")
-        root.entries["kind"] = "coupled"
-        for P_i, s_i in zip(P, ss):
-            sec = Section("primal")
-            sec.entries["dim"] = dim
-            sec.entries["s_star"] = s_i.tolist()
-            a_sec = Section("A")
-            a_sec.entries["name"] = "affine"
-            a_sec.entries["matrix"] = P_i.tolist()
-            sec.children.append(("A", a_sec))
-            root.children.append(("primal", sec))
-        sec = Section("dual")
-        sec.entries["dim"] = dim
-        sec.entries["r"] = r.tolist()
-        b_sec = Section("B")
-        b_sec.entries["name"] = "affine"
-        b_sec.entries["matrix"] = R.tolist()
-        sec.children.append(("B", b_sec))
-        root.children.append(("dual", sec))
-        for i, L in enumerate(Ls):
-            c_sec = Section("coupling")
-            c_sec.entries["primal"] = i + 1
-            c_sec.entries["dual"] = 1
-            c_sec.entries["matrix"] = L.tolist()
-            root.children.append(("coupling", c_sec))
-        s_sec = Section("solver")
-        s_sec.entries["variant"] = "coupled"
-        s_sec.entries["lambda"] = 1.0
-        s_sec.entries["max_iter"] = 20000
-        s_sec.entries["tol_residual"] = 1e-08
-        s_sec.entries["tol_step"] = 1e-08
-        root.children.append(("solver", s_sec))
         # Analytic solution through the dense stacked linear system in (x1, x2, y, v*).
         Z, I = np.zeros((dim, dim)), np.eye(dim)
         A = np.block([[P[0], Z, Z, Ls[0].T], [Z, P[1], Z, Ls[1].T],
                       [Z, Z, R, -I], [-Ls[0], -Ls[1], I, Z]])
         sol_vec = np.linalg.solve(A, np.concatenate(ss + [np.zeros(dim), -r]))
-        sol = Section("solution")
-        sol.entries["x"] = sol_vec[:2 * dim].tolist()
-        sol.entries["v_star"] = sol_vec[3 * dim:].tolist()
-        root.children.append(("solution", sol))
-        return serialize_section(root) + "\n"
-    raise ConfigurationError(f"unknown problem kind {kind!r}")
+        root = Section(entries={"kind": "coupled"}, children=[
+            *(Section("primal", {"dim": dim, "s_star": s_i.tolist()},
+                      [Section("A", {"name": "affine", "matrix": P_i.tolist()})])
+              for P_i, s_i in zip(P, ss)),
+            Section("dual", {"dim": dim, "r": r.tolist()},
+                    [Section("B", {"name": "affine", "matrix": R.tolist()})]),
+            *(Section("coupling", {"primal": i + 1, "dual": 1, "matrix": L.tolist()})
+              for i, L in enumerate(Ls)),
+            Section("solver", {"variant": "coupled", "lambda": 1.0, "max_iter": 20000,
+                               "tol_residual": 1e-08, "tol_step": 1e-08}),
+            Section("solution", {"x": sol_vec[:2 * dim].tolist(),
+                                 "v_star": sol_vec[3 * dim:].tolist()}),
+        ])
+    else:
+        raise ConfigurationError(f"unknown problem kind {kind!r}")
+    return serialize_section(root) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ class ConfigurationError(WarpsplitError, ValueError):
 class UnknownOperatorError(WarpsplitError, KeyError):
     """Catalog lookup with an unregistered name."""
 
+    def __str__(self):
+        # The message itself, not KeyError's repr of it.
+        return Exception.__str__(self)
+
 
 class BackwardSolveError(WarpsplitError, RuntimeError):
     """The inner backward solve did not reach its residual tolerance.

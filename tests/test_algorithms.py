@@ -870,6 +870,21 @@ def test_coupled_kernel_built_once_for_constant_stage_constants(monkeypatch):
     assert trace_bytes(arrays) == trace_bytes(const)
 
 
+def test_coupled_constant_array_beside_a_schedule_builds_once(monkeypatch):
+    # Only the values the schedules return are compared: a constant array is
+    # bound once, and the run is the constant list's run bit for bit.
+    calls = counted_builds(monkeypatch, "coupled_kernel")
+    prob, _, _ = two_primal_one_dual_quadratic(np.random.default_rng(43))
+    cfg = SolverConfig(max_iter=30, tol_residual=1e-300, tol_step=1e-300)
+    gammas, taus = ([b.default_step for b in part] for part in (prob.primal, prob.dual))
+    runs = []
+    for g in (gammas, np.array(gammas)):
+        calls.clear()
+        runs.append(solve_coupled(prob, cfg, gamma_schedules=g, tau_schedules=lambda n: taus))
+        assert runs[-1].iterations == 30 and len(calls) == 1
+    assert trace_bytes(runs[1]) == trace_bytes(runs[0])
+
+
 def test_coupled_schedule_mutating_one_list_gets_a_build_per_change(monkeypatch):
     # A schedule that rewrites and returns one list in place: each change
     # is a new build, and the run equals one with a fresh list per stage.

@@ -21,7 +21,7 @@ from warpsplit.cli import (
     parse_problem,
     parse_text,
 )
-from warpsplit.errors import ConfigurationError, ProblemFormatError
+from warpsplit.errors import ConfigurationError, ProblemFormatError, UnknownOperatorError
 
 MINIMAL = """\
 kind = inclusion
@@ -483,6 +483,30 @@ def test_algo_takes_the_checks_of_the_variant_it_runs(tmp_path, capsys, monkeypa
     assert errors == [f"error: {message}\n"] * 2
 
 
+@pytest.mark.parametrize("form", ["variant", "algo"])
+@pytest.mark.parametrize("algo", ["strong", "tseng"])
+def test_relax_is_refused_by_runs_that_read_no_lambda(tmp_path, capsys, monkeypatch,
+                                                      algo, form):
+    # A strong or tseng run reads no lambda: --relax exits 1 before iteration
+    # 0 and writes no trace, for the file's variant and for --algo alike.
+    # Without it, the generated file's own lambda = 1.0 is ignored and it runs.
+    text = generate_problem("inclusion", 3, 1)
+    if form == "variant":
+        args = [write(tmp_path, "p.txt", text.replace("variant = weak", f"variant = {algo}"))]
+    else:
+        args = [write(tmp_path, "p.txt", text), "--algo", algo]
+    trace = tmp_path / "t.csv"
+    args = ["run", "--problem", *args, "--max-iter", "20", "--trace", str(trace),
+            "--summary", str(tmp_path / "s.json")]
+    with monkeypatch.context() as m:
+        m.setattr(algorithms, f"solve_{algo}", lambda *a: pytest.fail(f"{algo} ran"))
+        assert main([*args, "--relax", "1.5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: variant {algo} reads no relaxation lambda; "
+                                       "--relax applies to weak, fbf and coupled runs\n")
+    assert not trace.exists()
+    assert main(args) in (EXIT_OK, EXIT_MAX_ITER) and trace.exists()
+
+
 # The kernel's epsilon (0.3) exceeds the solver's (0.05): a weak run's
 # default step comes from 0.3, a tseng run's from 0.05.
 EPSILON_SPLIT = ROTATION_BOX.split("begin kernel")[0] + """\
@@ -555,10 +579,17 @@ def test_generated_coupled_run_solves_on_blockwise_maps(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_unknown_operator_name(tmp_path):
-    text = MINIMAL.replace("name = ball", "name = warp_drive")
-    code = main(["run", "--problem", write(tmp_path, "u.txt", text)])
-    assert code == EXIT_USAGE
+def test_unknown_operator_name(tmp_path, capsys):
+    # Reported unquoted, after the block it names, as a configuration error
+    # is; the error keeps its type.
+    path = write(tmp_path, "u.txt", MINIMAL.replace("name = ball", "name = warp_drive"))
+    message = ("block 'A': unknown set-valued operator 'warp_drive'; known: ['affine', "
+               "'affine_set', 'ball', 'box', 'constant', 'halfspace', 'l1', "
+               "'scaled_identity', 'zero']")
+    with pytest.raises(UnknownOperatorError, match=f"^{re.escape(message)}$"):
+        parse_problem(path)
+    assert main(["run", "--problem", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_roundtrip_parse_serialize_parse(tmp_path):
@@ -870,6 +901,14 @@ def test_generate_is_deterministic_and_solvable(tmp_path):
     gaps = [float(np.linalg.norm(rec.x - z)) for rec in res.trace]
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-10
+
+
+@pytest.mark.parametrize("kind", ["inclusion", "coupled"])
+@pytest.mark.parametrize("dim", [1, 3, 20])
+def test_generated_file_is_a_fixed_point_of_parse_and_serialize(kind, dim):
+    for seed in range(3):
+        text = generate_problem(kind, dim, seed)
+        assert ProblemFile(parse_text(text)).serialize() == text
 
 
 def test_generate_coupled_matches_embedded_solution(tmp_path):

@@ -171,7 +171,7 @@ def test_catalog_builds_and_unknown_name():
      "['affine_map', 'identity_map', 'zero_map']"),
 ], ids=["set_valued", "single_valued"])
 def test_catalog_error_messages(make, kind, name, known):
-    # The message itself (args[0]: a KeyError's str() adds quotes).
+    # The message itself (args[0]; the error's str() is the same text, unquoted).
     with pytest.raises(UnknownOperatorError) as unknown:
         make("nope", {}, 2)
     assert unknown.value.args[0] == f"unknown {kind} operator 'nope'; known: {known}"
