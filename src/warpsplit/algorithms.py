@@ -61,6 +61,7 @@ from .operators import (
     SingleValuedOperator,
     constant_operator,
     identity_map,
+    saddle_skew_map,
     zero_map,
 )
 from .space import BlockLayout, LinearMap, check_dim, vector
@@ -655,10 +656,10 @@ class CoupledProblem:
     ``couplings`` maps (dual index j, primal index i) to the matrix of
     L_{ji}; missing pairs are zero.  ``coupling`` holds them all as one
     read-only stacked matrix L (dual total x primal total), so that L x and
-    L* v* are one matvec each.  The stacked Kuhn-Tucker operator, its
-    forward part and the skew norm are built once and cached, so kernels
-    and decompositions assembled from the same problem instance share the
-    same forward object.
+    L* v* are one matvec each.  The skew coupling S, ``saddle_skew_map`` of
+    [L, -Id], the forward part and the set part are built on first use and
+    cached, so kernels and decompositions assembled from the same problem
+    instance share the same forward object.
     """
 
     def __init__(self, primal, dual, couplings):
@@ -687,31 +688,20 @@ class CoupledProblem:
         self._forward = None
         self._set_part = None
         self._skew = None
-        self._skew_norm = None
 
     def L(self, j, i):
         return self._L.get((j, i))
 
-    def _skew_matrix(self) -> np.ndarray:
-        """The skew coupling (x,y,v*) -> (L*v*, -v*, -Lx+y) as one stacked matrix (cached)."""
+    def skew(self) -> SingleValuedOperator:
+        """The skew coupling S: (x,y,v*) -> (L*v*, -v*, -Lx+y), ``saddle_skew_map`` of [L, -Id]."""
         if self._skew is None:
-            ny, nz = self.primal_layout.total, self.dual_layout.total
-            x, y, v = slice(0, ny), slice(ny, ny + nz), slice(ny + nz, ny + 2 * nz)
-            S = np.zeros((ny + 2 * nz, ny + 2 * nz))
-            S[x, v] = self.coupling.T
-            S[v, x] = -self.coupling
-            S[y, v] = -np.eye(nz)
-            S[v, y] = np.eye(nz)
-            S.flags.writeable = False
-            self._skew = S
+            nz = self.dual_layout.total
+            self._skew = saddle_skew_map(LinearMap(np.concatenate((self.coupling, -np.eye(nz)), 1)))
         return self._skew
 
     def skew_norm(self) -> float:
-        """Operator norm of the skew coupling (cached), from the eigenvalues of S^T S."""
-        if self._skew_norm is None:
-            S = self._skew_matrix()
-            self._skew_norm = float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1]))
-        return self._skew_norm
+        """Operator norm |S| of the skew coupling, from the eigenvalues of S^T S."""
+        return self.skew().lipschitz
 
     def kt_forward(self) -> SingleValuedOperator:
         """Forward part of the stacked Kuhn-Tucker operator (cached instance).
@@ -720,7 +710,7 @@ class CoupledProblem:
         skew matrix times u, plus each C_i / D_j given on its slice.
         """
         if self._forward is None:
-            S = self._skew_matrix()
+            S = self.skew().matrix
             offs = self.layout.offsets
             given = [(blk.C, blk._C_given) for blk in self.primal]
             given += [(blk.D, blk._D_given) for blk in self.dual]
@@ -850,12 +840,10 @@ def _stage_steps(steps, defaults, kind):
     # One stage constant per block: the blocks' defaults, or a scalar broadcast.
     if steps is None:
         return defaults
-    fixed = [float(s) for s in np.atleast_1d(np.asarray(steps, dtype=float))]
-    if len(fixed) == 1:
-        fixed = fixed * len(defaults)
-    if len(fixed) != len(defaults):
-        raise ConfigurationError(f"need one {kind} per block, got {len(fixed)}")
-    return fixed
+    fixed = np.atleast_1d(np.asarray(steps, dtype=float))
+    if fixed.shape not in ((1,), (len(defaults),)):
+        raise ConfigurationError(f"need one {kind} per block, or one for all, got shape {fixed.shape}")
+    return fixed.repeat(len(defaults) // len(fixed)).tolist()
 
 
 def check_coupled_step(step):
@@ -872,13 +860,14 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
     Runs the generic weak solver over the stacked Kuhn-Tucker space with
     the coupled kernels, built by ``staged``; ``cfg.step_size`` must be
     None or 1.0 (``check_coupled_step``).  ``dual_scale`` is the kernels'
-    v* coefficient c: None selects the skew norm |S| (>= 1, since S holds
-    the +-Id blocks linking y and v*), 1.0 the paper's kernel.  The result
-    carries blockwise Kuhn-Tucker residual certificates of the final point.
+    v* coefficient c, finite and > 0: None selects |S| for the skew S,
+    ``saddle_skew_map`` of [L, -Id] (>= 1, since S holds the +-Id blocks
+    linking y and v*), 1.0 the paper's kernel.  The result carries blockwise
+    Kuhn-Tucker residual certificates of the final point.
     """
     check_coupled_step(cfg.step_size)
-    if dual_scale is not None and not dual_scale > 0:
-        raise ConfigurationError(f"dual_scale must be > 0, got {dual_scale}")
+    if dual_scale is not None and not 0 < dual_scale < math.inf:
+        raise ConfigurationError(f"dual_scale must be > 0 and finite, got {dual_scale}")
     c = problem.skew_norm() if dual_scale is None else float(dual_scale)
     if F_schedule is None:
         F_schedule = _identity_stages(problem.primal, "primal", "(alpha, chi)", "F")

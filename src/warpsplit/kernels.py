@@ -544,11 +544,8 @@ def primal_dual_kernel(L: LinearMap, gamma, mu) -> Kernel:
     dy, dz = L.domain_dim, L.codomain_dim
     layout = BlockLayout((dy, dz))
     skew = saddle_skew_map(L)
-    mat = np.block([
-        [np.eye(dy) / gamma, -L.matrix.T],
-        [L.matrix, mu * np.eye(dz)],
-    ])
-    beta = float(np.linalg.norm(mat, 2))
+    diag = np.diag(np.repeat([1.0 / gamma, float(mu)], (dy, dz)))
+    beta = float(np.linalg.norm(diag - skew.matrix, 2))
     return Kernel(dy + dz,
                   base=[(None, 1.0 / gamma), (None, float(mu))],
                   layout=layout,
@@ -583,10 +580,10 @@ def coupled_kernel(problem, F_ops, W_ops, gammas, taus, c=1.0) -> Kernel:
     (the paper's kernel is c = 1); it carries no C or D, so its modulus and
     Lipschitz constant are both c.  The declared strong-monotonicity
     constant is min(the stages' vartheta, c), and the Lipschitz constant
-    max(the stages' eta, c) + |S| for the skew coupling S.
+    max(the stages' eta, c) + |S| for the skew S, ``saddle_skew_map`` of [L, -Id].
     """
-    if not c > 0:
-        raise ConfigurationError(f"coupled kernel v* coefficient c must be > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ConfigurationError(f"coupled kernel v* coefficient c must be > 0 and finite, got {c}")
     primal, dual = problem.primal, problem.dual
     if len(F_ops) != len(primal) or len(W_ops) != len(dual):
         raise DimensionMismatchError("one stage operator per block is required")

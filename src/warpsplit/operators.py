@@ -9,6 +9,7 @@ validated probabilistically by the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +153,7 @@ class SingleValuedOperator:
     graph point instead.
     """
 
-    matrix = None  # the read-only linear part of an affine map
+    matrix = None  # the read-only linear part of an affine or linear map
 
     def __init__(self, dim, fn, lipschitz, monotone=True,
                  strong_monotonicity=None, scale_of_identity=None,
@@ -423,14 +424,27 @@ def identity_map(dim, scale=1.0) -> SingleValuedOperator:
 
 
 def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
-    """The skew coupling (x, v*) -> (L* v*, -L x) on the stacked primal-dual space."""
+    """The skew coupling (x, v*) -> (L* v*, -L x): S = [[0, L*], [-L, 0]], its read-only ``matrix``.
+
+    The declared Lipschitz constant |S| = |L| is sqrt of the top eigenvalue
+    of S^T S, for S scaled exactly by a power of two (so that S^T S neither
+    overflows nor underflows), and at least the smallest positive float.
+    """
     dy, dz = L.domain_dim, L.codomain_dim
-    S = np.block([[np.zeros((dy, dy)), L.matrix.T], [-L.matrix, np.zeros((dz, dz))]])
+    S = np.zeros((dy + dz, dy + dz))
+    S[:dy, dy:] = L.matrix.T
+    S[dy:, :dy] = -L.matrix
     S.flags.writeable = False
-    beta = max(L.operator_norm(), np.finfo(float).tiny)
-    return SingleValuedOperator(
+    largest = float(np.abs(L.matrix).max(initial=0.0))
+    e = math.frexp(largest)[1]  # the largest entry of S / 2^e lies in [1/2, 1)
+    T = np.ldexp(S, -e)
+    top = np.linalg.eigvalsh(T.T @ T)[-1] if largest else 0.0  # 0 for a zero or empty L
+    beta = max(float(np.ldexp(math.sqrt(top), e)), np.finfo(float).tiny)  # inf past float range
+    op = SingleValuedOperator(
         dy + dz, lambda u: S @ u, lipschitz=beta, monotone=True,
         name="saddle_skew", tag=("saddle_skew", L.matrix.tobytes(), L.matrix.shape))
+    op.matrix = S
+    return op
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,5 @@ class LinearMap:
         check_dim(v, self.codomain_dim, "LinearMap adjoint argument")
         return self.matrix.T @ v
 
-    def operator_norm(self) -> float:
-        if self.matrix.size == 0:
-            return 0.0
-        return float(np.linalg.norm(self.matrix, 2))
-
     def __repr__(self):
         return f"LinearMap(shape={self.matrix.shape})"

@@ -1,0 +1,156 @@
+"""Mutation check: every named source edit must make the Tier-1 suite fail.
+
+Run from anywhere, with the interpreter that runs the tests:
+
+    python tests/mutants.py             # all mutants
+    python tests/mutants.py --list      # their names
+    python tests/mutants.py NAME ...    # the named mutants only
+
+Each mutant is one literal edit of a file under ``src/warpsplit``.  It is
+applied to a fresh copy of the repository in a temporary directory, and the
+Tier-1 suite (``PYTHONPATH=src python -m pytest -q``) runs there, stopping at
+its first failure.  A mutant is killed when the suite fails.  The unmutated
+copy runs first and must pass, and must import the package from its own
+``src``.  The exit status is 1 when a mutant survives or the check cannot run.
+
+pytest does not collect this file: its name does not match ``test_*.py``.
+A surviving mutant is a gap in the suite: mend it with a test, and keep the
+mutant.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file under src/warpsplit, text that occurs exactly once there, its replacement)
+MUTANTS = [
+    ("kt-skew-minus-id-sign", "algorithms.py",
+     "np.concatenate((self.coupling, -np.eye(nz)), 1)",
+     "np.concatenate((self.coupling, np.eye(nz)), 1)"),
+    ("skew-norm-power-of-two-scaling", "operators.py",
+     "    T = np.ldexp(S, -e)\n",
+     "    T, e = S, 0\n"),
+    ("pairing-layout-check", "kernels.py",
+     "    kernel._check_set_part(m.set_part)\n    if kernel.fold is None:",
+     "    if kernel.fold is None:"),
+    ("iterate-step-floor", "algorithms.py",
+     "                    if not gamma >= floor:",
+     "                    if False:"),
+    ("relaxation-range", "algorithms.py",
+     "    if not (epsilon - slack <= lam <= 2.0 - epsilon + slack):",
+     "    if not (0.0 < lam < 2.0):"),
+    ("fbf-step-epsilon-bound", "kernels.py",
+     "    if not 0 < epsilon < bound:",
+     "    if not 0 < epsilon < alpha:"),
+    ("monotone-spectrum-reject", "operators.py",
+     "    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):",
+     "    if False:"),
+    # CutRing's disjointness raise.  The raise in ``_swap`` is not a mutant:
+    # returning False there hands the same cut to ``_enter``, whose ratio test
+    # raises the same error, so no test can tell the two apart.
+    ("cut-ring-disjoint-raise", "fejer.py",
+     "            if k < 0:\n                raise self._disjoint(j, v)\n            lam[:p] -= part * r",
+     "            if k < 0:\n                return\n            lam[:p] -= part * r"),
+    ("graph-point-finite-scan", "kernels.py",
+     "    if np.isfinite(y).all() and np.isfinite(y_star).all():\n        return",
+     "    if True:\n        return"),
+    ("graph-point-dimension-check", "kernels.py",
+     '    check_dim(x_tilde, kernel.dim, "kernel %s argument", kernel.name)\n',
+     ""),
+]
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info", "out")
+
+
+def tier1_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
+    return env
+
+
+def tier1(tree: Path, first_failure: bool) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"] + (["-x"] if first_failure else [])
+    return subprocess.run(cmd, cwd=tree, env=tier1_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+
+
+def copy_tree(dest: Path) -> Path:
+    shutil.copytree(ROOT, dest, ignore=IGNORE)
+    return dest
+
+
+def mutated(name: str, file: str, old: str, new: str) -> str:
+    """The text of ``file`` with the mutant's edit, checked to apply exactly once."""
+    text = (ROOT / "src" / "warpsplit" / file).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"mutant {name}: its text occurs {text.count(old)} times in {file}, "
+                         "not once; update the mutant to the source")
+    return text.replace(old, new)
+
+
+def last_line(proc: subprocess.CompletedProcess) -> str:
+    lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+    return lines[-1] if lines else f"exit {proc.returncode}, no output"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    p.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    args = p.parse_args(argv)
+    if args.list:
+        print("\n".join(m[0] for m in MUTANTS))
+        return 0
+    known = {m[0] for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        p.error(f"unknown mutants {unknown}; see --list")
+    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+
+    edits = [(name, file, mutated(name, file, old, new)) for name, file, old, new in chosen]
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="warpsplit-mutants-") as tmp:
+        base = copy_tree(Path(tmp) / "unmutated")
+        where = subprocess.run([sys.executable, "-c", "import warpsplit; print(warpsplit.__file__)"],
+                               cwd=base, env=tier1_env(), stdout=subprocess.PIPE, text=True)
+        if not Path(where.stdout.strip()).resolve().is_relative_to(base.resolve()):
+            print(f"the copy imports warpsplit from {where.stdout.strip()!r}, not its own src")
+            return 1
+        proc = tier1(base, first_failure=False)
+        print(f"unmutated: {last_line(proc)}", flush=True)
+        if proc.returncode != 0:
+            print(proc.stdout[-4000:])
+            return 1
+        shutil.rmtree(base)
+        survivors = []
+        for name, file, text in edits:
+            t0 = time.perf_counter()
+            tree = copy_tree(Path(tmp) / name)
+            (tree / "src" / "warpsplit" / file).write_text(text, encoding="utf-8")
+            proc = tier1(tree, first_failure=True)
+            killed = proc.returncode != 0
+            if not killed:
+                survivors.append(name)
+            print(f"{name}: {'killed' if killed else 'SURVIVED'} in "
+                  f"{time.perf_counter() - t0:.1f} s ({last_line(proc)})", flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    if survivors:
+        print("surviving: " + ", ".join(survivors))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

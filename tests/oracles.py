@@ -12,7 +12,9 @@ single-cut relaxed projection written from a graph point.  The strong
 solver's multi-cut projector ``fejer.CutRing`` is pinned by
 ``qp_polyhedron``, which enumerates active sets.
 The coupled references apply each coupling L_{ji} block by block, where the
-library uses one stacked coupling matrix.
+library uses one stacked coupling matrix; ``literal_kt_skew`` and
+``literal_primal_dual_matrix`` write the two skew layouts out as ``np.block``
+literals, where the library builds both from ``saddle_skew_map``.
 The transcriptions call only the operators they are given.  The
 character-by-character bracket parser pins the problem-file value grammar
 that the CLI's run-at-a-time parser must reproduce, errors included.
@@ -423,6 +425,23 @@ def blockwise_kt_forward(problem, u):
     out += [blk.D(y) - v for blk, y, v in zip(problem.dual, ys, vs)]
     out += [-lx + y for lx, y in zip(coupling_Lx(problem, xs), ys)]
     return np.concatenate(out)
+
+
+def literal_kt_skew(L):
+    """The Kuhn-Tucker skew [[0, 0, L*], [0, 0, -I], [-L, I, 0]] of a stacked L, by ``np.block``."""
+    L = np.asarray(L, dtype=float)
+    nz, ny = L.shape
+    I, Z = np.eye(nz), np.zeros
+    return np.block([[Z((ny, ny)), Z((ny, nz)), L.T],
+                     [Z((nz, ny)), Z((nz, nz)), -I],
+                     [-L, I, Z((nz, nz))]])
+
+
+def literal_primal_dual_matrix(L, gamma, mu):
+    """The primal-dual kernel (x, v*) -> (x/gamma - L* v*, L x + mu v*) as one ``np.block``."""
+    L = np.asarray(L, dtype=float)
+    nz, ny = L.shape
+    return np.block([[np.eye(ny) / gamma, -L.T], [L, mu * np.eye(nz)]])
 
 
 def blockwise_kt_residuals(problem, xs, vs):

@@ -819,10 +819,29 @@ def test_coupled_default_dual_scale_beats_the_paper_kernel():
     np.testing.assert_array_equal(explicit.x.flatten(), scaled.x.flatten())
 
 
-@pytest.mark.parametrize("dual_scale", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("dual_scale", [0.0, -1.0, float("nan"), float("inf")])
 def test_coupled_dual_scale_must_be_positive(dual_scale):
+    # An infinite c passes "> 0"; it is refused here, not at iteration 0 on
+    # a non-finite graph point.
     with pytest.raises(ConfigurationError, match="dual_scale must be > 0"):
         solve_coupled(scalar_coupled_problem(), SolverConfig(max_iter=5), dual_scale=dual_scale)
+
+
+@pytest.mark.parametrize("c", [float("inf"), float("nan"), 0.0])
+def test_coupled_kernel_v_star_coefficient_must_be_finite(c):
+    prob = scalar_coupled_problem()
+    with pytest.raises(ConfigurationError, match="c must be > 0 and finite"):
+        kernels.coupled_kernel(prob, [identity_map(1)], [identity_map(1)],
+                               [prob.primal[0].default_step], [prob.dual[0].default_step], c=c)
+
+
+@pytest.mark.parametrize("key,kind", [("gamma_schedules", "gamma"), ("tau_schedules", "tau")])
+@pytest.mark.parametrize("value", [np.ones((2, 1)), np.ones((1, 1)), lambda n: np.ones((1, 1))])
+def test_coupled_stage_constants_must_be_one_per_block_or_one_for_all(key, kind, value):
+    # A 2-D array of stage constants is a configuration error that names its
+    # kind, from a constant and from a schedule alike.
+    with pytest.raises(ConfigurationError, match=rf"need one {kind} per block, or one for all"):
+        solve_coupled(scalar_coupled_problem(), SolverConfig(max_iter=5), **{key: value})
 
 
 def test_coupled_problem_validation():

@@ -49,6 +49,8 @@ from oracles import (
     blockwise_kt_residuals,
     coupling_Lx,
     disk_warped_projection,
+    literal_kt_skew,
+    literal_primal_dual_matrix,
 )
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -930,6 +932,27 @@ def test_generated_coupled_kernel_is_its_literal_formula():
         for _ in range(20):
             u = rng.normal(size=prob.layout.total) * 3
             assert k.eval(u).tobytes() == (coef * u - fwd(u)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 20])
+def test_generated_coupled_skew_is_its_literal_layout(dim):
+    # The Kuhn-Tucker skew is saddle_skew_map of [L, -Id]: to the last bit
+    # its matrix is the literal layout, skew_norm is sqrt of the top
+    # eigenvalue of S^T S, and kt_forward (C = D = 0 here) is S @ u.  The
+    # primal-dual kernel, built from the same map, declares the norm of its
+    # literal matrix.
+    for seed in range(4):
+        prob = ProblemFile(parse_text(generate_problem("coupled", dim, seed))).problem
+        S = literal_kt_skew(prob.coupling)
+        assert prob.skew().matrix.tobytes() == S.tobytes()
+        assert not prob.skew().matrix.flags.writeable
+        assert prob.skew_norm() == float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1]))
+        u = np.random.default_rng(seed).normal(size=prob.layout.total) * 3
+        assert prob.kt_forward()(u).tobytes() == (S @ u).tobytes()
+        L = LinearMap(prob.coupling)
+        for gamma, mu in ((0.5, 1.0), (1.3, 0.2), (1.0, prob.skew_norm())):
+            ref = float(np.linalg.norm(literal_primal_dual_matrix(L.matrix, gamma, mu), 2))
+            assert primal_dual_kernel(L, gamma, mu).beta == ref
 
 
 def test_kt_forward_matches_blockwise_formula():

@@ -5,6 +5,7 @@ from warpsplit import (
     ConfigurationError,
     DimensionMismatchError,
     GraphPoint,
+    LinearMap,
     UnknownOperatorError,
     affine_map,
     affine_resolvent_operator,
@@ -17,6 +18,7 @@ from warpsplit import (
     l1_operator,
     make_set_valued,
     make_single_valued,
+    saddle_skew_map,
     scaled_identity_operator,
     zero_operator,
 )
@@ -127,6 +129,28 @@ def test_add_constant_shifts_resolvent():
     # v in p + gamma(d|p| - 1) <=> p = J_{gamma d|.|}(v + gamma)
     np.testing.assert_allclose(shifted.resolvent(2.0, np.array([0.5])),
                                A.resolvent(2.0, np.array([2.5])))
+
+
+def test_saddle_skew_map_matrix_and_norm():
+    # S = [[0, L*], [-L, 0]] is the read-only matrix of the map, and its
+    # declared Lipschitz constant |S| = |L| agrees with the spectral norm,
+    # also where the squares of L's entries overflow or underflow.
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        dz, dy = rng.integers(1, 9, size=2)
+        L = rng.normal(size=(dz, dy)) * 10.0 ** rng.uniform(-300, 300)
+        skew = saddle_skew_map(LinearMap(L))
+        S = np.block([[np.zeros((dy, dy)), L.T], [-L, np.zeros((dz, dz))]])
+        assert skew.matrix.tobytes() == S.tobytes() and not skew.matrix.flags.writeable
+        u = rng.normal(size=dy + dz)
+        assert skew(u).tobytes() == (S @ u).tobytes()
+        ref = np.linalg.norm(L, 2)
+        assert abs(skew.lipschitz - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 1), (0, 3), (3, 0), (0, 0)])
+def test_saddle_skew_map_of_zero_or_empty_coupling_is_tiny(shape):
+    assert saddle_skew_map(LinearMap(np.zeros(shape))).lipschitz == np.finfo(float).tiny
 
 
 def test_affine_map_skew_constants():
