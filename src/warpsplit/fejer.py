@@ -279,13 +279,15 @@ class CutRing:
         a_j = sum r_i a_i with r_i = <b_i, a_j>.  Dropping row k and entering
         j moves z by -(v / r_k) b_k, the only direction that keeps the other
         rows' planes, and pivots the dual basis: b_k / r_k, and b_i - (r_i /
-        r_k) b_k.  Returns False, changing nothing, when a multiplier of the
-        new vertex is negative: Goldfarb-Idnani's step is then no swap.
+        r_k) b_k.  Returns False, changing nothing, when the ratio test picks
+        no row (``_enter``'s test on the same r then raises), or when a
+        multiplier of the new vertex is negative: Goldfarb-Idnani's step is
+        then no swap.
         """
         r = self.dual.dot(self.normals[j])
         _, k, rk = self._ratio(self.lam, r)
         if k < 0:
-            raise self._disjoint(j, v)
+            return False
         bk = self.dual[k] * (1.0 / rk)
         pivot = self.dual - r[:, None] * bk
         pivot[k] = bk

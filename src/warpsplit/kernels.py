@@ -62,14 +62,6 @@ class MDecomposition:
         return f"MDecomposition(A={self.set_part.name}, B={fwd})"
 
 
-def _forward_matches(fold_op, forward_part):
-    if forward_part is fold_op:
-        return True
-    if fold_op is None or forward_part is None:
-        return False
-    return fold_op.tag is not None and fold_op.tag == forward_part.tag
-
-
 def _norm(v) -> float:
     """|v| as sqrt(v.v), which is np.linalg.norm(v) bit for bit.
 
@@ -348,26 +340,22 @@ class Kernel:
 
 
 def _check_pairing(m: MDecomposition, kernel: Kernel, gamma):
-    """Check the kernel against M once per stage: dimension, set part layout, and fold."""
+    """Check the kernel against M once per stage: dimension, set part layout, and fold.
+
+    The fold must be the forward object M carries (identity, not equality), at gamma.
+    """
     if m.dim != kernel.dim:
         raise DimensionMismatchError(
             f"M has dim {m.dim}, kernel {kernel.name!r} has dim {kernel.dim}")
     kernel._check_set_part(m.set_part)
-    if kernel.fold is None:
-        if m.forward_part is not None:
-            raise ConfigurationError(
-                f"kernel {kernel.name!r} folds no forward part but M = A + B has "
-                f"B = {m.forward_part.name!r}; build the kernel with that forward "
-                "part (e.g. fbf_kernel) so K + gamma*M stays backward-solvable")
-        return
-    g_fold, B_fold = kernel.fold
-    if not _forward_matches(B_fold, m.forward_part):
-        got = "none" if m.forward_part is None else repr(m.forward_part.name)
+    g_fold, B_fold = kernel.fold or (None, None)
+    if B_fold is not m.forward_part:
+        folded, got = ("none" if B is None else repr(B.name) for B in (B_fold, m.forward_part))
         raise ConfigurationError(
-            f"kernel {kernel.name!r} was folded with forward part "
-            f"{B_fold.name!r}, but M carries {got}; the pairing must use the "
-            "same forward operator")
-    if abs(gamma - g_fold) > 1e-12 * max(1.0, abs(g_fold)):
+            f"kernel {kernel.name!r} folds forward part {folded}, which is not the "
+            f"object M = A + B carries (B = {got}); build the kernel with M's own "
+            "forward part (e.g. fbf_kernel) so K + gamma*M stays backward-solvable")
+    if B_fold is not None and abs(gamma - g_fold) > 1e-12 * max(1.0, abs(g_fold)):
         raise ConfigurationError(
             f"kernel {kernel.name!r} was folded with gamma = {g_fold}, called "
             f"with gamma = {gamma}")
@@ -532,26 +520,30 @@ def fbf_kernel(W: SingleValuedOperator, B, gamma, epsilon) -> Kernel:
                   name=f"fbf({W.name}-{gamma}*{B.name})")
 
 
-def primal_dual_kernel(L: LinearMap, gamma, mu) -> Kernel:
-    """Kernel (x, v*) -> (x/gamma - L* v*, L x + mu v*) on the stacked space.
+def primal_dual_kernel(m: MDecomposition, gamma, mu) -> Kernel:
+    """Kernel (x, v*) -> (x/gamma - L* v*, L x + mu v*) for M = ``saddle_decomposition(A, B, L)``.
 
-    Paired with the saddle operator M(x, v*) = (A x + L* v*) x (-L x + B^{-1} v*),
-    the skew parts cancel and the backward solve decouples into the two
-    classical resolvents.
+    It folds M's own forward part S on M's two blocks, so the skew parts cancel
+    and the backward solve decouples into the two classical resolvents.  Its
+    alpha = min(1/gamma, mu) needs a skew fold: an M that is not two blocks, or
+    whose forward part has no ``matrix`` S with S + S^T == 0 exactly, raises.
     """
     if not gamma > 0 or not mu > 0:
         raise ConfigurationError(f"primal_dual_kernel needs gamma, mu > 0, got {gamma}, {mu}")
-    dy, dz = L.domain_dim, L.codomain_dim
-    layout = BlockLayout((dy, dz))
-    skew = saddle_skew_map(L)
-    diag = np.diag(np.repeat([1.0 / gamma, float(mu)], (dy, dz)))
-    beta = float(np.linalg.norm(diag - skew.matrix, 2))
-    return Kernel(dy + dz,
+    S = getattr(m.forward_part, "matrix", None)
+    layout = getattr(m.set_part, "layout", None)
+    if (layout is None or len(layout.dims) != 2 or S is None
+            or S.shape != (m.dim, m.dim) or (S + S.T).any()):
+        raise ConfigurationError(
+            f"primal_dual_kernel needs a saddle decomposition: two blocks and a forward "
+            f"part whose matrix S is skew (S + S^T == 0), got {m!r}")
+    diag = np.diag(np.repeat([1.0 / gamma, float(mu)], layout.dims))
+    return Kernel(m.dim,
                   base=[(None, 1.0 / gamma), (None, float(mu))],
                   layout=layout,
-                  fold=(1.0, skew),
+                  fold=(1.0, m.forward_part),
                   alpha=min(1.0 / gamma, float(mu)),
-                  beta=beta,
+                  beta=float(np.linalg.norm(diag - S, 2)),
                   name="primal_dual")
 
 
@@ -560,7 +552,7 @@ def saddle_decomposition(A: SetValuedOperator, B: SetValuedOperator,
     """M(x, v*) = (A x + L* v*) x (-L x + B^{-1} v*) as an M-decomposition.
 
     Zeros are the primal-dual pairs of ``0 in A x + L*(B(L x))``; pair with
-    ``primal_dual_kernel`` built from the same L.
+    ``primal_dual_kernel`` built from this decomposition.
     """
     dy, dz = L.domain_dim, L.codomain_dim
     if A.dim != dy or B.dim != dz:

@@ -157,7 +157,7 @@ class SingleValuedOperator:
 
     def __init__(self, dim, fn, lipschitz, monotone=True,
                  strong_monotonicity=None, scale_of_identity=None,
-                 name="map", tag=None):
+                 name="map"):
         if not lipschitz > 0:
             raise ConfigurationError(f"declared Lipschitz constant must be > 0, got {lipschitz}")
         if strong_monotonicity is not None and not strong_monotonicity > 0:
@@ -172,7 +172,6 @@ class SingleValuedOperator:
         self.scale_of_identity = (
             None if scale_of_identity is None else float(scale_of_identity))
         self.name = name
-        self.tag = tag
 
     def _apply(self, x) -> np.ndarray:
         """The map at a float vector x of this dimension: the output's shape
@@ -441,8 +440,7 @@ def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
     top = np.linalg.eigvalsh(T.T @ T)[-1] if largest else 0.0  # 0 for a zero or empty L
     beta = max(float(np.ldexp(math.sqrt(top), e)), np.finfo(float).tiny)  # inf past float range
     op = SingleValuedOperator(
-        dy + dz, lambda u: S @ u, lipschitz=beta, monotone=True,
-        name="saddle_skew", tag=("saddle_skew", L.matrix.tobytes(), L.matrix.shape))
+        dy + dz, lambda u: S @ u, lipschitz=beta, monotone=True, name="saddle_skew")
     op.matrix = S
     return op
 

@@ -13,6 +13,11 @@ its first failure.  A mutant is killed when the suite fails.  The unmutated
 copy runs first and must pass, and must import the package from its own
 ``src``.  The exit status is 1 when a mutant survives or the check cannot run.
 
+Tier-1 includes ``tests/test_mutant_anchors.py``, which requires each
+mutant's text to occur exactly once in the source, so that a refactor that
+moves an anchor fails at once.  A mutated copy no longer holds its own
+anchor, so the mutant runs leave that file out.
+
 pytest does not collect this file: its name does not match ``test_*.py``.
 A surviving mutant is a gap in the suite: mend it with a test, and keep the
 mutant.
@@ -40,8 +45,19 @@ MUTANTS = [
      "    T = np.ldexp(S, -e)\n",
      "    T, e = S, 0\n"),
     ("pairing-layout-check", "kernels.py",
-     "    kernel._check_set_part(m.set_part)\n    if kernel.fold is None:",
-     "    if kernel.fold is None:"),
+     "    kernel._check_set_part(m.set_part)\n    g_fold, B_fold = kernel.fold or (None, None)\n",
+     "    g_fold, B_fold = kernel.fold or (None, None)\n"),
+    ("pairing-forward-identity", "kernels.py",
+     "    if B_fold is not m.forward_part:\n",
+     "    if False:\n"),
+    # _linear_maps' run key: a run is blocks of one R shape, scalar or d_b x d_b.
+    ("linear-maps-run-key-size", "kernels.py",
+     "        if not runs or runs[-1][1] != R.shape:",
+     "        if not runs or len(runs[-1][1]) != R.ndim:"),
+    # A scalar R stays one coefficient per coordinate, never a d_b x d_b matrix.
+    ("linear-maps-no-densify", "kernels.py",
+     "        R, s = np.asarray(R), np.asarray(s)\n",
+     "        R, s = np.asarray(R) * (np.eye(A.dim) if np.ndim(R) == 0 else 1.0), np.asarray(s)\n"),
     ("iterate-step-floor", "algorithms.py",
      "                    if not gamma >= floor:",
      "                    if False:"),
@@ -54,9 +70,9 @@ MUTANTS = [
     ("monotone-spectrum-reject", "operators.py",
      "    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):",
      "    if False:"),
-    # CutRing's disjointness raise.  The raise in ``_swap`` is not a mutant:
-    # returning False there hands the same cut to ``_enter``, whose ratio test
-    # raises the same error, so no test can tell the two apart.
+    # CutRing's one disjointness raise, in ``_enter``.  ``_swap`` raises
+    # nothing: when its ratio test picks no row it returns False, and hands the
+    # cut to ``_enter``, whose ratio test on the same r raises.
     ("cut-ring-disjoint-raise", "fejer.py",
      "            if k < 0:\n                raise self._disjoint(j, v)\n            lam[:p] -= part * r",
      "            if k < 0:\n                return\n            lam[:p] -= part * r"),
@@ -68,6 +84,7 @@ MUTANTS = [
      ""),
 ]
 
+ANCHORS = "tests/test_mutant_anchors.py"  # reads the unmutated source; left out of mutant runs
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info", "out")
 
 
@@ -77,9 +94,10 @@ def tier1_env() -> dict:
     return env
 
 
-def tier1(tree: Path, first_failure: bool) -> subprocess.CompletedProcess:
+def tier1(tree: Path, mutant: bool) -> subprocess.CompletedProcess:
+    """Tier-1 in ``tree``; a mutant run stops at its first failure and leaves out ANCHORS."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           "-p", "no:cacheprovider"] + (["-x"] if first_failure else [])
+           "-p", "no:cacheprovider"] + (["-x", "--ignore", ANCHORS] if mutant else [])
     return subprocess.run(cmd, cwd=tree, env=tier1_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True)
 
@@ -126,7 +144,7 @@ def main(argv=None) -> int:
         if not Path(where.stdout.strip()).resolve().is_relative_to(base.resolve()):
             print(f"the copy imports warpsplit from {where.stdout.strip()!r}, not its own src")
             return 1
-        proc = tier1(base, first_failure=False)
+        proc = tier1(base, mutant=False)
         print(f"unmutated: {last_line(proc)}", flush=True)
         if proc.returncode != 0:
             print(proc.stdout[-4000:])
@@ -137,7 +155,7 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             tree = copy_tree(Path(tmp) / name)
             (tree / "src" / "warpsplit" / file).write_text(text, encoding="utf-8")
-            proc = tier1(tree, first_failure=True)
+            proc = tier1(tree, mutant=True)
             killed = proc.returncode != 0
             if not killed:
                 survivors.append(name)

@@ -332,8 +332,8 @@ def test_criterion_7_kernel_property_suite():
         j_pairs=2000)
     # Primal-dual kernel on the stacked space.
     L = LinearMap([[1.2]])
-    kern_pd = primal_dual_kernel(L, 0.8, 1.1)
     m_pd = saddle_decomposition(l1_operator(1), box_normal_cone([-1.0], [1.0]), L)
+    kern_pd = primal_dual_kernel(m_pd, 0.8, 1.1)
     check_kernel_family("primal_dual", kern_pd, m_pd, 1.0, rng)
     # Coupled kernel on the stacked Kuhn-Tucker space.
     prob = scalar_coupled_problem()

@@ -34,6 +34,7 @@ from warpsplit import (
     nongradient_cubic_kernel,
     primal_dual_kernel,
     saddle_decomposition,
+    saddle_skew_map,
     scaled_identity_operator,
     solve_strong,
     solve_weak,
@@ -690,8 +691,13 @@ def test_monotone_transport_and_lipschitz_bound():
 # Primal-dual kernels
 # ---------------------------------------------------------------------------
 
+def saddle(L):
+    """The saddle decomposition of L with zero operators A and B."""
+    return saddle_decomposition(zero_operator(L.domain_dim), zero_operator(L.codomain_dim), L)
+
+
 def test_primal_dual_kernel_trivial_coupling_is_identity():
-    k = primal_dual_kernel(LinearMap(np.zeros((2, 2))), 1.0, 1.0)
+    k = primal_dual_kernel(saddle(LinearMap(np.zeros((2, 2)))), 1.0, 1.0)
     rng = np.random.default_rng(31)
     u = rng.normal(size=4)
     np.testing.assert_allclose(k.eval(u), u)
@@ -700,7 +706,7 @@ def test_primal_dual_kernel_trivial_coupling_is_identity():
 def test_primal_dual_kernel_skew_cancellation():
     L = LinearMap(np.random.default_rng(32).normal(size=(2, 3)))
     gamma, mu = 0.7, 1.3
-    k = primal_dual_kernel(L, gamma, mu)
+    k = primal_dual_kernel(saddle(L), gamma, mu)
     rng = np.random.default_rng(33)
     for _ in range(1000):
         u = rng.normal(size=5)
@@ -710,7 +716,7 @@ def test_primal_dual_kernel_skew_cancellation():
 
 
 def test_primal_dual_kernel_hand_evaluation():
-    k = primal_dual_kernel(LinearMap([[2.0]]), 1.0, 1.0)
+    k = primal_dual_kernel(saddle(LinearMap([[2.0]])), 1.0, 1.0)
     np.testing.assert_allclose(k.eval(np.array([1.0, 1.0])), [-1.0, 3.0])
 
 
@@ -719,7 +725,7 @@ def test_primal_dual_resolvent_matches_componentwise_form():
     A = l1_operator(1)
     B = box_normal_cone([-1.0], [1.0])
     m = saddle_decomposition(A, B, L)
-    k = primal_dual_kernel(L, 1.0, 1.0)
+    k = primal_dual_kernel(m, 1.0, 1.0)
     rng = np.random.default_rng(34)
     for _ in range(200):
         u = rng.normal(size=2) * 2
@@ -737,7 +743,7 @@ def test_primal_dual_fixed_point_at_saddle_zero():
     B = scaled_identity_operator(1, 1.0)
     L = LinearMap([[2.0]])
     m = saddle_decomposition(A, B, L)
-    k = primal_dual_kernel(L, 0.8, 1.2)
+    k = primal_dual_kernel(m, 0.8, 1.2)
     z = np.array([0.2, 0.4])
     y = warped_resolvent(m, k, 1.0, z)
     assert np.linalg.norm(y - z) <= 1e-12
@@ -746,13 +752,66 @@ def test_primal_dual_fixed_point_at_saddle_zero():
 def test_primal_dual_kernel_declared_constants_hold():
     rng = np.random.default_rng(35)
     L = LinearMap(rng.normal(size=(2, 2)))
-    k = primal_dual_kernel(L, 0.5, 2.0)
+    k = primal_dual_kernel(saddle(L), 0.5, 2.0)
     for _ in range(2000):
         u, w = rng.normal(size=4), rng.normal(size=4)
         d = u - w
         dk = k.eval(u) - k.eval(w)
         assert np.dot(d, dk) >= k.alpha * np.dot(d, d) - 1e-10
         assert np.linalg.norm(dk) <= k.beta * np.linalg.norm(d) * (1 + 1e-12)
+
+
+def test_primal_dual_kernel_folds_the_forward_object_of_its_decomposition():
+    L = LinearMap([[1.0, -2.0]])
+    m = saddle(L)
+    k = primal_dual_kernel(m, 0.5, 2.0)
+    assert k.fold[1] is m.forward_part and k.layout is m.set_part.layout
+    # alpha = min(1/gamma, mu) holds for a skew fold only.  S + S^T == 0 is
+    # exact: one ulp off in one entry is rejected.
+    near = m.forward_part.matrix.copy()
+    near[0, 2] = np.nextafter(near[0, 2], 0.0)
+    blocks = [zero_operator(1)] * 3
+    no_matrix = SingleValuedOperator(3, m.forward_part, lipschitz=m.forward_part.lipschitz)
+    for bad in (MDecomposition(zero_operator(3), m.forward_part),  # one block
+                MDecomposition(BlockDiagonalOperator(blocks), m.forward_part),  # three
+                MDecomposition(m.set_part),  # no forward part
+                MDecomposition(m.set_part, no_matrix),  # no linear part to check
+                MDecomposition(m.set_part, affine_map(np.eye(3))),  # symmetric
+                MDecomposition(m.set_part, affine_map(near))):
+        with pytest.raises(ConfigurationError, match="needs a saddle decomposition"):
+            primal_dual_kernel(bad, 0.5, 2.0)
+
+
+def test_separately_built_skew_maps_do_not_pair():
+    # The fold is paired with M by identity: a second saddle_skew_map of the
+    # same L, equal to the last bit, is another object.
+    L = LinearMap([[1.5]])
+    m = saddle_decomposition(l1_operator(1), box_normal_cone([-1.0], [1.0]), L)
+    k = primal_dual_kernel(m, 1.0, 1.0)
+    twin = saddle_decomposition(l1_operator(1), box_normal_cone([-1.0], [1.0]), L)
+    copy = MDecomposition(m.set_part, saddle_skew_map(L))
+    assert copy.forward_part.matrix.tobytes() == m.forward_part.matrix.tobytes()
+    x = np.array([0.3, -0.4])
+    for other in (twin, copy):
+        with pytest.raises(ConfigurationError, match="not the object M = A . B carries"):
+            warped_resolvent(other, k, 1.0, x)
+    assert warped_resolvent(m, k, 1.0, x).shape == (2,)
+
+
+def test_block_diagonal_resolvent_is_its_blockwise_resolvents():
+    # The saddle set part A x B^{-1}, through its own resolvent and through a
+    # one-block identity kernel's graph point, to the last bit.
+    A, B = l1_operator(2, 0.3), box_normal_cone([-1.0], [1.0])
+    set_part = saddle_decomposition(A, B, LinearMap([[1.0, 2.0]])).set_part
+    m, k = MDecomposition(set_part), identity_kernel(3)
+    rng = np.random.default_rng(38)
+    for _ in range(50):
+        u, g = rng.normal(size=3) * 2, float(rng.uniform(0.2, 3.0))
+        want = np.concatenate([A.resolvent(g, u[:2]), B.inverse_resolvent(g, u[2:])])
+        assert set_part.resolvent(g, u).tobytes() == want.tobytes()
+        gp = graph_point(m, k, g, u)
+        assert gp.y.tobytes() == want.tobytes()
+        assert gp.y_star.tobytes() == ((u - want) / g).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +998,8 @@ def test_generated_coupled_skew_is_its_literal_layout(dim):
     # The Kuhn-Tucker skew is saddle_skew_map of [L, -Id]: to the last bit
     # its matrix is the literal layout, skew_norm is sqrt of the top
     # eigenvalue of S^T S, and kt_forward (C = D = 0 here) is S @ u.  The
-    # primal-dual kernel, built from the same map, declares the norm of its
-    # literal matrix.
+    # primal-dual kernel of the saddle of L declares the norm of its literal
+    # matrix.
     for seed in range(4):
         prob = ProblemFile(parse_text(generate_problem("coupled", dim, seed))).problem
         S = literal_kt_skew(prob.coupling)
@@ -952,7 +1011,7 @@ def test_generated_coupled_skew_is_its_literal_layout(dim):
         L = LinearMap(prob.coupling)
         for gamma, mu in ((0.5, 1.0), (1.3, 0.2), (1.0, prob.skew_norm())):
             ref = float(np.linalg.norm(literal_primal_dual_matrix(L.matrix, gamma, mu), 2))
-            assert primal_dual_kernel(L, gamma, mu).beta == ref
+            assert primal_dual_kernel(saddle(L), gamma, mu).beta == ref
 
 
 def test_kt_forward_matches_blockwise_formula():
@@ -1124,7 +1183,7 @@ def test_one_block_kernels_are_their_literal_formulas():
 
 
 def test_several_blocks_need_a_matching_block_diagonal_set_part(monkeypatch):
-    k = primal_dual_kernel(LinearMap(np.ones((2, 3))), 1.0, 1.0)  # blocks (3, 2)
+    k = primal_dual_kernel(saddle(LinearMap(np.ones((2, 3)))), 1.0, 1.0)  # blocks (3, 2)
     swapped = BlockDiagonalOperator([zero_operator(2), zero_operator(3)], BlockLayout((2, 3)))
     for set_part in (ball_normal_cone(np.zeros(5), 1.0), swapped):
         with pytest.raises(ConfigurationError, match="block-diagonal set part"):
