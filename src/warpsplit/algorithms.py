@@ -239,10 +239,6 @@ class PerturbationPolicy:
                 f"a pull of length {len(self.pull)} needs depth > {len(self.pull)}, got {self.depth}")
 
     @classmethod
-    def none(cls):
-        return cls()
-
-    @classmethod
     def additive(cls, errors):
         """errors: callable n -> perturbation vector, with |e_n| -> 0."""
         if not callable(errors):
@@ -372,7 +368,7 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
     iteration n.  numpy's floating-point warnings are off in the loop: the
     typed errors report what they would.
     """
-    policy = policy if policy is not None else PerturbationPolicy.none()
+    policy = policy if policy is not None else PerturbationPolicy()
     x0 = vector(x0)
     check_dim(x0, m.dim, "starting point")
     x = x0
@@ -472,16 +468,14 @@ def _stages(kernels, step):
 
     A step of None is the step K_n was folded with, 1 for a kernel without a fold.
     """
-    staged_kernels = _is_schedule(kernels)
-    if not (staged_kernels or isinstance(kernels, Kernel)):
+    if not (_is_schedule(kernels) or isinstance(kernels, Kernel)):
         raise ConfigurationError("kernel schedule must be a Kernel or a callable n -> Kernel")
 
-    def pair(n):
-        kern = kernels(n) if staged_kernels else kernels
-        if step is not None:
-            return kern, float(stage_at(step, n))
+    def pair(kern, gamma):
+        if gamma is not None:
+            return kern, float(gamma)
         return kern, (kern.fold[0] if kern.fold is not None else 1.0)
-    return pair if staged_kernels or _is_schedule(step) else pair(0)
+    return staged(pair, kernels, step)
 
 
 def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,

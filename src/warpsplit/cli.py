@@ -13,10 +13,13 @@ integer literal (``3``, ``-2``, ``1_000``) stays an ``int``; any other
 number is a ``float``.  A ragged or mis-nested matrix, such as
 ``[[1, 0], [0]]`` or ``[1, [0]]``, is a ``ProblemFormatError`` (exit 1).
 A list that JSON reads is decoded by ``json``, any other by the grammar's own
-loop; both give the same values, and errors always come from the loop.
+loop, one item at a time; both give the same values, and errors always come
+from the loop.
 
 Blocks nest; repeated block names are allowed (``primal``, ``dual``,
-``coupling``, ``solution``).  See the README for the full key reference.
+``coupling``, ``solution``), but a key and a block of one name in the same
+block are not (``lambda = 1.5`` beside ``begin lambda``).  See the README for
+the full key reference.
 
 Exit codes: 0 tolerance met, 1 usage/parse/validation error, 2 max-iter
 reached without tolerance, 3 infeasible half-space cuts, 4 numerical
@@ -29,7 +32,6 @@ import argparse
 import dataclasses
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -137,9 +139,6 @@ def _parse_value(text, lineno, col0):
     raise ProblemFormatError(f"cannot parse value {s!r}", lineno, col0 + _indent(text))
 
 
-_BRACKET = re.compile(r"[\[\]]")
-_TOKEN_END = re.compile(r"[,\]]")
-_LIST_SEPARATOR = re.compile(r"(?:[ \t]*,)?")
 # JSON reads a list that holds none of these characters exactly as the
 # grammar does.  With them it would accept what the grammar rejects: a
 # string, an object, false ('f'), true or null ('u'), or a line break as a blank.
@@ -162,56 +161,42 @@ def _parse_bracket(s, i, lineno, col0):
 
 
 def _parse_list(s, i, lineno, col0):
-    """The grammar's list loop, one run of numbers at a time: the text up to
-    the next bracket is split on commas and converted in one pass."""
+    """The grammar's list loop, one item at a time: blanks, then ']', a
+    nested '[', or one number token up to ',' or ']'; one ',' may follow."""
     items = []
     i += 1
     while True:
-        m = _BRACKET.search(s, i)
-        end = m.start() if m else len(s)
-        pieces = s[i:end].split(",")
-        if not pieces[-1].strip(" \t"):
-            del pieces[-1]  # blank: the bracket or the end of the line is next
-        elif m and m.group() == "[":
-            # Only ',' and ']' end a number, so this token runs on and fails.
-            stop = _TOKEN_END.search(s, end)
-            pieces[-1] += s[end:stop.start() if stop else len(s)]
-        items += _numbers(pieces, i, lineno, col0)
-        if not m:
-            raise ProblemFormatError("unterminated '['", lineno, col0 + len(s))
-        if m.group() == "]":
-            return items, end + 1
-        sub, i = _parse_list(s, end, lineno, col0)
-        items.append(sub)
-        i = _LIST_SEPARATOR.match(s, i).end()  # one comma may follow a nested list
-
-
-def _numbers(pieces, start, lineno, col0):
-    """Convert comma-separated pieces that begin at index ``start`` of the line.
-
-    Pieces are walked one by one only to name a bad token or to keep integer
-    literals as ``int`` (their floats are integral, or inf past float range).
-    """
-    try:
-        vals = list(map(float, pieces))
-        if not any(map(float.is_integer, vals)) and all(map(math.isfinite, vals)):
-            return vals
-    except ValueError:
-        pass
-    out = []
-    for piece in pieces:
-        tok = piece.strip()
-        try:
-            out.append(int(tok))
-        except ValueError:
+        while i < len(s) and s[i] in " \t":
+            i += 1
+        if i == len(s):
+            raise ProblemFormatError("unterminated '['", lineno, col0 + i)
+        if s[i] == "]":
+            return items, i + 1
+        if s[i] == "[":
+            item, j = _parse_list(s, i, lineno, col0)
+        else:
+            j = i
+            while j < len(s) and s[j] not in ",]":
+                j += 1
+            tok = s[i:j].strip()
             try:
-                out.append(float(tok))
+                item = int(tok)
             except ValueError:
-                col = start + len(piece) - len(piece.lstrip(" \t"))
-                raise ProblemFormatError(
-                    f"expected a number, got {tok!r}", lineno, col0 + col) from None
-        start += len(piece) + 1
-    return out
+                try:
+                    item = float(tok)
+                except ValueError:
+                    raise ProblemFormatError(
+                        f"expected a number, got {tok!r}", lineno, col0 + i) from None
+        items.append(item)
+        i = j
+        while i < len(s) and s[i] in " \t":
+            i += 1
+        if i < len(s) and s[i] == ",":
+            i += 1
+
+
+def _key_and_block(name, section):
+    return f"{name!r} in block {section.name!r} is both a key and a block"
 
 
 def parse_text(text) -> Section:
@@ -234,6 +219,9 @@ def parse_text(text) -> Section:
             if len(parts) != 2 or not parts[1].replace("_", "").isalnum():
                 raise ProblemFormatError(
                     "expected 'begin <name>'", lineno, _indent(line) + 1)
+            if parts[1] in stack[-1].entries:
+                raise ProblemFormatError(_key_and_block(parts[1], stack[-1]),
+                                         lineno, _indent(line) + 1)
             child = Section(parts[1])
             stack[-1].children.append(child)
             stack.append(child)
@@ -250,6 +238,9 @@ def parse_text(text) -> Section:
         if k in entries:
             raise ProblemFormatError(
                 f"duplicate key {k!r} in block {stack[-1].name!r}", lineno, _indent(line) + 1)
+        # A block's keys mostly precede its children: scan only after one.
+        if stack[-1].children and stack[-1].child(k) is not None:
+            raise ProblemFormatError(_key_and_block(k, stack[-1]), lineno, _indent(line) + 1)
         entries[k] = _parse_value(val, lineno, len(key) + 2)
     if len(stack) != 1:
         raise ProblemFormatError(f"unclosed block {stack[-1].name!r} at end of file")
@@ -306,30 +297,20 @@ class ProblemFile:
             ov = overrides.get(key)
             return ov if ov is not None else _number(solver, key, default, kind)
 
-        lam = pick("relax", _number(solver, "lambda", 1.0))
-        lam_block = solver.child("lambda")
-        if lam_block is not None and overrides.get("relax") is None:
-            lam = _schedule_from_block(lam_block)
-        gamma = _number(solver, "gamma", None)
-        gamma_block = solver.child("gamma")
-        if gamma_block is not None:
-            gamma = _schedule_from_block(gamma_block)
         return alg.SolverConfig(
             epsilon=_number(solver, "epsilon", 0.05),
-            relaxation=lam,
-            step_size=gamma,
+            relaxation=pick("relax", _schedule(solver, "lambda", 1.0)),
+            step_size=_schedule(solver, "gamma", None),
             max_iter=pick("max_iter", 1000, int),
             tol_residual=pick("tol_residual", 1e-8),
             tol_step=pick("tol_step", 1e-8),
         )
 
     def _policy(self):
-        sec = self.root.child("policy")
-        if sec is None:
-            return alg.PerturbationPolicy.none()
+        sec = self.root.child("policy") or Section("policy")
         kind = sec.get("kind", "none")
         if kind == "none":
-            return alg.PerturbationPolicy.none()
+            return alg.PerturbationPolicy()
         if kind == "inertial":
             return alg.PerturbationPolicy.inertial(_number(sec, "alpha"))
         if kind == "memory":
@@ -399,7 +380,7 @@ class ProblemFile:
                 # tseng needs B and runs no policy, which it would silently drop.
                 if variant == "tseng" and self.B is None:
                     raise ConfigurationError("variant tseng needs a forward operator B")
-                if variant == "tseng" and self.policy != alg.PerturbationPolicy.none():
+                if variant == "tseng" and self.policy != alg.PerturbationPolicy():
                     raise ConfigurationError("variant tseng runs no perturbation policy; "
                                              "remove the policy block or set kind = none")
                 # fbf and tseng check the whole FBF regime; fbf_step's default
@@ -610,6 +591,12 @@ def _stacked(section, key, layout):
         raise ProblemFormatError(
             f"expected a stacked vector of length {layout.total}, got {v.shape[0]}")
     return v
+
+
+def _schedule(section: Section, key, default):
+    """The constant ``key``, or the rule of the block of that name (parse_text refuses both)."""
+    block = section.child(key)
+    return _number(section, key, default) if block is None else _schedule_from_block(block)
 
 
 def _schedule_from_block(block: Section):

@@ -80,20 +80,9 @@ class SetValuedOperator:
     def _inverse_resolve(self, gamma, x) -> np.ndarray:
         return x - gamma * self._resolve(1.0 / gamma, x / gamma)
 
-    def inverse_resolvent(self, gamma, x) -> np.ndarray:
-        """Evaluate J_{gamma A^{-1}} x via the inverse-resolvent identity.
-
-        J_{gamma A^{-1}} x = x - gamma J_{(1/gamma) A}(x / gamma).
-        """
-        if not gamma > 0:
-            raise ConfigurationError(f"inverse_resolvent needs gamma > 0, got {gamma}")
-        x = np.asarray(x, dtype=float)
-        check_dim(x, self.dim, f"inverse resolvent of {self.name}")
-        return check_finite(self._inverse_resolve(float(gamma), x),
-                            f"inverse resolvent output of {self.name}")
-
     def inverse(self) -> "SetValuedOperator":
-        """The inverse operator A^{-1}, resolvents via the identity above."""
+        """The inverse operator A^{-1}, with resolvents by the inverse-resolvent
+        identity J_{gamma A^{-1}} x = x - gamma J_{(1/gamma) A}(x / gamma)."""
         return SetValuedOperator(self.dim, self._inverse_resolve, name=f"inv({self.name})")
 
     def add_constant(self, w) -> "SetValuedOperator":
@@ -211,10 +200,6 @@ class GraphPoint:
         if self.y.shape != self.y_star.shape:
             raise DimensionMismatchError(
                 f"graph point blocks disagree: {self.y.shape} vs {self.y_star.shape}")
-
-    @property
-    def dim(self):
-        return self.y.shape[0]
 
 
 # ---------------------------------------------------------------------------

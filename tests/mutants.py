@@ -50,6 +50,9 @@ MUTANTS = [
     ("pairing-forward-identity", "kernels.py",
      "    if B_fold is not m.forward_part:\n",
      "    if False:\n"),
+    ("pairing-dimension-check", "kernels.py",
+     "    if m.dim != kernel.dim:\n",
+     "    if False:\n"),
     # _linear_maps' run key: a run is blocks of one R shape, scalar or d_b x d_b.
     ("linear-maps-run-key-size", "kernels.py",
      "        if not runs or runs[-1][1] != R.shape:",

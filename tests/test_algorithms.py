@@ -56,7 +56,7 @@ def tight(max_iter, tol=1e-300):
 
 def test_policy_none_returns_current():
     hist = [np.array([1.0, 2.0])]
-    np.testing.assert_array_equal(apply_policy(PerturbationPolicy.none(), hist, 0), [1.0, 2.0])
+    np.testing.assert_array_equal(apply_policy(PerturbationPolicy(), hist, 0), [1.0, 2.0])
 
 
 def test_policy_inertial_hand_formula():
@@ -134,7 +134,7 @@ def test_policy_one_form_is_bit_identical_to_literal_kinds():
     alpha = lambda n: 0.1 + 0.7 * 0.9 ** n  # noqa: E731
     errors = lambda n: 0.5 ** n * np.arange(1.0, 5.0)  # noqa: E731
     cases = [
-        (PerturbationPolicy.none(), LiteralPolicy("none")),
+        (PerturbationPolicy(), LiteralPolicy("none")),
         (None, None),
         (PerturbationPolicy.additive(errors), LiteralPolicy("additive", errors=errors)),
         (PerturbationPolicy.inertial(0.3), LiteralPolicy("inertial", alpha=0.3, depth=2)),
@@ -372,6 +372,19 @@ def test_strong_start_in_zero_set_is_immediate():
     res = solve_strong(m, identity_kernel(2), None, cfg, [0.0, 7.0])
     assert res.converged and res.iterations == 1
     np.testing.assert_array_equal(res.x, [0.0, 7.0])
+
+
+def test_strong_idle_cut_records_rho_zero_and_keeps_x():
+    # A x = x, gamma = 1 and x~_0 = x_0 + e_0 = 1 - 3: y_0 = y*_0 = -1, so
+    # theta = <y - x, y*> = 2 >= 0 and the anchored cut moves nothing.
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    policy = PerturbationPolicy.additive(lambda n: np.array([-3.0 if n == 0 else 0.0]))
+    cfg = SolverConfig(max_iter=100, tol_residual=1e-10, tol_step=1e-10)
+    res = solve_strong(m, identity_kernel(1), policy, cfg, [1.0])
+    first, second = res.trace[:2]
+    assert (first.theta, first.rho, first.step_norm) == (2.0, 0.0, 0.0)
+    assert second.x.tobytes() == first.x.tobytes() == np.array([1.0]).tobytes()
+    assert res.converged
 
 
 def test_strong_anchor_distance_nondecreasing():

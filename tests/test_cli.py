@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 from oracles import bracket_oracle
 
-from warpsplit import SingleValuedOperator, algorithms, cli, kernels
+from warpsplit import (
+    SingleValuedOperator,
+    affine_set_normal_cone,
+    algorithms,
+    ball_normal_cone,
+    cli,
+    constant_operator,
+    halfspace_normal_cone,
+    identity_map,
+    kernels,
+    l1_operator,
+    zero_map,
+)
 from warpsplit.cli import (
     EXIT_INFEASIBLE,
     EXIT_MAX_ITER,
@@ -379,6 +391,8 @@ GEOMETRIC_GAMMA = ROTATION_BOX.replace(
 
 
 GEOMETRIC_FLAT = GEOMETRIC_GAMMA.replace("factor = 0.99", "factor = 1.0")
+CONSTANT_RULE = ROTATION_BOX.replace(
+    "gamma = 0.7", "begin gamma\n    rule = constant\n    value = 0.7\n  end")
 
 
 def trace_bytes(res):
@@ -387,7 +401,7 @@ def trace_bytes(res):
 
 
 @pytest.mark.parametrize("text, builds", [(ROTATION_BOX, 1), (GEOMETRIC_GAMMA, 25),
-                                          (GEOMETRIC_FLAT, 1)])
+                                          (GEOMETRIC_FLAT, 1), (CONSTANT_RULE, 1)])
 def test_inclusion_run_builds_one_kernel_per_stage(tmp_path, monkeypatch, text, builds):
     # A constant gamma builds and pairs one fbf kernel per run, a schedule one
     # per distinct step: a flat one runs the constant run's trace, bit for bit.
@@ -590,6 +604,110 @@ def test_unknown_operator_name(tmp_path, capsys):
         parse_problem(path)
     assert main(["run", "--problem", path]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("block, name, params, library", [
+    ("A", "halfspace", "normal = [1.0, 2.0]\n  offset = 1",
+     lambda: halfspace_normal_cone([1.0, 2.0], 1.0)),
+    ("A", "affine_set", "matrix = [[1.0, 1.0]]\n  rhs = [1.0]",
+     lambda: affine_set_normal_cone([[1.0, 1.0]], [1.0])),
+    ("A", "l1", "weight = 2", lambda: l1_operator(2, 2.0)),
+    ("A", "constant", "value = [0.5, -1.0]", lambda: constant_operator([0.5, -1.0])),
+    ("A", "ball", "radius = 2", lambda: ball_normal_cone([0.0, 0.0], 2.0)),
+    ("B", "zero_map", "", lambda: zero_map(2)),
+    ("B", "identity_map", "scale = 3", lambda: identity_map(2, 3.0)),
+], ids=["halfspace", "affine_set", "l1", "constant", "ball-int-radius", "zero_map",
+        "identity_map"])
+def test_catalog_operator_from_a_file_is_the_library_operator(tmp_path, block, name, params,
+                                                              library):
+    # Integer parameters (offset = 1, weight = 2, radius = 2, scale = 3) are
+    # read through operators.number, as floats.
+    text = (f"kind = inclusion\nx0 = [0.5, -1.5]\nbegin {block}\n  name = {name}\n"
+            f"  {params}\nend\n")
+    if block == "B":
+        text += "begin A\n  name = zero\nend\nbegin kernel\n  name = fbf\nend\n"
+    pf = parse_problem(write(tmp_path, f"{name}.txt", text))
+    got, want = getattr(pf, block), library()
+    assert type(got) is type(want) and got.dim == want.dim == 2
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        x, g = rng.normal(size=2) * 3, float(rng.uniform(0.1, 3.0))
+        if block == "A":
+            assert got.resolvent(g, x).tobytes() == want.resolvent(g, x).tobytes()
+        else:
+            assert got(x).tobytes() == want(x).tobytes() and got.lipschitz == want.lipschitz
+
+
+def _bad(base, old, new):
+    assert old in base
+    return base.replace(old, new, 1)
+
+
+GEOMETRIC_MINIMAL = MINIMAL.replace(
+    "gamma = 1.0", "begin gamma\n    rule = geometric\n    start = 1.0\n"
+    "    factor = 0.9\n    floor = 0.5\n  end")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_bad(MINIMAL, "x0 = [2.0, 0.0]", "x0 ="), "line 2, column 5: empty value"),
+    (_bad(MINIMAL, "[2.0, 0.0]", "[2.0, 0.0] 1.0"),
+     "line 2, column 16: trailing text after value: '1.0'"),
+    (MINIMAL + "end\n", "line 15, column 1: 'end' without matching 'begin'"),
+    (_bad(MINIMAL, "begin A", "begin A B"), "line 3, column 1: expected 'begin <name>'"),
+    (_bad(MINIMAL, "radius = 1.0", "radius 1.0"),
+     "line 6, column 3: expected 'key = value', 'begin <name>' or 'end', got 'radius 1.0'"),
+    (_bad(MINIMAL, "x0 =", "x 0 ="), "line 2, column 1: bad key 'x 0'"),
+    (_bad(MINIMAL, "x0 =", "kind = inclusion\nx0 ="),
+     "line 2, column 1: duplicate key 'kind' in block 'root'"),
+    (_bad(MINIMAL, "variant = weak", "variant = we@k"),
+     "line 9, column 13: cannot parse value 'we@k'"),
+    (_bad(MINIMAL, "tol_step = 1e-09\nend\n", "tol_step = 1e-09\n"),
+     "unclosed block 'solver' at end of file"),
+    (_bad(MINIMAL, "kind = inclusion", "kind = nope"),
+     "kind must be 'inclusion' or 'coupled', got 'nope'"),
+    (_bad(MINIMAL, "variant = weak", "variant = nope"),
+     "unknown solver variant 'nope'; known: weak, strong, fbf, tseng"),
+    (MINIMAL + "begin kernel\n  name = nope\nend\n",
+     "unknown kernel 'nope'; known: identity, fbf"),
+    (_bad(MINIMAL, "x0 = [2.0, 0.0]\n", ""), "inclusion problem needs 'x0' or 'dim'"),
+    (_bad(MINIMAL, "x0 =", "dim = 3\nx0 ="), "x0 has length 2, dim says 3"),
+    (_bad(MINIMAL, "begin A", "begin C"), "inclusion problem needs a 'begin A' block"),
+    (_bad(COUPLED_SCALAR, "begin solver", "begin start\n  x = [0.5, 0.5]\n  v_star = [0.0]\n"
+          "end\nbegin solver"), "expected a stacked vector of length 1, got 2"),
+    (_bad(COUPLED_SCALAR, "begin dual", "begin other"),
+     "coupled problem needs 'primal' and 'dual' blocks"),
+    (_bad(GEOMETRIC_MINIMAL, "factor = 0.9", "factor = 1.5"),
+     "geometric factor must lie in ]0, 1], got 1.5"),
+    (_bad(GEOMETRIC_MINIMAL, "rule = geometric", "rule = nope"),
+     "unknown schedule rule 'nope'; known: constant, geometric"),
+], ids=["empty-value", "text-after-list", "end-without-begin", "bad-begin", "no-equals",
+        "bad-key", "duplicate-key", "bad-value", "unclosed-block", "bad-kind",
+        "unknown-variant", "unknown-kernel", "no-x0-no-dim", "x0-dim-mismatch", "no-A",
+        "stacked-length", "no-dual", "geometric-factor", "unknown-rule"])
+def test_malformed_file_exits_1_with_its_message(tmp_path, capsys, text, message):
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--problem", write(tmp_path, "bad.txt", text),
+                 "--trace", str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("key", ["lambda", "gamma"])
+@pytest.mark.parametrize("block_first", [False, True], ids=["key-first", "block-first"])
+def test_key_and_block_of_one_name_is_a_parse_error(tmp_path, capsys, key, block_first):
+    # Neither is dropped in favour of the other: the file must give one.
+    block = f"  begin {key}\n    rule = constant\n    value = 1.0\n  end"
+    lines = [f"  {key} = 0.9", block][::-1 if block_first else 1]
+    text = _bad(MINIMAL, "  gamma = 1.0", "\n".join(lines))
+    line = 14 if block_first else 11
+    message = f"line {line}, column 3: {key!r} in block 'solver' is both a key and a block"
+    prob = write(tmp_path, "both.txt", text)
+    with pytest.raises(ProblemFormatError, match=f"^{re.escape(message)}$"):
+        parse_problem(prob)
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--problem", prob, "--trace", str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
 
 
 def test_roundtrip_parse_serialize_parse(tmp_path):
@@ -1016,7 +1134,7 @@ def test_tseng_rejects_a_policy_before_any_iteration(tmp_path, capsys, monkeypat
     # A kind = none block is no policy: the run goes ahead.
     none = tseng.replace("begin solver", "begin policy\n  kind = none\nend\nbegin solver")
     pf = parse_problem(write(tmp_path, "none.txt", none))
-    assert pf.policy == algorithms.PerturbationPolicy.none()
+    assert pf.policy == algorithms.PerturbationPolicy()
 
 
 def test_tseng_without_a_forward_part_is_a_usage_error(tmp_path, capsys, monkeypatch):

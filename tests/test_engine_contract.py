@@ -217,8 +217,8 @@ def test_public_entries_scan_what_they_return():
     inf_map = SingleValuedOperator(2, lambda x: np.full(2, np.inf), lipschitz=1.0, name="inf_map")
     with pytest.raises(NonFiniteEntryError, match="^resolvent output of nan_res"):
         nan_res.resolvent(1.0, np.zeros(2))
-    with pytest.raises(NonFiniteEntryError, match="^inverse resolvent output of nan_res"):
-        nan_res.inverse_resolvent(1.0, np.zeros(2))
+    with pytest.raises(NonFiniteEntryError, match=r"^resolvent output of inv\(nan_res\)"):
+        nan_res.inverse().resolvent(1.0, np.zeros(2))
     with pytest.raises(NonFiniteEntryError, match="^output of inf_map"):
         inf_map(np.zeros(2))
     # The box clamps K x = -Inf back to a finite y, so only the scan of K x,

@@ -86,7 +86,7 @@ def test_unit_closed_form_solve_copies_an_echoed_argument():
 
 @pytest.mark.parametrize("policy", [
     None,
-    PerturbationPolicy.none(),
+    PerturbationPolicy(),
     PerturbationPolicy.additive(lambda n: np.zeros(D)),
     PerturbationPolicy.inertial(0.0),
     PerturbationPolicy.memory([0.0, 1.0]),

@@ -220,6 +220,20 @@ def test_kernel_pairing_mismatches_are_typed_errors():
         warped_resolvent(m_other, k, 0.4, np.zeros(2))  # different forward object
 
 
+def test_kernel_of_another_dimension_is_refused_before_any_evaluation():
+    # M lives in R^2 and the kernel in R^3: the pairing check raises before K runs.
+    calls = []
+    W = SingleValuedOperator(3, lambda x: calls.append(x) or x, lipschitz=1.0,
+                             monotone=True, strong_monotonicity=1.0, name="counted_id")
+    m, k = MDecomposition(box_normal_cone([-1.0, -1.0], [1.0, 1.0])), map_kernel(W)
+    message = r"^M has dim 2, kernel 'map\(counted_id\)' has dim 3$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        solve_weak(m, k, None, SolverConfig(), np.zeros(2))
+    with pytest.raises(DimensionMismatchError, match=message):
+        graph_point(m, k, 1.0, np.zeros(3))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # General strongly monotone bases (inner contraction loop)
 # ---------------------------------------------------------------------------
@@ -732,7 +746,7 @@ def test_primal_dual_resolvent_matches_componentwise_form():
         y = warped_resolvent(m, k, 1.0, u)
         manual = np.concatenate([
             A.resolvent(1.0, u[:1] - L.adjoint_apply(u[1:])),
-            B.inverse_resolvent(1.0, L(u[:1]) + u[1:]),
+            B.inverse().resolvent(1.0, L(u[:1]) + u[1:]),
         ])
         np.testing.assert_allclose(y, manual, atol=1e-14)
 
@@ -807,7 +821,7 @@ def test_block_diagonal_resolvent_is_its_blockwise_resolvents():
     rng = np.random.default_rng(38)
     for _ in range(50):
         u, g = rng.normal(size=3) * 2, float(rng.uniform(0.2, 3.0))
-        want = np.concatenate([A.resolvent(g, u[:2]), B.inverse_resolvent(g, u[2:])])
+        want = np.concatenate([A.resolvent(g, u[:2]), B.inverse().resolvent(g, u[2:])])
         assert set_part.resolvent(g, u).tobytes() == want.tobytes()
         gp = graph_point(m, k, g, u)
         assert gp.y.tobytes() == want.tobytes()

@@ -63,20 +63,20 @@ def test_resolvent_requires_positive_gamma():
 
 def test_inverse_resolvent_identity_operator():
     A = scaled_identity_operator(2, 1.0)  # A^{-1} = Id
-    np.testing.assert_allclose(A.inverse_resolvent(1.0, np.array([2.0, 0.0])), [1.0, 0.0])
+    np.testing.assert_allclose(A.inverse().resolvent(1.0, np.array([2.0, 0.0])), [1.0, 0.0])
 
 
 def test_inverse_resolvent_of_point_normal_cone():
     # A = normal cone of {0}: A^{-1} = 0, so its resolvent is the identity.
     A = affine_set_normal_cone(np.eye(2), np.zeros(2))
-    np.testing.assert_allclose(A.inverse_resolvent(1.0, np.array([3.0, 4.0])), [3.0, 4.0])
+    np.testing.assert_allclose(A.inverse().resolvent(1.0, np.array([3.0, 4.0])), [3.0, 4.0])
 
 
 def test_inverse_resolvent_l1_is_interval_projection():
     # (d|.|)^{-1} is the normal-cone inverse: its resolvent projects onto [-1, 1].
     A = l1_operator(1)
-    np.testing.assert_allclose(A.inverse_resolvent(1.0, np.array([5.0])), [1.0])
-    np.testing.assert_allclose(A.inverse_resolvent(1.0, np.array([-0.4])), [-0.4])
+    np.testing.assert_allclose(A.inverse().resolvent(1.0, np.array([5.0])), [1.0])
+    np.testing.assert_allclose(A.inverse().resolvent(1.0, np.array([-0.4])), [-0.4])
 
 
 def test_inverse_resolvent_decomposition_identity():
@@ -85,7 +85,7 @@ def test_inverse_resolvent_decomposition_identity():
         for _ in range(50):
             gamma = float(rng.uniform(0.2, 3.0))
             x = rng.normal(size=3) * 2
-            lhs = A.inverse_resolvent(gamma, x) + gamma * A.resolvent(1.0 / gamma, x / gamma)
+            lhs = A.inverse().resolvent(gamma, x) + gamma * A.resolvent(1.0 / gamma, x / gamma)
             assert np.linalg.norm(lhs - x) <= 1e-12 * (1 + np.linalg.norm(x))
 
 
