@@ -819,15 +819,16 @@ def kt_residuals(problem: CoupledProblem, point: KuhnTuckerPoint):
     return tuple(out)
 
 
-def _identity_stages(blocks, side, consts, sym):
-    # Blocks whose stage constants are (1, 1) take identity stage operators.
+def check_identity_stages(blocks, side):
+    """Raise unless each block's stage constants are 1, as identity stage operators need:
+    (alpha, chi) with F on the ``"primal"`` side, (beta, kappa) with W on the ``"dual"``."""
+    consts, sym = ("(alpha, chi)", "F") if side == "primal" else ("(beta, kappa)", "W")
     for i, blk in enumerate(blocks):
         values = (blk.stage[0], blk.stage[3])
         if values != (1.0, 1.0):
             raise ConfigurationError(
                 f"{side} block {i} declares {consts} = ({values[0]}, {values[1]}) "
                 f"but no stage operators {sym} were supplied")
-    return [identity_map(blk.dim) for blk in blocks]
 
 
 def _stage_steps(steps, defaults, kind):
@@ -864,9 +865,11 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
         raise ConfigurationError(f"dual_scale must be > 0 and finite, got {dual_scale}")
     c = problem.skew_norm() if dual_scale is None else float(dual_scale)
     if F_schedule is None:
-        F_schedule = _identity_stages(problem.primal, "primal", "(alpha, chi)", "F")
+        check_identity_stages(problem.primal, "primal")
+        F_schedule = [identity_map(b.dim) for b in problem.primal]
     if W_schedule is None:
-        W_schedule = _identity_stages(problem.dual, "dual", "(beta, kappa)", "W")
+        check_identity_stages(problem.dual, "dual")
+        W_schedule = [identity_map(b.dim) for b in problem.dual]
     gamma0, tau0 = ([b.default_step for b in part] for part in (problem.primal, problem.dual))
     kernels = staged(lambda F, W, g, t: coupled_kernel(
         problem, F, W, _stage_steps(g, gamma0, "gamma"), _stage_steps(t, tau0, "tau"), c),

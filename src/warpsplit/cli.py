@@ -268,7 +268,8 @@ def serialize_section(section: Section, depth=0) -> str:
 
 
 class ProblemFile:
-    """A fully validated in-memory problem (operators and policy built, regimes checked)."""
+    """A fully validated in-memory problem: operators and policy built, the ``solver``
+    block read once into ``config`` and ``variant``, and every regime checked."""
 
     def __init__(self, root: Section, path="<memory>"):
         self.root = root
@@ -282,29 +283,19 @@ class ProblemFile:
         else:
             self._assemble_coupled()
         self.policy = self._policy()
-        # The file's variant's checks, now: the run itself is dropped.
-        self._solver({})
+        solver = root.child("solver") or Section("solver")
+        self.variant = solver.get("variant", "weak" if self.kind == "inclusion" else "coupled")
+        self.config = alg.SolverConfig(
+            epsilon=_number(solver, "epsilon", 0.05),
+            relaxation=_schedule(solver, "lambda", 1.0),
+            step_size=_schedule(solver, "gamma", None),
+            max_iter=_number(solver, "max_iter", 1000, int),
+            tol_residual=_number(solver, "tol_residual", 1e-8),
+            tol_step=_number(solver, "tol_step", 1e-8))
+        # The file's run's checks, now: the run itself is dropped.
+        self._solver(self.config, self.variant, False)
 
     # -- shared helpers ------------------------------------------------------
-
-    def _solver_section(self):
-        return self.root.child("solver") or Section("solver")
-
-    def _config(self, overrides):
-        solver = self._solver_section()
-
-        def pick(key, default, kind=float):
-            ov = overrides.get(key)
-            return ov if ov is not None else _number(solver, key, default, kind)
-
-        return alg.SolverConfig(
-            epsilon=_number(solver, "epsilon", 0.05),
-            relaxation=pick("relax", _schedule(solver, "lambda", 1.0)),
-            step_size=_schedule(solver, "gamma", None),
-            max_iter=pick("max_iter", 1000, int),
-            tol_residual=pick("tol_residual", 1e-8),
-            tol_step=pick("tol_step", 1e-8),
-        )
 
     def _policy(self):
         sec = self.root.child("policy") or Section("policy")
@@ -330,15 +321,14 @@ class ProblemFile:
             return alg.PerturbationPolicy.additive(errors)
         raise ConfigurationError(f"unknown policy kind {kind!r}")
 
-    def _solver(self, overrides):
-        """The run ``overrides`` select (``algo`` and the solver keys) as a zero-argument call.
+    def _solver(self, cfg, variant, relaxed):
+        """The run of ``variant`` with ``cfg`` as a zero-argument call.
 
         Every check the run needs raises here, before iteration 0: at parse
-        for the file's variant, and in ``run`` for ``--algo``.  The call, not
-        the check, builds the run's kernels.
+        for the file's config and variant, and in ``run`` for the command
+        line's (``relaxed``: ``--relax`` was given).  The call, not the
+        check, builds the run's kernels.
         """
-        cfg = self._config(overrides)
-        variant = overrides.get("algo") or self.variant
         if self.kind == "coupled":
             if variant != "coupled":
                 raise ConfigurationError(
@@ -354,7 +344,7 @@ class ProblemFile:
                     raise ConfigurationError(
                         "an identity kernel cannot absorb the forward part B; "
                         "use 'kernel fbf' so that K = Id - gamma B stays backward-solvable")
-                eps = self.kernel_epsilon if self.kernel_epsilon > 0 else cfg.epsilon
+                eps = cfg.epsilon if self.kernel_epsilon is None else self.kernel_epsilon
                 # A weak or strong fbf_kernel only needs epsilon < alpha.
                 kern.fbf_step(1.0, 0.0, eps)
                 step = cfg.step_size
@@ -403,7 +393,7 @@ class ProblemFile:
         if variant not in ("strong", "tseng"):
             for n, lam in _ends(cfg.relaxation):
                 alg.check_relaxation(lam, cfg.epsilon, n)
-        elif overrides.get("relax") is not None:
+        elif relaxed:
             raise ConfigurationError(f"variant {variant} reads no relaxation lambda; "
                                      "--relax applies to weak, fbf and coupled runs")
         return run
@@ -424,13 +414,12 @@ class ProblemFile:
             raise ProblemFormatError(
                 f"x0 has length {self.x0.shape[0]}, dim says {self.dim}")
         self.A, self.B = _operators(root, "A", "B", self.dim, "inclusion problem")
-        k_sec = root.child("kernel")
-        self.kernel_name = k_sec.get("name", "identity") if k_sec is not None else "identity"
+        k_sec = root.child("kernel") or Section("kernel")
+        self.kernel_name = k_sec.get("name", "identity")
         if self.kernel_name not in ("identity", "fbf"):
             raise ConfigurationError(
                 f"unknown kernel {self.kernel_name!r}; known: identity, fbf")
-        self.kernel_epsilon = _number(k_sec, "epsilon", 0.0) if k_sec is not None else 0.0
-        self.variant = self._solver_section().get("variant", "weak")
+        self.kernel_epsilon = _number(k_sec, "epsilon", None)
         self.zeros = [_floats(sol, "x", 1) for sol in root.all_children("solution")]
 
     # -- coupled problems ------------------------------------------------------
@@ -466,6 +455,9 @@ class ProblemFile:
         self.problem = alg.CoupledProblem(primal, dual, couplings)
         self.gamma_stage = _stage_constants(primal, root.all_children("primal"), "gamma")
         self.tau_stage = _stage_constants(dual, root.all_children("dual"), "tau")
+        # A file gives no stage operators F or W: a run takes identities.
+        alg.check_identity_stages(primal, "primal")
+        alg.check_identity_stages(dual, "dual")
         self.dim = self.problem.layout.total
         start = root.child("start")
         if start is None:
@@ -483,12 +475,17 @@ class ProblemFile:
             zx = _stacked(sol, "x", self.problem.primal_layout)
             zv = _stacked(sol, "v_star", self.problem.dual_layout)
             self.zeros.append(alg.KuhnTuckerPoint.from_pair(self.problem, zx, zv))
-        self.variant = self._solver_section().get("variant", "coupled")
 
     # -- public API -----------------------------------------------------------
 
     def run(self, overrides=None) -> alg.SolveResult:
-        return self._solver(overrides or {})()
+        """Run with command-line ``overrides``: ``algo`` picks the variant, ``relax``
+        replaces ``relaxation``, any other a config field of its name; None is not given."""
+        fields = {"relaxation" if k == "relax" else k: v
+                  for k, v in (overrides or {}).items() if v is not None}
+        variant = fields.pop("algo", None) or self.variant
+        return self._solver(dataclasses.replace(self.config, **fields), variant,
+                            "relaxation" in fields)()
 
     def serialize(self) -> str:
         return serialize_section(self.root) + "\n"
@@ -822,14 +819,8 @@ def main(argv=None) -> int:
     except (WarpsplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    overrides = {
-        "algo": args.algo,
-        "max_iter": args.max_iter,
-        "tol_residual": args.tol_residual,
-        "tol_step": args.tol_step,
-        "relax": args.relax,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = {k: getattr(args, k)
+                 for k in ("algo", "max_iter", "tol_residual", "tol_step", "relax")}
     trace_path = args.trace or f"{args.problem}.trace.csv"
     summary_path = args.summary or f"{args.problem}.summary.json"
     try:

@@ -87,9 +87,7 @@ def haugazeau_Q(x0, x, x_half) -> np.ndarray:
             f"haugazeau_Q needs equal shapes, got {x0.shape}, {x.shape}, {x_half.shape}")
     d0 = (x0 - x).astype(np.longdouble)
     d1 = (x - x_half).astype(np.longdouble)
-    chi = d0.dot(d1)  # ndarray.dot is np.dot without its dispatch
-    mu = d0.dot(d0)
-    nu = d1.dot(d1)
+    chi, mu, nu = d0.dot(d1), d0.dot(d0), d1.dot(d1)
     rho = mu * nu - chi * chi
     if rho <= RHO_ZERO_REL * max(mu * nu, 1.0):
         if chi < 0:
@@ -97,18 +95,9 @@ def haugazeau_Q(x0, x, x_half) -> np.ndarray:
                 "the two half-space cuts are disjoint (rho = 0, chi < 0); "
                 "the target set is empty or the iteration is corrupted")
         return x_half.copy()
-    # x0 + (1 + chi/nu) (x_half - x) and x + (nu/rho) (chi d0 - mu d1), bit for
-    # bit, in place on the fresh d0, d1: x_half - x is -d1 exactly.
-    if chi * nu >= rho:
-        d1 *= -(1.0 + chi / nu)
-        d1 += x0
-        return d1.astype(float)
-    d0 *= chi
-    d1 *= mu
-    d0 -= d1
-    d0 *= nu / rho
-    d0 += x
-    return d0.astype(float)
+    if chi * nu >= rho:  # x0 + (1 + chi/nu) (x_half - x): x_half - x is -d1 exactly
+        return (x0 - (1.0 + chi / nu) * d1).astype(float)
+    return (x + (nu / rho) * (chi * d0 - mu * d1)).astype(float)
 
 
 class CutRing:

@@ -85,6 +85,24 @@ MUTANTS = [
     ("graph-point-dimension-check", "kernels.py",
      '    check_dim(x_tilde, kernel.dim, "kernel %s argument", kernel.name)\n',
      ""),
+    ("primal-mu-positive", "algorithms.py",
+     "        if not self.mu > 0:",
+     "        if False:"),
+    ("dual-nu-positive", "algorithms.py",
+     "        if not self.nu > 0:",
+     "        if False:"),
+    # Only an absent kernel epsilon means the solver's; a given one <= 0 is refused.
+    ("kernel-epsilon-absent-only", "cli.py",
+     "eps = cfg.epsilon if self.kernel_epsilon is None else self.kernel_epsilon",
+     "eps = self.kernel_epsilon if (self.kernel_epsilon or 0) > 0 else cfg.epsilon"),
+    # A file's relax key is not another name for lambda.
+    ("file-relax-key-ignored", "cli.py",
+     'relaxation=_schedule(solver, "lambda", 1.0),',
+     'relaxation=_number(solver, "relax", None) or _schedule(solver, "lambda", 1.0),'),
+    # A coupled file's stage constants are checked at parse, not first at run.
+    ("coupled-stage-check-at-parse", "cli.py",
+     '        alg.check_identity_stages(primal, "primal")\n',
+     ""),
 ]
 
 ANCHORS = "tests/test_mutant_anchors.py"  # reads the unmutated source; left out of mutant runs

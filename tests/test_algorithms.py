@@ -10,6 +10,7 @@ from warpsplit import (
     MDecomposition,
     PerturbationPolicy,
     PrimalBlock,
+    SingleValuedOperator,
     SolverConfig,
     StallError,
     affine_map,
@@ -865,6 +866,48 @@ def test_coupled_problem_validation():
     prob = scalar_coupled_problem()
     with pytest.raises(ConfigurationError):
         solve_coupled(prob, SolverConfig(max_iter=10), gamma_schedules=[9.0])
+
+
+def _sid(dim):
+    return scaled_identity_operator(dim, 1.0)
+
+
+def _coupled(primal=None, dual=None, couplings=()):
+    return CoupledProblem([primal or PrimalBlock(A=_sid(2))], [dual or DualBlock(B=_sid(2))],
+                          dict(couplings))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PerturbationPolicy.additive(0.5), ConfigurationError,
+     "additive policy needs a callable error schedule"),
+    (lambda: apply_policy(PerturbationPolicy(), [], 0), ConfigurationError,
+     "apply_policy needs a nonempty history"),
+    (lambda: solve_fbf_memory(_sid(2), None, SingleValuedOperator(2, lambda x: x, 1.0), None,
+                              None, SolverConfig(), np.zeros(2)), ConfigurationError,
+     "solve_fbf_memory needs W with declared strong monotonicity"),
+    (lambda: PrimalBlock(A=_sid(2), C=zero_map(3)), DimensionMismatchError,
+     "C has dim 3, A has dim 2"),
+    (lambda: PrimalBlock(A=_sid(2), mu=0.0), ConfigurationError, "declared mu must be > 0"),
+    (lambda: DualBlock(B=_sid(2), D=zero_map(3)), DimensionMismatchError,
+     "D has dim 3, B has dim 2"),
+    (lambda: DualBlock(B=_sid(2), nu=0.0), ConfigurationError, "declared nu must be > 0"),
+    (lambda: _coupled(couplings={(1, 0): np.eye(2)}), ConfigurationError,
+     "coupling index (1, 0) out of range"),
+    (lambda: _coupled(couplings={(0, 0): np.eye(3)}), DimensionMismatchError,
+     "coupling (0, 0) has shape (3, 3), expected (2, 2)"),
+    (lambda: solve_coupled(_coupled(primal=PrimalBlock(A=_sid(2), alpha=2.0)), tight(5)),
+     ConfigurationError,
+     "primal block 0 declares (alpha, chi) = (2.0, 1.0) but no stage operators F were supplied"),
+    (lambda: solve_coupled(_coupled(dual=DualBlock(B=_sid(2), kappa=2.0)), tight(5)),
+     ConfigurationError,
+     "dual block 0 declares (beta, kappa) = (1.0, 2.0) but no stage operators W were supplied"),
+], ids=["additive-callable", "empty-history", "fbf-memory-W-modulus", "primal-C-dim",
+        "primal-mu-positive", "dual-D-dim", "dual-nu-positive", "coupling-index",
+        "coupling-shape", "identity-stages-primal", "identity-stages-dual"])
+def test_guard_raises_its_type_and_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("step", [0.3, lambda n: 1.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -519,6 +520,104 @@ def test_relax_is_refused_by_runs_that_read_no_lambda(tmp_path, capsys, monkeypa
                                        "--relax applies to weak, fbf and coupled runs\n")
     assert not trace.exists()
     assert main(args) in (EXIT_OK, EXIT_MAX_ITER) and trace.exists()
+
+
+GENERATED_3 = generate_problem("inclusion", 3, 0)
+
+
+def test_a_relax_key_in_the_file_is_not_lambda(tmp_path):
+    # Only --relax is another name for lambda: a file's relax key leaves the
+    # solver block's lambda = 1.0 in place, and the run is the run without it.
+    stray = _bad(GENERATED_3, "lambda = 1.0", "lambda = 1.0\n  relax = 0.5")
+    res = parse_problem(write(tmp_path, "stray.txt", stray)).run({})
+    assert res.trace and all(rec.lam == 1.0 for rec in res.trace)
+    assert run_artifacts(tmp_path, "stray", stray) == run_artifacts(tmp_path, "plain", GENERATED_3)
+
+
+def _captured_weak_config(monkeypatch):
+    seen = []
+    real = algorithms.solve_weak
+    monkeypatch.setattr(algorithms, "solve_weak",
+                        lambda m, k, p, cfg, x0: seen.append(cfg) or real(m, k, p, cfg, x0))
+    return seen
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--relax", 0.5, "relaxation"), ("--max-iter", 7, "max_iter"),
+    ("--tol-residual", 1e-3, "tol_residual"), ("--tol-step", 1e-3, "tol_step")])
+def test_a_flag_replaces_its_config_field(tmp_path, monkeypatch, flag, value, field):
+    path = write(tmp_path, "p.txt", GENERATED_3)
+    pf = parse_problem(path)
+    seen = _captured_weak_config(monkeypatch)
+    main(["run", "--problem", path, flag, str(value), "--trace", str(tmp_path / "t.csv"),
+          "--summary", str(tmp_path / "s.json")])
+    assert seen == [dataclasses.replace(pf.config, **{field: value})]
+    if field == "relaxation":
+        assert all(rec.lam == 0.5 for rec in pf.run({"relax": value}).trace)
+
+
+def test_run_without_overrides_runs_the_file_config(tmp_path, monkeypatch):
+    # A value of None is a flag not given.
+    pf = parse_problem(write(tmp_path, "p.txt", GENERATED_3))
+    seen = _captured_weak_config(monkeypatch)
+    pf.run({})
+    pf.run({"algo": None, "relax": None, "max_iter": None})
+    assert seen == [pf.config, pf.config]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ({"tol_residual": -1.0}, "tolerances must be positive"),
+    ({"tol_step": 0.0}, "tolerances must be positive"),
+    ({"algo": "strong", "relax": 1.5}, "variant strong reads no relaxation lambda; "
+     "--relax applies to weak, fbf and coupled runs"),
+])
+def test_invalid_overrides_raise_the_config_messages(tmp_path, overrides, message):
+    pf = parse_problem(write(tmp_path, "p.txt", GENERATED_3))
+    with pytest.raises(ConfigurationError) as exc:
+        pf.run(overrides)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("epsilon", ["-0.3", "0"])
+def test_a_kernel_epsilon_outside_its_range_fails_at_parse(tmp_path, capsys, epsilon):
+    # Only an absent kernel epsilon means the solver's; a given one is checked.
+    text = re.sub(r"(begin kernel\n  name = fbf\n  epsilon = )\S+", rf"\g<1>{epsilon}",
+                  GENERATED_3)
+    path = write(tmp_path, "k.txt", text)
+    message = f"epsilon = {float(epsilon)} outside ]0, alpha/(beta + 1)[ = ]0, 1.0["
+    with pytest.raises(ConfigurationError) as exc:
+        parse_problem(path)
+    assert str(exc.value) == message
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--problem", path, "--trace", str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("block, key, message", [
+    ("primal", "alpha", "primal block 0 declares (alpha, chi) = (2.0, 1.0)"),
+    ("primal", "chi", "primal block 0 declares (alpha, chi) = (1.0, 2.0)"),
+    ("dual", "beta", "dual block 0 declares (beta, kappa) = (2.0, 1.0)"),
+    ("dual", "kappa", "dual block 0 declares (beta, kappa) = (1.0, 2.0)"),
+])
+def test_a_coupled_stage_constant_other_than_one_fails_at_parse(tmp_path, capsys,
+                                                                 block, key, message):
+    # A file gives no stage operators, so its blocks' stage constants must be 1.
+    sym = "F" if block == "primal" else "W"
+    message += f" but no stage operators {sym} were supplied"
+    text = generate_problem("coupled", 2, 0)
+    head = f"begin {block}\n  dim = 2\n"
+    path = write(tmp_path, "c.txt", _bad(text, head, f"{head}  {key} = 2.0\n"))
+    with pytest.raises(ConfigurationError) as exc:
+        parse_problem(path)
+    assert str(exc.value) == message
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--problem", path, "--trace", str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+    for one in ("1", "1.0"):
+        parse_problem(write(tmp_path, "c1.txt", _bad(text, head, f"{head}  {key} = {one}\n")))
 
 
 # The kernel's epsilon (0.3) exceeds the solver's (0.05): a weak run's
