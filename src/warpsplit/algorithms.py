@@ -121,7 +121,7 @@ class SolverConfig:
     selects the solver's default: K_n's fold step (1 without a fold), or
     the FBF default step for ``solve_fbf_memory`` and ``solve_tseng``.  A run
     raises StallError after ``STALL_LIMIT`` (50) consecutive idle cuts
-    whose residual is not small.
+    whose residual is not small.  ``keep_graph_points=False`` keeps no (y_n, y_n*) in the trace.
     """
 
     epsilon: float = 0.05
@@ -130,6 +130,7 @@ class SolverConfig:
     max_iter: int = 1000
     tol_residual: float = 1e-8
     tol_step: float = 1e-8
+    keep_graph_points: bool = True
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -140,8 +141,7 @@ class SolverConfig:
             raise ConfigurationError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class IterationContext:
+class IterationContext(NamedTuple):
     """Quantities of the current iteration handed to relaxation schedules."""
 
     n: int
@@ -314,12 +314,48 @@ class IterationRecord(NamedTuple):
     gamma: float
 
 
+class Trace:
+    """An iteration trace by column, one list per ``IterationRecord`` field.  It reads as
+    the list of its records (``len``, index, slice, iteration), each built on read."""
+
+    def __init__(self):
+        for column in IterationRecord._fields:
+            setattr(self, column, [])
+
+    def append(self, n, x, x_tilde, y, y_star, step_norm, residual, theta, sigma, rho, lam, gamma):
+        self.n.append(n)
+        self.x.append(x)
+        self.x_tilde.append(x_tilde)
+        self.y.append(y)
+        self.y_star.append(y_star)
+        self.step_norm.append(step_norm)
+        self.residual.append(residual)
+        self.theta.append(theta)
+        self.sigma.append(sigma)
+        self.rho.append(rho)
+        self.lam.append(lam)
+        self.gamma.append(gamma)
+
+    def __len__(self):
+        return len(self.n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self.n))[i]]
+        return IterationRecord(self.n[i], self.x[i], self.x_tilde[i], self.y[i], self.y_star[i],
+                               self.step_norm[i], self.residual[i], self.theta[i], self.sigma[i],
+                               self.rho[i], self.lam[i], self.gamma[i])
+
+    def __iter__(self):
+        return map(IterationRecord, *(getattr(self, column) for column in IterationRecord._fields))
+
+
 @dataclass
 class SolveResult:
-    """Final point, full trace and an explicit status (never a silent success)."""
+    """Final point, the ``Trace`` of ``IterationRecord``s and an explicit status (never silent)."""
 
     x: object
-    trace: list
+    trace: Trace
     status: str
     stop_reason: str
     iterations: int
@@ -375,7 +411,7 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
     lam_of, takes_ctx = _relaxation_schedule(cfg.relaxation, cfg.epsilon)
     history = deque(maxlen=policy.depth)
     history.append(x)
-    trace = []
+    trace, keep = Trace(), cfg.keep_graph_points
     stall = 0
     paired = None, None  # the stage last checked: its kernel by identity, gamma by value
     y = None  # the previous y warm-starts the next backward solve
@@ -441,10 +477,8 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
                 raise SolverCorruptionError(f"step norm {step_norm} is not finite nonnegative")
             if not (math.isfinite(residual) and residual >= 0):
                 raise SolverCorruptionError(f"residual {residual} is not finite nonnegative")
-            trace.append(IterationRecord(
-                n=n, x=x, x_tilde=x_tilde, y=y, y_star=y_star,
-                step_norm=step_norm, residual=residual,
-                theta=theta, sigma=sigma, rho=rho, lam=lam, gamma=gamma))
+            trace.append(n, x, x_tilde, y if keep else None, y_star if keep else None,
+                         step_norm, residual, theta, sigma, rho, lam, gamma)
             if done:
                 x = x_next
                 status, reason = "converged", f"residual and step tolerances met at n = {n}"

@@ -268,12 +268,11 @@ def serialize_section(section: Section, depth=0) -> str:
 
 
 class ProblemFile:
-    """A fully validated in-memory problem: operators and policy built, the ``solver``
-    block read once into ``config`` and ``variant``, and every regime checked."""
+    """A fully validated in-memory problem: operators and policy built, the ``solver`` block
+    read once into ``config`` (no graph points kept) and ``variant``, every regime checked."""
 
-    def __init__(self, root: Section, path="<memory>"):
+    def __init__(self, root: Section):
         self.root = root
-        self.path = path
         self.kind = root.get("kind")
         if self.kind not in ("inclusion", "coupled"):
             raise ProblemFormatError(
@@ -291,7 +290,8 @@ class ProblemFile:
             step_size=_schedule(solver, "gamma", None),
             max_iter=_number(solver, "max_iter", 1000, int),
             tol_residual=_number(solver, "tol_residual", 1e-8),
-            tol_step=_number(solver, "tol_step", 1e-8))
+            tol_step=_number(solver, "tol_step", 1e-8),
+            keep_graph_points=False)
         # The file's run's checks, now: the run itself is dropped.
         self._solver(self.config, self.variant, False)
 
@@ -621,7 +621,7 @@ def parse_problem(path) -> ProblemFile:
         # The bytes before the first bad one decode; count lines as parse_text does.
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise ProblemFormatError(f"not UTF-8: {exc.reason}", line) from None
-    return ProblemFile(parse_text(text), path=str(path))
+    return ProblemFile(parse_text(text))
 
 
 # ---------------------------------------------------------------------------
@@ -632,19 +632,20 @@ def write_trace(result: alg.SolveResult, path, zeros=()):
     """CSV trace: n, residual, step_norm, theta, sigma, rho, then one Fejer gap per zero.
 
     ``gap_k`` is |x_n - z_k| for the recorded iterate x_n and the k-th known
-    zero (a vector or a ``KuhnTuckerPoint``).
+    zero (a vector or a ``KuhnTuckerPoint``), read from the columns of the ``Trace``.
     """
     zeros = [z.flatten() if isinstance(z, alg.KuhnTuckerPoint) else np.asarray(z, dtype=float)
              for z in zeros]
     header = ["n", "residual", "step_norm", "theta", "sigma", "rho"]
     header += [f"gap_{k + 1}" for k in range(len(zeros))]
-    lines = [",".join(header)]
-    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g" + ",%.17g" * len(zeros)
-    for rec in result.trace:
-        lines.append(row % (rec.n, rec.residual, rec.step_norm, rec.theta, rec.sigma, rec.rho,
-                            *(alg._length(rec.x - z) for z in zeros)))
+    lines = [",".join(header) + "\n"]
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g" + ",%.17g" * len(zeros) + "\n"
+    t = result.trace
+    for n, x, res, step, theta, sigma, rho in zip(t.n, t.x, t.residual, t.step_norm, t.theta,
+                                                  t.sigma, t.rho):
+        lines.append(row % (n, res, step, theta, sigma, rho, *(alg._length(x - z) for z in zeros)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(lines))
 
 
 def _final_point_list(result: alg.SolveResult):

@@ -70,6 +70,10 @@ MUTANTS = [
     ("fbf-step-epsilon-bound", "kernels.py",
      "    if not 0 < epsilon < bound:",
      "    if not 0 < epsilon < alpha:"),
+    # A declared strong monotonicity must be > 0, as a declared Lipschitz constant must.
+    ("declared-modulus-positive", "operators.py",
+     "        if strong_monotonicity is not None and not strong_monotonicity > 0:\n",
+     "        if False:\n"),
     ("monotone-spectrum-reject", "operators.py",
      "    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):",
      "    if False:"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -459,6 +461,85 @@ def test_tseng_zero_forward_is_single_proximal_step():
 def trace_bytes(res):
     """A run's trace, field by field, as bytes: equal only when bit for bit equal."""
     return [tuple(np.asarray(field).tobytes() for field in rec) for rec in res.trace]
+
+
+def _rotation_runs(cfg):
+    # The solvers on one rotation + box problem, and a coupled one; each run n -> result.
+    A, B = box_normal_cone([0.0, 0.0], [1.0, 1.0]), affine_map(ROT, np.array([-0.5, 0.5]))
+    m, k = MDecomposition(A, B), fbf_kernel(identity_map(2), B, 0.7, 0.2)
+    return {
+        "weak": lambda: solve_weak(m, k, None, cfg, [0.9, 0.1]),
+        "weak-memory": lambda: solve_weak(m, k, PerturbationPolicy.memory([-0.3, 1.3]), cfg,
+                                          [0.9, 0.1]),
+        "strong": lambda: solve_strong(m, k, None, cfg, [0.9, 0.1]),
+        "fbf-memory": lambda: solve_fbf_memory(A, B, None, 0.7, None, cfg, [0.9, 0.1]),
+        "tseng": lambda: solve_tseng(A, B, 0.7, cfg, [0.9, 0.1]),
+        "coupled": lambda: solve_coupled(scalar_coupled_problem(), cfg),
+    }
+
+
+@pytest.mark.parametrize("solver", list(_rotation_runs(None)))
+def test_library_runs_keep_graph_points_unless_told_not_to(solver):
+    # By default every record holds its graph point (y_n, y_n*); with
+    # keep_graph_points=False those fields are None and the rest is bit for bit the same.
+    cfg = SolverConfig(epsilon=0.2, max_iter=30, tol_residual=1e-300, tol_step=1e-300)
+    assert cfg.keep_graph_points is True
+    full = _rotation_runs(cfg)[solver]()
+    lean = _rotation_runs(dataclasses.replace(cfg, keep_graph_points=False))[solver]()
+    dim = len(full.trace[0].x)
+    assert full.iterations == lean.iterations == 30
+    assert all(rec.y.shape == rec.y_star.shape == (dim,) for rec in full.trace)
+    assert all(rec.y is None and rec.y_star is None for rec in lean.trace)
+    assert trace_bytes(lean) == [tuple(np.asarray(field).tobytes() for field in
+                                       rec._replace(y=None, y_star=None)) for rec in full.trace]
+
+
+def test_trace_reads_as_the_list_of_its_records():
+    # len, indices (negative too), slices and iteration give the records the
+    # engine appended; without a policy x~_n is x_n itself.
+    m = MDecomposition(scaled_identity_operator(2, 1.0))
+    cfg = SolverConfig(step_size=1.0, max_iter=5, tol_residual=1e-300, tol_step=1e-300)
+    res = solve_weak(m, identity_kernel(2), None, cfg, [1.0, 1.0])
+    trace, records = res.trace, list(res.trace)
+    assert isinstance(trace, algorithms.Trace) and len(trace) == len(records) == 5
+
+    def same(a, b):
+        return type(a) is type(b) is algorithms.IterationRecord and all(
+            u is v for u, v in zip(a, b))
+
+    assert [rec.n for rec in records] == [0, 1, 2, 3, 4]
+    assert all(same(trace[k], records[k]) and same(trace[k - 5], records[k]) for k in range(5))
+    assert all(same(a, b) for a, b in zip(trace[:2], records[:2])) and len(trace[:2]) == 2
+    assert all(same(a, b) for a, b in zip(trace[::-2], records[::-2])) and len(trace[::-2]) == 3
+    assert trace[7:] == [] and bool(trace) and not algorithms.Trace()
+    with pytest.raises(IndexError):
+        trace[5]
+    for rec in trace:
+        assert rec.x_tilde is rec.x
+        np.testing.assert_array_equal(rec.x, np.ones(2) / 2 ** rec.n)
+        np.testing.assert_array_equal(rec.y, rec.x / 2)
+
+
+def test_relaxation_context_is_an_immutable_record_of_the_iteration():
+    # A (n, ctx) schedule reads the iteration's nine quantities, in order;
+    # assigning a field raises.
+    seen = []
+
+    def schedule(n, ctx):
+        seen.append(ctx)
+        return 1.0
+
+    m = MDecomposition(scaled_identity_operator(1, 1.0))
+    cfg = SolverConfig(relaxation=schedule, step_size=1.0, max_iter=3, tol_residual=1e-300,
+                       tol_step=1e-300)
+    res = solve_weak(m, identity_kernel(1), None, cfg, [1.0])
+    assert algorithms.IterationContext._fields == (
+        "n", "gamma", "epsilon", "x", "x_tilde", "y", "y_star", "theta", "sigma")
+    for ctx, rec in zip(seen, res.trace, strict=True):
+        assert ctx == (rec.n, rec.gamma, 0.05, rec.x, rec.x_tilde, rec.y, rec.y_star,
+                       rec.theta, rec.sigma)
+    with pytest.raises(AttributeError):
+        seen[0].theta = 0.0
 
 
 def counted_builds(monkeypatch, name):

@@ -936,13 +936,56 @@ def test_halving_trace_rows_halve(tmp_path):
     assert rec["status"] == "max_iter" and rec["exit_code"] == EXIT_MAX_ITER
 
 
+MEMORY_POLICY = ROTATION_BOX.replace("begin solver", "begin policy\n  kind = memory\n"
+                                     "  weights = [-0.3, 1.3]\nend\nbegin solver") + """\
+begin solution
+  x = [0.5, 0.5]
+end
+"""
+INCLUSION3 = generate_problem("inclusion", 3, 0)
+CLI_RUNS = [(INCLUSION3, {}), (INCLUSION3, {"algo": "strong", "max_iter": 100}),
+            (INCLUSION3, {"algo": "tseng"}),
+            (MEMORY_POLICY, {}),
+            (generate_problem("coupled", 2, 1), {})]
+CLI_RUN_IDS = ["weak", "strong-capped", "tseng", "memory", "coupled"]
+
+
+@pytest.mark.parametrize("text, overrides", CLI_RUNS, ids=CLI_RUN_IDS)
+def test_cli_artifacts_are_those_of_a_run_keeping_graph_points(tmp_path, text, overrides):
+    # The parse's config keeps no graph points; one that keeps them writes the same bytes.
+    outputs = []
+    for keep in (False, True):
+        pf = parse_problem(write(tmp_path, "p.txt", text))
+        assert pf.config.keep_graph_points is False
+        pf.config = dataclasses.replace(pf.config, keep_graph_points=keep)
+        paths = [tmp_path / f"{keep}.csv", tmp_path / f"{keep}.json"]
+        outputs.append((cli.run_problem(pf, dict(overrides), *map(str, paths)),
+                        *(p.read_bytes() for p in paths)))
+    assert outputs[0] == outputs[1] and outputs[0][0] in (EXIT_OK, EXIT_MAX_ITER)
+
+
+@pytest.mark.parametrize("text, overrides", CLI_RUNS, ids=CLI_RUN_IDS)
+def test_cli_records_hold_iterates_and_scalars_but_no_graph_points(tmp_path, text, overrides):
+    pf = parse_problem(write(tmp_path, "p.txt", text))
+    lean = pf.run(overrides)
+    pf.config = dataclasses.replace(pf.config, keep_graph_points=True)
+    full = pf.run(overrides)
+    assert all(rec.y is None and rec.y_star is None for rec in lean.trace)
+    assert all(isinstance(rec.y, np.ndarray) and isinstance(rec.y_star, np.ndarray)
+               for rec in full.trace)
+    assert trace_bytes(lean) == [tuple(np.asarray(field).tobytes() for field in
+                                       rec._replace(y=None, y_star=None)) for rec in full.trace]
+
+
 def test_trace_rows_are_17_digit_floats(tmp_path):
     # Each row is "%d" then "%.17g" per float; gap_k is |x_n - z_k| for the
     # recorded iterate x_n, one column per known zero.
     rec = algorithms.IterationRecord(
         n=3, x=np.zeros(2), x_tilde=None, y=None, y_star=None, step_norm=0.1, residual=5e-324,
         theta=-0.0, sigma=1e300, rho=-1 / 3, lam=1.0, gamma=1.0)
-    result = algorithms.SolveResult(x=None, trace=[rec], status="max_iter",
+    trace = algorithms.Trace()
+    trace.append(*rec)
+    result = algorithms.SolveResult(x=None, trace=trace, status="max_iter",
                                     stop_reason="", iterations=1)
     row = ("3,4.9406564584124654e-324,0.10000000000000001,-0,1.0000000000000001e+300,"
            "-0.33333333333333331")

@@ -180,13 +180,13 @@ def coupled(fault, solve):
 def test_bad_oracle_value_raises_typed_error_before_any_record(monkeypatch, solver, fault, error,
                                                                at):
     records = []
-    record = algorithms.IterationRecord
+    append = algorithms.Trace.append
 
-    def recording(**fields):
-        records.append(record(**fields))
-        return records[-1]
+    def recording(trace, *fields):
+        records.append(algorithms.IterationRecord(*fields))
+        return append(trace, *fields)
 
-    monkeypatch.setattr(algorithms, "IterationRecord", recording)
+    monkeypatch.setattr(algorithms.Trace, "append", recording)
     # Number the backward solves through the user base, so that it goes bad inside one.
     solve, count = [0], [0]
     inner = kernels.solve_base_inclusion

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from warpsplit import (
+    BlockDiagonalOperator,
+    BlockLayout,
     ConfigurationError,
     DimensionMismatchError,
     GraphPoint,
     LinearMap,
+    SingleValuedOperator,
     UnknownOperatorError,
     affine_map,
     affine_resolvent_operator,
@@ -14,6 +17,7 @@ from warpsplit import (
     box_normal_cone,
     constant_operator,
     halfspace_normal_cone,
+    identity_map,
     inner,
     l1_operator,
     make_set_valued,
@@ -237,3 +241,42 @@ def test_affine_resolvent_rejects_non_monotone_matrix():
     affine_resolvent_operator([[0.0, 3.0], [-3.0, 0.0]])
     g = np.random.default_rng(71).normal(size=(5, 2)) * 1e3
     affine_resolvent_operator(g @ g.T)
+
+
+def _fn(x):
+    return x
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SingleValuedOperator(2, _fn, 0.0), ConfigurationError,
+     "declared Lipschitz constant must be > 0, got 0.0"),
+    (lambda: SingleValuedOperator(2, _fn, 1.0, strong_monotonicity=0.0), ConfigurationError,
+     "declared strong monotonicity must be > 0, got 0.0"),
+    (lambda: box_normal_cone([1.0, 0.0], [0.0, 1.0]), ConfigurationError,
+     "box bounds must satisfy lo <= hi componentwise"),
+    (lambda: ball_normal_cone([0.0, 0.0], 0.0), ConfigurationError,
+     "ball radius must be > 0, got 0.0"),
+    (lambda: halfspace_normal_cone([0.0, 0.0], 1.0), ConfigurationError,
+     "half-space normal must be nonzero"),
+    (lambda: affine_set_normal_cone([[1.0, 0.0]], [1.0, 2.0]), DimensionMismatchError,
+     "affine set: A rows must match b"),
+    (lambda: l1_operator(2, 0.0), ConfigurationError, "l1 weight must be > 0, got 0.0"),
+    (lambda: scaled_identity_operator(2, -1.0), ConfigurationError,
+     "scaled identity needs scale >= 0 for monotonicity, got -1.0"),
+    (lambda: affine_resolvent_operator([[1.0, 2.0]]), DimensionMismatchError,
+     "affine operator matrix must be square, got (1, 2)"),
+    (lambda: affine_map([[1.0, 2.0]]), DimensionMismatchError,
+     "affine map matrix must be square, got (1, 2)"),
+    (lambda: identity_map(2, 0.0), ConfigurationError, "identity map scale must be > 0, got 0.0"),
+    (lambda: BlockDiagonalOperator([zero_operator(2)], BlockLayout((3,))), DimensionMismatchError,
+     "block operator dims do not match layout"),
+    (lambda: zero_operator(2).resolvent(0.0, [1.0, 1.0]), ConfigurationError,
+     "resolvent needs gamma > 0, got 0.0"),
+], ids=["lipschitz-positive", "declared-modulus-positive", "box-bounds", "ball-radius",
+        "halfspace-normal", "affine-set-rows", "l1-weight", "scaled-identity-scale",
+        "affine-operator-square", "affine-map-square", "identity-map-scale", "block-dims",
+        "resolvent-gamma"])
+def test_guard_raises_its_type_and_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
