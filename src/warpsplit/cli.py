@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -112,16 +113,20 @@ def _indent(text):
 
 
 def _parse_value(text, lineno, col0):
+    # A list is read in place from its '[' (its columns: col0 + its indices in text),
+    # without trailing blanks, so an unterminated list ends at its last character.
+    b = text.find("[") if "[" in text else -1
+    if b >= 0 and not text[:b].strip():
+        if text[-1] != "]":
+            text = text.rstrip()
+        value, end = _parse_bracket(text, b, lineno, col0)
+        if text[end:].strip():
+            raise ProblemFormatError(
+                f"trailing text after value: {text[end:].strip()!r}", lineno, col0 + end)
+        return value
     s = text.strip()
     if not s:
         raise ProblemFormatError("empty value", lineno, col0 + _indent(text))
-    if s[0] == "[":
-        offset = col0 + _indent(text)
-        value, end = _parse_bracket(s, 0, lineno, offset)
-        if s[end:].strip():
-            raise ProblemFormatError(
-                f"trailing text after value: {s[end:].strip()!r}", lineno, offset + end)
-        return value
     # A value that begins with an ASCII letter is a word unless float() reads
     # it (int() reads none), so a word skips both failed conversions.
     if s[0] not in _LETTERS or s.lower() in _FLOAT_WORDS:
@@ -206,41 +211,42 @@ def parse_text(text) -> Section:
     comments = "#" in text
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.partition("#")[0] if comments else raw
-        s = line.strip()
-        if not s:
+        # One split per line; without '=', key is the whole line.  key and
+        # line share their indent.
+        key, eq, val = line.partition("=")
+        k = key.strip()
+        if not (eq or k):
             continue
-        if s == "end":
+        if not eq and k == "end":
             if len(stack) == 1:
-                raise ProblemFormatError("'end' without matching 'begin'", lineno, _indent(line) + 1)
+                raise ProblemFormatError("'end' without matching 'begin'", lineno, _indent(key) + 1)
             stack.pop()
             continue
-        if s.startswith("begin"):
-            parts = s.split()
+        if k.startswith("begin"):
+            parts = line.split()
             if len(parts) != 2 or not parts[1].replace("_", "").isalnum():
                 raise ProblemFormatError(
-                    "expected 'begin <name>'", lineno, _indent(line) + 1)
+                    "expected 'begin <name>'", lineno, _indent(key) + 1)
             if parts[1] in stack[-1].entries:
                 raise ProblemFormatError(_key_and_block(parts[1], stack[-1]),
-                                         lineno, _indent(line) + 1)
+                                         lineno, _indent(key) + 1)
             child = Section(parts[1])
             stack[-1].children.append(child)
             stack.append(child)
             continue
-        key, eq, val = line.partition("=")
         if not eq:
             raise ProblemFormatError(
-                f"expected 'key = value', 'begin <name>' or 'end', got {s!r}",
-                lineno, _indent(line) + 1)
-        k = key.strip()
+                f"expected 'key = value', 'begin <name>' or 'end', got {k!r}",
+                lineno, _indent(key) + 1)
         entries = stack[-1].entries
         if not k or not _WORD_CHARS.issuperset(k):
-            raise ProblemFormatError(f"bad key {k!r}", lineno, _indent(line) + 1)
+            raise ProblemFormatError(f"bad key {k!r}", lineno, _indent(key) + 1)
         if k in entries:
             raise ProblemFormatError(
-                f"duplicate key {k!r} in block {stack[-1].name!r}", lineno, _indent(line) + 1)
+                f"duplicate key {k!r} in block {stack[-1].name!r}", lineno, _indent(key) + 1)
         # A block's keys mostly precede its children: scan only after one.
         if stack[-1].children and stack[-1].child(k) is not None:
-            raise ProblemFormatError(_key_and_block(k, stack[-1]), lineno, _indent(line) + 1)
+            raise ProblemFormatError(_key_and_block(k, stack[-1]), lineno, _indent(key) + 1)
         entries[k] = _parse_value(val, lineno, len(key) + 2)
     if len(stack) != 1:
         raise ProblemFormatError(f"unclosed block {stack[-1].name!r} at end of file")
@@ -421,6 +427,9 @@ class ProblemFile:
                 f"unknown kernel {self.kernel_name!r}; known: identity, fbf")
         self.kernel_epsilon = _number(k_sec, "epsilon", None)
         self.zeros = [_floats(sol, "x", 1) for sol in root.all_children("solution")]
+        for z in self.zeros:
+            if z.shape != (self.dim,):
+                raise ProblemFormatError(f"solution x has length {z.shape[0]}, dim says {self.dim}")
 
     # -- coupled problems ------------------------------------------------------
 
@@ -610,18 +619,22 @@ def _schedule_from_block(block: Section):
     raise ConfigurationError(f"unknown schedule rule {rule!r}; known: constant, geometric")
 
 
-def parse_problem(path) -> ProblemFile:
-    """Parse and fully validate a problem file."""
+def _read_text(path):
+    """The file's text; its bytes die here, and (in parse_problem) the text in parse_text."""
     # Bytes decoded whole: parse_text splits lines on '\r\n' and '\r' itself.
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The bytes before the first bad one decode; count lines as parse_text does.
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise ProblemFormatError(f"not UTF-8: {exc.reason}", line) from None
-    return ProblemFile(parse_text(text))
+
+
+def parse_problem(path) -> ProblemFile:
+    """Parse and fully validate a problem file."""
+    return ProblemFile(parse_text(_read_text(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +651,16 @@ def write_trace(result: alg.SolveResult, path, zeros=()):
              for z in zeros]
     header = ["n", "residual", "step_norm", "theta", "sigma", "rho"]
     header += [f"gap_{k + 1}" for k in range(len(zeros))]
-    lines = [",".join(header) + "\n"]
     row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g" + ",%.17g" * len(zeros) + "\n"
     t = result.trace
-    for n, x, res, step, theta, sigma, rho in zip(t.n, t.x, t.residual, t.step_norm, t.theta,
-                                                  t.sigma, t.rho):
-        lines.append(row % (n, res, step, theta, sigma, rho, *(alg._length(x - z) for z in zeros)))
+    rows = zip(t.n, t.x, t.residual, t.step_norm, t.theta, t.sigma, t.rho)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join(header) + "\n")
+        # Formatted and written 256 rows at a time: the CSV is never whole in memory.
+        while block := list(itertools.islice(rows, 256)):
+            fh.write("".join([row % (n, res, step, theta, sigma, rho,
+                                     *(alg._length(x - z) for z in zeros))
+                              for n, x, res, step, theta, sigma, rho in block]))
 
 
 def _final_point_list(result: alg.SolveResult):

@@ -107,6 +107,14 @@ MUTANTS = [
     ("coupled-stage-check-at-parse", "cli.py",
      '        alg.check_identity_stages(primal, "primal")\n',
      ""),
+    # A coupled file runs the coupled variant only, whether the file or --algo asks.
+    ("coupled-variant-check", "cli.py",
+     '            if variant != "coupled":\n',
+     "            if False:\n"),
+    # An inclusion file's known zero has the problem's dimension, checked at parse.
+    ("solution-length-check", "cli.py",
+     "            if z.shape != (self.dim,):\n",
+     "            if False:\n"),
 ]
 
 ANCHORS = "tests/test_mutant_anchors.py"  # reads the unmutated source; left out of mutant runs

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -913,6 +915,71 @@ def test_parse_text_matches_oracle_on_generated(monkeypatch, kind, dim):
     assert fast == parse_text(text).canonical()
 
 
+def test_parse_text_holds_a_long_list_line_about_twice():
+    # A list is read in place from its '[': besides the text, the d = 200 matrix
+    # line is held as its line and its value slice, not also stripped twice.
+    text = generate_problem("inclusion", 200, 1)
+    longest = max(map(len, text.splitlines()))
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        root = parse_text(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(root.child("B").get("matrix")) == 200
+    assert (peak - kept) / longest < 3, (peak - kept) / longest
+
+
+@pytest.mark.parametrize("kind, dim", [("inclusion", 2), ("inclusion", 20), ("inclusion", 200),
+                                       ("coupled", 2), ("coupled", 20)])
+def test_generated_files_hold_only_json_lists(tmp_path, monkeypatch, kind, dim):
+    def loop(s, i, lineno, col0):
+        raise AssertionError(f"line {lineno}: a list reached the grammar's loop")
+
+    monkeypatch.setattr(cli, "_parse_list", loop)
+    with pytest.raises(AssertionError, match="line 1: a list reached"):
+        parse_text("x = [1.0,]\n")
+    for seed in range(4):
+        pf = parse_problem(write(tmp_path, f"{seed}.txt", generate_problem(kind, dim, seed)))
+        assert pf.kind == kind and pf.dim == dim * (1 if kind == "inclusion" else 4)
+
+
+# Where a value sits in its line: text before it, text after it, line end.
+VALUE_LAYOUTS = {
+    "indented": ("    x0 = ", "", "\n"),
+    "tab-indented": ("\tx0 = ", "", "\n"),
+    "no-spaces": ("x0=", "", "\n"),
+    "comment": ("x0 = ", "  # a comment", "\n"),
+    "crlf": ("x0 = ", "", "\r\n"),
+}
+# A malformed value, its message, and the index in it of the character the
+# error's column names (an empty value's column is past its blanks).
+BAD_VALUES = {
+    "bad-item": ("[1, x]", "expected a number, got 'x'", 4),
+    "text-after-list": ("[1, 2] 3", "trailing text after value: '3'", 6),
+    "empty": ("", "empty value", 0),
+    "two-words": ("foo bar", "cannot parse value 'foo bar'", 0),
+    "unterminated": ("[1, 2", "unterminated '['", 5),
+}
+
+
+@pytest.mark.parametrize("layout", VALUE_LAYOUTS)
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_a_bad_value_names_its_column_in_every_layout(layout, bad):
+    before, after, newline = VALUE_LAYOUTS[layout]
+    value, message, index = BAD_VALUES[bad]
+    column = len(before) + index + 1 + (0 if value else len(after) - len(after.lstrip()))
+    text = newline.join(["kind = inclusion", before + value + after, "dim = 2", ""])
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_text(text)
+    assert str(exc.value) == f"line 2, column {column}: {message}"
+
+
 def test_coupled_scalar_file_solves(tmp_path):
     pf = parse_problem(write(tmp_path, "c.txt", COUPLED_SCALAR))
     res = pf.run({})
@@ -995,6 +1062,27 @@ def test_trace_rows_are_17_digit_floats(tmp_path):
         "n,residual,step_norm,theta,sigma,rho,gap_1,gap_2", row + ",0.66666666666666663,3"]
     cli.write_trace(result, path)
     assert path.read_text().splitlines() == ["n,residual,step_norm,theta,sigma,rho", row]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 600])
+def test_trace_written_in_blocks_is_the_whole_csv(tmp_path, rows):
+    # Rows go out in blocks of 256; the file holds the bytes of the CSV joined whole.
+    rng = np.random.default_rng(rows)
+    trace = algorithms.Trace()
+    for n in range(rows):
+        x = rng.normal(size=3)
+        trace.append(n, x, x, None, None, *rng.normal(size=5), 1.0, 1.0)
+    zeros = [rng.normal(size=3), np.zeros(3)]
+    result = algorithms.SolveResult(x=None, trace=trace, status="max_iter",
+                                    stop_reason="", iterations=rows)
+    lines = ["n,residual,step_norm,theta,sigma,rho,gap_1,gap_2\n"]
+    for rec in trace:
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+            rec.n, rec.residual, rec.step_norm, rec.theta, rec.sigma, rec.rho,
+            *(algorithms._length(rec.x - z) for z in zeros)))
+    path = tmp_path / "t.csv"
+    cli.write_trace(result, path, zeros)
+    assert path.read_bytes() == "".join(lines).encode()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -1358,3 +1446,39 @@ def test_summary_final_point_shape_coupled(tmp_path):
     rec = json.loads((tmp_path / "s.json").read_text())
     assert "kt_residuals" in rec
     np.testing.assert_allclose(rec["final_point"]["x"][0], [1.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_problem("nope", 2, 0), "unknown problem kind 'nope'"),
+    (lambda: ProblemFile(parse_text(_bad(COUPLED_SCALAR, "variant = coupled", "variant = weak"))),
+     "a coupled problem runs with variant 'coupled', got 'weak'"),
+    (lambda: ProblemFile(parse_text(COUPLED_SCALAR)).run({"algo": "strong"}),
+     "a coupled problem runs with variant 'coupled', got 'strong'"),
+], ids=["generate-kind", "coupled-variant-at-parse", "coupled-variant-at-run"])
+def test_guard_raises_its_type_and_message(call, message):
+    with pytest.raises(ConfigurationError) as exc:
+        call()
+    assert type(exc.value) is ConfigurationError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("algo", [None, "weak", "strong", "fbf", "tseng"])
+def test_a_coupled_file_runs_only_the_coupled_variant(tmp_path, capsys, algo):
+    # Without --algo, the file's solver block asks for variant weak.
+    text = COUPLED_SCALAR if algo else _bad(COUPLED_SCALAR, "variant = coupled", "variant = weak")
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    args = ["run", "--problem", write(tmp_path, "c.txt", text), "--trace", str(trace),
+            "--summary", str(summary)]
+    assert main(args + (["--algo", algo] if algo else [])) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: a coupled problem runs with variant 'coupled', got {algo or 'weak'!r}\n")
+    assert not trace.exists() and not summary.exists()
+
+
+def test_a_solution_of_the_wrong_length_fails_at_parse(tmp_path, capsys):
+    # Its gap column cannot be computed: the file exits 1 before any iteration.
+    prob = write(tmp_path, "s.txt", MINIMAL + "begin solution\n  x = [1.0, 0.0, 0.0]\nend\n")
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    assert main(["run", "--problem", prob, "--trace", str(trace),
+                 "--summary", str(summary)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: solution x has length 3, dim says 2\n"
+    assert not trace.exists() and not summary.exists()

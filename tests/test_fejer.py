@@ -3,6 +3,7 @@ import pytest
 
 from warpsplit import (
     ConfigurationError,
+    DimensionMismatchError,
     GraphPoint,
     InfeasibleCutsError,
     haugazeau_Q,
@@ -287,3 +288,13 @@ def test_cut_ring_skips_a_cut_without_a_finite_normal():
         ring.add(np.ones(2), np.ones(2), sigma, -1.0)
     assert not ring.s.any()
     np.testing.assert_array_equal(ring.project(np.zeros(2)), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ((2, 3, 3), "haugazeau_Q needs equal shapes, got (2,), (3,), (3,)"),
+    ((2, 2, 3), "haugazeau_Q needs equal shapes, got (2,), (2,), (3,)"),
+], ids=["x0-x", "x-x_half"])
+def test_guard_raises_its_type_and_message(shapes, message):
+    with pytest.raises(DimensionMismatchError) as exc:
+        haugazeau_Q(*(np.zeros(d) for d in shapes))
+    assert type(exc.value) is DimensionMismatchError and str(exc.value) == message

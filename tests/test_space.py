@@ -97,3 +97,15 @@ def test_linear_map_dim_errors():
         L(np.array([1.0]))
     with pytest.raises(DimensionMismatchError):
         L.adjoint_apply(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: vector([[1.0]]), "expected a 1-D vector, got shape (1, 1)"),
+    (lambda: BlockLayout((2, 0)), "block dimensions must be positive, got (2, 0)"),
+    (lambda: BlockLayout((2, 1)).join([np.zeros(2)]), "layout has 2 blocks, got 1"),
+    (lambda: LinearMap([1.0, 2.0]), "matrix must be 2-D, got shape (2,)"),
+], ids=["vector-ndim", "layout-positive", "join-block-count", "linear-map-2d"])
+def test_guard_raises_its_type_and_message(call, message):
+    with pytest.raises(DimensionMismatchError) as exc:
+        call()
+    assert type(exc.value) is DimensionMismatchError and str(exc.value) == message
