@@ -248,6 +248,8 @@ class Kernel:
             coefs.append(0.0 if s is None else c * s)
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
         self._scales = None if self._general else tuple(coefs)
+        # Unit: folded, and every block the identity at exactly 1.0, so K x = x - g B x.
+        self._unit = self.fold is not None and not self._general and coefs.count(1.0) == len(coefs)
         self._maps = None, None, None  # the last (gamma, set part, _linear_maps)
 
     # -- evaluation ---------------------------------------------------------
@@ -266,7 +268,17 @@ class Kernel:
         only.  A NaN or Inf in K x, from an oracle or an overflow, reaches
         y* of the graph point it feeds: the engine's certificate and the
         scans of ``graph_point`` and ``warped_resolvent`` catch it there.
+
+        K x is always a new array.  A unit kernel (identity blocks at
+        coefficient exactly 1.0, and a fold) takes x - g B x in one
+        subtraction: 1.0 * x is x in IEEE arithmetic, so this skips a pass
+        and not a bit.  A dense forward matrix wider than 8 columns starts
+        on a 64-byte boundary (``space.aligned``), which speeds up its
+        product and leaves its bits unchanged.
         """
+        if self._unit:
+            g, B = self.fold
+            return x - (B._apply(x) if g == 1.0 else g * B._apply(x))
         y = np.empty(self.dim) if self._coef is None else self._coef * x
         for sl, W, c in self._general:
             y[sl] = c * W._apply(x[sl])

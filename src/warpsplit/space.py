@@ -42,6 +42,29 @@ def check_dim(x, dim, what="vector", *args):
     return x
 
 
+CACHE_LINE = 64  # bytes
+
+
+def aligned(m) -> np.ndarray:
+    """The array ``m`` read-only, its data on a 64-byte boundary when a row is wider than 64 bytes.
+
+    The speed of a dense product ``m @ x`` depends on where m's data starts:
+    a 200 x 200 matvec takes about a third longer at 16 mod 32 than at
+    0 mod 32.  A wider matrix is copied, in its own memory order, into a
+    buffer that starts on a cache line, so products read the same values
+    in the same order and give the same bits.  A row of at most 8 float64
+    entries fits in one line; such an m is only frozen, not copied.
+    """
+    if m.shape[-1] * m.itemsize > CACHE_LINE:
+        buf = np.empty(m.nbytes + CACHE_LINE, np.uint8)
+        order = "F" if m.flags.f_contiguous and not m.flags.c_contiguous else "C"
+        out = np.ndarray(m.shape, m.dtype, buf, -buf.ctypes.data % CACHE_LINE, order=order)
+        out[...] = m
+        m = out
+    m.setflags(write=False)
+    return m
+
+
 def inner(x, y) -> float:
     """Euclidean scalar product; hard error on dimension mismatch."""
     x = np.asarray(x, dtype=float)

@@ -115,6 +115,17 @@ MUTANTS = [
     ("solution-length-check", "cli.py",
      "            if z.shape != (self.dim,):\n",
      "            if False:\n"),
+    # affine_map's matrix wider than 8 columns starts on a cache line.
+    ("affine-map-aligned", "operators.py",
+     "    M = aligned(M)\n",
+     "    M.setflags(write=False)\n"),
+    # Only identity blocks at exactly 1.0 skip the coefficient pass, not any uniform one.
+    ("kernel-unit-coefficient-only", "kernels.py",
+     "coefs.count(1.0) == len(coefs)",
+     "coefs.count(coefs[0]) == len(coefs)"),
+    ("kernel-alpha-positive", "kernels.py",
+     "        if not alpha > 0:\n",
+     "        if False:\n"),
 ]
 
 ANCHORS = "tests/test_mutant_anchors.py"  # reads the unmutated source; left out of mutant runs

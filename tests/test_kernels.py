@@ -1196,6 +1196,63 @@ def test_one_block_kernels_are_their_literal_formulas():
                 assert got.tobytes() == solve_base_inclusion(W, g, A, v, start).tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 9, 200])
+def test_unit_fbf_kernel_is_x_minus_gamma_b_x(d):
+    # Identity blocks at coefficient exactly 1.0 with a fold: K x is
+    # x - gamma (M x + b) in one subtraction, the bits of the formula, and at
+    # gamma = 1.0 without the multiply.  A block whose c * s is 1.0 is one too.
+    rng = np.random.default_rng(d)
+    M, b = monotone_matrix(rng, d, shift=0.1), rng.normal(size=d)
+    B = affine_map(M, b)
+    eps = 0.5 / (B.lipschitz + 1.0)
+    gamma = fbf_step(1.0, B.lipschitz, eps)
+    cases = [(fbf_kernel(identity_map(d), B, gamma, eps), gamma),
+             (Kernel(d, [(None, 1.0)], None, (1.0, B), 0.1, 1.0 + B.lipschitz), 1.0),
+             (Kernel(d, [(identity_map(d, 0.5), 2.0)], None, (gamma, B), 0.1, 2.0), gamma)]
+    for k, g in cases:
+        for _ in range(5):
+            x = rng.normal(size=d) * 3
+            want = x - (M @ x + b) if g == 1.0 else x - g * (M @ x + b)
+            assert k.eval(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 200])
+def test_scaled_identity_base_is_two_x_minus_gamma_b_x(d):
+    # A uniform coefficient other than 1.0 is applied: 2x - gamma B x, bit for bit,
+    # whether it is c, the map's scale, or their product.
+    rng = np.random.default_rng(d + 1)
+    M, b = monotone_matrix(rng, d, shift=0.1), rng.normal(size=d)
+    B = affine_map(M, b)
+    gamma = 0.3
+    for base in ([(None, 2.0)], [(identity_map(d, 2.0), 1.0)], [(identity_map(d, 4.0), 0.5)]):
+        k = Kernel(d, base, None, (gamma, B), 1.0, 2.0 + gamma * B.lipschitz)
+        for _ in range(5):
+            x = rng.normal(size=d) * 3
+            assert k.eval(x).tobytes() == (2.0 * x - gamma * (M @ x + b)).tobytes()
+
+
+def test_eval_never_returns_the_callers_array():
+    rng = np.random.default_rng(94)
+    d = 4
+    B = affine_map(monotone_matrix(rng, d, shift=0.1))
+    g = fbf_step(1.0, B.lipschitz, 0.1)
+    prob = random_coupled_problem(rng)
+    F = [identity_map(blk.dim) for blk in prob.primal]
+    W = [identity_map(blk.dim) for blk in prob.dual]
+    for k in (identity_kernel(d), identity_kernel(0), map_kernel(identity_map(d, 2.0)),
+              fbf_kernel(identity_map(d), None, g, 0.1), fbf_kernel(identity_map(d), B, g, 0.1),
+              fbf_kernel(affine_base(rng, d), B, g, 0.1),
+              Kernel(d, [(None, 1.0)], None, (1.0, identity_map(d)), 0.5, 2.0),
+              primal_dual_kernel(saddle(LinearMap(np.ones((2, 2)))), 1.0, 1.0),
+              coupled_kernel(prob, F, W, [blk.default_step for blk in prob.primal],
+                             [blk.default_step for blk in prob.dual])):
+        x = rng.normal(size=k.dim)
+        kept = x.copy()
+        y = k.eval(x)
+        assert y is not x and not np.shares_memory(y, x) and y.flags.writeable
+        assert x.tobytes() == kept.tobytes()
+
+
 def test_several_blocks_need_a_matching_block_diagonal_set_part(monkeypatch):
     k = primal_dual_kernel(saddle(LinearMap(np.ones((2, 3)))), 1.0, 1.0)  # blocks (3, 2)
     swapped = BlockDiagonalOperator([zero_operator(2), zero_operator(3)], BlockLayout((2, 3)))
@@ -1234,3 +1291,86 @@ def test_zero_dimensional_kernel_and_solve():
     for solve in (solve_weak, solve_strong):
         res = solve(MDecomposition(zero_operator(0)), k, None, SolverConfig(), np.zeros(0))
         assert res.converged and res.iterations == 1 and res.x.shape == (0,)
+
+
+def _fn(x):
+    return x
+
+
+def _stage_call(F=None, W=None, gammas=None, taus=None, c=1.0):
+    """coupled_kernel on a one-block problem; identity stage operators and default steps by default."""
+    prob = one_block_problem(1.0, 1.0, 0.05)
+    F = [identity_map(1)] if F is None else F
+    W = [identity_map(1)] if W is None else W
+    gammas = [prob.primal[0].default_step] if gammas is None else gammas
+    taus = [prob.dual[0].default_step] if taus is None else taus
+    return coupled_kernel(prob, F, W, gammas, taus, c=c)
+
+
+NOT_MONOTONE = SingleValuedOperator(2, _fn, 1.0, monotone=False, name="user")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MDecomposition(zero_operator(2), identity_map(3)), DimensionMismatchError,
+     "forward part dim 3 != set part dim 2"),
+    (lambda: MDecomposition(zero_operator(2), NOT_MONOTONE), ConfigurationError,
+     "forward part of an M-decomposition must be monotone"),
+    (lambda: Kernel(2, [(None, 1.0)], None, None, 0.0, 1.0), ConfigurationError,
+     "kernel strong monotonicity must be > 0, got 0.0"),
+    (lambda: Kernel(2, [(None, 1.0)], None, None, 1.0, 0.0), ConfigurationError,
+     "kernel Lipschitz constant must be > 0, got 0.0"),
+    (lambda: Kernel(3, [(None, 1.0)] * 2, BlockLayout((1, 1)), None, 1.0, 1.0),
+     DimensionMismatchError, "kernel layout does not cover the space"),
+    (lambda: Kernel(2, [(None, 1.0)] * 2, None, None, 1.0, 1.0), DimensionMismatchError,
+     "kernel base must have one (W, c) pair per block"),
+    (lambda: Kernel(2, [(None, 0.0)], None, None, 1.0, 1.0), ConfigurationError,
+     "kernel base coefficient must be > 0, got 0.0"),
+    (lambda: identity_kernel(2).backward_solve(0.0, zero_operator(2), np.zeros(2)),
+     ConfigurationError, "backward solve needs gamma > 0, got 0.0"),
+    (lambda: identity_kernel(2).backward_solve(1.0, zero_operator(3), np.zeros(2)),
+     DimensionMismatchError, "set part dim 3 != kernel dim 2"),
+    (lambda: map_kernel(affine_map(2.0 * np.eye(2))).backward_solve(
+        1.0, zero_operator(2), np.array([np.inf, 0.0])), NonFiniteEntryError,
+     "backward solve right-hand side has norm inf"),
+    (lambda: nongradient_cubic_kernel().backward_solve(1.0, zero_operator(2), np.zeros(2)),
+     ConfigurationError,
+     "backward solve with base 'nongradient_cubic' needs a declared strong-monotonicity constant"),
+    (lambda: warped_resolvent(MDecomposition(zero_operator(2)), identity_kernel(2), 0.0,
+                              np.zeros(2)), ConfigurationError,
+     "warped resolvent needs gamma > 0, got 0.0"),
+    (lambda: graph_point(MDecomposition(zero_operator(2)), identity_kernel(2), 0.0, np.zeros(2)),
+     ConfigurationError, "graph_point needs gamma > 0, got 0.0"),
+    (lambda: map_kernel(affine_map(ROT)), ConfigurationError,
+     "map_kernel needs a declared strong-monotonicity constant on 'affine_map'"),
+    (lambda: fbf_kernel(affine_map(ROT), None, 0.5, 0.1), ConfigurationError,
+     "fbf_kernel needs a declared strong-monotonicity constant on W = 'affine_map'"),
+    (lambda: fbf_kernel(identity_map(2), None, 0.0, 0.1), ConfigurationError,
+     "fbf_kernel needs gamma > 0, got 0.0"),
+    (lambda: fbf_kernel(identity_map(2), identity_map(3), 0.5, 0.1), DimensionMismatchError,
+     "W dim 2 != B dim 3"),
+    (lambda: fbf_kernel(identity_map(2), NOT_MONOTONE, 0.5, 0.1), ConfigurationError,
+     "fbf_kernel needs a monotone forward operator B"),
+    (lambda: primal_dual_kernel(saddle(LinearMap(np.ones((1, 1)))), 0.0, 1.0),
+     ConfigurationError, "primal_dual_kernel needs gamma, mu > 0, got 0.0, 1.0"),
+    (lambda: primal_dual_kernel(saddle(LinearMap(np.ones((1, 1)))), 1.0, 0.0),
+     ConfigurationError, "primal_dual_kernel needs gamma, mu > 0, got 1.0, 0.0"),
+    (lambda: saddle_decomposition(zero_operator(2), zero_operator(2), LinearMap(np.ones((2, 3)))),
+     DimensionMismatchError, "saddle operator dims: A is 2 (need 3), B is 2 (need 2)"),
+    (lambda: _stage_call(c=0.0), ConfigurationError,
+     "coupled kernel v* coefficient c must be > 0 and finite, got 0.0"),
+    (lambda: _stage_call(F=[]), DimensionMismatchError, "one stage operator per block is required"),
+    (lambda: _stage_call(gammas=[]), DimensionMismatchError,
+     "one stage constant per block is required"),
+    (lambda: _stage_call(F=[identity_map(2)]), DimensionMismatchError, "stage operator F_0 has wrong dimension"),
+    (lambda: _stage_call(W=[affine_map([[0.0]])]), ConfigurationError,
+     "stage operator W_0 needs a declared strong monotonicity"),
+], ids=["m-forward-dim", "m-forward-monotone", "kernel-alpha", "kernel-beta", "kernel-layout",
+        "kernel-base-length", "kernel-coefficient", "backward-gamma", "backward-set-part-dim",
+        "inner-loop-rhs", "inner-loop-modulus", "warped-resolvent-gamma", "graph-point-gamma",
+        "map-kernel-modulus", "fbf-modulus", "fbf-gamma", "fbf-dims", "fbf-monotone-b",
+        "primal-dual-gamma", "primal-dual-mu", "saddle-dims", "coupled-c", "coupled-operators",
+        "coupled-constants", "coupled-stage-dim", "coupled-stage-modulus"])
+def test_guard_raises_its_type_and_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
