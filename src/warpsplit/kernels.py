@@ -249,7 +249,7 @@ class Kernel:
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
         self._scales = None if self._general else tuple(coefs)
         # Unit: folded, and every block the identity at exactly 1.0, so K x = x - g B x.
-        self._unit = self.fold is not None and not self._general and coefs.count(1.0) == len(coefs)
+        self._unit = self.fold is not None and coefs.count(1.0) == len(coefs)
         self._maps = None, None, None  # the last (gamma, set part, _linear_maps)
 
     # -- evaluation ---------------------------------------------------------
@@ -272,9 +272,9 @@ class Kernel:
         K x is always a new array.  A unit kernel (identity blocks at
         coefficient exactly 1.0, and a fold) takes x - g B x in one
         subtraction: 1.0 * x is x in IEEE arithmetic, so this skips a pass
-        and not a bit.  A dense forward matrix wider than 8 columns starts
-        on a 64-byte boundary (``space.aligned``), which speeds up its
-        product and leaves its bits unchanged.
+        and not a bit.  An ``affine_map`` forward matrix wider than 8
+        columns starts on a 64-byte boundary (``space.aligned``), which
+        speeds up its product and leaves its bits unchanged.
         """
         if self._unit:
             g, B = self.fold

@@ -294,8 +294,7 @@ def zero_operator(dim) -> SetValuedOperator:
     """The zero operator A x = {0}; its resolvent is the identity."""
     op = SetValuedOperator(dim, lambda g, x: x.copy(), name="zero")
     op.resolvent_jacobian = lambda g, u: np.ones(u.shape)
-    zero = vector(np.zeros(dim))  # one read-only offset for every call
-    op.linear_resolvent = lambda g: (1.0, zero)
+    op.linear_resolvent = lambda g: (1.0, np.zeros(dim))
     return op
 
 
@@ -304,10 +303,9 @@ def scaled_identity_operator(dim, scale) -> SetValuedOperator:
     if scale < 0:
         raise ConfigurationError(f"scaled identity needs scale >= 0 for monotonicity, got {scale}")
     scale = float(scale)
-    zero = vector(np.zeros(dim))  # one read-only offset for every call
     op = SetValuedOperator(
         dim, lambda g, x: x / (1.0 + g * scale), name="scaled_identity")
-    op.linear_resolvent = lambda g: (1.0 / (1.0 + g * scale), zero)
+    op.linear_resolvent = lambda g: (1.0 / (1.0 + g * scale), np.zeros(dim))
     return op
 
 
@@ -338,8 +336,7 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
 
     M must be monotone (positive semidefinite symmetric part, any skew part);
     otherwise ConfigurationError.  The inverse of I + gamma M is kept for the
-    last gamma, read-only and aligned as by ``space.aligned``; for monotone M
-    its norm is at most 1.
+    last gamma; for monotone M its norm is at most 1.
     """
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -354,7 +351,8 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     def linear(g):
         g0, R = last[0]
         if g != g0:
-            R = aligned(np.linalg.inv(np.eye(dim) + g * M))  # read-only: handed out by the hook
+            R = np.linalg.inv(np.eye(dim) + g * M)
+            R.setflags(write=False)  # handed out by the hook
             last[0] = g, R
         return R, g * b
 
@@ -422,7 +420,7 @@ def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
     S = np.zeros((dy + dz, dy + dz))
     S[:dy, dy:] = L.matrix.T
     S[dy:, :dy] = -L.matrix
-    S = aligned(S)
+    S.flags.writeable = False
     largest = float(np.abs(L.matrix).max(initial=0.0))
     e = math.frexp(largest)[1]  # the largest entry of S / 2^e lies in [1/2, 1)
     T = np.ldexp(S, -e)
