@@ -46,7 +46,6 @@ from .kernels import (  # noqa: F401
     MDecomposition,
     _check_pairing,
     _scan_pair,
-    _warped_pair,
     check_step,
     coupled_kernel,
     epsilon_bound,
@@ -384,11 +383,11 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
              x0, anchored=False) -> SolveResult:
     """The iteration engine shared by every solver.
 
-    Each step: the stage (K_n, gamma_n) from ``stages`` (a pair, or a
-    schedule n -> pair), checked (step floor, pairing with M) unless K_n
-    and gamma_n repeat the last pair checked; the policy point x~_n;
-    the graph point (y_n, y_n*) of the warped resolvent at x~_n; then the
-    update through its cut.  The update is the relaxed projection, or, when
+    Each step: the stage (K_n, gamma_n) from ``stages`` (a pair, or a schedule
+    n -> pair), whose step floor and pairing with M are checked and whose pair
+    call (``Kernel._pair``) is built unless K_n and gamma_n repeat the last stage;
+    the policy point x~_n; the graph point (y_n, y_n*) at x~_n, one pair call;
+    then the update through its cut.  The update is the relaxed projection, or, when
     ``anchored``, the projection of x0 onto H(x0, x_n) and the cuts a
     ``CutRing`` keeps (Haugazeau).  Stops when |y*| <= tol_residual and
     |x~ - y| <= tol_step: the relaxed update still applies its last step,
@@ -431,10 +430,10 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
                     if not gamma >= floor:
                         check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
                     _check_pairing(m, kern, gamma)
-                    paired = kern, gamma
+                    paired, pair = (kern, gamma), kern._pair(m.set_part, gamma)
             x_tilde = apply_policy(policy, history, n) if perturbed else x
             try:
-                y, y_star = _warped_pair(m, kern, gamma, x_tilde, y)
+                y, y_star = pair(x_tilde, y)
                 # d.dot(e) and sqrt(d.dot(d)) are what inner() and np.linalg.norm compute.
                 theta = float((y - x).dot(y_star))
                 sigma = float(y_star.dot(y_star))
@@ -712,7 +711,7 @@ class CoupledProblem:
                     f"({self.dual[j].dim}, {self.primal[i].dim})")
             self._L[(j, i)] = L
             self.coupling[do[j]:do[j + 1], po[i]:po[i + 1]] = L.matrix
-        self.coupling.flags.writeable = False
+        self.coupling.setflags(write=False)
         self._forward = None
         self._set_part = None
         self._skew = None
@@ -756,7 +755,7 @@ class CoupledProblem:
             )
             self._forward = SingleValuedOperator(
                 self.layout.total, fn, lipschitz=diag + self.skew_norm(),
-                monotone=True, name="kt_forward")
+                name="kt_forward", shaped=True)
         return self._forward
 
     def kt_set_part(self) -> BlockDiagonalOperator:

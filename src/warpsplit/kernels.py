@@ -90,13 +90,9 @@ def _newton_inverse(W, c, mask):
     return np.linalg.inv(H)
 
 
-def _over(v, c):
-    """v / c, skipping a division by exactly 1.0, which is an identity in IEEE arithmetic."""
-    return v if c == 1.0 else v / c
-
-
 def _linear_maps(set_part, gamma, scales):
-    """Per run of blocks (slice, R, shape), and the stacked R_b s_b; None if a block has no hook.
+    """Per run of blocks (slice, R, shape), and the stacked R_b s_b; None if a block has no
+    hook, or if the blocks' coefficients C_b, ``scales`` (``Kernel._scales``), are None.
 
     Block b of ``C_b p_b + gamma A_b(p_b) = v_b`` is ``(R_b / C_b) v_b -
     R_b s_b``, from ``linear_resolvent`` at gamma / C_b; folded so, the
@@ -105,7 +101,7 @@ def _linear_maps(set_part, gamma, scales):
     ones (R: their read-only (k, d_b, d_b) stack; shape (k, d_b, 1) for
     ``np.matmul``), so the cost stays Σ d_b² on matrix blocks, O(d_b) on scalar ones.
     """
-    if any(A.linear_resolvent is None for A in set_part.blocks):
+    if scales is None or any(A.linear_resolvent is None for A in set_part.blocks):
         return None
     runs, offsets = [], np.empty(set_part.dim)  # runs: (offset, R shape, R_b / C_b's, d_b's)
     for k, (a, A, C) in enumerate(zip(set_part.layout.offsets, set_part.blocks, scales)):
@@ -122,20 +118,20 @@ def _linear_maps(set_part, gamma, scales):
     maps = []
     for a, shape, Rs, dims in runs:
         R = np.stack(Rs) if shape else np.array(Rs).repeat(dims)
-        R.flags.writeable = False
+        R.setflags(write=False)
         maps.append((slice(a, a + sum(dims)), R, (len(Rs), shape[0], 1) if shape else None))
     return maps, offsets
 
 
-def solve_base_inclusion(W, gamma, A, v, start=None):
+def solve_base_inclusion(W, gamma, A, v, start=None, image=None):
     """Solve v in W(p) + gamma * A(p) for the unique p.
 
     W is a strongly monotone Lipschitz map (None means the identity); v and
     ``start`` are float vectors of A's dimension.  The scaled-identity case
     is closed form; otherwise a contraction inner loop with ratio
     sqrt(1 - (alpha/beta)^2) runs to residual ``1e-12 * (1 + |v|)`` within
-    200 iterations, else raises.  The loop starts from ``start`` when given
-    (any point converges), else from the resolvent at v.
+    200 iterations, else raises.  The loop starts from ``start`` (any point
+    converges; ``image``, when given, is its W(start)), else from J at v.
 
     For an affine W (``W.matrix``) and an A with ``resolvent_jacobian``, the
     steps are semismooth Newton steps on p - J_{(gamma/c) A}(p - (W p - v)/c),
@@ -153,7 +149,7 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
     """
     c = 1.0 if W is None else W.scale_of_identity
     if c is not None:
-        p = A._resolve(_over(gamma, c), _over(v, c))
+        p = A._resolve(gamma, v) if c == 1.0 else A._resolve(gamma / c, v / c)
         return p.copy() if p is v else p
     if W.strong_monotonicity is None:
         raise ConfigurationError(
@@ -166,7 +162,7 @@ def solve_base_inclusion(W, gamma, A, v, start=None):
     jacobian = None if W.matrix is None else A.resolvent_jacobian
     best, best_residual = None, math.inf  # the Newton path's best (q, W q)
     p = A._resolve(g, v / c) if start is None else start
-    Wp = W._apply(p)
+    Wp = W._apply(p) if image is None else image
     residual = np.inf
     for _ in range(INNER_MAX_ITER):
         u = (v - Wp + c * p) / c
@@ -247,10 +243,7 @@ class Kernel:
                 self._general.append((sl, W, c))
             coefs.append(0.0 if s is None else c * s)
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
-        self._scales = None if self._general else tuple(coefs)
-        # Unit: folded, and every block the identity at exactly 1.0, so K x = x - g B x.
-        self._unit = self.fold is not None and coefs.count(1.0) == len(coefs)
-        self._maps = None, None, None  # the last (gamma, set part, _linear_maps)
+        self._scales = None if self._general or len(dims) == 1 else tuple(coefs)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -261,30 +254,18 @@ class Kernel:
         return self._eval(x)
 
     def _eval(self, x) -> np.ndarray:
-        """K x for a float vector x of the kernel's dimension, not scanned for NaN/Inf.
+        """K x, a new array, for a float vector x of the kernel's dimension; not scanned.
 
-        The base and forward maps are called through
-        ``SingleValuedOperator._apply``, which checks each output's shape
-        only.  A NaN or Inf in K x, from an oracle or an overflow, reaches
-        y* of the graph point it feeds: the engine's certificate and the
-        scans of ``graph_point`` and ``warped_resolvent`` catch it there.
-
-        K x is always a new array.  A unit kernel (identity blocks at
-        coefficient exactly 1.0, and a fold) takes x - g B x in one
-        subtraction: 1.0 * x is x in IEEE arithmetic, so this skips a pass
-        and not a bit.  An ``affine_map`` forward matrix wider than 8
-        columns starts on a 64-byte boundary (``space.aligned``), which
-        speeds up its product and leaves its bits unchanged.
+        The base and forward maps are called through ``_apply``, which checks
+        each output's shape.  A NaN or Inf in K x reaches y* of the graph
+        point it feeds, which is certified, or ``warped_resolvent``'s scan.
         """
-        if self._unit:
-            g, B = self.fold
-            return x - (B._apply(x) if g == 1.0 else g * B._apply(x))
         y = np.empty(self.dim) if self._coef is None else self._coef * x
         for sl, W, c in self._general:
             y[sl] = c * W._apply(x[sl])
         if self.fold is not None:
             g, B = self.fold
-            # In place (y is new); a fold at 1.0 skips the multiply, as _over the division.
+            # In place (y is new); a fold at 1.0 skips the multiply, an identity in IEEE arithmetic.
             y -= B._apply(x) if g == 1.0 else g * B._apply(x)
         return y
 
@@ -308,44 +289,80 @@ class Kernel:
             raise DimensionMismatchError(
                 f"set part dim {set_part.dim} != kernel dim {self.dim}")
         self._check_set_part(set_part)
-        return self._backward(gamma, set_part, v, start)
+        return self._backward(gamma, set_part, v, start,
+                              _linear_maps(set_part, gamma, self._scales))
 
-    def _backward(self, gamma, set_part, v, start=None) -> np.ndarray:
+    def _backward(self, gamma, set_part, v, start=None, maps=None) -> np.ndarray:
         """``backward_solve`` unchecked; ``start`` warm-starts inner loops.
 
-        Blockwise ``solve_base_inclusion``, through the unscanned oracle
-        entries: each block's output is shape-checked, and certified finite
-        only by an inner loop's residual; the graph point certifies the rest.
-        A one-block kernel hands its block's output back.  When every block
-        is identity-like and every set-part block declares
-        ``linear_resolvent``, the blocks are affine maps (``_linear_maps``),
-        one numpy call per run, with the bytes of each block's own ``np.dot``.
-        The kernel keeps the maps of its last (gamma, set part) and builds
-        them again on a miss, so a solve never depends on what came before.
+        Blockwise ``solve_base_inclusion``, through the unscanned oracle entries: each
+        block's output is shape-checked, and certified finite only by an inner loop's
+        residual.  Given ``maps``, ``_linear_maps`` at (set part, gamma), the blocks are
+        affine maps, one numpy call per run, with the bytes of each block's ``np.dot``.
         """
-        # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c, per block
-        if len(self.base) == 1:
-            (W, c), = self.base
-            return solve_base_inclusion(W, _over(gamma, c), set_part, _over(v, c), start)
         out = np.empty(self.dim)
-        if self._scales is not None:
-            g0, part0, maps = self._maps  # one read: another thread may replace the entry
-            if g0 != gamma or part0 is not set_part:
-                maps = _linear_maps(set_part, gamma, self._scales)
-                self._maps = gamma, set_part, maps
-            if maps is not None:
-                runs, offsets = maps
-                for sl, R, shape in runs:
-                    if shape is None:
-                        np.multiply(R, v[sl], out=out[sl])
-                    else:
-                        np.matmul(R, v[sl].reshape(shape), out=out[sl].reshape(shape))
-                out -= offsets
-                return out
-        for sl, (W, c), A_b in zip(self._slices, self.base, set_part.blocks):
-            out[sl] = solve_base_inclusion(W, _over(gamma, c), A_b, _over(v[sl], c),
+        if maps is not None:
+            runs, offsets = maps
+            for sl, R, shape in runs:
+                if shape is None:
+                    np.multiply(R, v[sl], out=out[sl])
+                else:
+                    np.matmul(R, v[sl].reshape(shape), out=out[sl].reshape(shape))
+            out -= offsets
+            return out
+        # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c, per block
+        parts = set_part.blocks if len(self.base) > 1 else (set_part,)
+        for sl, (W, c), A_b in zip(self._slices, self.base, parts):
+            out[sl] = solve_base_inclusion(W, gamma / c, A_b, v[sl] if c == 1.0 else v[sl] / c,
                                            None if start is None else start[sl])
         return out
+
+    def _pair(self, set_part, gamma):
+        """pair(x, start) -> (y, y*) for a checked pairing at gamma, built once per stage.
+
+        y = (K_base + gamma A)^{-1} K x, warm-started at ``start``, and y* = (K x - K y) / gamma,
+        by the operations of ``eval``, ``backward_solve``, ``eval`` in order: bit for bit.  A
+        fold on one identity block at 1.0 takes x - g B x and A's resolvent at gamma; one
+        general block, ``solve_base_inclusion`` handed the W y of K y (W shaped); else
+        ``_eval`` and ``_backward``.  Shaped oracles are called raw.  Not scanned: the caller
+        certifies the pair (``_scan_pair``, or theta and sigma).
+        """
+        (W, c), (g, B) = self.base[0], self.fold or (1.0, None)
+        s, Bf = 1.0 if W is None else W.scale_of_identity, B and (B._fn if B.shaped else B._apply)
+        one = len(self.base) == 1
+        if one and B is not None and c == s == 1.0:
+            J = set_part._resolvent if set_part.shaped else set_part._resolve
+
+            def pair(x, start=None):
+                w = x - (Bf(x) if g == 1.0 else g * Bf(x))
+                y = J(gamma, w)
+                y = y.copy() if y is w else y
+                k = y - (Bf(y) if g == 1.0 else g * Bf(y))
+                return y, (w - k if gamma == 1.0 else (w - k) / gamma)
+        elif one and s is None:
+            Wf, gc, last = W._fn if W.shaped else W._apply, gamma / c, [None, None]  # last (y, W y)
+
+            def pair(x, start=None):
+                w = c * Wf(x)
+                if B is not None:
+                    w -= Bf(x) if g == 1.0 else g * Bf(x)
+                y = solve_base_inclusion(W, gc, set_part, w if c == 1.0 else w / c, start,
+                                         last[1] if start is last[0] else None)
+                Wy = Wf(y)
+                k = c * Wy
+                if B is not None:
+                    k -= Bf(y) if g == 1.0 else g * Bf(y)
+                if W.shaped:
+                    last[:] = y, Wy
+                return y, (w - k if gamma == 1.0 else (w - k) / gamma)
+        else:
+            ev, maps = self._eval, _linear_maps(set_part, gamma, self._scales)
+
+            def pair(x, start=None):
+                w = ev(x)
+                y = self._backward(gamma, set_part, w, start, maps)
+                return y, (w - ev(y) if gamma == 1.0 else (w - ev(y)) / gamma)
+        return pair
 
     def __repr__(self):
         return f"Kernel({self.name}, dim={self.dim}, alpha={self.alpha}, beta={self.beta})"
@@ -371,18 +388,6 @@ def _check_pairing(m: MDecomposition, kernel: Kernel, gamma):
         raise ConfigurationError(
             f"kernel {kernel.name!r} was folded with gamma = {g_fold}, called "
             f"with gamma = {gamma}")
-
-
-def _warped_pair(m: MDecomposition, kernel: Kernel, gamma, x, start=None):
-    """(y, y*) at a float x of the kernel's dimension, for a checked pairing, not scanned.
-
-    ``start`` warm-starts inner loops.  A NaN or Inf in K x or K y reaches
-    y*, and one in the backward solve reaches y; the caller certifies the
-    pair (``_scan_pair``, or the engine's theta and sigma).
-    """
-    w = kernel._eval(x)
-    y = kernel._backward(gamma, m.set_part, w, start)
-    return y, _over(w - kernel._eval(y), gamma)
 
 
 def _scan_pair(kernel: Kernel, x, y, y_star):
@@ -433,7 +438,7 @@ def graph_point(m: MDecomposition, kernel: Kernel, gamma, x_tilde) -> GraphPoint
     _check_pairing(m, kernel, gamma)
     check_dim(x_tilde, kernel.dim, "kernel %s argument", kernel.name)
     with np.errstate(all="ignore"):
-        y, y_star = _warped_pair(m, kernel, gamma, x_tilde)
+        y, y_star = kernel._pair(m.set_part, gamma)(x_tilde)
         _scan_pair(kernel, x_tilde, y, y_star)
     return GraphPoint(y=y, y_star=y_star)
 

@@ -5,6 +5,12 @@ their scaled resolvents ``J_{gamma A} = (Id + gamma A)^{-1}``: every
 algorithm in the library consumes only resolvent-type solves.  Single-valued
 monotone Lipschitz maps carry declared constants, which are trusted inputs
 validated probabilistically by the test suite.
+
+The iteration engine scans no oracle output: the graph point it feeds is certified.  It
+calls a ``shaped`` operator's oracle raw, as its output is a new float vector of its
+dimension by construction: every catalog constructor, ``saddle_skew_map``, ``inverse``,
+``add_constant``, ``BlockDiagonalOperator`` and ``kt_forward``.  Others, built on a user
+callable, go through ``_resolve`` and ``_apply``, which check each output's shape.
 """
 
 from __future__ import annotations
@@ -35,9 +41,7 @@ class SetValuedOperator:
         Catalog name, used in error messages and problem files.
 
     ``resolvent`` validates gamma and x, calls the oracle through
-    ``_resolve`` and scans the output for NaN/Inf.  ``_resolve`` only checks
-    the output's shape; the iteration engine calls it, and certifies
-    finiteness once per graph point instead.
+    ``_resolve``, which checks the output's shape, and scans the output.
 
     ``resolvent_jacobian``, when set, is ``(gamma, u) -> d``, the diagonal of
     an element of the generalized Jacobian of ``J_{gamma A}`` at u: the free
@@ -53,18 +57,15 @@ class SetValuedOperator:
     resolvent_jacobian = None
     linear_resolvent = None
 
-    def __init__(self, dim, resolvent_oracle, name="operator"):
+    def __init__(self, dim, resolvent_oracle, name="operator", shaped=False):
         self.dim = int(dim)
         self._resolvent = resolvent_oracle
         self.name = name
+        self.shaped = shaped
 
     def _resolve(self, gamma, x) -> np.ndarray:
         """J_{gamma A} x for a float gamma > 0 and a float vector x of this
-        dimension: the output's shape is checked, its entries are not scanned.
-
-        This is the entry the iteration engine calls; a NaN or Inf it returns
-        reaches the graph point it feeds, whose certificate catches it.
-        """
+        dimension: the output's shape is checked, its entries are not scanned."""
         y = np.asarray(self._resolvent(gamma, x), dtype=float)
         check_dim(y, self.dim, "resolvent output of %s", self.name)
         return y
@@ -83,7 +84,7 @@ class SetValuedOperator:
     def inverse(self) -> "SetValuedOperator":
         """The inverse operator A^{-1}, with resolvents by the inverse-resolvent
         identity J_{gamma A^{-1}} x = x - gamma J_{(1/gamma) A}(x / gamma)."""
-        return SetValuedOperator(self.dim, self._inverse_resolve, name=f"inv({self.name})")
+        return SetValuedOperator(self.dim, self._inverse_resolve, f"inv({self.name})", shaped=True)
 
     def add_constant(self, w) -> "SetValuedOperator":
         """The operator x -> A x + w; its resolvent is J_A(v - gamma w)."""
@@ -92,8 +93,7 @@ class SetValuedOperator:
         op = SetValuedOperator(
             self.dim,
             lambda g, x, _op=self, _w=w: _op._resolve(g, x - g * _w),
-            name=f"{self.name}+const",
-        )
+            name=f"{self.name}+const", shaped=True)
         if self.linear_resolvent is not None:
             def linear(g, _base=self.linear_resolvent):
                 R, s = _base(g)
@@ -121,7 +121,7 @@ class BlockDiagonalOperator(SetValuedOperator):
             raise DimensionMismatchError("block operator dims do not match layout")
         self.blocks = blocks
         self.layout = layout
-        super().__init__(layout.total, self._block_resolvent, name=name)
+        super().__init__(layout.total, self._block_resolvent, name, shaped=True)
 
     def _block_resolvent(self, gamma, x):
         parts = self.layout.split(x)
@@ -136,17 +136,15 @@ class SingleValuedOperator:
     trusted inputs.  ``scale_of_identity`` marks maps equal to c * Id, which
     unlocks closed-form backward solves in the kernels module.
 
-    Calling the operator validates x, calls ``fn`` through ``_apply`` and
-    scans the output for NaN/Inf.  ``_apply`` only checks the output's
-    shape; the iteration engine calls it, and certifies finiteness once per
-    graph point instead.
+    Calling the operator validates x, calls ``fn`` through ``_apply``,
+    which checks the output's shape, and scans the output for NaN/Inf.
     """
 
     matrix = None  # the read-only linear part of an affine or linear map
 
     def __init__(self, dim, fn, lipschitz, monotone=True,
                  strong_monotonicity=None, scale_of_identity=None,
-                 name="map"):
+                 name="map", shaped=False):
         if not lipschitz > 0:
             raise ConfigurationError(f"declared Lipschitz constant must be > 0, got {lipschitz}")
         if strong_monotonicity is not None and not strong_monotonicity > 0:
@@ -161,14 +159,11 @@ class SingleValuedOperator:
         self.scale_of_identity = (
             None if scale_of_identity is None else float(scale_of_identity))
         self.name = name
+        self.shaped = shaped
 
     def _apply(self, x) -> np.ndarray:
         """The map at a float vector x of this dimension: the output's shape
-        is checked, its entries are not scanned.
-
-        This is the entry the iteration engine calls; a NaN or Inf it returns
-        reaches the graph point it feeds, whose certificate catches it.
-        """
+        is checked, its entries are not scanned."""
         y = np.asarray(self._fn(x), dtype=float)
         check_dim(y, self.dim, "output of %s", self.name)
         return y
@@ -244,7 +239,7 @@ def box_normal_cone(lo, hi) -> SetValuedOperator:
     if lo.shape != hi.shape or np.any(lo > hi):
         raise ConfigurationError("box bounds must satisfy lo <= hi componentwise")
     # ndarray.clip is the ufunc np.clip calls, without its dispatch overhead.
-    op = SetValuedOperator(lo.shape[0], lambda g, x: x.clip(lo, hi), name="box")
+    op = SetValuedOperator(lo.shape[0], lambda g, x: x.clip(lo, hi), "box", shaped=True)
     op.resolvent_jacobian = lambda g, u: ((lo < u) & (u < hi)).astype(float)
     return op
 
@@ -256,7 +251,7 @@ def ball_normal_cone(center, radius) -> SetValuedOperator:
         raise ConfigurationError(f"ball radius must be > 0, got {radius}")
     radius = float(radius)
     return SetValuedOperator(
-        center.shape[0], lambda g, x: proj_ball(x, center, radius), name="ball")
+        center.shape[0], lambda g, x: proj_ball(x, center, radius), "ball", shaped=True)
 
 
 def halfspace_normal_cone(normal, offset) -> SetValuedOperator:
@@ -266,7 +261,7 @@ def halfspace_normal_cone(normal, offset) -> SetValuedOperator:
         raise ConfigurationError("half-space normal must be nonzero")
     offset = float(offset)
     return SetValuedOperator(
-        normal.shape[0], lambda g, x: proj_halfspace(x, normal, offset), name="halfspace")
+        normal.shape[0], lambda g, x: proj_halfspace(x, normal, offset), "halfspace", shaped=True)
 
 
 def affine_set_normal_cone(A, b) -> SetValuedOperator:
@@ -277,7 +272,7 @@ def affine_set_normal_cone(A, b) -> SetValuedOperator:
         raise DimensionMismatchError("affine set: A rows must match b")
     pinv = np.linalg.pinv(A)
     return SetValuedOperator(
-        A.shape[1], lambda g, x: proj_affine_set(x, A, b, pinv), name="affine_set")
+        A.shape[1], lambda g, x: proj_affine_set(x, A, b, pinv), "affine_set", shaped=True)
 
 
 def l1_operator(dim, weight=1.0) -> SetValuedOperator:
@@ -285,14 +280,14 @@ def l1_operator(dim, weight=1.0) -> SetValuedOperator:
     if not weight > 0:
         raise ConfigurationError(f"l1 weight must be > 0, got {weight}")
     weight = float(weight)
-    op = SetValuedOperator(dim, lambda g, x: soft_threshold(x, g * weight), name="l1")
+    op = SetValuedOperator(dim, lambda g, x: soft_threshold(x, g * weight), "l1", shaped=True)
     op.resolvent_jacobian = lambda g, u: (np.abs(u) > g * weight).astype(float)
     return op
 
 
 def zero_operator(dim) -> SetValuedOperator:
     """The zero operator A x = {0}; its resolvent is the identity."""
-    op = SetValuedOperator(dim, lambda g, x: x.copy(), name="zero")
+    op = SetValuedOperator(dim, lambda g, x: x.copy(), "zero", shaped=True)
     op.resolvent_jacobian = lambda g, u: np.ones(u.shape)
     op.linear_resolvent = lambda g: (1.0, np.zeros(dim))
     return op
@@ -304,7 +299,7 @@ def scaled_identity_operator(dim, scale) -> SetValuedOperator:
         raise ConfigurationError(f"scaled identity needs scale >= 0 for monotonicity, got {scale}")
     scale = float(scale)
     op = SetValuedOperator(
-        dim, lambda g, x: x / (1.0 + g * scale), name="scaled_identity")
+        dim, lambda g, x: x / (1.0 + g * scale), "scaled_identity", shaped=True)
     op.linear_resolvent = lambda g: (1.0 / (1.0 + g * scale), np.zeros(dim))
     return op
 
@@ -313,7 +308,7 @@ def constant_operator(value) -> SetValuedOperator:
     """A x = {value} for every x; resolvent v -> v - gamma * value."""
     value = vector(value)
     op = SetValuedOperator(
-        value.shape[0], lambda g, x: x - g * value, name="constant")
+        value.shape[0], lambda g, x: x - g * value, "constant", shaped=True)
     op.linear_resolvent = lambda g: (1.0, g * value)
     return op
 
@@ -360,7 +355,7 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
         R, s = linear(g)
         return R @ (x - s)
 
-    op = SetValuedOperator(dim, res, name="affine")
+    op = SetValuedOperator(dim, res, "affine", shaped=True)
     op.linear_resolvent = linear
     return op
 
@@ -379,6 +374,7 @@ def affine_map(M, b=None) -> SingleValuedOperator:
     dim = M.shape[0]
     b = np.zeros(dim) if b is None else vector(b)
     check_dim(b, dim, "affine offset")
+    check_finite(M, "affine map matrix")
     lip = float(np.linalg.norm(M, 2)) if M.size else 0.0
     mu = float(_monotone_spectrum(M, "affine map matrix")[0])
     M = aligned(M)
@@ -388,7 +384,7 @@ def affine_map(M, b=None) -> SingleValuedOperator:
         lipschitz=lip if lip > 0 else 1.0,
         monotone=True,
         strong_monotonicity=mu if mu > 0 else None,
-        name="affine_map")
+        name="affine_map", shaped=True)
     op.matrix = M
     return op
 
@@ -396,7 +392,7 @@ def affine_map(M, b=None) -> SingleValuedOperator:
 def zero_map(dim) -> SingleValuedOperator:
     """The zero single-valued map; declared 1-Lipschitz (valid upper bound)."""
     return SingleValuedOperator(
-        dim, lambda x: np.zeros(dim), lipschitz=1.0, monotone=True, name="zero_map")
+        dim, lambda x: np.zeros(dim), lipschitz=1.0, name="zero_map", shaped=True)
 
 
 def identity_map(dim, scale=1.0) -> SingleValuedOperator:
@@ -406,7 +402,7 @@ def identity_map(dim, scale=1.0) -> SingleValuedOperator:
     scale = float(scale)
     return SingleValuedOperator(
         dim, lambda x: scale * x, lipschitz=scale, monotone=True,
-        strong_monotonicity=scale, scale_of_identity=scale, name="identity_map")
+        strong_monotonicity=scale, scale_of_identity=scale, name="identity_map", shaped=True)
 
 
 def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
@@ -420,14 +416,14 @@ def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
     S = np.zeros((dy + dz, dy + dz))
     S[:dy, dy:] = L.matrix.T
     S[dy:, :dy] = -L.matrix
-    S.flags.writeable = False
+    S.setflags(write=False)
     largest = float(np.abs(L.matrix).max(initial=0.0))
     e = math.frexp(largest)[1]  # the largest entry of S / 2^e lies in [1/2, 1)
     T = np.ldexp(S, -e)
     top = np.linalg.eigvalsh(T.T @ T)[-1] if largest else 0.0  # 0 for a zero or empty L
     beta = max(float(np.ldexp(math.sqrt(top), e)), np.finfo(float).tiny)  # inf past float range
     op = SingleValuedOperator(
-        dy + dz, lambda u: S @ u, lipschitz=beta, monotone=True, name="saddle_skew")
+        dy + dz, lambda u: S @ u, lipschitz=beta, name="saddle_skew", shaped=True)
     op.matrix = S
     return op
 

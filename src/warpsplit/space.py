@@ -23,7 +23,7 @@ def vector(coords) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteEntryError("vector entries must be finite (no NaN/Inf)")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -124,7 +124,7 @@ class LinearMap:
         if m.ndim != 2:
             raise DimensionMismatchError(f"matrix must be 2-D, got shape {m.shape}")
         check_finite(m, "matrix")
-        m.flags.writeable = False
+        m.setflags(write=False)
         self.matrix = m
 
     @property

@@ -119,10 +119,25 @@ MUTANTS = [
     ("affine-map-aligned", "operators.py",
      "    M = aligned(M)\n",
      "    M.setflags(write=False)\n"),
-    # Only identity blocks at exactly 1.0 skip the coefficient pass, not any uniform one.
+    # Only an identity block at exactly 1.0 takes the unit pair, not a scaled
+    # one whose coefficients multiply to 1: its solve divides by each.
     ("kernel-unit-coefficient-only", "kernels.py",
-     "coefs.count(1.0) == len(coefs)",
-     "coefs.count(coefs[0]) == len(coefs)"),
+     "        if one and B is not None and c == s == 1.0:\n",
+     "        if one and B is not None and c * s == 1.0:\n"),
+    # A forward map or resolvent built on a user callable keeps its per-call shape check.
+    ("prepared-pair-user-shape-check", "kernels.py",
+     "B and (B._fn if B.shaped else B._apply)",
+     "B and B._fn"),
+    ("prepared-pair-user-resolvent-shape-check", "kernels.py",
+     "J = set_part._resolvent if set_part.shaped else set_part._resolve",
+     "J = set_part._resolvent"),
+    # Only a shaped base's W y is handed on: a user's may share its buffer.
+    ("prepared-pair-hand-on-shaped-only", "kernels.py",
+     "                if W.shaped:\n",
+     "                if True:\n"),
+    ("affine-map-finite-check", "operators.py",
+     '    check_finite(M, "affine map matrix")\n',
+     ""),
     ("kernel-alpha-positive", "kernels.py",
      "        if not alpha > 0:\n",
      "        if False:\n"),

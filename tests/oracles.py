@@ -15,6 +15,9 @@ The coupled references apply each coupling L_{ji} block by block, where the
 library uses one stacked coupling matrix; ``literal_kt_skew`` and
 ``literal_primal_dual_matrix`` write the two skew layouts out as ``np.block``
 literals, where the library builds both from ``saddle_skew_map``.
+``literal_warped_pair`` is the warped resolvent's graph point as the paper
+writes it, through the public kernel calls: K x, the backward solve, K y,
+then the division by gamma; the engine's prepared pairs must give its bits.
 The transcriptions call only the operators they are given.  The
 character-by-character bracket parser pins the problem-file value grammar
 that the CLI's run-at-a-time parser must reproduce, errors included.
@@ -41,6 +44,14 @@ def project_halfspace(x, anchor, normal):
     if g <= 0:
         return np.asarray(x, dtype=float).copy()
     return x - (g / nn) * normal
+
+
+def literal_warped_pair(m, kernel, gamma, x, start=None):
+    """(y, y*) at x: w = K x, y = (K_base + gamma A)^{-1} w started at ``start``,
+    y* = (w - K y) / gamma (a division by 1.0 is exact)."""
+    w = kernel.eval(x)
+    y = kernel.backward_solve(gamma, m.set_part, w, start)
+    return y, (w - kernel.eval(y)) / gamma
 
 
 def relaxed_projection_step(x, gp: GraphPoint, lam) -> np.ndarray:

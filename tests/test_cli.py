@@ -1143,6 +1143,17 @@ def test_non_monotone_affine_rejected_before_any_iteration(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_non_finite_affine_map_matrix_is_usage_error(tmp_path, capsys, entry):
+    # Rejected before its SVD, whose LinAlgError would lose the exit code.
+    text = NON_MONOTONE_FORWARD.replace("[[2.0, 0.0], [1.5, 0.0]]", f"[[{entry}, 0.0], [0.0, 1.0]]")
+    code = main(["run", "--problem", write(tmp_path, "n.txt", text),
+                 "--trace", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: affine map matrix contains NaN or Inf\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("matrix", [
     "[[1.0, 0.0], [0.0]]",  # ragged
     "[[1.0, 0.0], 2]",

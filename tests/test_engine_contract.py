@@ -11,7 +11,8 @@ a trace record; a finite y* whose sigma overflows fails as a corrupted cut.
 The public entries scan what they return, and ``graph_point`` gives the
 engine's pair bit for bit.  The inner loop of a general base is
 warm-started from the previous y within one run only, and identity bases
-and the pairing check cost nothing per iteration.
+and the pairing check cost nothing per iteration.  The pair call each stage
+builds gives the bits of the literal pair (``oracles.literal_warped_pair``).
 """
 
 import sys
@@ -24,6 +25,7 @@ from warpsplit import (
     CoupledProblem,
     DimensionMismatchError,
     DualBlock,
+    Kernel,
     MDecomposition,
     NonFiniteEntryError,
     PrimalBlock,
@@ -32,6 +34,7 @@ from warpsplit import (
     SolverConfig,
     SolverCorruptionError,
     affine_map,
+    affine_resolvent_operator,
     box_normal_cone,
     coupled_kernel,
     fbf_kernel,
@@ -44,9 +47,12 @@ from warpsplit import (
     solve_strong,
     solve_weak,
     warped_resolvent,
+    zero_operator,
 )
 from warpsplit import algorithms, kernels
 from warpsplit.kernels import solve_base_inclusion
+
+from oracles import literal_warped_pair
 
 FAULT_AT = 6  # the oracle call that goes bad
 BASE_FAULT_SOLVE = 3  # the backward solve whose inner loop sees a bad base value
@@ -125,6 +131,8 @@ def weak_or_strong(solver, fault, solve):
         A_fn = faulty(A_fn, short_out)
     elif fault == "forward_inf":
         B_fn = faulty(B_fn, inf_out)
+    elif fault == "forward_shape":
+        B_fn = faulty(B_fn, short_out)
     else:
         W_fn = faulty_in_inner_loop(W_fn, solve)
     A = SetValuedOperator(d, A_fn, name="user_box")
@@ -161,6 +169,8 @@ def coupled(fault, solve):
         A_fn = faulty(A_fn, short_out)
     elif fault == "forward_inf":
         C_fn = faulty(C_fn, inf_out)
+    elif fault == "forward_shape":
+        C_fn = faulty(C_fn, short_out)
     else:
         F_fn = faulty_in_inner_loop(F_fn, solve)
     general = fault == "base_nan"
@@ -175,6 +185,7 @@ def coupled(fault, solve):
     ("resolvent_nan", NonFiniteEntryError, FAULT_AT - 1),
     ("forward_inf", NonFiniteEntryError, (FAULT_AT - 1) // 2),
     ("resolvent_shape", DimensionMismatchError, FAULT_AT - 1),
+    ("forward_shape", DimensionMismatchError, (FAULT_AT - 1) // 2),
     ("base_nan", NonFiniteEntryError, BASE_FAULT_SOLVE - 1),
 ])
 def test_bad_oracle_value_raises_typed_error_before_any_record(monkeypatch, solver, fault, error,
@@ -340,9 +351,9 @@ def test_warm_start_cuts_inner_resolvents_and_meets_tolerance(monkeypatch):
     A = SetValuedOperator(A_box.dim, counted, name="counted_box")
     solves = []  # (v, start, resolvent calls, last resolvent input, output)
 
-    def spy(W_, g, A_, v, start=None):
+    def spy(W_, g, A_, v, start=None, image=None):
         before = len(last)
-        p = solve_base_inclusion(W_, g, A_, v, start)
+        p = solve_base_inclusion(W_, g, A_, v, start, image)
         solves.append((v, start, len(last) - before, *last[-1]))
         return p
 
@@ -446,3 +457,105 @@ def test_pairing_checked_once_per_kernel_and_gamma(monkeypatch):
                        tol_residual=1e-300, tol_step=1e-300)
     solve_weak(m, lambda n: fbf_kernel(identity_map(A.dim), B, steps[n], eps), None, cfg, x0)
     assert len(checks) == 30
+
+
+# ---------------------------------------------------------------------------
+# Prepared pairs
+# ---------------------------------------------------------------------------
+
+def linear_coupled_problem(rng):
+    """A coupled problem whose Kuhn-Tucker set part is linear, in runs of
+    matrix blocks (affine) and of scalar blocks (scaled identity, zero, constant)."""
+    def monotone(d):
+        G = rng.normal(size=(d, d))
+        return G @ G.T / d + 0.3 * np.eye(d) + 0.5 * skew_unit(rng, d)
+
+    return CoupledProblem(
+        [PrimalBlock(A=affine_resolvent_operator(monotone(2)), s_star=rng.normal(size=2)),
+         PrimalBlock(A=scaled_identity_operator(1, 1.5), s_star=[0.3])],
+        [DualBlock(B=affine_resolvent_operator(monotone(2)), r=rng.normal(size=2)),
+         DualBlock(B=zero_operator(1), r=[0.2])],
+        {(0, 0): rng.normal(size=(2, 2)), (0, 1): rng.normal(size=(2, 1)),
+         (1, 0): rng.normal(size=(1, 2))})
+
+
+def prepared_cases():
+    """(name, m, kernel schedule, step schedule, x0) of a run on each kind of prepared pair."""
+    A, B, W, gamma, eps, _, x0, _ = general_base_problem()
+    m, d, lip = MDecomposition(A, B), A.dim, B.lipschitz
+    unit = fbf_kernel(identity_map(d), B, gamma, eps)
+    yield "unit", m, unit, gamma, x0
+    B1 = affine_map(B.matrix * (0.5 / lip))  # |B1| = 0.5, so gamma = 1 is in range
+    yield "unit at gamma 1", MDecomposition(A, B1), fbf_kernel(identity_map(d), B1, 1.0, eps), 1.0, x0
+    yield "c = 2", m, Kernel(d, [(None, 2.0)], None, (gamma, B), eps, 2.0 + gamma * lip), gamma, x0
+    yield "identity_map(2) base", m, fbf_kernel(identity_map(d, 2.0), B, gamma, eps), gamma, x0
+    # c s = 1 exactly, yet (gamma / c) / s and (v / c) / s are not gamma and v.
+    third = Kernel(d, [(identity_map(d, 3.0), 1.0 / 3.0)], None, (gamma, B), eps, 1.0 + gamma * lip)
+    yield "c s = 1", m, third, gamma, x0
+    affine = MDecomposition(affine_resolvent_operator(B.matrix, np.ones(d)))
+    yield "no fold", affine, identity_kernel(d), 0.7, x0
+    yield "general base", m, fbf_kernel(W, B, gamma, eps), gamma, x0
+    out = np.empty(d)  # a user base that hands back one buffer, rewritten at every call
+
+    def into_buffer(x):
+        np.matmul(W.matrix, x, out=out)
+        return out
+
+    reused = SingleValuedOperator(d, into_buffer, W.lipschitz, strong_monotonicity=W.strong_monotonicity)
+    yield "user base reusing its output", m, fbf_kernel(reused, B, gamma, eps), gamma, x0
+    steps = [gamma * (1.0 - 0.01 * (n // 10)) for n in range(50)]
+    yield ("staged general base", m, lambda n: fbf_kernel(W, B, steps[n], eps),
+           lambda n: steps[n], x0)
+    rng = np.random.default_rng(75)
+    prob = linear_coupled_problem(rng)
+    k = coupled_kernel(prob, [identity_map(b.dim) for b in prob.primal],
+                       [identity_map(b.dim) for b in prob.dual],
+                       [b.default_step for b in prob.primal], [b.default_step for b in prob.dual],
+                       prob.skew_norm())
+    yield "blockwise maps", prob.decomposition(), k, 1.0, rng.normal(size=prob.layout.total)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in prepared_cases()])
+def test_prepared_pairs_are_the_literal_pair_bit_for_bit(name):
+    # The engine's pair, built once per stage, against K x, the backward
+    # solve, K y and the division, through the public kernel calls, each
+    # warm-started from the engine's previous y.
+    _, m, kernel_of, step_of, x0 = next(case for case in prepared_cases() if case[0] == name)
+    cfg = SolverConfig(epsilon=0.05, step_size=step_of, max_iter=50,
+                       tol_residual=1e-300, tol_step=1e-300)
+    res = solve_weak(m, kernel_of, None, cfg, x0)
+    assert res.iterations == 50
+    start = None
+    for rec in res.trace:
+        k = kernel_of(rec.n) if callable(kernel_of) else kernel_of
+        y, y_star = literal_warped_pair(m, k, rec.gamma, rec.x_tilde, start)
+        assert y.tobytes() == rec.y.tobytes() and y_star.tobytes() == rec.y_star.tobytes(), rec.n
+        start = rec.y
+
+
+def test_general_base_pair_hands_its_w_y_to_the_next_solve(monkeypatch):
+    # K y = W y - gamma B y computes W y; the next solve starts at y and takes
+    # it as W(start).  So a warm-started iteration applies W once less than
+    # the literal pair does, with the same bits: 7 affine_map applications per
+    # iteration, not 8, on the regression recipe.
+    A, B, W, gamma, eps, cfg, x0, _ = general_base_problem()
+    m, k = MDecomposition(A, B), fbf_kernel(W, B, gamma, eps)
+    calls = {W: 0, B: 0}
+    for op in (W, B):
+        def counting(x, op=op, fn=op._fn):
+            calls[op] += 1
+            return fn(x)
+
+        monkeypatch.setattr(op, "_fn", counting)
+    res = solve_weak(m, k, None, cfg, x0)
+    engine = dict(calls)
+    calls.update({W: 0, B: 0})
+    start = None
+    for rec in res.trace:
+        y, y_star = literal_warped_pair(m, k, gamma, rec.x_tilde, start)
+        assert y.tobytes() == rec.y.tobytes() and y_star.tobytes() == rec.y_star.tobytes()
+        start = rec.y
+    n = res.iterations
+    assert res.converged and n > 10
+    assert engine[B] == calls[B] == 2 * n
+    assert engine[W] == calls[W] - (n - 1)

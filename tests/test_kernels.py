@@ -517,8 +517,7 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
         k = Kernel(layout.total, base, layout, None, 0.1, 10.0)
         set_part = BlockDiagonalOperator(blocks, layout)
         del builds[:]
-        # Every solve takes the maps, built at the first solve and again
-        # when gamma changes: a stale map fails at the new gamma's solves.
+        # Every public solve builds the maps of its gamma and takes them.
         for g in (0.6, 0.6, 1.9, 1.9, 1.9):
             v = rng.normal(size=layout.total) * 3
             ref, folded = [], []
@@ -532,10 +531,10 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
             p = k.backward_solve(g, set_part, v)
             assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(ref), (trial, g)
             assert p.tobytes() == np.concatenate(folded).tobytes(), (trial, g)
-        assert len(builds) == 2 and not calls
+        assert len(builds) == 5 and not calls
         # One run per change of R's shape along the blocks: () for a scalar R.
         shapes = [(d, d) if matrix else () for d, matrix in spec]
-        runs, _ = k._maps[2]
+        runs, _ = kernels._linear_maps(set_part, 1.9, k._scales)
         assert len(runs) == 1 + sum(a != b for a, b in zip(shapes, shapes[1:])), trial
     # A scalar block is solved elementwise: no d x d array for zero_operator(500).
     layout = BlockLayout((2, 500, 2))
@@ -544,21 +543,25 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
     k = Kernel(504, [(None, 1.5), (None, 2.0), (None, 0.5)], layout, None, 0.5, 2.0)
     set_part, v = BlockDiagonalOperator(blocks, layout), rng.normal(size=504)
     np.testing.assert_array_equal(k.backward_solve(1.0, set_part, v)[2:502], v[2:502] / 2.0)
-    assert max(R.size for _, R, _ in k._maps[2][0]) == 500
+    assert max(R.size for _, R, _ in kernels._linear_maps(set_part, 1.0, k._scales)[0]) == 500
 
 
 def test_each_kernel_builds_its_own_maps(monkeypatch):
-    # One kernel per stage, as a staged run builds them: each kernel builds
-    # its maps at its first solve and reuses them; no solve runs the loop.
+    # One kernel per stage, as a staged run builds them: the run builds each
+    # stage's maps once, with its pair, and a public solve builds its own; no
+    # solve runs the loop.
     calls = counted_block_loop(monkeypatch)
     builds = counted_map_builds(monkeypatch)
     layout = BlockLayout((2, 2))
     set_part = BlockDiagonalOperator([zero_operator(2), constant_operator([1.0, 2.0])], layout)
-    for n, c in enumerate((1.0, 2.0, 3.0, 3.0), 1):
-        k = Kernel(4, [(None, c), (None, 1.0)], layout, None, 1.0, 3.0)
-        for _ in range(2):
-            np.testing.assert_allclose(k.backward_solve(1.0, set_part, np.ones(4)),
-                                       [1 / c, 1 / c, 0.0, -1.0])
+    stages = (1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0)
+    ks = {c: Kernel(4, [(None, c), (None, 1.0)], layout, None, 1.0, 3.0) for c in stages}
+    cfg = SolverConfig(max_iter=len(stages), tol_residual=1e-300, tol_step=1e-300)
+    res = solve_weak(MDecomposition(set_part), lambda n: ks[stages[n]], None, cfg, np.ones(4))
+    assert res.iterations == len(stages) and (len(calls), len(builds)) == (0, 3)
+    for n, (c, k) in enumerate(ks.items(), 4):
+        np.testing.assert_allclose(k.backward_solve(1.0, set_part, np.ones(4)),
+                                   [1 / c, 1 / c, 0.0, -1.0])
         assert (len(calls), len(builds)) == (0, n), c
 
 
@@ -586,7 +589,7 @@ def test_a_blockwise_solve_does_not_depend_on_earlier_solves():
 
 
 def test_one_kernel_rebuilds_its_maps_for_another_set_part(monkeypatch):
-    # Two set parts at the same gamma, in turn: each miss builds the maps of
+    # Two set parts at the same gamma, in turn: each solve builds the maps of
     # the set part at hand, and no solve runs the loop.
     calls = counted_block_loop(monkeypatch)
     builds = counted_map_builds(monkeypatch)

@@ -5,9 +5,14 @@ from warpsplit import (
     BlockDiagonalOperator,
     BlockLayout,
     ConfigurationError,
+    CoupledProblem,
     DimensionMismatchError,
+    DualBlock,
     GraphPoint,
     LinearMap,
+    NonFiniteEntryError,
+    PrimalBlock,
+    SetValuedOperator,
     SingleValuedOperator,
     UnknownOperatorError,
     affine_map,
@@ -24,6 +29,7 @@ from warpsplit import (
     make_single_valued,
     saddle_skew_map,
     scaled_identity_operator,
+    zero_map,
     zero_operator,
 )
 from warpsplit.space import aligned
@@ -320,6 +326,8 @@ def _fn(x):
      "affine operator matrix must be square, got (1, 2)"),
     (lambda: affine_map([[1.0, 2.0]]), DimensionMismatchError,
      "affine map matrix must be square, got (1, 2)"),
+    (lambda: affine_map([[np.nan, 0.0], [0.0, 1.0]]), NonFiniteEntryError,
+     "affine map matrix contains NaN or Inf"),
     (lambda: identity_map(2, 0.0), ConfigurationError, "identity map scale must be > 0, got 0.0"),
     (lambda: BlockDiagonalOperator([zero_operator(2)], BlockLayout((3,))), DimensionMismatchError,
      "block operator dims do not match layout"),
@@ -327,9 +335,38 @@ def _fn(x):
      "resolvent needs gamma > 0, got 0.0"),
 ], ids=["lipschitz-positive", "declared-modulus-positive", "box-bounds", "ball-radius",
         "halfspace-normal", "affine-set-rows", "l1-weight", "scaled-identity-scale",
-        "affine-operator-square", "affine-map-square", "identity-map-scale", "block-dims",
-        "resolvent-gamma"])
+        "affine-operator-square", "affine-map-square", "affine-map-finite", "identity-map-scale",
+        "block-dims", "resolvent-gamma"])
 def test_guard_raises_its_type_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_shaped_oracles_return_a_new_vector_of_their_dimension():
+    # The engine calls a shaped operator's oracle raw, with no shape check:
+    # every catalog and derived operator must return a new float vector of
+    # its dimension.  An operator built on a user callable is not shaped.
+    rng = np.random.default_rng(12)
+    d = 3
+    box = box_normal_cone(-np.ones(d), np.ones(d))
+    prob = CoupledProblem([PrimalBlock(A=box, C=identity_map(d))], [DualBlock(B=zero_operator(2))],
+                          {(0, 0): rng.normal(size=(2, d))})
+    set_ops = library_instances(d, rng) + [
+        constant_operator(rng.normal(size=d)), box.inverse(), box.add_constant(rng.normal(size=d)),
+        BlockDiagonalOperator([box, zero_operator(2)])]
+    maps = [affine_map(np.eye(d) + 0.5 * (np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)),
+                       rng.normal(size=d)),
+            zero_map(d), identity_map(d, 2.0), saddle_skew_map(LinearMap(rng.normal(size=(2, d)))),
+            prob.kt_forward()]
+    calls = [(op, lambda x, op=op, g=g: op._resolvent(g, x)) for op in set_ops for g in (0.5, 2.0)]
+    calls += [(op, op._fn) for op in maps]
+    for op, call in calls:
+        assert op.shaped, op
+        for scale in (0.1, 3.0):
+            x = rng.normal(size=op.dim) * scale
+            y = call(x)
+            assert type(y) is np.ndarray and y.dtype == float and y.shape == (op.dim,), op
+            assert not np.shares_memory(y, x), op
+    assert not SetValuedOperator(d, lambda g, x: x).shaped
+    assert not SingleValuedOperator(d, _fn, 1.0).shaped
