@@ -504,10 +504,10 @@ class ProblemFile:
 
 
 def _operator(section: Section, make, dim):
-    """The catalog operator a block names; a configuration error names the block."""
+    """The catalog operator a block names; a configuration, lookup or NaN error names the block."""
     try:
         return make(section.require("name"), _op_params(section), dim)
-    except (ConfigurationError, UnknownOperatorError) as exc:
+    except (ConfigurationError, UnknownOperatorError, NonFiniteEntryError) as exc:
         raise type(exc)(f"block {section.name!r}: {exc}") from None
 
 
@@ -523,12 +523,16 @@ def _operators(section: Section, set_key, forward_key, dim, what):
 
 
 def _op_params(section: Section):
+    """A catalog block's parameters, all numeric: lists as float arrays, a word refused."""
     out = {}
     for k, v in section.entries.items():
         if k == "name":
             continue
         if isinstance(v, list):
             out[k] = _floats(section, k, 2 if v and isinstance(v[0], list) else 1)
+        elif isinstance(v, str):
+            raise ProblemFormatError(
+                f"{k!r} in block {section.name!r} must be a number or a list of numbers, got {v!r}")
         else:
             out[k] = v
     return out

@@ -123,6 +123,27 @@ def _linear_maps(set_part, gamma, scales):
     return maps, offsets
 
 
+def _affine_solve(maps, v):
+    """``_linear_maps``' affine maps at v, one numpy call per run, in the bits of each np.dot."""
+    runs, offsets = maps
+    out = np.empty(len(offsets))
+    for sl, R, shape in runs:
+        if shape is None:
+            np.multiply(R, v[sl], out=out[sl])
+        else:
+            np.matmul(R, v[sl].reshape(shape), out=out[sl].reshape(shape))
+    out -= offsets
+    return out
+
+
+def _minus_fold(w, x, g, B):
+    """w - g B(x) in place, for a new w and an oracle entry B (None: no fold); at g = 1.0 the
+    multiply is skipped, an identity in IEEE arithmetic."""
+    if B is not None:
+        w -= B(x) if g == 1.0 else g * B(x)
+    return w
+
+
 def solve_base_inclusion(W, gamma, A, v, start=None, image=None):
     """Solve v in W(p) + gamma * A(p) for the unique p.
 
@@ -263,11 +284,8 @@ class Kernel:
         y = np.empty(self.dim) if self._coef is None else self._coef * x
         for sl, W, c in self._general:
             y[sl] = c * W._apply(x[sl])
-        if self.fold is not None:
-            g, B = self.fold
-            # In place (y is new); a fold at 1.0 skips the multiply, an identity in IEEE arithmetic.
-            y -= B._apply(x) if g == 1.0 else g * B._apply(x)
-        return y
+        g, B = self.fold or (1.0, None)
+        return _minus_fold(y, x, g, B and B._apply)
 
     # -- warped backward solve ----------------------------------------------
 
@@ -280,7 +298,8 @@ class Kernel:
                 f"its layout {self.layout.dims}")
 
     def backward_solve(self, gamma, set_part: SetValuedOperator, v, start=None) -> np.ndarray:
-        """Solve v in K_base(p) + gamma * A(p): ``_backward`` for checked gamma, v and set part."""
+        """Solve v in K_base(p) + gamma * A(p) for checked gamma, v and set part: ``_affine_solve``
+        when ``_linear_maps`` (built per call) gives the blocks' maps, else ``_backward``."""
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
         v = np.asarray(v, dtype=float)
@@ -289,27 +308,16 @@ class Kernel:
             raise DimensionMismatchError(
                 f"set part dim {set_part.dim} != kernel dim {self.dim}")
         self._check_set_part(set_part)
-        return self._backward(gamma, set_part, v, start,
-                              _linear_maps(set_part, gamma, self._scales))
+        maps = _linear_maps(set_part, gamma, self._scales)
+        return self._backward(gamma, set_part, v, start) if maps is None else _affine_solve(maps, v)
 
-    def _backward(self, gamma, set_part, v, start=None, maps=None) -> np.ndarray:
-        """``backward_solve`` unchecked; ``start`` warm-starts inner loops.
+    def _backward(self, gamma, set_part, v, start=None) -> np.ndarray:
+        """``backward_solve`` unchecked, block by block; ``start`` warm-starts inner loops.
 
-        Blockwise ``solve_base_inclusion``, through the unscanned oracle entries: each
-        block's output is shape-checked, and certified finite only by an inner loop's
-        residual.  Given ``maps``, ``_linear_maps`` at (set part, gamma), the blocks are
-        affine maps, one numpy call per run, with the bytes of each block's ``np.dot``.
+        ``solve_base_inclusion`` through the unscanned oracle entries: each block's output
+        is shape-checked, and certified finite only by an inner loop's residual.
         """
         out = np.empty(self.dim)
-        if maps is not None:
-            runs, offsets = maps
-            for sl, R, shape in runs:
-                if shape is None:
-                    np.multiply(R, v[sl], out=out[sl])
-                else:
-                    np.matmul(R, v[sl].reshape(shape), out=out[sl].reshape(shape))
-            out -= offsets
-            return out
         # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c, per block
         parts = set_part.blocks if len(self.base) > 1 else (set_part,)
         for sl, (W, c), A_b in zip(self._slices, self.base, parts):
@@ -323,13 +331,14 @@ class Kernel:
         y = (K_base + gamma A)^{-1} K x, warm-started at ``start``, and y* = (K x - K y) / gamma,
         by the operations of ``eval``, ``backward_solve``, ``eval`` in order: bit for bit.  A
         fold on one identity block at 1.0 takes x - g B x and A's resolvent at gamma; one
-        general block, ``solve_base_inclusion`` handed the W y of K y (W shaped); else
-        ``_eval`` and ``_backward``.  Shaped oracles are called raw.  Not scanned: the caller
-        certifies the pair (``_scan_pair``, or theta and sigma).
+        general block, ``solve_base_inclusion`` handed the W y of K y (W shaped); blocks with
+        ``_linear_maps``, ``_affine_solve``; else ``_eval`` and ``_backward``.  Shaped oracles
+        are called raw.  Not scanned: the caller certifies the pair (``_scan_pair``, or theta
+        and sigma).
         """
         (W, c), (g, B) = self.base[0], self.fold or (1.0, None)
         s, Bf = 1.0 if W is None else W.scale_of_identity, B and (B._fn if B.shaped else B._apply)
-        one = len(self.base) == 1
+        one, coef = len(self.base) == 1, self._coef
         if one and B is not None and c == s == 1.0:
             J = set_part._resolvent if set_part.shaped else set_part._resolve
 
@@ -343,25 +352,25 @@ class Kernel:
             Wf, gc, last = W._fn if W.shaped else W._apply, gamma / c, [None, None]  # last (y, W y)
 
             def pair(x, start=None):
-                w = c * Wf(x)
-                if B is not None:
-                    w -= Bf(x) if g == 1.0 else g * Bf(x)
+                w = _minus_fold(c * Wf(x), x, g, Bf)
                 y = solve_base_inclusion(W, gc, set_part, w if c == 1.0 else w / c, start,
                                          last[1] if start is last[0] else None)
                 Wy = Wf(y)
-                k = c * Wy
-                if B is not None:
-                    k -= Bf(y) if g == 1.0 else g * Bf(y)
+                k = _minus_fold(c * Wy, y, g, Bf)
                 if W.shaped:
                     last[:] = y, Wy
                 return y, (w - k if gamma == 1.0 else (w - k) / gamma)
-        else:
-            ev, maps = self._eval, _linear_maps(set_part, gamma, self._scales)
-
+        elif (maps := _linear_maps(set_part, gamma, self._scales)) is not None:
             def pair(x, start=None):
-                w = ev(x)
-                y = self._backward(gamma, set_part, w, start, maps)
-                return y, (w - ev(y) if gamma == 1.0 else (w - ev(y)) / gamma)
+                w = _minus_fold(coef * x, x, g, Bf)
+                y = _affine_solve(maps, w)
+                k = _minus_fold(coef * y, y, g, Bf)
+                return y, (w - k if gamma == 1.0 else (w - k) / gamma)
+        else:
+            def pair(x, start=None):
+                w = self._eval(x)
+                y = self._backward(gamma, set_part, w, start)
+                return y, (w - self._eval(y) if gamma == 1.0 else (w - self._eval(y)) / gamma)
         return pair
 
     def __repr__(self):

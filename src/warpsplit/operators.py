@@ -270,6 +270,7 @@ def affine_set_normal_cone(A, b) -> SetValuedOperator:
     b = vector(b)
     if A.ndim != 2 or A.shape[0] != b.shape[0]:
         raise DimensionMismatchError("affine set: A rows must match b")
+    check_finite(A, "affine set matrix")  # before the SVD of pinv, which would not converge
     pinv = np.linalg.pinv(A)
     return SetValuedOperator(
         A.shape[1], lambda g, x: proj_affine_set(x, A, b, pinv), "affine_set", shaped=True)

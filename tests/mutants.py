@@ -138,6 +138,20 @@ MUTANTS = [
     ("affine-map-finite-check", "operators.py",
      '    check_finite(M, "affine map matrix")\n',
      ""),
+    ("affine-set-finite-check", "operators.py",
+     '    check_finite(A, "affine set matrix")  # before the SVD of pinv, which would not converge\n',
+     ""),
+    # The blockwise pair and backward_solve share one run helper, offsets included.
+    ("prepared-blockwise-offsets", "kernels.py",
+     "    out -= offsets\n",
+     ""),
+    # A word for a numeric catalog parameter is a format error, not a float() traceback.
+    ("op-params-word-check", "cli.py",
+     "        elif isinstance(v, str):\n",
+     "        elif False:\n"),
+    ("operator-block-names-non-finite", "cli.py",
+     "(ConfigurationError, UnknownOperatorError, NonFiniteEntryError) as exc:",
+     "(ConfigurationError, UnknownOperatorError) as exc:"),
     ("kernel-alpha-positive", "kernels.py",
      "        if not alpha > 0:\n",
      "        if False:\n"),

@@ -1150,7 +1150,38 @@ def test_non_finite_affine_map_matrix_is_usage_error(tmp_path, capsys, entry):
     code = main(["run", "--problem", write(tmp_path, "n.txt", text),
                  "--trace", str(tmp_path / "t.csv")])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == "error: affine map matrix contains NaN or Inf\n"
+    assert capsys.readouterr().err == "error: block 'B': affine map matrix contains NaN or Inf\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_non_finite_affine_set_matrix_is_usage_error(tmp_path, capsys):
+    # Rejected before the SVD of its pseudo-inverse, which would not converge.
+    text = MINIMAL.replace("name = ball\n  center = [0.0, 0.0]\n  radius = 1.0",
+                           "name = affine_set\n  matrix = [[nan, 1.0]]\n  rhs = [1.0]")
+    code = main(["run", "--problem", write(tmp_path, "n.txt", text),
+                 "--trace", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: block 'A': affine set matrix contains NaN or Inf\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("text, good, bad, named", [
+    (NON_MONOTONE_FORWARD, "lo = [-1.0, -1.0]", "lo = affine_set", "'lo' in block 'A'"),
+    (NON_MONOTONE_FORWARD, "matrix = [[2.0, 0.0], [1.5, 0.0]]", "matrix = zero",
+     "'matrix' in block 'B'"),
+    (COUPLED_SCALAR, "name = scaled_identity\n    scale = 1.0",
+     "name = affine\n    matrix = fbf", "'matrix' in block 'A'"),
+], ids=["box-lo", "affine-map-matrix", "coupled-affine-matrix"])
+def test_word_for_a_numeric_operator_parameter_is_usage_error(tmp_path, capsys, text, good, bad,
+                                                               named):
+    # A word never reaches the catalog builder, whose float conversion would raise a ValueError.
+    assert text.count(good) >= 1
+    code = main(["run", "--problem", write(tmp_path, "w.txt", text.replace(good, bad, 1)),
+                 "--trace", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    word = bad.split(" = ")[-1]
+    assert capsys.readouterr().err == (
+        f"error: {named} must be a number or a list of numbers, got {word!r}\n")
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 from warpsplit import (
+    BlockDiagonalOperator,
+    BlockLayout,
     ConfigurationError,
     CoupledProblem,
     DimensionMismatchError,
@@ -479,8 +481,36 @@ def linear_coupled_problem(rng):
          (1, 0): rng.normal(size=(1, 2))})
 
 
+def mixed_runs_problem():
+    """The all-affine coupled problem of CI's ``coupled_affine.txt``: primal blocks of 3, 2 and 2
+    (the last with an offset) and one dual block of 2, so the Kuhn-Tucker set part takes a run of
+    one 3 x 3 block, a run of three 2 x 2 blocks and a scalar run (the v* constant)."""
+    return CoupledProblem(
+        [PrimalBlock(A=affine_resolvent_operator(
+            [[1.2, 0.3, 0.0], [-0.3, 1.0, 0.2], [0.0, -0.2, 0.8]]), s_star=[0.5, -0.2, 0.1]),
+         PrimalBlock(A=affine_resolvent_operator([[1.5, 0.4], [-0.4, 1.0]]), s_star=[-0.4, 0.3]),
+         PrimalBlock(A=affine_resolvent_operator([[0.9, 0.0], [0.0, 1.3]], [0.2, -0.1]))],
+        [DualBlock(B=affine_resolvent_operator([[1.0, 0.2], [0.2, 0.8]]), r=[0.2, -0.1])],
+        {(0, 0): [[0.6, -0.2, 0.3], [0.1, 0.5, -0.4]], (0, 1): [[1.0, 0.5], [-0.3, 1.0]],
+         (0, 2): [[0.4, 0.0], [-0.6, 0.7]]})
+
+
+def staged_coupled_case(prob):
+    """(kernel schedule, solve) of a ``solve_coupled`` run whose primal steps fall every 10
+    iterations, so the engine builds a new pair at each of its five stages."""
+    F, W = ([identity_map(b.dim) for b in part] for part in (prob.primal, prob.dual))
+    taus = [b.default_step for b in prob.dual]
+
+    def gammas(n):
+        return [b.default_step * (1.0 - 0.02 * (n // 10)) for b in prob.primal]
+
+    return (lambda n: coupled_kernel(prob, F, W, gammas(n), taus, prob.skew_norm()),
+            lambda cfg: solve_coupled(prob, cfg, gamma_schedules=gammas))
+
+
 def prepared_cases():
-    """(name, m, kernel schedule, step schedule, x0) of a run on each kind of prepared pair."""
+    """(name, m, kernel schedule, step schedule, x0[, solve]) of a run on each kind of prepared
+    pair; ``solve(cfg)``, when given, replaces ``solve_weak`` from x0."""
     A, B, W, gamma, eps, _, x0, _ = general_base_problem()
     m, d, lip = MDecomposition(A, B), A.dim, B.lipschitz
     unit = fbf_kernel(identity_map(d), B, gamma, eps)
@@ -513,6 +543,27 @@ def prepared_cases():
                        [b.default_step for b in prob.primal], [b.default_step for b in prob.dual],
                        prob.skew_norm())
     yield "blockwise maps", prob.decomposition(), k, 1.0, rng.normal(size=prob.layout.total)
+    prob = mixed_runs_problem()
+    k = coupled_kernel(prob, [identity_map(b.dim) for b in prob.primal],
+                       [identity_map(b.dim) for b in prob.dual],
+                       [b.default_step for b in prob.primal], [b.default_step for b in prob.dual],
+                       prob.skew_norm())
+    yield "blockwise maps in mixed runs", prob.decomposition(), k, 1.0, rng.normal(size=k.dim)
+    # A kernel built by hand: a fold at gamma = 0.4, a scaled-identity base at 1.5, and
+    # nonzero offsets from the affine blocks' b.
+    layout = BlockLayout((3, 2, 2))
+    set_part = BlockDiagonalOperator(
+        [affine_resolvent_operator(np.eye(3) + 0.5 * skew_unit(rng, 3), rng.normal(size=3)),
+         scaled_identity_operator(2, 0.5), affine_resolvent_operator(2.0 * np.eye(2), [1.0, -1.0])],
+        layout)
+    S = affine_map(skew_unit(rng, 7))
+    base = [(None, 2.0), (identity_map(2, 1.5), 1.0), (None, 1.0)]
+    yield ("blockwise fold at gamma 0.4", MDecomposition(set_part, S),
+           Kernel(7, base, layout, (0.4, S), 0.6, 2.4), 0.4, rng.normal(size=7))
+    yield ("blockwise without a fold", MDecomposition(set_part),
+           Kernel(7, base, layout, None, 1.0, 2.0), 0.7, rng.normal(size=7))
+    kernel_of, solve = staged_coupled_case(prob)
+    yield "staged solve_coupled", prob.decomposition(), kernel_of, 1.0, None, solve
 
 
 @pytest.mark.parametrize("name", [case[0] for case in prepared_cases()])
@@ -520,10 +571,10 @@ def test_prepared_pairs_are_the_literal_pair_bit_for_bit(name):
     # The engine's pair, built once per stage, against K x, the backward
     # solve, K y and the division, through the public kernel calls, each
     # warm-started from the engine's previous y.
-    _, m, kernel_of, step_of, x0 = next(case for case in prepared_cases() if case[0] == name)
+    _, m, kernel_of, step_of, x0, *solve = next(c for c in prepared_cases() if c[0] == name)
     cfg = SolverConfig(epsilon=0.05, step_size=step_of, max_iter=50,
                        tol_residual=1e-300, tol_step=1e-300)
-    res = solve_weak(m, kernel_of, None, cfg, x0)
+    res = solve[0](cfg) if solve else solve_weak(m, kernel_of, None, cfg, x0)
     assert res.iterations == 50
     start = None
     for rec in res.trace:
@@ -531,6 +582,18 @@ def test_prepared_pairs_are_the_literal_pair_bit_for_bit(name):
         y, y_star = literal_warped_pair(m, k, rec.gamma, rec.x_tilde, start)
         assert y.tobytes() == rec.y.tobytes() and y_star.tobytes() == rec.y_star.tobytes(), rec.n
         start = rec.y
+
+
+def test_coupled_solves_call_no_kernel_eval_or_backward(monkeypatch):
+    # Every stage of a coupled run on affine blocks, staged or not, takes the blockwise pair.
+    calls = []
+    for name in ("_eval", "_backward"):
+        monkeypatch.setattr(Kernel, name, lambda self, *args, name=name: calls.append(name))
+    prob = mixed_runs_problem()
+    cfg = SolverConfig(max_iter=20000, tol_residual=1e-8, tol_step=1e-8)
+    assert solve_coupled(prob, cfg).converged
+    assert staged_coupled_case(prob)[1](tight(50)).iterations == 50
+    assert calls == []
 
 
 def test_general_base_pair_hands_its_w_y_to_the_next_solve(monkeypatch):

@@ -319,6 +319,8 @@ def _fn(x):
      "half-space normal must be nonzero"),
     (lambda: affine_set_normal_cone([[1.0, 0.0]], [1.0, 2.0]), DimensionMismatchError,
      "affine set: A rows must match b"),
+    (lambda: affine_set_normal_cone([[np.nan, 1.0]], [1.0]), NonFiniteEntryError,
+     "affine set matrix contains NaN or Inf"),
     (lambda: l1_operator(2, 0.0), ConfigurationError, "l1 weight must be > 0, got 0.0"),
     (lambda: scaled_identity_operator(2, -1.0), ConfigurationError,
      "scaled identity needs scale >= 0 for monotonicity, got -1.0"),
@@ -334,9 +336,9 @@ def _fn(x):
     (lambda: zero_operator(2).resolvent(0.0, [1.0, 1.0]), ConfigurationError,
      "resolvent needs gamma > 0, got 0.0"),
 ], ids=["lipschitz-positive", "declared-modulus-positive", "box-bounds", "ball-radius",
-        "halfspace-normal", "affine-set-rows", "l1-weight", "scaled-identity-scale",
-        "affine-operator-square", "affine-map-square", "affine-map-finite", "identity-map-scale",
-        "block-dims", "resolvent-gamma"])
+        "halfspace-normal", "affine-set-rows", "affine-set-finite", "l1-weight",
+        "scaled-identity-scale", "affine-operator-square", "affine-map-square", "affine-map-finite",
+        "identity-map-scale", "block-dims", "resolvent-gamma"])
 def test_guard_raises_its_type_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()
