@@ -63,7 +63,7 @@ from .operators import (
     saddle_skew_map,
     zero_map,
 )
-from .space import BlockLayout, LinearMap, check_dim, vector
+from .space import BlockLayout, LinearMap, check_dim, check_finite, vector
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +584,21 @@ def solve_tseng(A: SetValuedOperator, B: SingleValuedOperator, gamma_schedule,
 # Coupled systems: Kuhn-Tucker operator and primal-dual solver
 # ---------------------------------------------------------------------------
 
+def _block_parts(dim, op, offset, modulus, bound, floor, names):
+    """(Lipschitz part, offset, bound, floor) of a coupled block of set part dimension ``dim``,
+    checked, with defaults for None: the zero map, a zero offset, the part's Lipschitz constant,
+    and half the regime's ``epsilon_bound``.  ``names`` holds the four that messages use."""
+    set_name, op_name, offset_name, bound_name = names.split()
+    op = zero_map(dim) if op is None else op
+    if op.dim != dim:
+        raise DimensionMismatchError(f"{op_name} has dim {op.dim}, {set_name} has dim {dim}")
+    offset = check_dim(np.zeros(dim) if offset is None else vector(offset), dim, offset_name)
+    bound = op.lipschitz if bound is None else bound
+    if not bound > 0:
+        raise ConfigurationError(f"declared {bound_name} must be > 0")
+    return op, offset, bound, 0.5 * epsilon_bound(modulus, bound) if floor is None else floor
+
+
 @dataclass
 class PrimalBlock:
     """One primal inclusion block: set part A, Lipschitz part C, offset s*.
@@ -602,20 +617,9 @@ class PrimalBlock:
     mu: float = None
 
     def __post_init__(self):
-        dim = self.A.dim
         self._C_given = self.C is not None
-        if self.C is None:
-            self.C = zero_map(dim)
-        if self.C.dim != dim:
-            raise DimensionMismatchError(f"C has dim {self.C.dim}, A has dim {dim}")
-        self.s_star = np.zeros(dim) if self.s_star is None else vector(self.s_star)
-        check_dim(self.s_star, dim, "s_star")
-        if self.mu is None:
-            self.mu = self.C.lipschitz
-        if not self.mu > 0:
-            raise ConfigurationError("declared mu must be > 0")
-        if self.epsilon is None:
-            self.epsilon = 0.5 * epsilon_bound(self.alpha, self.mu)
+        self.C, self.s_star, self.mu, self.epsilon = _block_parts(
+            self.A.dim, self.C, self.s_star, self.alpha, self.mu, self.epsilon, "A C s_star mu")
         self.default_step  # fbf_step checks the epsilon regime
 
     @property
@@ -646,21 +650,10 @@ class DualBlock:
     nu: float = None
 
     def __post_init__(self):
-        dim = self.B.dim
         self._D_given = self.D is not None
-        if self.D is None:
-            self.D = zero_map(dim)
-        if self.D.dim != dim:
-            raise DimensionMismatchError(f"D has dim {self.D.dim}, B has dim {dim}")
-        self.r = np.zeros(dim) if self.r is None else vector(self.r)
-        check_dim(self.r, dim, "r")
-        if self.nu is None:
-            self.nu = self.D.lipschitz
-        if not self.nu > 0:
-            raise ConfigurationError("declared nu must be > 0")
-        if self.delta is None:
-            self.delta = 0.5 * epsilon_bound(self.beta, self.nu)
-        self.default_step  # fbf_step checks the epsilon regime
+        self.D, self.r, self.nu, self.delta = _block_parts(
+            self.B.dim, self.D, self.r, self.beta, self.nu, self.delta, "B D r nu")
+        self.default_step  # fbf_step checks the delta regime
 
     @property
     def dim(self):
@@ -817,9 +810,16 @@ class KuhnTuckerPoint:
 
     @classmethod
     def from_pair(cls, problem: CoupledProblem, x, v_star) -> "KuhnTuckerPoint":
-        """Lift a primal-dual pair, given as stacked vectors, to (x, Lx - r, v*)."""
+        """Lift a primal-dual pair, given as stacked vectors, to (x, Lx - r, v*).
+
+        A NaN or Inf in x, or an L x - r past the float range, is a NonFiniteEntryError; the
+        latter names its dual block."""
         x = check_dim(np.asarray(x, dtype=float), problem.primal_layout.total, "stacked x")
-        y = problem.coupling @ x - np.concatenate([blk.r for blk in problem.dual])
+        check_finite(x, "stacked x")
+        with np.errstate(all="ignore"):  # an overflow is reported below, by dual block
+            y = problem.coupling @ x - np.concatenate([blk.r for blk in problem.dual])
+        for j, y_j in enumerate(problem.dual_layout.split(y)):
+            check_finite(y_j, f"dual block {j}: L x - r")
         return cls(np.concatenate([x, y, v_star]), problem)
 
     @classmethod

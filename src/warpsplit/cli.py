@@ -658,7 +658,8 @@ def write_trace(result: alg.SolveResult, path, zeros=()):
     row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g" + ",%.17g" * len(zeros) + "\n"
     t = result.trace
     rows = zip(t.n, t.x, t.residual, t.step_norm, t.theta, t.sigma, t.rho)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    # A gap past the float range is written as inf, as computed: its overflow raises no warning.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh, np.errstate(over="ignore"):
         fh.write(",".join(header) + "\n")
         # Formatted and written 256 rows at a time: the CSV is never whole in memory.
         while block := list(itertools.islice(rows, 256)):

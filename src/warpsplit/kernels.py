@@ -277,9 +277,9 @@ class Kernel:
     def _eval(self, x) -> np.ndarray:
         """K x, a new array, for a float vector x of the kernel's dimension; not scanned.
 
-        The base and forward maps are called through ``_apply``, which checks
-        each output's shape.  A NaN or Inf in K x reaches y* of the graph
-        point it feeds, which is certified, or ``warped_resolvent``'s scan.
+        The base and forward maps are called through their unscanned entries,
+        ``_apply``.  A NaN or Inf in K x reaches y* of the graph point it
+        feeds, which is certified, or ``warped_resolvent``'s scan.
         """
         y = np.empty(self.dim) if self._coef is None else self._coef * x
         for sl, W, c in self._general:
@@ -315,7 +315,7 @@ class Kernel:
         """``backward_solve`` unchecked, block by block; ``start`` warm-starts inner loops.
 
         ``solve_base_inclusion`` through the unscanned oracle entries: each block's output
-        is shape-checked, and certified finite only by an inner loop's residual.
+        is certified finite only by an inner loop's residual.
         """
         out = np.empty(self.dim)
         # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c, per block
@@ -332,15 +332,14 @@ class Kernel:
         by the operations of ``eval``, ``backward_solve``, ``eval`` in order: bit for bit.  A
         fold on one identity block at 1.0 takes x - g B x and A's resolvent at gamma; one
         general block, ``solve_base_inclusion`` handed the W y of K y (W shaped); blocks with
-        ``_linear_maps``, ``_affine_solve``; else ``_eval`` and ``_backward``.  Shaped oracles
-        are called raw.  Not scanned: the caller certifies the pair (``_scan_pair``, or theta
-        and sigma).
+        ``_linear_maps``, ``_affine_solve``; else ``_eval`` and ``_backward``.  Not scanned:
+        the caller certifies the pair (``_scan_pair``, or theta and sigma).
         """
         (W, c), (g, B) = self.base[0], self.fold or (1.0, None)
-        s, Bf = 1.0 if W is None else W.scale_of_identity, B and (B._fn if B.shaped else B._apply)
+        s, Bf = 1.0 if W is None else W.scale_of_identity, B and B._apply
         one, coef = len(self.base) == 1, self._coef
         if one and B is not None and c == s == 1.0:
-            J = set_part._resolvent if set_part.shaped else set_part._resolve
+            J = set_part._resolve
 
             def pair(x, start=None):
                 w = x - (Bf(x) if g == 1.0 else g * Bf(x))
@@ -349,7 +348,7 @@ class Kernel:
                 k = y - (Bf(y) if g == 1.0 else g * Bf(y))
                 return y, (w - k if gamma == 1.0 else (w - k) / gamma)
         elif one and s is None:
-            Wf, gc, last = W._fn if W.shaped else W._apply, gamma / c, [None, None]  # last (y, W y)
+            Wf, gc, last = W._apply, gamma / c, [None, None]  # last (y, W y)
 
             def pair(x, start=None):
                 w = _minus_fold(c * Wf(x), x, g, Bf)

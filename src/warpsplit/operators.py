@@ -6,11 +6,12 @@ algorithm in the library consumes only resolvent-type solves.  Single-valued
 monotone Lipschitz maps carry declared constants, which are trusted inputs
 validated probabilistically by the test suite.
 
-The iteration engine scans no oracle output: the graph point it feeds is certified.  It
-calls a ``shaped`` operator's oracle raw, as its output is a new float vector of its
-dimension by construction: every catalog constructor, ``saddle_skew_map``, ``inverse``,
-``add_constant``, ``BlockDiagonalOperator`` and ``kt_forward``.  Others, built on a user
-callable, go through ``_resolve`` and ``_apply``, which check each output's shape.
+Each operator has one unscanned entry, ``_resolve`` or ``_apply``, bound at construction,
+and every internal path calls it; the graph point it feeds is certified.  A ``shaped``
+operator's entry is its oracle, whose output is a new float vector of its dimension by
+construction: every catalog constructor, ``saddle_skew_map``, ``inverse``, ``add_constant``,
+``BlockDiagonalOperator`` and ``kt_forward``.  An operator built on a user callable is not
+shaped, and its entry checks each output's shape (``_shape_checked``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ from .errors import (
 from .space import BlockLayout, LinearMap, aligned, check_dim, check_finite, vector
 
 
+def _shape_checked(oracle, dim, what, name):
+    """``oracle`` with each output taken as a float array and checked to be a vector of ``dim``
+    coordinates, ``what % name`` naming it in the error; its entries are not scanned."""
+    def checked(*args):
+        y = np.asarray(oracle(*args), dtype=float)
+        check_dim(y, dim, what, name)
+        return y
+    return checked
+
+
 class SetValuedOperator:
     """Maximally monotone operator exposed through its resolvent oracle.
 
@@ -40,8 +51,8 @@ class SetValuedOperator:
     name : str
         Catalog name, used in error messages and problem files.
 
-    ``resolvent`` validates gamma and x, calls the oracle through
-    ``_resolve``, which checks the output's shape, and scans the output.
+    ``resolvent`` validates gamma and x, calls the unscanned entry
+    ``_resolve(gamma, x)`` and scans the output.
 
     ``resolvent_jacobian``, when set, is ``(gamma, u) -> d``, the diagonal of
     an element of the generalized Jacobian of ``J_{gamma A}`` at u: the free
@@ -59,16 +70,10 @@ class SetValuedOperator:
 
     def __init__(self, dim, resolvent_oracle, name="operator", shaped=False):
         self.dim = int(dim)
-        self._resolvent = resolvent_oracle
+        self._resolve = resolvent_oracle if shaped else _shape_checked(
+            resolvent_oracle, self.dim, "resolvent output of %s", name)
         self.name = name
         self.shaped = shaped
-
-    def _resolve(self, gamma, x) -> np.ndarray:
-        """J_{gamma A} x for a float gamma > 0 and a float vector x of this
-        dimension: the output's shape is checked, its entries are not scanned."""
-        y = np.asarray(self._resolvent(gamma, x), dtype=float)
-        check_dim(y, self.dim, "resolvent output of %s", self.name)
-        return y
 
     def resolvent(self, gamma, x) -> np.ndarray:
         """Evaluate J_{gamma A} x = (Id + gamma A)^{-1} x, scanned for NaN/Inf."""
@@ -136,8 +141,8 @@ class SingleValuedOperator:
     trusted inputs.  ``scale_of_identity`` marks maps equal to c * Id, which
     unlocks closed-form backward solves in the kernels module.
 
-    Calling the operator validates x, calls ``fn`` through ``_apply``,
-    which checks the output's shape, and scans the output for NaN/Inf.
+    Calling the operator validates x, calls the unscanned entry ``_apply(x)``
+    and scans the output for NaN/Inf.
     """
 
     matrix = None  # the read-only linear part of an affine or linear map
@@ -151,7 +156,7 @@ class SingleValuedOperator:
             raise ConfigurationError(
                 f"declared strong monotonicity must be > 0, got {strong_monotonicity}")
         self.dim = int(dim)
-        self._fn = fn
+        self._apply = fn if shaped else _shape_checked(fn, self.dim, "output of %s", name)
         self.lipschitz = float(lipschitz)
         self.monotone = bool(monotone)
         self.strong_monotonicity = (
@@ -160,13 +165,6 @@ class SingleValuedOperator:
             None if scale_of_identity is None else float(scale_of_identity))
         self.name = name
         self.shaped = shaped
-
-    def _apply(self, x) -> np.ndarray:
-        """The map at a float vector x of this dimension: the output's shape
-        is checked, its entries are not scanned."""
-        y = np.asarray(self._fn(x), dtype=float)
-        check_dim(y, self.dim, "output of %s", self.name)
-        return y
 
     def __call__(self, x) -> np.ndarray:
         """The map at x, scanned for NaN/Inf."""
@@ -314,17 +312,25 @@ def constant_operator(value) -> SetValuedOperator:
     return op
 
 
-def _monotone_spectrum(M, what):
-    """Ascending eigenvalues of the symmetric part of the square matrix M.
+def _monotone_matrix(M, b, what):
+    """(M, b, ascending eigenvalues of M's symmetric part) for a square, finite, monotone
+    float matrix M and an offset b of its dimension (zeros for None).
 
-    Raises ConfigurationError when M is not monotone: the smallest
-    eigenvalue is negative beyond a roundoff slack relative to the spectrum.
+    Raises ConfigurationError when M is not monotone: the smallest eigenvalue is negative
+    beyond a roundoff slack relative to the spectrum.  The symmetric part 0.5 M + 0.5 M^T
+    cannot overflow, as 0.5 (M + M^T) can.
     """
-    eig = np.linalg.eigvalsh(0.5 * (M + M.T)) if M.shape[0] else np.zeros(1)
+    M = np.array(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatchError(f"{what} must be square, got {M.shape}")
+    b = np.zeros(M.shape[0]) if b is None else vector(b)
+    check_dim(b, M.shape[0], "affine offset")
+    check_finite(M, what)
+    eig = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T) if M.shape[0] else np.zeros(1)
     if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):
         raise ConfigurationError(
             f"{what} is not monotone: its symmetric part has eigenvalue {eig[0]}")
-    return eig
+    return M, b, eig
 
 
 def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
@@ -334,14 +340,8 @@ def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
     otherwise ConfigurationError.  The inverse of I + gamma M is kept for the
     last gamma; for monotone M its norm is at most 1.
     """
-    M = np.array(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"affine operator matrix must be square, got {M.shape}")
+    M, b, _ = _monotone_matrix(M, b, "affine operator matrix")
     dim = M.shape[0]
-    b = np.zeros(dim) if b is None else vector(b)
-    check_dim(b, dim, "affine offset")
-    check_finite(M, "affine operator matrix")
-    _monotone_spectrum(M, "affine operator matrix")
     last = [(None, None)]  # (gamma, inverse of I + gamma M), replaced whole
 
     def linear(g):
@@ -369,15 +369,9 @@ def affine_map(M, b=None) -> SingleValuedOperator:
     wider than 8 columns starts on a 64-byte boundary (``space.aligned``),
     which speeds up ``M @ x`` and leaves its bits unchanged.
     """
-    M = np.array(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"affine map matrix must be square, got {M.shape}")
-    dim = M.shape[0]
-    b = np.zeros(dim) if b is None else vector(b)
-    check_dim(b, dim, "affine offset")
-    check_finite(M, "affine map matrix")
+    M, b, eig = _monotone_matrix(M, b, "affine map matrix")
+    dim, mu = M.shape[0], float(eig[0])
     lip = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    mu = float(_monotone_spectrum(M, "affine map matrix")[0])
     M = aligned(M)
     # A zero matrix is declared 1-Lipschitz like zero_map: a finite default step.
     op = SingleValuedOperator(

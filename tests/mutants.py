@@ -74,6 +74,10 @@ MUTANTS = [
     ("declared-modulus-positive", "operators.py",
      "        if strong_monotonicity is not None and not strong_monotonicity > 0:\n",
      "        if False:\n"),
+    # The symmetric part of a finite matrix is formed without overflow.
+    ("monotone-symmetric-part-no-overflow", "operators.py",
+     "0.5 * M + 0.5 * M.T",
+     "0.5 * (M + M.T)"),
     ("monotone-spectrum-reject", "operators.py",
      "    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):",
      "    if False:"),
@@ -89,12 +93,21 @@ MUTANTS = [
     ("graph-point-dimension-check", "kernels.py",
      '    check_dim(x_tilde, kernel.dim, "kernel %s argument", kernel.name)\n',
      ""),
+    # Primal and dual blocks share one check; each mutant turns it off on one side.
     ("primal-mu-positive", "algorithms.py",
-     "        if not self.mu > 0:",
-     "        if False:"),
+     "    if not bound > 0:",
+     '    if not bound > 0 and set_name == "B":'),
     ("dual-nu-positive", "algorithms.py",
-     "        if not self.nu > 0:",
-     "        if False:"),
+     "    if not bound > 0:",
+     '    if not bound > 0 and set_name == "A":'),
+    # A lifted Kuhn-Tucker pair whose L x - r overflows is refused, naming its dual block.
+    ("kt-lift-finite-check", "algorithms.py",
+     '            check_finite(y_j, f"dual block {j}: L x - r")\n',
+     "            pass\n"),
+    # A Fejer gap past the float range is written as inf, with no overflow warning.
+    ("trace-gap-overflow-silenced", "cli.py",
+     ', np.errstate(over="ignore"):',
+     ":"),
     # Only an absent kernel epsilon means the solver's; a given one <= 0 is refused.
     ("kernel-epsilon-absent-only", "cli.py",
      "eps = cfg.epsilon if self.kernel_epsilon is None else self.kernel_epsilon",
@@ -124,19 +137,21 @@ MUTANTS = [
     ("kernel-unit-coefficient-only", "kernels.py",
      "        if one and B is not None and c == s == 1.0:\n",
      "        if one and B is not None and c * s == 1.0:\n"),
-    # A forward map or resolvent built on a user callable keeps its per-call shape check.
-    ("prepared-pair-user-shape-check", "kernels.py",
-     "B and (B._fn if B.shaped else B._apply)",
-     "B and B._fn"),
-    ("prepared-pair-user-resolvent-shape-check", "kernels.py",
-     "J = set_part._resolvent if set_part.shaped else set_part._resolve",
-     "J = set_part._resolvent"),
+    # A forward map or resolvent built on a user callable keeps its per-call shape check:
+    # its one entry is bound, checked, at construction.
+    ("prepared-pair-user-shape-check", "operators.py",
+     "self._apply = fn if shaped else",
+     "self._apply = fn if True else"),
+    ("prepared-pair-user-resolvent-shape-check", "operators.py",
+     "self._resolve = resolvent_oracle if shaped else",
+     "self._resolve = resolvent_oracle if True else"),
     # Only a shaped base's W y is handed on: a user's may share its buffer.
     ("prepared-pair-hand-on-shaped-only", "kernels.py",
      "                if W.shaped:\n",
      "                if True:\n"),
+    # affine_map and affine share one matrix check; finite first, before the SVD.
     ("affine-map-finite-check", "operators.py",
-     '    check_finite(M, "affine map matrix")\n',
+     "    check_finite(M, what)\n",
      ""),
     ("affine-set-finite-check", "operators.py",
      '    check_finite(A, "affine set matrix")  # before the SVD of pinv, which would not converge\n',

@@ -1143,6 +1143,48 @@ def test_non_monotone_affine_rejected_before_any_iteration(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("text, old, block, what", [
+    (DIVERGING, "[[-0.5]]", "A", "affine operator matrix"),
+    (NON_MONOTONE_FORWARD, "[[2.0, 0.0], [1.5, 0.0]]", "B", "affine map matrix")])
+def test_non_monotone_matrix_near_the_float_range_is_usage_error(tmp_path, capsys, text, old,
+                                                                   block, what):
+    # The symmetric part of [[-1e308]] is formed without overflow: under warnings as
+    # errors, 0.5 (M + M^T) would end in a RuntimeWarning traceback.
+    code = main(["run", "--problem", write(tmp_path, "m.txt", text.replace(old, "[[-1e308]]")),
+                 "--trace", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: block {block!r}: {what} is not monotone: "
+                                       "its symmetric part has eigenvalue -1e+308\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_coupled_gap_past_the_float_range_is_written_as_inf(tmp_path):
+    # |x_n - z| overflows for a known zero whose v* is -1e308: the run exits 0 and the gap
+    # column reads inf, with no RuntimeWarning.
+    text = COUPLED_SCALAR.replace("v_star = [-1.0]", "v_star = [-1e308]")
+    trace = tmp_path / "t.csv"
+    code = main(["run", "--problem", write(tmp_path, "g.txt", text), "--trace", str(trace),
+                 "--summary", str(tmp_path / "s.json")])
+    assert code == EXIT_OK
+    rows = trace.read_text().splitlines()
+    assert rows[0].endswith(",gap_1") and len(rows) > 2
+    assert all(row.endswith(",inf") for row in rows[1:])
+
+
+@pytest.mark.parametrize("section", ["solution", "start"])
+def test_coupled_lift_past_the_float_range_names_its_dual_block(tmp_path, capsys, section):
+    # L x - r of the lifted pair overflows: a NonFiniteEntryError naming the dual block, exit 1.
+    text = (COUPLED_SCALAR.replace("dim = 1\n  begin A", "dim = 2\n  begin A")
+            .replace("matrix = [[1.0]]", "matrix = [[1.0, 1e308]]")
+            .replace("begin solution\n  x = [1.0]",
+                     f"begin {section}\n  x = [0.5, 10.0]"))
+    code = main(["run", "--problem", write(tmp_path, "c.txt", text),
+                 "--trace", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: dual block 0: L x - r contains NaN or Inf\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
 def test_non_finite_affine_map_matrix_is_usage_error(tmp_path, capsys, entry):
     # Rejected before its SVD, whose LinAlgError would lose the exit code.

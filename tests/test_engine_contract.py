@@ -381,11 +381,11 @@ def test_identity_base_is_never_called(monkeypatch):
     W = identity_map(A.dim)
     calls = {W: 0, B: 0}
     for op in (W, B):
-        def counting(x, op=op, fn=op._fn):
+        def counting(x, op=op, fn=op._apply):
             calls[op] += 1
             return fn(x)
 
-        monkeypatch.setattr(op, "_fn", counting)
+        monkeypatch.setattr(op, "_apply", counting)
     res = solve_weak(MDecomposition(A, B), fbf_kernel(W, B, gamma, eps), None, tight(40), x0)
     assert calls[W] == 0 and calls[B] == 2 * res.iterations == 80
 
@@ -564,6 +564,26 @@ def prepared_cases():
            Kernel(7, base, layout, None, 1.0, 2.0), 0.7, rng.normal(size=7))
     kernel_of, solve = staged_coupled_case(prob)
     yield "staged solve_coupled", prob.decomposition(), kernel_of, 1.0, None, solve
+    # Multi-block kernels on the _eval / _backward fallback (FALLBACK_CASES): a box
+    # block has no linear_resolvent hook, and an affine_map stage operator F is a general block.
+    couplings = {(0, 0): [[1.0, 0.5], [-0.3, 1.0]], (0, 1): [[0.4], [-0.6]]}
+    dual = [DualBlock(B=affine_resolvent_operator([[1.0, 0.2], [0.2, 0.8]]), r=[0.2, -0.1])]
+    boxed = CoupledProblem(
+        [PrimalBlock(A=box_normal_cone([-0.5, -0.5], [0.5, 0.5]), s_star=[0.6, -0.4]),
+         PrimalBlock(A=affine_resolvent_operator([[1.5]]), s_star=[0.3])], dual, couplings)
+    F = affine_map(np.eye(2) + 0.5 * skew_unit(rng, 2), rng.normal(size=2))
+    general = CoupledProblem(
+        [PrimalBlock(A=affine_resolvent_operator([[1.2, 0.3], [-0.3, 1.0]]), s_star=[0.5, -0.2],
+                     alpha=F.strong_monotonicity, chi=F.lipschitz),
+         PrimalBlock(A=scaled_identity_operator(1, 1.5), s_star=[0.3])], dual, couplings)
+    for name, prob, Fs in (("coupled box block", boxed, [identity_map(2), identity_map(1)]),
+                           ("coupled affine_map stage F", general, [F, identity_map(1)])):
+        k = coupled_kernel(prob, Fs, [identity_map(2)], [b.default_step for b in prob.primal],
+                           [b.default_step for b in prob.dual], prob.skew_norm())
+        yield name, prob.decomposition(), k, 1.0, rng.normal(size=k.dim)
+
+
+FALLBACK_CASES = ("coupled box block", "coupled affine_map stage F")
 
 
 @pytest.mark.parametrize("name", [case[0] for case in prepared_cases()])
@@ -582,6 +602,18 @@ def test_prepared_pairs_are_the_literal_pair_bit_for_bit(name):
         y, y_star = literal_warped_pair(m, k, rec.gamma, rec.x_tilde, start)
         assert y.tobytes() == rec.y.tobytes() and y_star.tobytes() == rec.y_star.tobytes(), rec.n
         start = rec.y
+
+
+@pytest.mark.parametrize("name", FALLBACK_CASES)
+def test_fallback_cases_take_kernel_eval_and_backward(monkeypatch, name):
+    calls = []
+    for attr in ("_eval", "_backward"):
+        real = getattr(Kernel, attr)
+        monkeypatch.setattr(Kernel, attr, lambda self, *args, real=real, attr=attr:
+                            calls.append(attr) or real(self, *args))
+    _, m, k, gamma, x0 = next(c for c in prepared_cases() if c[0] == name)
+    k._pair(m.set_part, gamma)(x0)
+    assert calls == ["_eval", "_backward", "_eval"]
 
 
 def test_coupled_solves_call_no_kernel_eval_or_backward(monkeypatch):
@@ -605,11 +637,11 @@ def test_general_base_pair_hands_its_w_y_to_the_next_solve(monkeypatch):
     m, k = MDecomposition(A, B), fbf_kernel(W, B, gamma, eps)
     calls = {W: 0, B: 0}
     for op in (W, B):
-        def counting(x, op=op, fn=op._fn):
+        def counting(x, op=op, fn=op._apply):
             calls[op] += 1
             return fn(x)
 
-        monkeypatch.setattr(op, "_fn", counting)
+        monkeypatch.setattr(op, "_apply", counting)
     res = solve_weak(m, k, None, cfg, x0)
     engine = dict(calls)
     calls.update({W: 0, B: 0})

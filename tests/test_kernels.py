@@ -298,8 +298,10 @@ def affine_base(rng, d):
 
 
 def contraction_only(A):
-    """A's resolvent oracle without a declared Jacobian: the contraction loop runs."""
-    return SetValuedOperator(A.dim, A._resolvent, name=A.name)
+    """A's resolvent oracle without a declared Jacobian: the contraction loop runs.
+
+    Built before ``recorded(A)``, so that its calls are not A's."""
+    return SetValuedOperator(A.dim, A._resolve, name=A.name)
 
 
 def recorded(A):
@@ -339,10 +341,10 @@ def test_newton_path_agrees_with_the_contraction_loop():
             v = rng.normal(size=d) * 3.0
             gamma = float(rng.uniform(0.2, 2.0))
             start = rng.normal(size=d) if rng.uniform() < 0.5 else None
+            ref = contraction_only(A)
             calls = recorded(A)
             p = solve_base_inclusion(W, gamma, A, v, start)
             assert_inner_tolerance(W, calls, v, p)
-            ref = contraction_only(A)
             ref_calls = recorded(ref)
             q = solve_base_inclusion(W, gamma, ref, v, start)
             assert np.linalg.norm(p - q) <= 1e-10
@@ -369,12 +371,13 @@ def test_newton_path_on_a_degenerate_active_set():
     p_star = np.array([1.0, 0.2, -0.3, 0.4])
     v = W(p_star)
     start = p_star + np.array([0.0, 0.5, 0.5, -0.5])
+    ref = contraction_only(A)
     calls = recorded(A)
     p = solve_base_inclusion(W, 0.7, A, v, start)
     assert masks[0][0] == hi[0] and mask(0.7, masks[0])[0] == 0.0
     assert_inner_tolerance(W, calls, v, p)
     assert np.linalg.norm(p - p_star) <= 1e-10
-    assert np.linalg.norm(p - solve_base_inclusion(W, 0.7, contraction_only(A), v, start)) <= 1e-10
+    assert np.linalg.norm(p - solve_base_inclusion(W, 0.7, ref, v, start)) <= 1e-10
 
 
 def test_wrong_jacobian_falls_back_to_the_contraction_loop():
@@ -388,10 +391,11 @@ def test_wrong_jacobian_falls_back_to_the_contraction_loop():
         steps = []
         A.resolvent_jacobian = lambda g, u: steps.append(1) or 1.0 - mask(g, u)
         v = rng.normal(size=d) * 3.0
+        ref = contraction_only(A)
         calls = recorded(A)
         p = solve_base_inclusion(W, 1.0, A, v)
         assert_inner_tolerance(W, calls, v, p)
-        assert np.linalg.norm(p - solve_base_inclusion(W, 1.0, contraction_only(A), v)) <= 1e-10
+        assert np.linalg.norm(p - solve_base_inclusion(W, 1.0, ref, v)) <= 1e-10
         # the cold start, one step per Newton step, and at least one more
         fallbacks += len(calls) > len(steps) + 2
     assert fallbacks >= 20

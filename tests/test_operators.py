@@ -27,6 +27,7 @@ from warpsplit import (
     l1_operator,
     make_set_valued,
     make_single_valued,
+    proj_affine_set,
     saddle_skew_map,
     scaled_identity_operator,
     zero_map,
@@ -346,7 +347,7 @@ def test_guard_raises_its_type_and_message(call, error, message):
 
 
 def test_shaped_oracles_return_a_new_vector_of_their_dimension():
-    # The engine calls a shaped operator's oracle raw, with no shape check:
+    # A shaped operator's unscanned entry is its oracle, with no shape check:
     # every catalog and derived operator must return a new float vector of
     # its dimension.  An operator built on a user callable is not shaped.
     rng = np.random.default_rng(12)
@@ -361,8 +362,8 @@ def test_shaped_oracles_return_a_new_vector_of_their_dimension():
                        rng.normal(size=d)),
             zero_map(d), identity_map(d, 2.0), saddle_skew_map(LinearMap(rng.normal(size=(2, d)))),
             prob.kt_forward()]
-    calls = [(op, lambda x, op=op, g=g: op._resolvent(g, x)) for op in set_ops for g in (0.5, 2.0)]
-    calls += [(op, op._fn) for op in maps]
+    calls = [(op, lambda x, op=op, g=g: op._resolve(g, x)) for op in set_ops for g in (0.5, 2.0)]
+    calls += [(op, op._apply) for op in maps]
     for op, call in calls:
         assert op.shaped, op
         for scale in (0.1, 3.0):
@@ -372,3 +373,11 @@ def test_shaped_oracles_return_a_new_vector_of_their_dimension():
             assert not np.shares_memory(y, x), op
     assert not SetValuedOperator(d, lambda g, x: x).shaped
     assert not SingleValuedOperator(d, _fn, 1.0).shaped
+
+
+def test_proj_affine_set_computes_its_own_pseudo_inverse():
+    rng = np.random.default_rng(13)
+    A, b, x = rng.normal(size=(2, 4)), rng.normal(size=2), rng.normal(size=4)
+    p = proj_affine_set(x, A, b)
+    assert p.tobytes() == proj_affine_set(x, A, b, np.linalg.pinv(A)).tobytes()
+    np.testing.assert_allclose(A @ p, b, atol=1e-12)

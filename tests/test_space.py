@@ -35,6 +35,11 @@ def test_vector_rejects_nan_and_inf():
         vector([np.inf, 0.0])
 
 
+def test_vector_of_a_scalar_has_one_coordinate():
+    v = vector(3.0)
+    assert v.shape == (1,) and v[0] == 3.0 and not v.flags.writeable
+
+
 def test_vector_is_frozen():
     v = vector([1.0, 2.0])
     with pytest.raises(ValueError):
