@@ -379,13 +379,15 @@ def _stall_floor(cfg, x):
 # Weak and strong warped proximal iterations
 # ---------------------------------------------------------------------------
 
-def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
+def _iterate(m: MDecomposition, kernels, step, policy, cfg: SolverConfig,
              x0, anchored=False) -> SolveResult:
     """The iteration engine shared by every solver.
 
-    Each step: the stage (K_n, gamma_n) from ``stages`` (a pair, or a schedule
-    n -> pair), whose step floor and pairing with M are checked and whose pair
-    call (``Kernel._pair``) is built unless K_n and gamma_n repeat the last stage;
+    Each step: the stage (K_n, gamma_n), K_n from ``kernels`` (a Kernel or a schedule
+    n -> Kernel) and gamma_n from ``step`` (a number, a schedule n -> number, or None: the
+    step K_n was folded with, 1 for a kernel without a fold), whose step floor and pairing
+    with M are checked and whose pair call (``Kernel._pair``) is built unless K_n and
+    gamma_n repeat the last stage;
     the policy point x~_n; the graph point (y_n, y_n*) at x~_n, one pair call;
     then the update through its cut.  The update is the relaxed projection, or, when
     ``anchored``, the projection of x0 onto H(x0, x_n) and the cuts a
@@ -403,6 +405,8 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
     iteration n.  numpy's floating-point warnings are off in the loop: the
     typed errors report what they would.
     """
+    if not (_is_schedule(kernels) or isinstance(kernels, Kernel)):
+        raise ConfigurationError("kernel schedule must be a Kernel or a callable n -> Kernel")
     policy = policy if policy is not None else PerturbationPolicy()
     x0 = vector(x0)
     check_dim(x0, m.dim, "starting point")
@@ -418,14 +422,17 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
     status, reason = "max_iter", f"max_iter = {cfg.max_iter} reached without tolerance"
     # Settled once per run: a constant stage (K, gamma), a constant lambda,
     # and x~_n = x_n itself (not a copy) when there is no perturbation.
-    staged_run = _is_schedule(stages)
+    kernel_staged, step_staged = _is_schedule(kernels), _is_schedule(step)
     lam = None if anchored or lam_of else check_relaxation(cfg.relaxation, cfg.epsilon)
     perturbed = _is_schedule(policy.pull) or len(policy.pull) or policy.errors is not None
     ring = CutRing(x0) if anchored else None
     with np.errstate(all="ignore"):
         for n in range(cfg.max_iter):
-            if staged_run or n == 0:
-                kern, gamma = stages(n) if staged_run else stages
+            if kernel_staged or step_staged or n == 0:
+                kern = kernels(n) if kernel_staged else kernels
+                gamma = step(n) if step_staged else step
+                gamma = float(gamma) if gamma is not None else (
+                    kern.fold[0] if kern.fold is not None else 1.0)
                 if kern is not paired[0] or gamma != paired[1]:
                     if not gamma >= floor:
                         check_step(gamma, 1.0, 0.0, cfg.epsilon, label=f"gamma_{n}")
@@ -496,21 +503,6 @@ def _iterate(m: MDecomposition, stages, policy, cfg: SolverConfig,
                        iterations=len(trace))
 
 
-def _stages(kernels, step):
-    """The engine's stage input: ``kernels`` (a Kernel or a schedule n -> Kernel) and ``step``.
-
-    A step of None is the step K_n was folded with, 1 for a kernel without a fold.
-    """
-    if not (_is_schedule(kernels) or isinstance(kernels, Kernel)):
-        raise ConfigurationError("kernel schedule must be a Kernel or a callable n -> Kernel")
-
-    def pair(kern, gamma):
-        if gamma is not None:
-            return kern, float(gamma)
-        return kern, (kern.fold[0] if kern.fold is not None else 1.0)
-    return staged(pair, kernels, step)
-
-
 def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
                x0) -> SolveResult:
     """Relaxed warped proximal iteration, weakly convergent to a zero of M.
@@ -520,7 +512,7 @@ def solve_weak(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     projection onto its half-space.  Stops when |y*| <= tol_residual and
     |x~ - y| <= tol_step; reaching max_iter returns a warning status.
     """
-    return _iterate(m, _stages(kernel_schedule, cfg.step_size), policy, cfg, x0)
+    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0)
 
 
 def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
@@ -534,7 +526,7 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
     Disjoint cuts abort with the typed error (they cannot occur when zeros
     exist).
     """
-    return _iterate(m, _stages(kernel_schedule, cfg.step_size), policy, cfg, x0, anchored=True)
+    return _iterate(m, kernel_schedule, cfg.step_size, policy, cfg, x0, anchored=True)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +536,7 @@ def solve_strong(m: MDecomposition, kernel_schedule, policy, cfg: SolverConfig,
 def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0):
     # K_n = W_n - gamma_n B, paired with M = A + B; fbf_kernel checks each
     # stage's step range, fbf_step the epsilon regime and the default step.
+    # gamma_n travels in K_n's fold; without B the engine reads the step itself.
     W = identity_map(A.dim) if W_schedule is None else W_schedule
     alpha = stage_at(W, 0).strong_monotonicity
     if alpha is None:
@@ -551,8 +544,9 @@ def _fbf(A, B, W_schedule, gamma_schedule, policy, cfg, x0):
     gamma = fbf_step(alpha, B.lipschitz if B is not None else 0.0, cfg.epsilon)
     step = gamma_schedule if gamma_schedule is not None else cfg.step_size
     step = gamma if step is None else step
-    stages = staged(lambda W_n, g: (fbf_kernel(W_n, B, g, cfg.epsilon), float(g)), W, step)
-    return _iterate(MDecomposition(A, B), stages, policy, cfg, x0)
+    kernels = staged(lambda W_n, g: fbf_kernel(W_n, B, g, cfg.epsilon), W,
+                     step if B is not None else 1.0)
+    return _iterate(MDecomposition(A, B), kernels, step if B is None else None, policy, cfg, x0)
 
 
 def solve_fbf_memory(A: SetValuedOperator, B, W_schedule, gamma_schedule,
@@ -897,6 +891,8 @@ def solve_coupled(problem: CoupledProblem, cfg: SolverConfig, start=None,
     if dual_scale is not None and not 0 < dual_scale < math.inf:
         raise ConfigurationError(f"dual_scale must be > 0 and finite, got {dual_scale}")
     c = problem.skew_norm() if dual_scale is None else float(dual_scale)
+    if c == math.inf:  # a finite dual_scale was checked above
+        raise ConfigurationError("the coupling norm |S| is past the float range; scale the couplings")
     if F_schedule is None:
         check_identity_stages(problem.primal, "primal")
         F_schedule = [identity_map(b.dim) for b in problem.primal]

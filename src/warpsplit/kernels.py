@@ -90,58 +90,24 @@ def _newton_inverse(W, c, mask):
     return np.linalg.inv(H)
 
 
-def _linear_maps(set_part, gamma, scales):
-    """Per run of blocks (slice, R, shape), and the stacked R_b s_b; None if a block has no
-    hook, or if the blocks' coefficients C_b, ``scales`` (``Kernel._scales``), are None.
-
-    Block b of ``C_b p_b + gamma A_b(p_b) = v_b`` is ``(R_b / C_b) v_b -
-    R_b s_b``, from ``linear_resolvent`` at gamma / C_b; folded so, the
-    scalar test problem's zero stays exact.  A run is a row of scalar-R blocks
-    (R: one read-only coefficient per coordinate; shape None) or of d_b x d_b
-    ones (R: their read-only (k, d_b, d_b) stack; shape (k, d_b, 1) for
-    ``np.matmul``), so the cost stays Σ d_b² on matrix blocks, O(d_b) on scalar ones.
-    """
-    if scales is None or any(A.linear_resolvent is None for A in set_part.blocks):
-        return None
-    runs, offsets = [], np.empty(set_part.dim)  # runs: (offset, R shape, R_b / C_b's, d_b's)
-    for k, (a, A, C) in enumerate(zip(set_part.layout.offsets, set_part.blocks, scales)):
-        R, s = A.linear_resolvent(gamma if C == 1.0 else gamma / C)
-        R, s = np.asarray(R), np.asarray(s)
-        if R.shape not in ((), (A.dim, A.dim)) or s.shape != (A.dim,):
-            raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
-                                         f"R {R.shape}, s {s.shape}, block dim {A.dim}")
-        if not runs or runs[-1][1] != R.shape:
-            runs.append((a, R.shape, [], []))
-        runs[-1][2].append(R / C)
-        runs[-1][3].append(A.dim)
-        offsets[a:a + A.dim] = np.dot(R, s)
-    maps = []
-    for a, shape, Rs, dims in runs:
-        R = np.stack(Rs) if shape else np.array(Rs).repeat(dims)
-        R.setflags(write=False)
-        maps.append((slice(a, a + sum(dims)), R, (len(Rs), shape[0], 1) if shape else None))
-    return maps, offsets
-
-
-def _affine_solve(maps, v):
-    """``_linear_maps``' affine maps at v, one numpy call per run, in the bits of each np.dot."""
-    runs, offsets = maps
-    out = np.empty(len(offsets))
+def _run_plan(plan, v, start=None):
+    """``Kernel._plan``'s backward solve at v, warm-started at ``start``: one
+    ``solve_base_inclusion`` per entry (unscanned; an inner loop's residual certifies it),
+    then one numpy call per run, in the bits of each block's np.dot, and the offsets, zero
+    on the entries, so that every coordinate they are subtracted from is already written."""
+    runs, offsets, entries = plan
+    out = np.empty(len(v))
+    for sl, W, g, c, A in entries:
+        out[sl] = solve_base_inclusion(W, g, A, v[sl] if c == 1.0 else v[sl] / c,
+                                       None if start is None else start[sl])
     for sl, R, shape in runs:
         if shape is None:
             np.multiply(R, v[sl], out=out[sl])
         else:
             np.matmul(R, v[sl].reshape(shape), out=out[sl].reshape(shape))
-    out -= offsets
+    if runs:
+        out -= offsets
     return out
-
-
-def _minus_fold(w, x, g, B):
-    """w - g B(x) in place, for a new w and an oracle entry B (None: no fold); at g = 1.0 the
-    multiply is skipped, an identity in IEEE arithmetic."""
-    if B is not None:
-        w -= B(x) if g == 1.0 else g * B(x)
-    return w
 
 
 def solve_base_inclusion(W, gamma, A, v, start=None, image=None):
@@ -165,13 +131,11 @@ def solve_base_inclusion(W, gamma, A, v, start=None, image=None):
     loop certifies its own output: a residual within tolerance is finite,
     and a non-finite residual raises NonFiniteEntryError at once (after a
     Newton step, the loop falls back instead).  The closed form's output is
-    certified by the graph point it feeds; it is a copy when the resolvent
-    hands back v itself.
+    certified by the graph point it feeds.
     """
     c = 1.0 if W is None else W.scale_of_identity
     if c is not None:
-        p = A._resolve(gamma, v) if c == 1.0 else A._resolve(gamma / c, v / c)
-        return p.copy() if p is v else p
+        return A._resolve(gamma, v) if c == 1.0 else A._resolve(gamma / c, v / c)
     if W.strong_monotonicity is None:
         raise ConfigurationError(
             f"backward solve with base {W.name!r} needs a declared strong-monotonicity constant")
@@ -264,7 +228,6 @@ class Kernel:
                 self._general.append((sl, W, c))
             coefs.append(0.0 if s is None else c * s)
         self._coef = None if len(self._general) == len(dims) else np.array(coefs).repeat(dims)
-        self._scales = None if self._general or len(dims) == 1 else tuple(coefs)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -284,8 +247,10 @@ class Kernel:
         y = np.empty(self.dim) if self._coef is None else self._coef * x
         for sl, W, c in self._general:
             y[sl] = c * W._apply(x[sl])
-        g, B = self.fold or (1.0, None)
-        return _minus_fold(y, x, g, B and B._apply)
+        if self.fold is not None:
+            g, B = self.fold
+            y -= B._apply(x) if g == 1.0 else g * B._apply(x)
+        return y
 
     # -- warped backward solve ----------------------------------------------
 
@@ -298,8 +263,8 @@ class Kernel:
                 f"its layout {self.layout.dims}")
 
     def backward_solve(self, gamma, set_part: SetValuedOperator, v, start=None) -> np.ndarray:
-        """Solve v in K_base(p) + gamma * A(p) for checked gamma, v and set part: ``_affine_solve``
-        when ``_linear_maps`` (built per call) gives the blocks' maps, else ``_backward``."""
+        """Solve v in K_base(p) + gamma * A(p) for checked gamma, v and set part, by the plan
+        (``_plan``, built per call) that the engine's pair runs; ``start`` warm-starts inner loops."""
         if not gamma > 0:
             raise ConfigurationError(f"backward solve needs gamma > 0, got {gamma}")
         v = np.asarray(v, dtype=float)
@@ -308,22 +273,49 @@ class Kernel:
             raise DimensionMismatchError(
                 f"set part dim {set_part.dim} != kernel dim {self.dim}")
         self._check_set_part(set_part)
-        maps = _linear_maps(set_part, gamma, self._scales)
-        return self._backward(gamma, set_part, v, start) if maps is None else _affine_solve(maps, v)
+        return _run_plan(self._plan(set_part, gamma), v, start)
 
-    def _backward(self, gamma, set_part, v, start=None) -> np.ndarray:
-        """``backward_solve`` unchecked, block by block; ``start`` warm-starts inner loops.
+    def _plan(self, set_part, gamma):
+        """The backward solve at gamma, as ``_run_plan`` runs it: (runs, offsets, entries).
 
-        ``solve_base_inclusion`` through the unscanned oracle entries: each block's output
-        is certified finite only by an inner loop's residual.
+        In a kernel of several blocks, block b on a base c_b W_b with W_b = s_b Id and a set
+        part block with a ``linear_resolvent`` hook solves C_b p_b + gamma A_b(p_b) = v_b,
+        C_b = c_b s_b, as the affine map (R_b / C_b) v_b - R_b s_b, from the hook at
+        gamma / C_b; folded so, the scalar test problem's zero stays exact.  A row of such
+        blocks with one shape of R is a run: scalar R (one read-only coefficient per
+        coordinate; shape None) or d_b x d_b (their read-only (k, d_b, d_b) stack; shape
+        (k, d_b, 1) for ``np.matmul``), so the cost stays Σ d_b² on matrix blocks, O(d_b) on
+        scalar ones.  ``offsets`` holds the R_b s_b, zero off the runs.  Every other block
+        is an entry (slice, W_b, gamma / c_b, c_b, A_b): c_b W_b(p) + gamma A_b(p) = v_b is
+        W_b(p) + (gamma / c_b) A_b(p) = v_b / c_b, for ``solve_base_inclusion``.
         """
-        out = np.empty(self.dim)
-        # c*W(p) + gamma*A(p) = v  <=>  W(p) + (gamma/c)*A(p) = v/c, per block
-        parts = set_part.blocks if len(self.base) > 1 else (set_part,)
-        for sl, (W, c), A_b in zip(self._slices, self.base, parts):
-            out[sl] = solve_base_inclusion(W, gamma / c, A_b, v[sl] if c == 1.0 else v[sl] / c,
-                                           None if start is None else start[sl])
-        return out
+        several = len(self.base) > 1
+        runs, entries, offsets, key = [], [], np.zeros(self.dim), None
+        for k, (sl, (W, c), A) in enumerate(
+                zip(self._slices, self.base, set_part.blocks if several else (set_part,))):
+            scale = 1.0 if W is None else W.scale_of_identity
+            if not several or scale is None or A.linear_resolvent is None:
+                entries.append((sl, W, gamma / c, c, A))
+                key = None  # an entry ends the run
+                continue
+            C = c * scale
+            R, s = A.linear_resolvent(gamma if C == 1.0 else gamma / C)
+            R, s = np.asarray(R), np.asarray(s)
+            if R.shape not in ((), (A.dim, A.dim)) or s.shape != (A.dim,):
+                raise DimensionMismatchError(f"linear resolvent of block {k} ({A.name}): "
+                                             f"R {R.shape}, s {s.shape}, block dim {A.dim}")
+            if key != R.shape:
+                runs.append((sl.start, R.shape, [], []))
+                key = R.shape
+            runs[-1][2].append(R / C)
+            runs[-1][3].append(A.dim)
+            offsets[sl] = np.dot(R, s)
+        maps = []
+        for a, shape, Rs, dims in runs:
+            R = np.stack(Rs) if shape else np.array(Rs).repeat(dims)
+            R.setflags(write=False)
+            maps.append((slice(a, a + sum(dims)), R, (len(Rs), shape[0], 1) if shape else None))
+        return maps, offsets, entries
 
     def _pair(self, set_part, gamma):
         """pair(x, start) -> (y, y*) for a checked pairing at gamma, built once per stage.
@@ -331,45 +323,43 @@ class Kernel:
         y = (K_base + gamma A)^{-1} K x, warm-started at ``start``, and y* = (K x - K y) / gamma,
         by the operations of ``eval``, ``backward_solve``, ``eval`` in order: bit for bit.  A
         fold on one identity block at 1.0 takes x - g B x and A's resolvent at gamma; one
-        general block, ``solve_base_inclusion`` handed the W y of K y (W shaped); blocks with
-        ``_linear_maps``, ``_affine_solve``; else ``_eval`` and ``_backward``.  Not scanned:
-        the caller certifies the pair (``_scan_pair``, or theta and sigma).
+        general block, ``solve_base_inclusion`` handed the W y of K y; any other kernel,
+        ``_eval`` and the stage's ``_plan``.  Not scanned: the caller certifies the pair
+        (``_scan_pair``, or theta and sigma).
         """
         (W, c), (g, B) = self.base[0], self.fold or (1.0, None)
         s, Bf = 1.0 if W is None else W.scale_of_identity, B and B._apply
-        one, coef = len(self.base) == 1, self._coef
+        one = len(self.base) == 1
         if one and B is not None and c == s == 1.0:
             J = set_part._resolve
 
             def pair(x, start=None):
                 w = x - (Bf(x) if g == 1.0 else g * Bf(x))
                 y = J(gamma, w)
-                y = y.copy() if y is w else y
                 k = y - (Bf(y) if g == 1.0 else g * Bf(y))
                 return y, (w - k if gamma == 1.0 else (w - k) / gamma)
         elif one and s is None:
             Wf, gc, last = W._apply, gamma / c, [None, None]  # last (y, W y)
 
             def pair(x, start=None):
-                w = _minus_fold(c * Wf(x), x, g, Bf)
+                w = c * Wf(x)
+                if Bf:
+                    w -= Bf(x) if g == 1.0 else g * Bf(x)
                 y = solve_base_inclusion(W, gc, set_part, w if c == 1.0 else w / c, start,
                                          last[1] if start is last[0] else None)
                 Wy = Wf(y)
-                k = _minus_fold(c * Wy, y, g, Bf)
-                if W.shaped:
-                    last[:] = y, Wy
-                return y, (w - k if gamma == 1.0 else (w - k) / gamma)
-        elif (maps := _linear_maps(set_part, gamma, self._scales)) is not None:
-            def pair(x, start=None):
-                w = _minus_fold(coef * x, x, g, Bf)
-                y = _affine_solve(maps, w)
-                k = _minus_fold(coef * y, y, g, Bf)
+                k = c * Wy
+                if Bf:
+                    k -= Bf(y) if g == 1.0 else g * Bf(y)
+                last[:] = y, Wy
                 return y, (w - k if gamma == 1.0 else (w - k) / gamma)
         else:
+            plan, ev = self._plan(set_part, gamma), self._eval
+
             def pair(x, start=None):
-                w = self._eval(x)
-                y = self._backward(gamma, set_part, w, start)
-                return y, (w - self._eval(y) if gamma == 1.0 else (w - self._eval(y)) / gamma)
+                w = ev(x)
+                y = _run_plan(plan, w, start)
+                return y, (w - ev(y) if gamma == 1.0 else (w - ev(y)) / gamma)
         return pair
 
     def __repr__(self):

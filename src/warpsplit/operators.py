@@ -7,11 +7,12 @@ monotone Lipschitz maps carry declared constants, which are trusted inputs
 validated probabilistically by the test suite.
 
 Each operator has one unscanned entry, ``_resolve`` or ``_apply``, bound at construction,
-and every internal path calls it; the graph point it feeds is certified.  A ``shaped``
-operator's entry is its oracle, whose output is a new float vector of its dimension by
-construction: every catalog constructor, ``saddle_skew_map``, ``inverse``, ``add_constant``,
-``BlockDiagonalOperator`` and ``kt_forward``.  An operator built on a user callable is not
-shaped, and its entry checks each output's shape (``_shape_checked``).
+and every internal path calls it; the graph point it feeds is certified.  Every entry
+returns a new float vector of the operator's dimension.  The operators built with
+``shaped=True`` (every catalog constructor, ``saddle_skew_map``, ``inverse``,
+``add_constant``, ``BlockDiagonalOperator`` and ``kt_forward``) do so by construction, and
+their entry is their oracle.  An operator built on a user callable gets an entry that
+copies each output into a new float array and checks its shape (``_shape_checked``).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .space import BlockLayout, LinearMap, aligned, check_dim, check_finite, vec
 
 
 def _shape_checked(oracle, dim, what, name):
-    """``oracle`` with each output taken as a float array and checked to be a vector of ``dim``
-    coordinates, ``what % name`` naming it in the error; its entries are not scanned."""
+    """``oracle`` with each output copied into a new float array and checked to be a vector of
+    ``dim`` coordinates, ``what % name`` naming it in the error; its entries are not scanned."""
     def checked(*args):
-        y = np.asarray(oracle(*args), dtype=float)
+        y = np.array(oracle(*args), dtype=float)
         check_dim(y, dim, what, name)
         return y
     return checked
@@ -73,7 +74,6 @@ class SetValuedOperator:
         self._resolve = resolvent_oracle if shaped else _shape_checked(
             resolvent_oracle, self.dim, "resolvent output of %s", name)
         self.name = name
-        self.shaped = shaped
 
     def resolvent(self, gamma, x) -> np.ndarray:
         """Evaluate J_{gamma A} x = (Id + gamma A)^{-1} x, scanned for NaN/Inf."""
@@ -164,7 +164,6 @@ class SingleValuedOperator:
         self.scale_of_identity = (
             None if scale_of_identity is None else float(scale_of_identity))
         self.name = name
-        self.shaped = shaped
 
     def __call__(self, x) -> np.ndarray:
         """The map at x, scanned for NaN/Inf."""
@@ -318,7 +317,8 @@ def _monotone_matrix(M, b, what):
 
     Raises ConfigurationError when M is not monotone: the smallest eigenvalue is negative
     beyond a roundoff slack relative to the spectrum.  The symmetric part 0.5 M + 0.5 M^T
-    cannot overflow, as 0.5 (M + M^T) can.
+    cannot overflow, as 0.5 (M + M^T) can.  It is formed on 0.5 M, 16 rows at a time, so
+    that the only other temporary is 16 x n, not a second n x n one.
     """
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -326,7 +326,10 @@ def _monotone_matrix(M, b, what):
     b = np.zeros(M.shape[0]) if b is None else vector(b)
     check_dim(b, M.shape[0], "affine offset")
     check_finite(M, what)
-    eig = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T) if M.shape[0] else np.zeros(1)
+    S, n = 0.5 * M, M.shape[0]
+    for a in range(0, n, 16):
+        S[a:a + 16] += 0.5 * M[:, a:a + 16].T
+    eig = np.linalg.eigvalsh(S) if n else np.zeros(1)
     if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):
         raise ConfigurationError(
             f"{what} is not monotone: its symmetric part has eigenvalue {eig[0]}")
@@ -405,7 +408,8 @@ def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
 
     The declared Lipschitz constant |S| = |L| is sqrt of the top eigenvalue
     of S^T S, for S scaled exactly by a power of two (so that S^T S neither
-    overflows nor underflows), and at least the smallest positive float.
+    overflows nor underflows), and at least the smallest positive float; inf,
+    with no overflow warning, when |S| lies past the float range.
     """
     dy, dz = L.domain_dim, L.codomain_dim
     S = np.zeros((dy + dz, dy + dz))
@@ -416,7 +420,8 @@ def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
     e = math.frexp(largest)[1]  # the largest entry of S / 2^e lies in [1/2, 1)
     T = np.ldexp(S, -e)
     top = np.linalg.eigvalsh(T.T @ T)[-1] if largest else 0.0  # 0 for a zero or empty L
-    beta = max(float(np.ldexp(math.sqrt(top), e)), np.finfo(float).tiny)  # inf past float range
+    with np.errstate(over="ignore"):
+        beta = max(float(np.ldexp(math.sqrt(top), e)), np.finfo(float).tiny)
     op = SingleValuedOperator(
         dy + dz, lambda u: S @ u, lipschitz=beta, name="saddle_skew", shaped=True)
     op.matrix = S

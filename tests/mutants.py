@@ -53,14 +53,18 @@ MUTANTS = [
     ("pairing-dimension-check", "kernels.py",
      "    if m.dim != kernel.dim:\n",
      "    if False:\n"),
-    # _linear_maps' run key: a run is blocks of one R shape, scalar or d_b x d_b.
+    # The plan's run key: a run is blocks of one R shape, scalar or d_b x d_b.
     ("linear-maps-run-key-size", "kernels.py",
-     "        if not runs or runs[-1][1] != R.shape:",
-     "        if not runs or len(runs[-1][1]) != R.ndim:"),
+     "            if key != R.shape:",
+     "            if key is None or len(key) != R.ndim:"),
     # A scalar R stays one coefficient per coordinate, never a d_b x d_b matrix.
     ("linear-maps-no-densify", "kernels.py",
-     "        R, s = np.asarray(R), np.asarray(s)\n",
-     "        R, s = np.asarray(R) * (np.eye(A.dim) if np.ndim(R) == 0 else 1.0), np.asarray(s)\n"),
+     "            R, s = np.asarray(R), np.asarray(s)\n",
+     "            R, s = np.asarray(R) * (np.eye(A.dim) if np.ndim(R) == 0 else 1.0), np.asarray(s)\n"),
+    # A step of None is the step K_n was folded with, not 1.
+    ("iterate-step-none-is-fold-step", "algorithms.py",
+     "                    kern.fold[0] if kern.fold is not None else 1.0)\n",
+     "                    1.0)\n"),
     ("iterate-step-floor", "algorithms.py",
      "                    if not gamma >= floor:",
      "                    if False:"),
@@ -76,8 +80,8 @@ MUTANTS = [
      "        if False:\n"),
     # The symmetric part of a finite matrix is formed without overflow.
     ("monotone-symmetric-part-no-overflow", "operators.py",
-     "0.5 * M + 0.5 * M.T",
-     "0.5 * (M + M.T)"),
+     "    S, n = 0.5 * M, M.shape[0]\n    for a in range(0, n, 16):\n        S[a:a + 16] += 0.5 * M[:, a:a + 16].T\n",
+     "    S, n = 0.5 * (M + M.T), M.shape[0]\n"),
     ("monotone-spectrum-reject", "operators.py",
      "    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):",
      "    if False:"),
@@ -104,6 +108,14 @@ MUTANTS = [
     ("kt-lift-finite-check", "algorithms.py",
      '            check_finite(y_j, f"dual block {j}: L x - r")\n',
      "            pass\n"),
+    # A coupling norm past the float range is inf, with no overflow warning.
+    ("skew-norm-overflow-silenced", "operators.py",
+     '    with np.errstate(over="ignore"):\n        beta = max(',
+     "    if True:\n        beta = max("),
+    # ... and a coupled run on that norm is refused, naming it.
+    ("coupling-norm-finite-check", "algorithms.py",
+     "    if c == math.inf:  # a finite dual_scale was checked above\n",
+     "    if False:\n"),
     # A Fejer gap past the float range is written as inf, with no overflow warning.
     ("trace-gap-overflow-silenced", "cli.py",
      ', np.errstate(over="ignore"):',
@@ -145,10 +157,11 @@ MUTANTS = [
     ("prepared-pair-user-resolvent-shape-check", "operators.py",
      "self._resolve = resolvent_oracle if shaped else",
      "self._resolve = resolvent_oracle if True else"),
-    # Only a shaped base's W y is handed on: a user's may share its buffer.
-    ("prepared-pair-hand-on-shaped-only", "kernels.py",
-     "                if W.shaped:\n",
-     "                if True:\n"),
+    # A user oracle's output is copied, so the W y a general-base pair hands on is its own
+    # even when the user's map reuses one buffer.
+    ("prepared-pair-hand-on-shaped-only", "operators.py",
+     "        y = np.array(oracle(*args), dtype=float)\n",
+     "        y = np.asarray(oracle(*args), dtype=float)\n"),
     # affine_map and affine share one matrix check; finite first, before the SVD.
     ("affine-map-finite-check", "operators.py",
      "    check_finite(M, what)\n",
@@ -156,10 +169,10 @@ MUTANTS = [
     ("affine-set-finite-check", "operators.py",
      '    check_finite(A, "affine set matrix")  # before the SVD of pinv, which would not converge\n',
      ""),
-    # The blockwise pair and backward_solve share one run helper, offsets included.
+    # The plan pair and backward_solve share one plan runner, offsets included.
     ("prepared-blockwise-offsets", "kernels.py",
-     "    out -= offsets\n",
-     ""),
+     "        out -= offsets\n",
+     "        pass\n"),
     # A word for a numeric catalog parameter is a format error, not a float() traceback.
     ("op-params-word-check", "cli.py",
      "        elif isinstance(v, str):\n",

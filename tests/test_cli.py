@@ -1185,6 +1185,20 @@ def test_coupled_lift_past_the_float_range_names_its_dual_block(tmp_path, capsys
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_coupling_norm_past_the_float_range_is_usage_error(tmp_path, capsys):
+    # |L| of a finite coupling overflows, with no RuntimeWarning: the skew's declared
+    # Lipschitz constant is inf, and a run on the default v* scale c = |S| is refused, exit 1.
+    text = (COUPLED_SCALAR.replace("dim = 1\n  begin A", "dim = 2\n  begin A")
+            .replace("matrix = [[1.0]]", "matrix = [[1e308, 1.7976931348623157e308]]")
+            .split("begin solution")[0])
+    code = main(["run", "--problem", write(tmp_path, "c.txt", text),
+                 "--trace", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the coupling norm |S| is past the float range; scale the couplings\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
 def test_non_finite_affine_map_matrix_is_usage_error(tmp_path, capsys, entry):
     # Rejected before its SVD, whose LinAlgError would lose the exit code.

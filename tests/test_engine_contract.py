@@ -564,8 +564,9 @@ def prepared_cases():
            Kernel(7, base, layout, None, 1.0, 2.0), 0.7, rng.normal(size=7))
     kernel_of, solve = staged_coupled_case(prob)
     yield "staged solve_coupled", prob.decomposition(), kernel_of, 1.0, None, solve
-    # Multi-block kernels on the _eval / _backward fallback (FALLBACK_CASES): a box
-    # block has no linear_resolvent hook, and an affine_map stage operator F is a general block.
+    # Multi-block kernels whose plan mixes affine runs with a solve_base_inclusion entry
+    # (MIXED_CASES): a box block has no linear_resolvent hook, and an affine_map stage
+    # operator F is a general block.
     couplings = {(0, 0): [[1.0, 0.5], [-0.3, 1.0]], (0, 1): [[0.4], [-0.6]]}
     dual = [DualBlock(B=affine_resolvent_operator([[1.0, 0.2], [0.2, 0.8]]), r=[0.2, -0.1])]
     boxed = CoupledProblem(
@@ -583,7 +584,7 @@ def prepared_cases():
         yield name, prob.decomposition(), k, 1.0, rng.normal(size=k.dim)
 
 
-FALLBACK_CASES = ("coupled box block", "coupled affine_map stage F")
+MIXED_CASES = ("coupled box block", "coupled affine_map stage F")
 
 
 @pytest.mark.parametrize("name", [case[0] for case in prepared_cases()])
@@ -604,28 +605,42 @@ def test_prepared_pairs_are_the_literal_pair_bit_for_bit(name):
         start = rec.y
 
 
-@pytest.mark.parametrize("name", FALLBACK_CASES)
-def test_fallback_cases_take_kernel_eval_and_backward(monkeypatch, name):
-    calls = []
-    for attr in ("_eval", "_backward"):
-        real = getattr(Kernel, attr)
-        monkeypatch.setattr(Kernel, attr, lambda self, *args, real=real, attr=attr:
-                            calls.append(attr) or real(self, *args))
+def recorded_plans(monkeypatch):
+    """The plans the pairs and solves run; the list grows by one per ``_run_plan`` call."""
+    plans, run = [], kernels._run_plan
+    monkeypatch.setattr(kernels, "_run_plan",
+                        lambda plan, *args: plans.append(plan) or run(plan, *args))
+    return plans
+
+
+@pytest.mark.parametrize("name", MIXED_CASES)
+def test_mixed_cases_run_one_entry_beside_their_affine_runs(monkeypatch, name):
+    # K x, one run of the stage's plan, K y: the first primal block is the one entry,
+    # and the other blocks, all with hooks on scalar bases, make the runs.
+    calls, real = [], Kernel._eval
+    monkeypatch.setattr(Kernel, "_eval", lambda self, x: calls.append("_eval") or real(self, x))
+    plans = recorded_plans(monkeypatch)
     _, m, k, gamma, x0 = next(c for c in prepared_cases() if c[0] == name)
     k._pair(m.set_part, gamma)(x0)
-    assert calls == ["_eval", "_backward", "_eval"]
+    assert calls == ["_eval", "_eval"] and len(plans) == 1
+    runs, _, entries = plans[0]
+    assert [entry[0] for entry in entries] == [slice(0, 2)]
+    assert [sl for sl, _, _ in runs] == [slice(2, 3), slice(3, 5), slice(5, 7)]
 
 
-def test_coupled_solves_call_no_kernel_eval_or_backward(monkeypatch):
-    # Every stage of a coupled run on affine blocks, staged or not, takes the blockwise pair.
+def test_coupled_solves_on_affine_blocks_run_affine_maps_only(monkeypatch):
+    # Every stage of a coupled run on affine blocks, staged or not, runs a plan of
+    # affine runs with no solve_base_inclusion entry.
     calls = []
-    for name in ("_eval", "_backward"):
-        monkeypatch.setattr(Kernel, name, lambda self, *args, name=name: calls.append(name))
+    monkeypatch.setattr(kernels, "solve_base_inclusion", lambda *args: calls.append(args))
+    plans = recorded_plans(monkeypatch)
     prob = mixed_runs_problem()
     cfg = SolverConfig(max_iter=20000, tol_residual=1e-8, tol_step=1e-8)
-    assert solve_coupled(prob, cfg).converged
+    res = solve_coupled(prob, cfg)
+    assert res.converged and len(plans) == res.iterations
     assert staged_coupled_case(prob)[1](tight(50)).iterations == 50
-    assert calls == []
+    assert len(plans) == res.iterations + 50 and calls == []
+    assert all(runs and not entries for runs, _, entries in plans)
 
 
 def test_general_base_pair_hands_its_w_y_to_the_next_solve(monkeypatch):

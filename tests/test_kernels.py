@@ -492,9 +492,9 @@ def counted_block_loop(monkeypatch):
 
 
 def counted_map_builds(monkeypatch):
-    """Count ``_linear_maps`` builds; the list grows by one per build."""
-    builds, build = [], kernels._linear_maps
-    monkeypatch.setattr(kernels, "_linear_maps", lambda *args: builds.append(args) or build(*args))
+    """Count ``Kernel._plan`` builds; the list grows by one per build."""
+    builds, build = [], Kernel._plan
+    monkeypatch.setattr(Kernel, "_plan", lambda *args: builds.append(args) or build(*args))
     return builds
 
 
@@ -538,8 +538,9 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
         assert len(builds) == 5 and not calls
         # One run per change of R's shape along the blocks: () for a scalar R.
         shapes = [(d, d) if matrix else () for d, matrix in spec]
-        runs, _ = kernels._linear_maps(set_part, 1.9, k._scales)
+        runs, _, entries = k._plan(set_part, 1.9)
         assert len(runs) == 1 + sum(a != b for a, b in zip(shapes, shapes[1:])), trial
+        assert entries == [], trial
     # A scalar block is solved elementwise: no d x d array for zero_operator(500).
     layout = BlockLayout((2, 500, 2))
     blocks = [affine_resolvent_operator(monotone_matrix(rng, 2)), zero_operator(500),
@@ -547,7 +548,7 @@ def test_blockwise_affine_maps_match_the_blockwise_formula(monkeypatch):
     k = Kernel(504, [(None, 1.5), (None, 2.0), (None, 0.5)], layout, None, 0.5, 2.0)
     set_part, v = BlockDiagonalOperator(blocks, layout), rng.normal(size=504)
     np.testing.assert_array_equal(k.backward_solve(1.0, set_part, v)[2:502], v[2:502] / 2.0)
-    assert max(R.size for _, R, _ in kernels._linear_maps(set_part, 1.0, k._scales)[0]) == 500
+    assert max(R.size for _, R, _ in k._plan(set_part, 1.0)[0]) == 500
 
 
 def test_each_kernel_builds_its_own_maps(monkeypatch):
@@ -607,7 +608,10 @@ def test_one_kernel_rebuilds_its_maps_for_another_set_part(monkeypatch):
     assert len(calls) == 0 and len(builds) == 4
 
 
-def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
+def test_a_box_block_is_one_entry_beside_the_affine_runs(monkeypatch):
+    # A block with no linear_resolvent hook is one solve_base_inclusion entry
+    # of the plan; the hook blocks around it keep their runs: one matmul run
+    # for the affine block, one scalar run for the constant.
     rng = np.random.default_rng(94)
     dims = (2, 3, 2)
     layout = BlockLayout(dims)
@@ -616,13 +620,22 @@ def test_a_box_block_keeps_the_per_block_loop(monkeypatch):
     base = [(identity_map(2), 1.5), (None, 0.5), (identity_map(2, 2.0), 1.0)]
     k = Kernel(layout.total, base, layout, None, 0.5, 4.0)
     set_part = BlockDiagonalOperator(blocks, layout)
+    runs, _, entries = k._plan(set_part, 0.4)
+    assert [(sl, shape) for sl, _, shape in runs] == [(slice(0, 2), (1, 2, 1)), (slice(5, 7), None)]
+    assert [(sl, W, c, A) for sl, W, _, c, A in entries] == [(slice(2, 5), None, 0.5, blocks[1])]
     calls = counted_block_loop(monkeypatch)
     for g in (0.4, 0.4, 1.1):
         v = rng.normal(size=layout.total) * 3
-        want = np.concatenate([solve_base_inclusion(W, g / c, A, v_b / c)
-                               for (W, c), A, v_b in zip(base, blocks, layout.split(v))])
-        assert k.backward_solve(g, set_part, v).tobytes() == want.tobytes()
-    assert len(calls) == 3 * len(dims)
+        want = []
+        for (W, c), A, v_b in zip(base, blocks, layout.split(v)):
+            C = c * (1.0 if W is None else W.scale_of_identity)
+            if A.linear_resolvent is None:
+                want.append(solve_base_inclusion(W, g / c, A, v_b / c))
+            else:
+                R, s = A.linear_resolvent(g if C == 1.0 else g / C)
+                want.append(np.dot(np.divide(R, C), v_b) - np.dot(R, s))
+        assert k.backward_solve(g, set_part, v).tobytes() == np.concatenate(want).tobytes()
+    assert len(calls) == 3  # one entry per solve
 
 
 def test_a_wrong_linear_resolvent_shape_names_its_block():

@@ -33,6 +33,7 @@ from warpsplit import (
     zero_map,
     zero_operator,
 )
+from warpsplit.operators import _monotone_matrix
 from warpsplit.space import aligned
 
 
@@ -289,6 +290,30 @@ def test_fortran_ordered_matrix_keeps_its_order():
     assert got.ctypes.data % 64 == 0 and np.array_equal(got, M)
 
 
+def test_monotone_check_spectrum_is_that_of_the_symmetric_part_bit_for_bit():
+    # The symmetric part is formed in place, by blocks of rows: its eigenvalues
+    # are eigvalsh(0.5 M + 0.5 M^T)'s bytes, on sizes around the block of 16,
+    # and without overflow on entries near the float range.
+    rng = np.random.default_rng(14)
+    big = np.finfo(float).max
+    cases = [rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0) for n in (1, 2, 15, 16, 17, 33, 50)]
+    cases += [_monotone(rng, n) for n in (1, 2, 15, 16, 17, 33, 50)]
+    cases += [np.where(rng.uniform(size=(n, n)) < 0.5, 1.0, -1.0) * big * rng.uniform(0.9, 1.0, (n, n))
+              for n in (1, 3, 20)]
+    cases += [np.full((2, 2), big), np.array([[1e308, 1e308], [1e308, -1e308]]),
+              np.array([[5e-324, -5e-324], [5e-324, 1e-320]])]
+    for M in cases:
+        want = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)
+        try:
+            got = _monotone_matrix(M, None, "matrix")[2]
+        except ConfigurationError as exc:
+            assert str(exc) == f"matrix is not monotone: its symmetric part has eigenvalue {want[0]}"
+            continue
+        assert got.tobytes() == want.tobytes(), M.shape
+    with pytest.raises(ConfigurationError, match="not monotone"):
+        affine_map([[-1e308]])
+
+
 def test_affine_resolvent_rejects_non_monotone_matrix():
     with pytest.raises(ConfigurationError, match="not monotone"):
         affine_resolvent_operator([[-0.5]])
@@ -346,33 +371,37 @@ def test_guard_raises_its_type_and_message(call, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
-def test_shaped_oracles_return_a_new_vector_of_their_dimension():
-    # A shaped operator's unscanned entry is its oracle, with no shape check:
-    # every catalog and derived operator must return a new float vector of
-    # its dimension.  An operator built on a user callable is not shaped.
+def test_every_oracle_entry_returns_a_new_vector_of_its_dimension():
+    # A catalog or derived operator's unscanned entry is its oracle, with no
+    # shape check: it must return a new float vector of its dimension.  An
+    # operator built on a user callable copies each output, so that one
+    # handing back its argument, a list or one reused buffer does too.
     rng = np.random.default_rng(12)
     d = 3
     box = box_normal_cone(-np.ones(d), np.ones(d))
     prob = CoupledProblem([PrimalBlock(A=box, C=identity_map(d))], [DualBlock(B=zero_operator(2))],
                           {(0, 0): rng.normal(size=(2, d))})
+    buffer = np.zeros(d)
     set_ops = library_instances(d, rng) + [
         constant_operator(rng.normal(size=d)), box.inverse(), box.add_constant(rng.normal(size=d)),
-        BlockDiagonalOperator([box, zero_operator(2)])]
+        BlockDiagonalOperator([box, zero_operator(2)]),
+        SetValuedOperator(d, lambda g, x: x), SetValuedOperator(d, lambda g, x: list(x))]
     maps = [affine_map(np.eye(d) + 0.5 * (np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)),
                        rng.normal(size=d)),
             zero_map(d), identity_map(d, 2.0), saddle_skew_map(LinearMap(rng.normal(size=(2, d)))),
-            prob.kt_forward()]
+            prob.kt_forward(), SingleValuedOperator(d, _fn, 1.0),
+            SingleValuedOperator(d, lambda x: np.multiply(x, 2.0, out=buffer), 1.0)]
     calls = [(op, lambda x, op=op, g=g: op._resolve(g, x)) for op in set_ops for g in (0.5, 2.0)]
     calls += [(op, op._apply) for op in maps]
     for op, call in calls:
-        assert op.shaped, op
+        outputs = []
         for scale in (0.1, 3.0):
             x = rng.normal(size=op.dim) * scale
-            y = call(x)
+            outputs.append(call(x))
+            y = outputs[-1]
             assert type(y) is np.ndarray and y.dtype == float and y.shape == (op.dim,), op
-            assert not np.shares_memory(y, x), op
-    assert not SetValuedOperator(d, lambda g, x: x).shaped
-    assert not SingleValuedOperator(d, _fn, 1.0).shaped
+            assert not np.shares_memory(y, x) and not np.shares_memory(y, buffer), op
+        assert not np.shares_memory(*outputs), op
 
 
 def test_proj_affine_set_computes_its_own_pseudo_inverse():
