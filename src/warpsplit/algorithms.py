@@ -211,8 +211,9 @@ def _memory_pull(weights, where, depth=None):
         raise ConfigurationError(
             f"memory weight row{where} has length {row.size}, longer than the "
             f"history depth {depth} set by the row at n = 0")
-    total = float(row.sum())
-    if abs(total - 1.0) > 1e-12:
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
+        total = float(row.sum())
+    if not abs(total - 1.0) <= 1e-12:  # a NaN total fails too
         raise ConfigurationError(
             f"memory weight row{where} sums to {total!r}, must be 1 within 1e-12")
     return tuple((-row[-2::-1]).tolist())
@@ -687,7 +688,6 @@ class CoupledProblem:
             self.primal_layout.dims + self.dual_layout.dims + self.dual_layout.dims)
         po, do = self.primal_layout.offsets, self.dual_layout.offsets
         self.coupling = np.zeros((do[-1], po[-1]))
-        self._L = {}
         for (j, i), mat in dict(couplings).items():
             if not (0 <= i < len(self.primal) and 0 <= j < len(self.dual)):
                 raise ConfigurationError(f"coupling index ({j}, {i}) out of range")
@@ -696,15 +696,11 @@ class CoupledProblem:
                 raise DimensionMismatchError(
                     f"coupling ({j}, {i}) has shape {L.matrix.shape}, expected "
                     f"({self.dual[j].dim}, {self.primal[i].dim})")
-            self._L[(j, i)] = L
             self.coupling[do[j]:do[j + 1], po[i]:po[i + 1]] = L.matrix
         self.coupling.setflags(write=False)
         self._forward = None
         self._set_part = None
         self._skew = None
-
-    def L(self, j, i):
-        return self._L.get((j, i))
 
     def skew(self) -> SingleValuedOperator:
         """The skew coupling S: (x,y,v*) -> (L*v*, -v*, -Lx+y), ``saddle_skew_map`` of [L, -Id]."""

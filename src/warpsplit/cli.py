@@ -86,19 +86,6 @@ class Section:
             raise ProblemFormatError(f"block {self.name!r} is missing required key {key!r}")
         return self.entries[key]
 
-    def canonical(self):
-        return (
-            self.name,
-            tuple((k, _canon_value(v)) for k, v in self.entries.items()),
-            tuple(c.canonical() for c in self.children),
-        )
-
-
-def _canon_value(v):
-    if isinstance(v, list):
-        return tuple(_canon_value(x) for x in v)
-    return v
-
 
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-+")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -496,18 +483,13 @@ class ProblemFile:
         return self._solver(dataclasses.replace(self.config, **fields), variant,
                             "relaxation" in fields)()
 
-    def serialize(self) -> str:
-        return serialize_section(self.root) + "\n"
-
-    def __eq__(self, other):
-        return isinstance(other, ProblemFile) and self.root.canonical() == other.root.canonical()
-
 
 def _operator(section: Section, make, dim):
-    """The catalog operator a block names; a configuration, lookup or NaN error names the block."""
+    """The catalog operator a block names; a configuration or lookup error names the block."""
+    name, params = section.require("name"), _op_params(section)
     try:
-        return make(section.require("name"), _op_params(section), dim)
-    except (ConfigurationError, UnknownOperatorError, NonFiniteEntryError) as exc:
+        return make(name, params, dim)
+    except (ConfigurationError, UnknownOperatorError) as exc:
         raise type(exc)(f"block {section.name!r}: {exc}") from None
 
 
@@ -523,7 +505,8 @@ def _operators(section: Section, set_key, forward_key, dim, what):
 
 
 def _op_params(section: Section):
-    """A catalog block's parameters, all numeric: lists as float arrays, a word refused."""
+    """A catalog block's parameters, all finite: lists as float arrays, numbers as floats,
+    a word refused."""
     out = {}
     for k, v in section.entries.items():
         if k == "name":
@@ -534,12 +517,12 @@ def _op_params(section: Section):
             raise ProblemFormatError(
                 f"{k!r} in block {section.name!r} must be a number or a list of numbers, got {v!r}")
         else:
-            out[k] = v
+            out[k] = _number(section, k)
     return out
 
 
 def _floats(section: Section, key, ndim):
-    """The value of ``key`` as a float vector (ndim 1) or matrix (ndim 2)."""
+    """The value of ``key`` as a float vector (ndim 1) or matrix (ndim 2) of finite numbers."""
     value = section.require(key)
     try:
         arr = np.array(value, dtype=float)
@@ -550,6 +533,10 @@ def _floats(section: Section, key, ndim):
         shape = "vector" if ndim == 1 else "matrix"
         raise ProblemFormatError(
             f"{key!r} in block {section.name!r} is not a {shape} of numbers: {reason}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ProblemFormatError(f"{key!r} in block {section.name!r} must hold finite "
+                                 f"numbers, got {float(arr[~finite][0])!r}")
     return arr
 
 
@@ -563,21 +550,24 @@ _REQUIRED = object()
 def _number(section: Section, key, default=_REQUIRED, kind=float):
     """The value of ``key`` as a float (or int), ``default`` when absent.
 
-    A value that is not a number raises a ConfigurationError naming the key
-    and the block.
+    A value that is not a number, or a NaN or infinite float, raises a
+    ConfigurationError naming the key and the block.
     """
     value = section.require(key) if default is _REQUIRED else section.get(key)
     if value is None:
         return default
-    if type(value) is kind:
-        return value
     return ops.number(value, key, f"block {section.name!r}", kind)
+
+
+# The longest float vector numpy can size; a longer one is a ValueError, not a MemoryError.
+_MAX_DIM = sys.maxsize // 8
 
 
 def _dim(section: Section, default=_REQUIRED):
     dim = _number(section, "dim", default, int)
-    if dim is not None and dim < 1:
-        raise ProblemFormatError(f"'dim' in block {section.name!r} must be positive, got {dim}")
+    if dim is not None and not 1 <= dim <= _MAX_DIM:
+        raise ProblemFormatError(
+            f"'dim' in block {section.name!r} must lie in [1, {_MAX_DIM}], got {dim}")
     return dim
 
 
@@ -837,7 +827,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         pf = parse_problem(args.problem)
-    except (WarpsplitError, OSError) as exc:
+    except (WarpsplitError, OSError, MemoryError) as exc:  # MemoryError: a dim too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     overrides = {k: getattr(args, k)

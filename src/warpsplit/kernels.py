@@ -242,7 +242,7 @@ class Kernel:
 
         The base and forward maps are called through their unscanned entries,
         ``_apply``.  A NaN or Inf in K x reaches y* of the graph point it
-        feeds, which is certified, or ``warped_resolvent``'s scan.
+        feeds, which is certified.
         """
         y = np.empty(self.dim) if self._coef is None else self._coef * x
         for sl, W, c in self._general:
@@ -405,20 +405,12 @@ def _scan_pair(kernel: Kernel, x, y, y_star):
 
 
 def warped_resolvent(m: MDecomposition, kernel: Kernel, gamma, x) -> np.ndarray:
-    """Evaluate (K + gamma M)^{-1} (K x).
+    """Evaluate (K + gamma M)^{-1} (K x): the y of ``graph_point``, with its checks and scans.
 
     Fixed points of this map are exactly the zeros of M; the output y also
-    satisfies ``K x - K y  in  gamma * M y``.  K x and y are scanned for
-    NaN/Inf; numpy's floating-point warnings are off while they are computed.
+    satisfies ``K x - K y  in  gamma * M y``.  The returned y is read-only, as ``graph_point``'s is.
     """
-    if not gamma > 0:
-        raise ConfigurationError(f"warped resolvent needs gamma > 0, got {gamma}")
-    x = np.asarray(x, dtype=float)
-    _check_pairing(m, kernel, gamma)
-    with np.errstate(all="ignore"):
-        w = check_finite(kernel.eval(x), f"kernel {kernel.name} output")
-        return check_finite(kernel.backward_solve(gamma, m.set_part, w),
-                            "warped resolvent output")
+    return graph_point(m, kernel, gamma, x).y
 
 
 def graph_point(m: MDecomposition, kernel: Kernel, gamma, x_tilde) -> GraphPoint:

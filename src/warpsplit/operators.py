@@ -254,7 +254,7 @@ def ball_normal_cone(center, radius) -> SetValuedOperator:
 def halfspace_normal_cone(normal, offset) -> SetValuedOperator:
     """Normal cone of {z : <normal, z> <= offset}."""
     normal = vector(normal)
-    if np.linalg.norm(normal) == 0:
+    if not normal.any():  # |normal| = 0 without forming |normal|, which may overflow
         raise ConfigurationError("half-space normal must be nonzero")
     offset = float(offset)
     return SetValuedOperator(
@@ -433,13 +433,11 @@ def saddle_skew_map(L: LinearMap) -> SingleValuedOperator:
 # ---------------------------------------------------------------------------
 
 def number(value, key, where, kind=float):
-    """``value`` as a scalar of type ``kind``: float, or int for an integral value.
+    """``value`` as a finite scalar of type ``kind``: float, or int for an integral value.
 
-    A word, a list or array, or a non-integral value for an int raises a
-    ConfigurationError naming ``key`` and ``where``.
+    A word, a list or array, a non-integral value for an int, or a NaN or
+    infinite float raises a ConfigurationError naming ``key`` and ``where``.
     """
-    if type(value) is kind:
-        return value
     try:
         out = None if getattr(value, "ndim", 0) else kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -448,6 +446,8 @@ def number(value, key, where, kind=float):
         expected = "an integer" if kind is int else "a number"
         shown = value.tolist() if isinstance(value, np.ndarray) else value
         raise ConfigurationError(f"{key!r} in {where} must be {expected}, got {shown!r}")
+    if kind is float and not math.isfinite(out):
+        raise ConfigurationError(f"{key!r} in {where} must be finite, got {out!r}")
     return out
 
 

@@ -177,9 +177,43 @@ MUTANTS = [
     ("op-params-word-check", "cli.py",
      "        elif isinstance(v, str):\n",
      "        elif False:\n"),
-    ("operator-block-names-non-finite", "cli.py",
-     "(ConfigurationError, UnknownOperatorError, NonFiniteEntryError) as exc:",
-     "(ConfigurationError, UnknownOperatorError) as exc:"),
+    # Every number a problem file holds is finite, refused as the file is read: a NaN or an
+    # infinity among the catalog's scalars, the file's scalars, its lists ...
+    ("number-finite-check", "operators.py",
+     "    if kind is float and not math.isfinite(out):\n",
+     "    if False:\n"),
+    ("number-fast-path-checked", "operators.py",
+     '    try:\n        out = None if getattr(value, "ndim", 0) else kind(value)\n',
+     '    if type(value) is kind:\n        return value\n'
+     '    try:\n        out = None if getattr(value, "ndim", 0) else kind(value)\n'),
+    ("cli-number-fast-path-checked", "cli.py",
+     '    return ops.number(value, key, f"block {section.name!r}", kind)\n',
+     '    return value if type(value) is kind else ops.number(value, key, "", kind)\n'),
+    ("floats-finite-check", "cli.py",
+     "    if not finite.all():\n",
+     "    if False:\n"),
+    ("catalog-scalar-finite", "cli.py",
+     "            out[k] = _number(section, k)\n",
+     "            out[k] = v\n"),
+    # ... and, in the library, a memory row whose sum is NaN.
+    ("memory-row-sum-nan", "algorithms.py",
+     "    if not abs(total - 1.0) <= 1e-12:  # a NaN total fails too\n",
+     "    if abs(total - 1.0) > 1e-12:\n"),
+    # A fuzzer finding: a row whose sum passes the float range is refused, with no warning.
+    ("memory-row-sum-overflow-silenced", "algorithms.py",
+     '    with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below\n',
+     "    if True:\n"),
+    # Fuzzer findings: a dim numpy cannot size, or cannot allocate, exits 1 ...
+    ("dim-numpy-sized", "cli.py",
+     "    if dim is not None and not 1 <= dim <= _MAX_DIM:\n",
+     "    if dim is not None and dim < 1:\n"),
+    ("parse-memory-error", "cli.py",
+     "    except (WarpsplitError, OSError, MemoryError) as exc:",
+     "    except (WarpsplitError, OSError) as exc:"),
+    # ... and a half-space normal whose norm overflows is built with no warning.
+    ("halfspace-normal-no-overflow", "operators.py",
+     "    if not normal.any():",
+     "    if np.linalg.norm(normal) == 0:"),
     ("kernel-alpha-positive", "kernels.py",
      "        if not alpha > 0:\n",
      "        if False:\n"),

@@ -11,8 +11,9 @@ evaluation-point formula ``literal_apply_policy`` pins the one-form
 single-cut relaxed projection written from a graph point.  The strong
 solver's multi-cut projector ``fejer.CutRing`` is pinned by
 ``qp_polyhedron``, which enumerates active sets.
-The coupled references apply each coupling L_{ji} block by block, where the
-library uses one stacked coupling matrix; ``literal_kt_skew`` and
+The coupled references apply each coupling L_{ji} block by block, sliced
+from the problem's stacked coupling matrix, where the library applies that
+matrix whole; ``literal_kt_skew`` and
 ``literal_primal_dual_matrix`` write the two skew layouts out as ``np.block``
 literals, where the library builds both from ``saddle_skew_map``.
 ``literal_warped_pair`` is the warped resolvent's graph point as the paper
@@ -403,8 +404,9 @@ def tseng_iterates(A, B, gamma, x0, iterations):
 
 
 def _coupling(problem, j, i):
-    op = problem.L(j, i)
-    return np.zeros((problem.dual[j].dim, problem.primal[i].dim)) if op is None else op.matrix
+    """L_{ji}, the (dual j, primal i) block of the stacked coupling (zero when not given)."""
+    do, po = problem.dual_layout.offsets, problem.primal_layout.offsets
+    return problem.coupling[do[j]:do[j + 1], po[i]:po[i + 1]]
 
 
 def coupling_Lx(problem, xs):

@@ -982,9 +982,14 @@ def _coupled(primal=None, dual=None, couplings=()):
     (lambda: solve_coupled(_coupled(dual=DualBlock(B=_sid(2), kappa=2.0)), tight(5)),
      ConfigurationError,
      "dual block 0 declares (beta, kappa) = (1.0, 2.0) but no stage operators W were supplied"),
+    (lambda: PerturbationPolicy.memory([np.nan, 1.0]), ConfigurationError,
+     "memory weight row sums to nan, must be 1 within 1e-12"),
+    (lambda: PerturbationPolicy.memory([1.7976931348623157e308, -0.3, 1.7976931348623157e308]),
+     ConfigurationError, "memory weight row sums to inf, must be 1 within 1e-12"),
 ], ids=["additive-callable", "empty-history", "fbf-memory-W-modulus", "primal-C-dim",
         "primal-mu-positive", "dual-D-dim", "dual-nu-positive", "coupling-index",
-        "coupling-shape", "identity-stages-primal", "identity-stages-dual"])
+        "coupling-shape", "identity-stages-primal", "identity-stages-dual", "memory-row-nan",
+        "memory-row-overflow"])
 def test_guard_raises_its_type_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -35,6 +35,7 @@ from warpsplit.cli import (
     main,
     parse_problem,
     parse_text,
+    serialize_section,
 )
 from warpsplit.errors import ConfigurationError, ProblemFormatError, UnknownOperatorError
 
@@ -812,12 +813,13 @@ def test_key_and_block_of_one_name_is_a_parse_error(tmp_path, capsys, key, block
 
 
 def test_roundtrip_parse_serialize_parse(tmp_path):
+    # The serialized text tells an int from a float: 1 and 1.0 stay apart.
     for text in (MINIMAL, COUPLED_SCALAR, HALVING):
-        pf = ProblemFile(parse_text(text))
-        text2 = pf.serialize()
-        pf2 = ProblemFile(parse_text(text2))
-        assert pf == pf2
-        assert pf2.serialize() == text2
+        text2 = serialize_section(parse_text(text)) + "\n"
+        root2 = parse_text(text2)
+        ProblemFile(root2)
+        assert serialize_section(root2) + "\n" == text2
+    assert serialize_section(parse_text("a = 1\nb = [1, 1.0]\n")) == "a = 1\nb = [1, 1.0]"
 
 
 # Characters of the value grammar, number tokens, a non-tab whitespace and
@@ -910,9 +912,9 @@ def test_bracket_parser_matches_oracle_on_json_tokens():
 @pytest.mark.parametrize("kind, dim", [("inclusion", 200), ("coupled", 20)])
 def test_parse_text_matches_oracle_on_generated(monkeypatch, kind, dim):
     text = generate_problem(kind, dim, 3)
-    fast = parse_text(text).canonical()
+    fast = serialize_section(parse_text(text))
     monkeypatch.setattr(cli, "_parse_bracket", bracket_oracle)
-    assert fast == parse_text(text).canonical()
+    assert fast == serialize_section(parse_text(text))
 
 
 def test_parse_text_holds_a_long_list_line_about_twice():
@@ -1201,24 +1203,112 @@ def test_coupling_norm_past_the_float_range_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
 def test_non_finite_affine_map_matrix_is_usage_error(tmp_path, capsys, entry):
-    # Rejected before its SVD, whose LinAlgError would lose the exit code.
+    # Rejected as the file's list is read, before the library's own finite check and SVD.
     text = NON_MONOTONE_FORWARD.replace("[[2.0, 0.0], [1.5, 0.0]]", f"[[{entry}, 0.0], [0.0, 1.0]]")
     code = main(["run", "--problem", write(tmp_path, "n.txt", text),
                  "--trace", str(tmp_path / "t.csv")])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == "error: block 'B': affine map matrix contains NaN or Inf\n"
+    assert capsys.readouterr().err == (
+        f"error: 'matrix' in block 'B' must hold finite numbers, got {float(entry)!r}\n")
     assert not (tmp_path / "t.csv").exists()
 
 
 def test_non_finite_affine_set_matrix_is_usage_error(tmp_path, capsys):
-    # Rejected before the SVD of its pseudo-inverse, which would not converge.
+    # Rejected as the file's list is read, before the SVD of its pseudo-inverse.
     text = MINIMAL.replace("name = ball\n  center = [0.0, 0.0]\n  radius = 1.0",
                            "name = affine_set\n  matrix = [[nan, 1.0]]\n  rhs = [1.0]")
     code = main(["run", "--problem", write(tmp_path, "n.txt", text),
                  "--trace", str(tmp_path / "t.csv")])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == "error: block 'A': affine set matrix contains NaN or Inf\n"
+    assert capsys.readouterr().err == "error: 'matrix' in block 'A' must hold finite numbers, got nan\n"
     assert not (tmp_path / "t.csv").exists()
+
+
+def _non_finite_cases():
+    """(id, file text, error) of a NaN, an infinity or 1e400 in each kind of number a file holds."""
+    box = "begin A\n  name = box\n  lo = [-1.0, -1.0]\n  hi = [1.0, 1.0]\nend\n"
+    base = "kind = inclusion\nx0 = [0.5, 0.5]\n" + box
+
+    def block(name, body, within=""):
+        inner = f"begin {name}\n" + body + "end\n"
+        return base + (f"begin {within}\n{inner}end\n" if within else inner)
+
+    def geometric(start, floor):
+        return f"  rule = geometric\n  start = {start}\n  factor = 0.9\n  floor = {floor}\n"
+
+    def catalog(name, params):
+        return base.replace(box, f"begin A\n  name = {name}\n{params}end\n")
+
+    finite = "must hold finite numbers, got"
+    yield from [
+        ("x0-nan", base.replace("[0.5, 0.5]", "[nan, 1.0]"), f"'x0' in block 'root' {finite} nan"),
+        ("x0-inf", base.replace("[0.5, 0.5]", "[inf, 1.0]"), f"'x0' in block 'root' {finite} inf"),
+        ("x0-1e400", base.replace("[0.5, 0.5]", "[1.0, 1e400]"),
+         f"'x0' in block 'root' {finite} inf"),
+        ("solution-nan", block("solution", "  x = [nan, 0.0]\n"),
+         f"'x' in block 'solution' {finite} nan"),
+        ("solution-inf", block("solution", "  x = [inf, 0.0]\n"),
+         f"'x' in block 'solution' {finite} inf"),
+        ("inertial-nan", block("policy", "  kind = inertial\n  alpha = nan\n"),
+         "'alpha' in block 'policy' must be finite, got nan"),
+        ("inertial-inf", block("policy", "  kind = inertial\n  alpha = inf\n"),
+         "'alpha' in block 'policy' must be finite, got inf"),
+        ("memory-nan", block("policy", "  kind = memory\n  weights = [nan, 1.0]\n"),
+         f"'weights' in block 'policy' {finite} nan"),
+        ("additive-nan", block("policy", "  kind = additive\n  scale = nan\n  rate = 0.5\n"),
+         "'scale' in block 'policy' must be finite, got nan"),
+        ("additive-inf", block("policy", "  kind = additive\n  scale = inf\n  rate = 0.5\n"),
+         "'scale' in block 'policy' must be finite, got inf"),
+        ("gamma-start-nan", block("gamma", geometric("nan", 0.5), "solver"),
+         "'start' in block 'gamma' must be finite, got nan"),
+        ("gamma-start-inf", block("gamma", geometric("inf", 0.5), "solver"),
+         "'start' in block 'gamma' must be finite, got inf"),
+        ("lambda-start-nan", block("lambda", geometric("nan", 1.0), "solver"),
+         "'start' in block 'lambda' must be finite, got nan"),
+        ("tol-residual-inf", block("solver", "  tol_residual = inf\n"),
+         "'tol_residual' in block 'solver' must be finite, got inf"),
+        ("scaled-identity-nan", catalog("scaled_identity", "  scale = nan\n"),
+         "'scale' in block 'A' must be finite, got nan"),
+        ("halfspace-nan", catalog("halfspace", "  normal = [1.0, 0.0]\n  offset = nan\n"),
+         "'offset' in block 'A' must be finite, got nan"),
+        ("halfspace-minus-inf", catalog("halfspace", "  normal = [1.0, 0.0]\n  offset = -inf\n"),
+         "'offset' in block 'A' must be finite, got -inf"),
+        ("ball-radius-inf", catalog("ball", "  radius = inf\n"),
+         "'radius' in block 'A' must be finite, got inf"),
+        ("l1-weight-inf", catalog("l1", "  weight = inf\n"),
+         "'weight' in block 'A' must be finite, got inf"),
+        ("box-scalar-lo-nan", catalog("box", "  lo = nan\n  hi = [1.0, 1.0]\n"),
+         "'lo' in block 'A' must be finite, got nan"),
+    ]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in _non_finite_cases()],
+                         ids=[case[0] for case in _non_finite_cases()])
+def test_a_non_finite_number_in_a_file_exits_1_naming_key_and_block(tmp_path, capsys, text,
+                                                                   message):
+    # Refused as the file is read, before any iteration: no trace and no summary.
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = main(["run", "--problem", write(tmp_path, "n.txt", text), "--trace", str(trace),
+                 "--summary", str(summary)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("dim, message", [
+    (10 ** 22, f"'dim' in block 'root' must lie in [1, {2 ** 60 - 1}], got {10 ** 22}"),
+    (2 ** 60, f"'dim' in block 'root' must lie in [1, {2 ** 60 - 1}], got {2 ** 60}"),
+    (10 ** 15, "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+               "and data type float64"),
+], ids=["past-intp", "past-numpy-size", "past-memory"])
+def test_a_dim_numpy_cannot_hold_exits_1(tmp_path, capsys, dim, message):
+    # x0 = 0 in R^dim: a dim numpy cannot size is refused by the parse, and one it
+    # cannot allocate (far past any address space) by numpy, both as exit 1.
+    text = f"kind = inclusion\ndim = {dim}\nbegin A\n  name = zero\nend\n"
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--problem", write(tmp_path, "d.txt", text), "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("text, good, bad, named", [
@@ -1354,7 +1444,9 @@ def test_generate_is_deterministic_and_solvable(tmp_path):
 def test_generated_file_is_a_fixed_point_of_parse_and_serialize(kind, dim):
     for seed in range(3):
         text = generate_problem(kind, dim, seed)
-        assert ProblemFile(parse_text(text)).serialize() == text
+        root = parse_text(text)
+        ProblemFile(root)
+        assert serialize_section(root) + "\n" == text
 
 
 def test_generate_coupled_matches_embedded_solution(tmp_path):
@@ -1546,17 +1638,24 @@ def test_summary_final_point_shape_coupled(tmp_path):
     np.testing.assert_allclose(rec["final_point"]["x"][0], [1.0], atol=1e-6)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: generate_problem("nope", 2, 0), "unknown problem kind 'nope'"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: generate_problem("nope", 2, 0), ConfigurationError, "unknown problem kind 'nope'"),
     (lambda: ProblemFile(parse_text(_bad(COUPLED_SCALAR, "variant = coupled", "variant = weak"))),
-     "a coupled problem runs with variant 'coupled', got 'weak'"),
+     ConfigurationError, "a coupled problem runs with variant 'coupled', got 'weak'"),
     (lambda: ProblemFile(parse_text(COUPLED_SCALAR)).run({"algo": "strong"}),
-     "a coupled problem runs with variant 'coupled', got 'strong'"),
-], ids=["generate-kind", "coupled-variant-at-parse", "coupled-variant-at-run"])
-def test_guard_raises_its_type_and_message(call, message):
-    with pytest.raises(ConfigurationError) as exc:
+     ConfigurationError, "a coupled problem runs with variant 'coupled', got 'strong'"),
+    (lambda: cli._floats(cli.Section("start", {"x": [0.0, -math.inf]}), "x", 1),
+     ProblemFormatError, "'x' in block 'start' must hold finite numbers, got -inf"),
+    (lambda: cli._number(cli.Section("solver", {"epsilon": math.nan}), "epsilon"),
+     ConfigurationError, "'epsilon' in block 'solver' must be finite, got nan"),
+    (lambda: cli._op_params(cli.Section("A", {"name": "ball", "radius": math.inf})),
+     ConfigurationError, "'radius' in block 'A' must be finite, got inf"),
+], ids=["generate-kind", "coupled-variant-at-parse", "coupled-variant-at-run", "list-finite",
+        "number-finite", "catalog-scalar-finite"])
+def test_guard_raises_its_type_and_message(call, error, message):
+    with pytest.raises(error) as exc:
         call()
-    assert type(exc.value) is ConfigurationError and str(exc.value) == message
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("algo", [None, "weak", "strong", "fbf", "tseng"])

@@ -234,14 +234,23 @@ def test_public_entries_scan_what_they_return():
         nan_res.inverse().resolvent(1.0, np.zeros(2))
     with pytest.raises(NonFiniteEntryError, match="^output of inf_map"):
         inf_map(np.zeros(2))
-    # The box clamps K x = -Inf back to a finite y, so only the scan of K x,
-    # or the forward oracle called again, sees the Inf.
+    # The box clamps K x = -Inf back to a finite y, so only the forward oracle,
+    # called again, names the Inf: warped_resolvent is graph_point's y, scans included.
     m = MDecomposition(box_normal_cone([-1.0, -1.0], [1.0, 1.0]), inf_map)
     k = fbf_kernel(identity_map(2), inf_map, 0.5, 0.05)
     with pytest.raises(NonFiniteEntryError, match="^output of inf_map"):
         graph_point(m, k, 0.5, np.zeros(2))
-    with pytest.raises(NonFiniteEntryError, match="^kernel .* output"):
+    with pytest.raises(NonFiniteEntryError, match="^output of inf_map"):
         warped_resolvent(m, k, 0.5, np.zeros(2))
+
+
+def test_warped_resolvent_refuses_a_y_star_that_overflows_beside_a_finite_y():
+    # K x = 1e300 and y = P_box(K x) = 1 are finite, but y* = (K x - K y) / gamma
+    # overflows at gamma = 1e-10: the pair is not a graph point, so no y is returned.
+    m = MDecomposition(box_normal_cone([-1.0], [1.0]))
+    with pytest.raises(NonFiniteEntryError, match=r"^graph point y\* contains NaN or Inf"):
+        warped_resolvent(m, identity_kernel(1), 1e-10, [1e300])
+    assert graph_point(m, identity_kernel(1), 1.0, [1e300]).y.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("solver", [solve_weak, solve_strong])
@@ -603,6 +612,19 @@ def test_prepared_pairs_are_the_literal_pair_bit_for_bit(name):
         y, y_star = literal_warped_pair(m, k, rec.gamma, rec.x_tilde, start)
         assert y.tobytes() == rec.y.tobytes() and y_star.tobytes() == rec.y_star.tobytes(), rec.n
         start = rec.y
+
+
+@pytest.mark.parametrize("name", [case[0] for case in prepared_cases()])
+def test_warped_resolvent_is_the_literal_pair_y_bit_for_bit(name):
+    # The public warped resolvent, cold, against the y of K x, the backward solve, K y.
+    _, m, kernel_of, step_of, x0, *_ = next(c for c in prepared_cases() if c[0] == name)
+    k = kernel_of(0) if callable(kernel_of) else kernel_of
+    gamma = step_of(0) if callable(step_of) else step_of
+    xs = list(np.random.default_rng(76).normal(size=(3, k.dim)))
+    for x in xs if x0 is None else [x0] + xs:
+        y = warped_resolvent(m, k, gamma, x)
+        assert y.tobytes() == literal_warped_pair(m, k, gamma, x)[0].tobytes()
+        assert not y.flags.writeable  # graph_point's frozen y
 
 
 def recorded_plans(monkeypatch):

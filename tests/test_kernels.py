@@ -1357,7 +1357,7 @@ NOT_MONOTONE = SingleValuedOperator(2, _fn, 1.0, monotone=False, name="user")
      "backward solve with base 'nongradient_cubic' needs a declared strong-monotonicity constant"),
     (lambda: warped_resolvent(MDecomposition(zero_operator(2)), identity_kernel(2), 0.0,
                               np.zeros(2)), ConfigurationError,
-     "warped resolvent needs gamma > 0, got 0.0"),
+     "graph_point needs gamma > 0, got 0.0"),  # warped_resolvent is graph_point's y
     (lambda: graph_point(MDecomposition(zero_operator(2)), identity_kernel(2), 0.0, np.zeros(2)),
      ConfigurationError, "graph_point needs gamma > 0, got 0.0"),
     (lambda: map_kernel(affine_map(ROT)), ConfigurationError,

@@ -33,7 +33,7 @@ from warpsplit import (
     zero_map,
     zero_operator,
 )
-from warpsplit.operators import _monotone_matrix
+from warpsplit.operators import _monotone_matrix, number
 from warpsplit.space import aligned
 
 
@@ -361,14 +361,25 @@ def _fn(x):
      "block operator dims do not match layout"),
     (lambda: zero_operator(2).resolvent(0.0, [1.0, 1.0]), ConfigurationError,
      "resolvent needs gamma > 0, got 0.0"),
+    (lambda: number(float("nan"), "radius", "operator 'ball'"), ConfigurationError,
+     "'radius' in operator 'ball' must be finite, got nan"),
+    (lambda: number(np.float64("-inf"), "offset", "operator 'halfspace'"), ConfigurationError,
+     "'offset' in operator 'halfspace' must be finite, got -inf"),
 ], ids=["lipschitz-positive", "declared-modulus-positive", "box-bounds", "ball-radius",
         "halfspace-normal", "affine-set-rows", "affine-set-finite", "l1-weight",
         "scaled-identity-scale", "affine-operator-square", "affine-map-square", "affine-map-finite",
-        "identity-map-scale", "block-dims", "resolvent-gamma"])
+        "identity-map-scale", "block-dims", "resolvent-gamma", "number-finite",
+        "number-converted-finite"])
 def test_guard_raises_its_type_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_halfspace_normal_past_the_float_range_in_norm_is_built_without_overflow():
+    # |normal|^2 overflows, so the zero-normal test reads the entries, not the norm.
+    op = halfspace_normal_cone([1.0, 1e308], 0.5)
+    assert op.dim == 2 and op.resolvent(1.0, [0.0, -1.0]).tolist() == [0.0, -1.0]
 
 
 def test_every_oracle_entry_returns_a_new_vector_of_its_dimension():
