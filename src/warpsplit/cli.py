@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -647,15 +646,15 @@ def write_trace(result: alg.SolveResult, path, zeros=()):
     header += [f"gap_{k + 1}" for k in range(len(zeros))]
     row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g" + ",%.17g" * len(zeros) + "\n"
     t = result.trace
-    rows = zip(t.n, t.x, t.residual, t.step_norm, t.theta, t.sigma, t.rho)
+    columns = (t.n, t.residual, t.step_norm, t.theta, t.sigma, t.rho)
     # A gap past the float range is written as inf, as computed: its overflow raises no warning.
     with open(path, "w", encoding="utf-8", newline="\n") as fh, np.errstate(over="ignore"):
         fh.write(",".join(header) + "\n")
-        # Formatted and written 256 rows at a time: the CSV is never whole in memory.
-        while block := list(itertools.islice(rows, 256)):
-            fh.write("".join([row % (n, res, step, theta, sigma, rho,
-                                     *(alg._length(x - z) for z in zeros))
-                              for n, x, res, step, theta, sigma, rho in block]))
+        # Formatted and written 256 rows at a time, each gap column of a block formed
+        # before its rows: neither the CSV nor a whole gap column is ever in memory.
+        for a in range(0, len(t), 256):
+            gaps = [[alg._length(x - z) for x in t.x[a:a + 256]] for z in zeros]
+            fh.write("".join([row % r for r in zip(*[c[a:a + 256] for c in columns], *gaps)]))
 
 
 def _final_point_list(result: alg.SolveResult):

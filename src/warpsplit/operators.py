@@ -141,6 +141,9 @@ class SingleValuedOperator:
     trusted inputs.  ``scale_of_identity`` marks maps equal to c * Id, which
     unlocks closed-form backward solves in the kernels module.
 
+    ``strong_monotonicity`` reads the modulus ``_modulus``, or None.  ``affine_map`` may
+    leave ``_modulus`` a function, which the first read calls once and replaces by its value.
+
     Calling the operator validates x, calls the unscanned entry ``_apply(x)``
     and scans the output for NaN/Inf.
     """
@@ -159,11 +162,16 @@ class SingleValuedOperator:
         self._apply = fn if shaped else _shape_checked(fn, self.dim, "output of %s", name)
         self.lipschitz = float(lipschitz)
         self.monotone = bool(monotone)
-        self.strong_monotonicity = (
-            None if strong_monotonicity is None else float(strong_monotonicity))
+        self._modulus = None if strong_monotonicity is None else float(strong_monotonicity)
         self.scale_of_identity = (
             None if scale_of_identity is None else float(scale_of_identity))
         self.name = name
+
+    @property
+    def strong_monotonicity(self):
+        if callable(self._modulus):
+            self._modulus = self._modulus()
+        return self._modulus
 
     def __call__(self, x) -> np.ndarray:
         """The map at x, scanned for NaN/Inf."""
@@ -206,12 +214,15 @@ def proj_ball(x, center, radius):
     return center + (radius / n) * d
 
 
-def proj_halfspace(x, normal, offset):
-    """Project onto {z : <normal, z> <= offset}."""
+def proj_halfspace(x, normal, offset, norm_sq=None):
+    """Project onto {z : <normal, z> <= offset}; ``norm_sq`` is <normal, normal>, formed here
+    when None."""
     g = float(np.dot(normal, x)) - float(offset)
     if g <= 0:
         return np.asarray(x, dtype=float).copy()
-    return x - (g / float(np.dot(normal, normal))) * normal
+    if norm_sq is None:
+        norm_sq = float(np.dot(normal, normal))
+    return x - (g / norm_sq) * normal
 
 
 def proj_affine_set(x, A, b, pinv=None):
@@ -244,21 +255,33 @@ def box_normal_cone(lo, hi) -> SetValuedOperator:
 def ball_normal_cone(center, radius) -> SetValuedOperator:
     """Normal cone of the closed Euclidean ball; resolvent is radial projection."""
     center = vector(center)
+    radius = number(radius, "radius", "operator 'ball'")
     if not radius > 0:
         raise ConfigurationError(f"ball radius must be > 0, got {radius}")
-    radius = float(radius)
     return SetValuedOperator(
         center.shape[0], lambda g, x: proj_ball(x, center, radius), "ball", shaped=True)
 
 
 def halfspace_normal_cone(normal, offset) -> SetValuedOperator:
-    """Normal cone of {z : <normal, z> <= offset}."""
+    """Normal cone of {z : <normal, z> <= offset}.
+
+    <normal, normal> is formed once, here.  When it overflows, the same half-space is
+    described by normal / 2^e and offset / 2^e, with 2^e the power of two just above the
+    largest entry, whose squared norm is at most the dimension.
+    """
     normal = vector(normal)
     if not normal.any():  # |normal| = 0 without forming |normal|, which may overflow
         raise ConfigurationError("half-space normal must be nonzero")
-    offset = float(offset)
+    offset = number(offset, "offset", "operator 'halfspace'")
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.dot(normal, normal))
+    if norm_sq == math.inf:
+        e = math.frexp(float(np.abs(normal).max()))[1]
+        normal, offset = vector(np.ldexp(normal, -e)), math.ldexp(offset, -e)
+        norm_sq = float(np.dot(normal, normal))
     return SetValuedOperator(
-        normal.shape[0], lambda g, x: proj_halfspace(x, normal, offset), "halfspace", shaped=True)
+        normal.shape[0], lambda g, x: proj_halfspace(x, normal, offset, norm_sq), "halfspace",
+        shaped=True)
 
 
 def affine_set_normal_cone(A, b) -> SetValuedOperator:
@@ -275,9 +298,9 @@ def affine_set_normal_cone(A, b) -> SetValuedOperator:
 
 def l1_operator(dim, weight=1.0) -> SetValuedOperator:
     """Subdifferential of weight * l1 norm; resolvent is soft-thresholding."""
+    weight = number(weight, "weight", "operator 'l1'")
     if not weight > 0:
         raise ConfigurationError(f"l1 weight must be > 0, got {weight}")
-    weight = float(weight)
     op = SetValuedOperator(dim, lambda g, x: soft_threshold(x, g * weight), "l1", shaped=True)
     op.resolvent_jacobian = lambda g, u: (np.abs(u) > g * weight).astype(float)
     return op
@@ -293,9 +316,9 @@ def zero_operator(dim) -> SetValuedOperator:
 
 def scaled_identity_operator(dim, scale) -> SetValuedOperator:
     """A = scale * Id as a set-valued operator; J_{gamma A} x = x/(1+gamma*scale)."""
+    scale = number(scale, "scale", "operator 'scaled_identity'")
     if scale < 0:
         raise ConfigurationError(f"scaled identity needs scale >= 0 for monotonicity, got {scale}")
-    scale = float(scale)
     op = SetValuedOperator(
         dim, lambda g, x: x / (1.0 + g * scale), "scaled_identity", shaped=True)
     op.linear_resolvent = lambda g: (1.0 / (1.0 + g * scale), np.zeros(dim))
@@ -311,29 +334,95 @@ def constant_operator(value) -> SetValuedOperator:
     return op
 
 
-def _monotone_matrix(M, b, what):
-    """(M, b, ascending eigenvalues of M's symmetric part) for a square, finite, monotone
-    float matrix M and an offset b of its dimension (zeros for None).
+# From this many rows up, a monotone matrix is certified by one Cholesky factorisation, which
+# costs under a third of eigvalsh there (and about as much at 8 rows).  Below it, a base whose
+# modulus is read would pay for both.
+_CHOLESKY_ROWS = 33
 
-    Raises ConfigurationError when M is not monotone: the smallest eigenvalue is negative
-    beyond a roundoff slack relative to the spectrum.  The symmetric part 0.5 M + 0.5 M^T
-    cannot overflow, as 0.5 (M + M^T) can.  It is formed on 0.5 M, 16 rows at a time, so
-    that the only other temporary is 16 x n, not a second n x n one.
-    """
-    M = np.array(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"{what} must be square, got {M.shape}")
-    b = np.zeros(M.shape[0]) if b is None else vector(b)
-    check_dim(b, M.shape[0], "affine offset")
-    check_finite(M, what)
-    S, n = 0.5 * M, M.shape[0]
+
+def _symmetric_part(M):
+    """0.5 M + 0.5 M^T, which cannot overflow, as 0.5 (M + M^T) can.  Past 16 rows it is
+    formed on 0.5 M, 16 rows at a time, so that the only other temporary is 16 x n, not a
+    second n x n one.  Both forms compute 0.5 M[i, j] + 0.5 M[j, i] for each entry."""
+    n = M.shape[0]
+    if n <= 16:
+        return 0.5 * M + 0.5 * M.T
+    S = 0.5 * M
     for a in range(0, n, 16):
         S[a:a + 16] += 0.5 * M[:, a:a + 16].T
-    eig = np.linalg.eigvalsh(S) if n else np.zeros(1)
-    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):
-        raise ConfigurationError(
-            f"{what} is not monotone: its symmetric part has eigenvalue {eig[0]}")
-    return M, b, eig
+    return S
+
+
+def _cholesky_certifies(S):
+    """True when a Cholesky factorisation of S - delta I completes, which proves that the
+    symmetric matrix S (n x n, finite) has no negative eigenvalue.  S is left as it was.
+
+    delta = 2 n (n + 1) u |S|_F, with u = 2^-53.  Let A = fl(S - delta I), so A = S - delta I + E
+    with E diagonal and |E| <= u (|S|_F + delta).  A factor R that completes satisfies
+    R^T R = A + dA with |dA| <= g |R^T| |R|, g = (n + 1) u / (1 - (n + 1) u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3; a blocked factorisation only reorders
+    the same inner products).  Its diagonal bounds each column, |r_i|^2 <= a_ii / (1 - g), so
+    |dA|_2 <= g |R|_F^2 <= g tr(A) / (1 - g) <= g (1 + u) (sqrt(n) |S|_F + n delta) / (1 - g).
+    As R^T R is positive definite, lambda_min(S) > delta - |dA|_2 - |E|_2, which is positive:
+    the terms in delta are about n (n + 1) u delta, and those in |S|_F at most
+    ((n + 1) sqrt(n) + 1) u |S|_F (1 + O(n u)), under half of delta for n >= 2.
+    |S|_F is the square root of one sum of n^2 squares, with relative error O(n^2 u), and delta
+    one rounded product of it: both change delta by a factor 1 + O(n^2 u), inside that margin.
+
+    The argument assumes no overflow.  When |S|_F^2 overflows, delta is inf and the
+    factorisation fails at its first pivot.  Underflow adds at most about n^2 2^-1074 to
+    |dA|_2, negligible next to delta unless |S|_F is below about 2^-500, where squares that
+    underflow can also make |S|_F too small, or delta 0.  The eigenvalue test accepts every
+    such S, whose spectrum lies far inside its absolute slack of 1e-12: a certificate there
+    changes no decision.
+
+    A certified S has lambda_min(S) >= 0, which the eigenvalue test accepts: eigvalsh is
+    backward stable, within a few n u |S|_2 of the spectrum, far inside its 1e-12 slack.
+    """
+    n = S.shape[0]
+    with np.errstate(over="ignore"):  # |S|_F past the float range is inf: so is delta
+        fro = float(np.linalg.norm(S))
+    diagonal = S.diagonal().copy()
+    S.flat[::n + 1] -= 2 * n * (n + 1) * 2.0 ** -53 * fro  # in place: no second n x n matrix
+    try:
+        np.linalg.cholesky(S)  # the factor is dropped at once
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        S.flat[::n + 1] = diagonal
+    return True
+
+
+def _monotone_matrix(M, b, what):
+    """(M, b, lowest) for a square, finite, monotone float matrix M and an offset b of its
+    dimension (zeros for None): ``lowest`` is the smallest eigenvalue of M's symmetric part S,
+    or None when ``_cholesky_certifies`` proved S positive semidefinite without computing it.
+
+    Raises ConfigurationError when M is not monotone: the smallest eigenvalue is negative
+    beyond a roundoff slack relative to the spectrum.  From ``_CHOLESKY_ROWS`` rows up, a
+    Cholesky certificate is tried first; when there is none, the eigenvalue test decides, with
+    the same decision and message as for a smaller matrix.
+
+    The returned M is a float array of its own.  When M holds the caller's data, it is copied
+    only after the check, once the factor is dropped: the check holds at most three n x n
+    arrays at once (the caller's, S and the factor), as many as the eigenvalue test did.
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatchError(f"{what} must be square, got {A.shape}")
+    b = np.zeros(A.shape[0]) if b is None else vector(b)
+    check_dim(b, A.shape[0], "affine offset")
+    check_finite(A, what)
+    S, n = _symmetric_part(A), A.shape[0]
+    if n >= _CHOLESKY_ROWS and _cholesky_certifies(S):
+        lowest = None
+    else:
+        eig = np.linalg.eigvalsh(S) if n else np.zeros(1)
+        if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):
+            raise ConfigurationError(
+                f"{what} is not monotone: its symmetric part has eigenvalue {eig[0]}")
+        lowest = float(eig[0])
+    return (np.array(A) if A is M or A.base is not None else A), b, lowest
 
 
 def affine_resolvent_operator(M, b=None) -> SetValuedOperator:
@@ -371,19 +460,27 @@ def affine_map(M, b=None) -> SingleValuedOperator:
     otherwise ConfigurationError.  ``matrix`` is a read-only copy of M; one
     wider than 8 columns starts on a 64-byte boundary (``space.aligned``),
     which speeds up ``M @ x`` and leaves its bits unchanged.
+
+    The declared modulus is the smallest eigenvalue of the symmetric part when it is > 0,
+    else None.  When a Cholesky factorisation certified M, it is computed from ``matrix`` the
+    first time ``strong_monotonicity`` is read, with the same bits.
     """
-    M, b, eig = _monotone_matrix(M, b, "affine map matrix")
-    dim, mu = M.shape[0], float(eig[0])
+    M, b, mu = _monotone_matrix(M, b, "affine map matrix")
     lip = float(np.linalg.norm(M, 2)) if M.size else 0.0
     M = aligned(M)
     # A zero matrix is declared 1-Lipschitz like zero_map: a finite default step.
     op = SingleValuedOperator(
-        dim, lambda x: M @ x + b,
+        M.shape[0], lambda x: M @ x + b,
         lipschitz=lip if lip > 0 else 1.0,
         monotone=True,
-        strong_monotonicity=mu if mu > 0 else None,
+        strong_monotonicity=mu if mu is not None and mu > 0 else None,
         name="affine_map", shaped=True)
     op.matrix = M
+    if mu is None:
+        def modulus():
+            lowest = float(np.linalg.eigvalsh(_symmetric_part(M))[0])
+            return lowest if lowest > 0 else None
+        op._modulus = modulus
     return op
 
 
@@ -395,9 +492,9 @@ def zero_map(dim) -> SingleValuedOperator:
 
 def identity_map(dim, scale=1.0) -> SingleValuedOperator:
     """c * Id as a single-valued operator (c > 0)."""
+    scale = number(scale, "scale", "operator 'identity_map'")
     if not scale > 0:
         raise ConfigurationError(f"identity map scale must be > 0, got {scale}")
-    scale = float(scale)
     return SingleValuedOperator(
         dim, lambda x: scale * x, lipschitz=scale, monotone=True,
         strong_monotonicity=scale, scale_of_identity=scale, name="identity_map", shaped=True)
@@ -459,12 +556,11 @@ def _build_ball(params, dim):
     center = params.get("center")
     if center is None:
         center = np.zeros(dim)
-    return ball_normal_cone(center, number(params["radius"], "radius", "operator 'ball'"))
+    return ball_normal_cone(center, params["radius"])
 
 
 def _build_halfspace(params, dim):
-    return halfspace_normal_cone(
-        params["normal"], number(params["offset"], "offset", "operator 'halfspace'"))
+    return halfspace_normal_cone(params["normal"], params["offset"])
 
 
 def _build_affine_set(params, dim):
@@ -472,7 +568,7 @@ def _build_affine_set(params, dim):
 
 
 def _build_l1(params, dim):
-    return l1_operator(dim, number(params.get("weight", 1.0), "weight", "operator 'l1'"))
+    return l1_operator(dim, params.get("weight", 1.0))
 
 
 def _build_zero(params, dim):
@@ -480,8 +576,7 @@ def _build_zero(params, dim):
 
 
 def _build_scaled_identity(params, dim):
-    return scaled_identity_operator(
-        dim, number(params.get("scale", 1.0), "scale", "operator 'scaled_identity'"))
+    return scaled_identity_operator(dim, params.get("scale", 1.0))
 
 
 def _build_affine(params, dim):
@@ -514,7 +609,7 @@ def _build_zero_map(params, dim):
 
 
 def _build_identity_map(params, dim):
-    return identity_map(dim, number(params.get("scale", 1.0), "scale", "operator 'identity_map'"))
+    return identity_map(dim, params.get("scale", 1.0))
 
 
 SINGLE_VALUED_CATALOG = {

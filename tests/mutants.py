@@ -78,13 +78,29 @@ MUTANTS = [
     ("declared-modulus-positive", "operators.py",
      "        if strong_monotonicity is not None and not strong_monotonicity > 0:\n",
      "        if False:\n"),
-    # The symmetric part of a finite matrix is formed without overflow.
+    # The symmetric part of a finite matrix is formed without overflow, by blocks of rows past
+    # 16 rows and in one expression up to 16.
     ("monotone-symmetric-part-no-overflow", "operators.py",
-     "    S, n = 0.5 * M, M.shape[0]\n    for a in range(0, n, 16):\n        S[a:a + 16] += 0.5 * M[:, a:a + 16].T\n",
-     "    S, n = 0.5 * (M + M.T), M.shape[0]\n"),
+     "    S = 0.5 * M\n    for a in range(0, n, 16):\n        S[a:a + 16] += 0.5 * M[:, a:a + 16].T\n",
+     "    S = 0.5 * (M + M.T)\n"),
+    ("monotone-symmetric-part-no-overflow-small", "operators.py",
+     "        return 0.5 * M + 0.5 * M.T\n",
+     "        return 0.5 * (M + M.T)\n"),
     ("monotone-spectrum-reject", "operators.py",
      "    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):",
      "    if False:"),
+    # A large matrix is certified monotone only by a Cholesky factorisation that completes ...
+    ("monotone-failed-cholesky-certifies", "operators.py",
+     "    except np.linalg.LinAlgError:\n        return False\n",
+     "    except np.linalg.LinAlgError:\n        return True\n"),
+    # ... whose Frobenius norm, past the float range, is inf with no overflow warning ...
+    ("monotone-cholesky-norm-overflow-silenced", "operators.py",
+     '    with np.errstate(over="ignore"):  # |S|_F past the float range is inf: so is delta\n',
+     "    if True:\n"),
+    # ... and its modulus, computed when first read, is the smallest eigenvalue.
+    ("lazy-modulus-lowest-eigenvalue", "operators.py",
+     "            lowest = float(np.linalg.eigvalsh(_symmetric_part(M))[0])\n",
+     "            lowest = float(np.linalg.eigvalsh(_symmetric_part(M))[-1])\n"),
     # CutRing's one disjointness raise, in ``_enter``.  ``_swap`` raises
     # nothing: when its ratio test picks no row it returns False, and hands the
     # cut to ``_enter``, whose ratio test on the same r raises.
@@ -164,8 +180,12 @@ MUTANTS = [
      "        y = np.asarray(oracle(*args), dtype=float)\n"),
     # affine_map and affine share one matrix check; finite first, before the SVD.
     ("affine-map-finite-check", "operators.py",
-     "    check_finite(M, what)\n",
+     "    check_finite(A, what)\n",
      ""),
+    # The checked matrix is the operator's own: the caller's array is copied, after the check.
+    ("monotone-matrix-own-copy", "operators.py",
+     "    return (np.array(A) if A is M or A.base is not None else A), b, lowest\n",
+     "    return A, b, lowest\n"),
     ("affine-set-finite-check", "operators.py",
      '    check_finite(A, "affine set matrix")  # before the SVD of pinv, which would not converge\n',
      ""),
@@ -214,6 +234,29 @@ MUTANTS = [
     ("halfspace-normal-no-overflow", "operators.py",
      "    if not normal.any():",
      "    if np.linalg.norm(normal) == 0:"),
+    # The library's constructors refuse a non-finite scalar, as the CLI does ...
+    ("ball-radius-finite", "operators.py",
+     '    radius = number(radius, "radius", "operator \'ball\'")\n',
+     "    radius = float(radius)\n"),
+    ("halfspace-offset-finite", "operators.py",
+     '    offset = number(offset, "offset", "operator \'halfspace\'")\n',
+     "    offset = float(offset)\n"),
+    ("l1-weight-finite", "operators.py",
+     '    weight = number(weight, "weight", "operator \'l1\'")\n',
+     "    weight = float(weight)\n"),
+    ("scaled-identity-scale-finite", "operators.py",
+     '    scale = number(scale, "scale", "operator \'scaled_identity\'")\n',
+     "    scale = float(scale)\n"),
+    ("identity-map-scale-finite", "operators.py",
+     '    scale = number(scale, "scale", "operator \'identity_map\'")\n',
+     "    scale = float(scale)\n"),
+    # ... and a half-space normal whose squared norm overflows is scaled, with no warning.
+    ("halfspace-norm-overflow-silenced", "operators.py",
+     '    with np.errstate(over="ignore"):\n        norm_sq = ',
+     "    if True:\n        norm_sq = "),
+    ("halfspace-normal-scaled", "operators.py",
+     "    if norm_sq == math.inf:\n",
+     "    if False:\n"),
     ("kernel-alpha-positive", "kernels.py",
      "        if not alpha > 0:\n",
      "        if False:\n"),

@@ -22,6 +22,9 @@ then the division by gamma; the engine's prepared pairs must give its bits.
 The transcriptions call only the operators they are given.  The
 character-by-character bracket parser pins the problem-file value grammar
 that the CLI's run-at-a-time parser must reproduce, errors included.
+``literal_monotone_check`` is the eigenvalue test of a matrix's monotonicity,
+written out: the library must make its decision, with its message, and
+declare its modulus, also where a Cholesky certificate stands in for it.
 """
 
 import itertools
@@ -53,6 +56,18 @@ def literal_warped_pair(m, kernel, gamma, x, start=None):
     w = kernel.eval(x)
     y = kernel.backward_solve(gamma, m.set_part, w, start)
     return y, (w - kernel.eval(y)) / gamma
+
+
+def literal_monotone_check(M, what):
+    """The smallest eigenvalue of the symmetric part 0.5 M + 0.5 M^T of the square, finite
+    matrix M, or the ConfigurationError that rejects M as not monotone: the eigenvalue lies
+    below -1e-12 max(1, |spectrum|)."""
+    M = np.array(M, dtype=float)
+    eig = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T) if M.shape[0] else np.zeros(1)
+    if eig[0] < -1e-12 * max(1.0, -eig[0], eig[-1]):
+        raise ConfigurationError(
+            f"{what} is not monotone: its symmetric part has eigenvalue {eig[0]}")
+    return float(eig[0])
 
 
 def relaxed_projection_step(x, gp: GraphPoint, lam) -> np.ndarray:

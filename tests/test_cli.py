@@ -1440,6 +1440,20 @@ def test_generate_is_deterministic_and_solvable(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["inclusion", "coupled"])
+def test_generate_without_out_writes_the_problem_to_stdout(tmp_path, capsys, kind):
+    # Without --out the problem goes to stdout: the same text that --out writes,
+    # and a problem file the parser takes.
+    out = tmp_path / "p.txt"
+    assert main(["generate", "--kind", kind, "--dim", "3", "--seed", "7", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(["generate", "--kind", kind, "--dim", "3", "--seed", "7"]) == EXIT_OK
+    text = capsys.readouterr().out
+    root = parse_text(text)
+    assert ProblemFile(root).kind == kind
+    assert text == out.read_text(encoding="utf-8") == serialize_section(root) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["inclusion", "coupled"])
 @pytest.mark.parametrize("dim", [1, 3, 20])
 def test_generated_file_is_a_fixed_point_of_parse_and_serialize(kind, dim):
     for seed in range(3):

@@ -33,8 +33,10 @@ from warpsplit import (
     zero_map,
     zero_operator,
 )
-from warpsplit.operators import _monotone_matrix, number
+from warpsplit.operators import _monotone_matrix, number, proj_halfspace
 from warpsplit.space import aligned
+
+from oracles import literal_monotone_check
 
 
 def library_instances(dim=3, rng=None):
@@ -281,6 +283,26 @@ def test_narrow_affine_map_keeps_its_own_copy(d):
     assert aligned(W.matrix) is W.matrix
 
 
+@pytest.mark.parametrize("d", [2, 40])
+def test_affine_operators_keep_their_own_matrix(d):
+    # The monotone check copies a caller's matrix only after its Cholesky factor is
+    # dropped: writing to the caller's array, or to the array it is a view of,
+    # afterwards changes neither operator, and the array stays writeable.
+    rng = np.random.default_rng(d)
+    M0 = _monotone(rng, d) + d * np.eye(d)
+    x = rng.normal(size=d)
+    outer = np.zeros((d + 1, d + 1))
+    outer[:d, :d] = M0
+    for given, owner in [(M0.copy(), None), (outer[:d, :d], outer), (np.asfortranarray(M0), None)]:
+        same = given.copy(order="K")
+        want = affine_resolvent_operator(same).resolvent(0.7, x), affine_map(same)(x)
+        A, W = affine_resolvent_operator(given), affine_map(given)
+        (given if owner is None else owner)[...] = 7.0
+        assert given.flags.writeable
+        assert A.resolvent(0.7, x).tobytes() == want[0].tobytes()
+        assert W(x).tobytes() == want[1].tobytes()
+
+
 def test_fortran_ordered_matrix_keeps_its_order():
     # The aligned copy keeps the memory order of what it copies, so a
     # product reads the entries in the order it did before.
@@ -290,10 +312,16 @@ def test_fortran_ordered_matrix_keeps_its_order():
     assert got.ctypes.data % 64 == 0 and np.array_equal(got, M)
 
 
+def _bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
 def test_monotone_check_spectrum_is_that_of_the_symmetric_part_bit_for_bit():
-    # The symmetric part is formed in place, by blocks of rows: its eigenvalues
-    # are eigvalsh(0.5 M + 0.5 M^T)'s bytes, on sizes around the block of 16,
-    # and without overflow on entries near the float range.
+    # The symmetric part is formed by blocks of rows past 16 rows, in one
+    # expression up to 16: what callers read of its spectrum, the rejection
+    # message and affine_map's declared modulus, is eigvalsh(0.5 M + 0.5 M^T)'s
+    # smallest eigenvalue to the bit, on sizes around the block of 16 and the
+    # Cholesky gate of 33 rows, and without overflow on entries near the float range.
     rng = np.random.default_rng(14)
     big = np.finfo(float).max
     cases = [rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0) for n in (1, 2, 15, 16, 17, 33, 50)]
@@ -303,15 +331,80 @@ def test_monotone_check_spectrum_is_that_of_the_symmetric_part_bit_for_bit():
     cases += [np.full((2, 2), big), np.array([[1e308, 1e308], [1e308, -1e308]]),
               np.array([[5e-324, -5e-324], [5e-324, 1e-320]])]
     for M in cases:
-        want = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)
+        want = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)[0]
         try:
-            got = _monotone_matrix(M, None, "matrix")[2]
+            W = affine_map(M)
         except ConfigurationError as exc:
-            assert str(exc) == f"matrix is not monotone: its symmetric part has eigenvalue {want[0]}"
+            assert str(exc) == f"affine map matrix is not monotone: its symmetric part has eigenvalue {want}"
             continue
-        assert got.tobytes() == want.tobytes(), M.shape
+        assert _bits(W.strong_monotonicity) == _bits(want if want > 0 else None), M.shape
     with pytest.raises(ConfigurationError, match="not monotone"):
         affine_map([[-1e308]])
+
+
+def _with_lowest(rng, n, lowest):
+    """A matrix of n rows whose symmetric part has spectrum in [lowest, 1] * s, s = 10^k >= 1
+    (so that the test's slack is 1e-12 s), with lowest and 1 among its eigenvalues, plus a
+    skew part of norm about 1."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    spectrum = np.concatenate(([lowest, 1.0], rng.uniform(max(lowest, 0.0), 1.0, n - 2)))
+    K = rng.normal(size=(n, n)) / np.sqrt(n)
+    return (Q * spectrum) @ Q.T * 10.0 ** rng.integers(0, 4) + 0.5 * (K - K.T)
+
+
+def _monotone_check_cases():
+    rng = np.random.default_rng(41)
+    cases = [_with_lowest(rng, n, lowest) for n in (33, 64, 200)
+             for lowest in (-1e-10, -2e-12, -5e-13, 0.0, 1e-13, 1e-6, 0.1)]
+    for n in (33, 64, 200):
+        K = rng.normal(size=(n, n))
+        G = rng.normal(size=(n, n // 3))
+        cases += [K - K.T, G @ G.T, G @ G.T + (K - K.T)]  # pure skew; rank-deficient PSD
+    big = np.finfo(float).max
+    for n in (33, 50):
+        cases += [np.where(rng.uniform(size=(n, n)) < 0.5, 1.0, -1.0) * big * rng.uniform(0.9, 1.0, (n, n)),
+                  np.eye(n) * 1e308 + np.triu(np.full((n, n), 1e307), 1) - np.tril(np.full((n, n), 1e307), -1),
+                  _with_lowest(rng, n, 0.1) * 1e150,  # |S|_F^2 near the float range
+                  np.eye(n) * 5e-324, -np.eye(n) * 5e-324, _with_lowest(rng, n, 0.1) * 1e-320,
+                  _with_lowest(rng, n, -0.1) * 1e-310, _with_lowest(rng, n, 0.1) * 1e-160]
+    return cases
+
+
+def test_monotone_check_makes_the_eigenvalue_tests_decision():
+    # From 33 rows up a Cholesky certificate stands in for eigvalsh: accept or
+    # reject, the message, and affine_map's declared modulus must be those of
+    # the eigenvalue test itself, near its threshold, on singular symmetric
+    # parts, and near both ends of the float range, with warnings as errors.
+    certified = 0
+    for M in _monotone_check_cases():
+        try:
+            lowest = literal_monotone_check(M, "affine map matrix")
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as got:
+                affine_map(M)
+            assert str(got.value) == str(exc)
+            with pytest.raises(ConfigurationError) as got:
+                affine_resolvent_operator(M)
+            assert str(got.value) == str(exc).replace("affine map", "affine operator")
+            continue
+        certified += _monotone_matrix(M, None, "matrix")[2] is None
+        assert _bits(affine_map(M).strong_monotonicity) == _bits(lowest if lowest > 0 else None)
+        affine_resolvent_operator(M)
+    assert certified >= 12  # the certificate ran, beside the eigenvalue test
+
+
+def test_certified_modulus_is_computed_once_when_first_read(monkeypatch):
+    # A certified affine_map runs no eigvalsh until its modulus is read, and one at most.
+    M = _with_lowest(np.random.default_rng(3), 64, 0.2)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: calls.append(S.shape) or eigvalsh(S))
+    W = affine_map(M)
+    assert calls == []
+    mu = W.strong_monotonicity
+    assert calls == [(64, 64)] and W.strong_monotonicity == mu
+    assert calls == [(64, 64)]
+    assert _bits(mu) == _bits(eigvalsh(0.5 * M + 0.5 * M.T)[0])
 
 
 def test_affine_resolvent_rejects_non_monotone_matrix():
@@ -365,11 +458,22 @@ def _fn(x):
      "'radius' in operator 'ball' must be finite, got nan"),
     (lambda: number(np.float64("-inf"), "offset", "operator 'halfspace'"), ConfigurationError,
      "'offset' in operator 'halfspace' must be finite, got -inf"),
+    (lambda: ball_normal_cone([0.0, 0.0], np.inf), ConfigurationError,
+     "'radius' in operator 'ball' must be finite, got inf"),
+    (lambda: halfspace_normal_cone([1.0, 0.0], np.nan), ConfigurationError,
+     "'offset' in operator 'halfspace' must be finite, got nan"),
+    (lambda: l1_operator(2, np.inf), ConfigurationError,
+     "'weight' in operator 'l1' must be finite, got inf"),
+    (lambda: scaled_identity_operator(2, np.nan), ConfigurationError,
+     "'scale' in operator 'scaled_identity' must be finite, got nan"),
+    (lambda: identity_map(2, np.inf), ConfigurationError,
+     "'scale' in operator 'identity_map' must be finite, got inf"),
 ], ids=["lipschitz-positive", "declared-modulus-positive", "box-bounds", "ball-radius",
         "halfspace-normal", "affine-set-rows", "affine-set-finite", "l1-weight",
         "scaled-identity-scale", "affine-operator-square", "affine-map-square", "affine-map-finite",
         "identity-map-scale", "block-dims", "resolvent-gamma", "number-finite",
-        "number-converted-finite"])
+        "number-converted-finite", "ball-radius-finite", "halfspace-offset-finite",
+        "l1-weight-finite", "scaled-identity-scale-finite", "identity-map-scale-finite"])
 def test_guard_raises_its_type_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()
@@ -377,9 +481,26 @@ def test_guard_raises_its_type_and_message(call, error, message):
 
 
 def test_halfspace_normal_past_the_float_range_in_norm_is_built_without_overflow():
-    # |normal|^2 overflows, so the zero-normal test reads the entries, not the norm.
+    # |normal|^2 overflows, so the zero-normal test reads the entries, not the norm,
+    # and the half-space is built on normal / 2^1024: a point outside is projected
+    # onto its boundary, with no overflow warning.
     op = halfspace_normal_cone([1.0, 1e308], 0.5)
     assert op.dim == 2 and op.resolvent(1.0, [0.0, -1.0]).tolist() == [0.0, -1.0]
+    p = op.resolvent(1.0, [0.0, 1.0])
+    n = np.ldexp([1.0, 1e308], -1024)
+    assert abs(np.dot(n, p) - np.ldexp(0.5, -1024)) <= 1e-15 and abs(p[1]) < 1e-15
+    assert p.tolist() == proj_halfspace(np.array([0.0, 1.0]), n, np.ldexp(0.5, -1024)).tolist()
+
+
+def test_halfspace_resolvent_is_the_projection_bit_for_bit():
+    # <normal, normal> is formed once, at construction, with the bits each
+    # projection formed before, for normals whose squared norm is finite.
+    rng = np.random.default_rng(15)
+    for normal in [rng.normal(size=5), rng.normal(size=3) * 1e150, [1e154, 1e-300], [3e-160, 0.0]]:
+        op = halfspace_normal_cone(normal, 0.25)
+        for x in rng.normal(size=(4, len(normal))) * np.abs(normal).max():
+            want = proj_halfspace(x, np.array(normal, dtype=float), 0.25)
+            assert op.resolvent(2.0, x).tobytes() == want.tobytes()
 
 
 def test_every_oracle_entry_returns_a_new_vector_of_its_dimension():
